@@ -323,7 +323,10 @@ def _run_series(K, args):
         raise CliError("series needs a finite field (use verify:thm1.3/thm1.4 for Q)")
     A, L = _algebra_of(K, args)
     module = adjoint_module(L, gl_subspace(K, L.m))
-    cs = composition_series(module)
+    try:
+        cs = composition_series(module)
+    except ValueError as exc:
+        raise CliError(str(exc))
     dims = [t.dim for t in cs.chain]
     data = {
         "field": {"char": K.char, "degree": K.degree},

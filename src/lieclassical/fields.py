@@ -334,6 +334,11 @@ _quad_cache: dict[tuple[int, int | None], QuadraticField] = {}
 
 
 def GF(p: int, degree: int = 1, nonresidue: int | None = None) -> Field:
+    # prime-field matrices are int64 arrays, so one product of residues must fit
+    if (p - 1) ** 2 >= 2**63:
+        raise ValueError(
+            f"prime {p} is too large: field arithmetic runs in int64 and needs (p-1)^2 < 2^63"
+        )
     if degree == 1:
         if p not in _prime_cache:
             _prime_cache[p] = PrimeField(p)

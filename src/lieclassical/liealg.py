@@ -330,7 +330,7 @@ def is_simple(alg, budget: int | None = None) -> bool:
     module = LieModule(K, dim, [(f"ad{i}", a) for i, a in enumerate(mats)])
     res = certify_irreducible(module, budget=budget)
     if res.status == "budget-exceeded":
-        raise RuntimeError("irreducibility budget exceeded")
+        raise ValueError("irreducibility budget exceeded")
     return res.status == "irreducible"
 
 

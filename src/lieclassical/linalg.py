@@ -246,17 +246,45 @@ def op_matrix(field, n_in, n_out, fn) -> Mat:
 # Row reduction
 
 
+def gfp_matmul(a, b, p):
+    """a @ b mod p for int64 arrays of residues in [0, p), exact for every
+    prime GF accepts.
+
+    Delayed reduction: k products of residues sum to at most k (p-1)^2, so the
+    inner dimension is cut into chunks of k with k (p-1)^2 + p - 1 < 2^63 and
+    the running sum is reduced after each chunk (Dumas, Giorgi and Pernet,
+    FFLAS-FFPACK, ACM TOMS 2008).
+    """
+    k = (2**63 - p) // (p - 1) ** 2
+    n = a.shape[-1]
+    if n <= k:
+        return (a @ b) % p
+    out = (a[..., :k] @ b[..., :k, :]) % p
+    for s in range(k, n, k):
+        out = (out + a[..., s : s + k] @ b[..., s : s + k, :]) % p
+    return out
+
+
+def gfp_reduce(rows, basis, pivots, p):
+    """Residuals of rows of residues mod p against a fully reduced echelon basis.
+
+    A fully reduced row is zero in every other pivot column, so eliminating
+    the pivot coordinates one row at a time equals rows - rows[:, pivots] @ basis.
+    """
+    coeffs = rows.take(pivots, axis=-1)
+    if not coeffs.any():
+        return rows
+    return (rows - gfp_matmul(coeffs, basis, p)) % p
+
+
 def _matmul_fast(A: Mat, B: Mat):
     K = A.field
     if isinstance(K, PrimeField):
-        p = K.char
         a = np.array(A.rows, dtype=np.int64)
         b = np.array(B.rows, dtype=np.int64)
         if a.size == 0 or b.size == 0:
             return Mat.zeros(K, A.nrows, B.ncols)
-        # Split long inner products to stay far from int64 overflow.
-        prod = (a @ b) % p
-        return Mat(K, prod.tolist())
+        return Mat(K, gfp_matmul(a, b, K.char).tolist())
     if isinstance(K, RationalField):
         ints = _int_array(A.rows) if A.rows else None
         ints_b = _int_array(B.rows) if B.rows else None
@@ -584,13 +612,7 @@ class EchelonGFp:
         return self.mat.shape[0]
 
     def reduce(self, v):
-        p = self.p
-        v = np.array(v, dtype=np.int64) % p
-        if self.pivots:
-            coeffs = v[self.pivots]
-            if coeffs.any():
-                v = (v - coeffs @ self.mat) % p
-        return v
+        return gfp_reduce(np.array(v, dtype=np.int64) % self.p, self.mat, self.pivots, self.p)
 
     def add(self, v) -> bool:
         r = self.reduce(v)

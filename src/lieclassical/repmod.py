@@ -27,6 +27,8 @@ from .linalg import (
     EchelonGFp,
     Mat,
     Subspace,
+    gfp_matmul,
+    gfp_reduce,
     kernel,
     kron,
     matvec,
@@ -39,6 +41,9 @@ class LieModule:
     field: Field
     dim: int
     generators: list  # (label, Mat dim x dim)
+    # over GF(p): the generators as one int64 array, built on first use by
+    # spins and surgery; generators are not changed once a module is built
+    _arrays: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
 
     def action_mats(self):
         return [a for _, a in self.generators]
@@ -77,7 +82,15 @@ def respects_brackets(M: LieModule, struct: StructureConstants) -> bool:
 
 
 def _np_mats(M: LieModule):
-    return [np.array(a.rows, dtype=np.int64) for a in M.action_mats()]
+    """The generators as one (count, dim, dim) int64 array, converted once per module."""
+    if M._arrays is None:
+        mats = M.action_mats()
+        entries = itertools.chain.from_iterable(itertools.chain.from_iterable(a.rows for a in mats))
+        count = len(mats) * M.dim * M.dim
+        M._arrays = np.fromiter(entries, dtype=np.int64, count=count).reshape(
+            len(mats), M.dim, M.dim
+        )
+    return M._arrays
 
 
 def _spin_gfp(p, ambient, gen_arrays, seeds):
@@ -91,8 +104,7 @@ def _spin_gfp(p, ambient, gen_arrays, seeds):
         batch = np.array(frontier, dtype=np.int64)
         frontier = []
         for G in gen_arrays:
-            prods = (batch @ G.T) % p
-            for row in prods:
+            for row in gfp_matmul(batch, G.T, p):
                 if ech.add(row):
                     frontier.append(ech.mat[-1])
     return ech
@@ -197,10 +209,9 @@ def _certify_by_enumeration(M: LieModule) -> IrredResult:
 
 def _dual_spin(M: LieModule, seeds):
     K = M.field
-    mats_t = [a.transpose() for a in M.action_mats()]
     if isinstance(K, PrimeField):
-        arrays = [np.array(a.rows, dtype=np.int64) for a in mats_t]
-        return _spin_gfp(K.char, M.dim, arrays, seeds).subspace(K)
+        return _spin_gfp(K.char, M.dim, _np_mats(M).transpose(0, 2, 1), seeds).subspace(K)
+    mats_t = [a.transpose() for a in M.action_mats()]
     return _spin_generic(K, M.dim, mats_t, seeds).subspace()
 
 
@@ -275,11 +286,31 @@ def _certify_norton(M: LieModule, seed: int):
 # Module surgery: restriction, quotient
 
 
+def _basis_array(U: Subspace):
+    return np.array(U.basis, dtype=np.int64).reshape(U.dim, U.ambient)
+
+
+def _module_from_stack(M: LieModule, stack) -> LieModule:
+    """M's labels on the (count, d, d) array of new generators."""
+    gens = [(lbl, Mat(M.field, a.tolist())) for lbl, a in zip(M.labels(), stack)]
+    return LieModule(M.field, stack.shape[1], gens, stack)
+
+
 def restrict_module(M: LieModule, U: Subspace) -> LieModule:
     """Actions restricted to an invariant subspace, in its RREF coordinates."""
     K = M.field
-    B = U.basis_matrix()
+    if isinstance(K, PrimeField):
+        p, piv = K.char, list(U.pivots)
+        B = _basis_array(U)
+        stack = np.empty((len(M.generators), U.dim, U.dim), dtype=np.int64)
+        for A, out in zip(_np_mats(M), stack):
+            images = gfp_matmul(B, A.T, p)  # rows are A * u_i
+            if gfp_reduce(images, B, piv, p).any():
+                raise ValueError("subspace is not invariant")
+            out[...] = images[:, piv].T
+        return _module_from_stack(M, stack)
     gens = []
+    B = U.basis_matrix()
     for lbl, A in M.generators:
         images = B @ A.transpose()  # rows are A * u_i
         for row in images.rows:
@@ -293,18 +324,20 @@ def restrict_module(M: LieModule, U: Subspace) -> LieModule:
 def quotient_module(M: LieModule, U: Subspace) -> LieModule:
     """Actions on M/U in the coordinates of the non-pivot positions of U."""
     K = M.field
-    n = M.dim
     pivset = set(U.pivots)
-    free = [j for j in range(n) if j not in pivset]
+    free = [j for j in range(M.dim) if j not in pivset]
+    if isinstance(K, PrimeField):
+        B, piv = _basis_array(U), list(U.pivots)
+        stack = np.empty((len(M.generators), len(free), len(free)), dtype=np.int64)
+        for A, out in zip(_np_mats(M), stack):
+            reduced = gfp_reduce(A[:, free].T, B, piv, K.char)  # rows are A * e_j
+            out[...] = reduced[:, free].T
+        return _module_from_stack(M, stack)
     gens = []
     for lbl, A in M.generators:
-        cols = []
-        for j in free:
-            e = [K.zero()] * n
-            e[j] = K.one()
-            img = U.reduce(matvec(A, e))
-            cols.append([img[f] for f in free])
-        gens.append((lbl, Mat(K, [[cols[j][i] for j in range(len(free))] for i in range(len(free))])))
+        cols = A.transpose().rows
+        reduced = [U.reduce(cols[j]) for j in free]
+        gens.append((lbl, Mat(K, [[img[f] for img in reduced] for f in free])))
     return LieModule(K, len(free), gens)
 
 
@@ -320,16 +353,22 @@ def quotient_lift(U: Subspace, coords):
 
 
 def invariant_under(U: Subspace, A: Mat) -> bool:
-    """A U contained in U, checked as C (A B')' = 0 where ker C' spans U.
+    """A U contained in U."""
+    return _invariance_test(U)(A)
+
+
+def _invariance_test(U: Subspace):
+    """The predicate A -> (A U contained in U), checked as C (A B')' = 0.
 
     C has one row per functional vanishing on U, so the product being zero
-    says every image A u still satisfies all defining equations of U.
+    says every image A u still satisfies all defining equations of U.  C is
+    built once, so testing many generators costs one kernel.
     """
     if U.dim == 0 or U.dim == U.ambient:
-        return True
+        return lambda A: True
     B = U.basis_matrix()
-    C = _annihilator_matrix(U)
-    return ((B @ A.transpose()) @ C.transpose()).is_zero()
+    Ct = _annihilator_matrix(U).transpose()
+    return lambda A: ((B @ A.transpose()) @ Ct).is_zero()
 
 
 def _annihilator_matrix(U: Subspace) -> Mat:
@@ -385,9 +424,9 @@ def _normalize_chain(M, candidate_chain):
     if chain[-1].dim != M.dim:
         chain.append(Subspace.full(K, M.dim))
     for term in chain:
-        for _, A in M.generators:
-            if not invariant_under(term, A):
-                raise ValueError("candidate chain term is not invariant")
+        invariant = _invariance_test(term)
+        if not all(invariant(A) for _, A in M.generators):
+            raise ValueError("candidate chain term is not invariant")
     return chain
 
 
@@ -399,6 +438,10 @@ def _certify_chain_finite(M, candidate_chain, budget):
         dims.append(factor.dim)
         trivial.append(trivial_actions(factor))
         res = certify_irreducible(factor, budget=budget)
+        if res.status == "budget-exceeded":
+            raise ValueError(
+                f"irreducibility budget exceeded on a {factor.dim}-dimensional chain factor"
+            )
         if res.status != "irreducible":
             raise ValueError("candidate chain factor is not irreducible")
         methods.append(res.method)
@@ -412,7 +455,7 @@ def _max_chain(M: LieModule, budget):
         return []
     res = certify_irreducible(M, budget=budget)
     if res.status == "budget-exceeded":
-        raise RuntimeError("irreducibility budget exceeded in composition series")
+        raise ValueError("irreducibility budget exceeded in composition series")
     if res.status == "irreducible":
         return []
     W = res.witness

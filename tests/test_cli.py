@@ -226,3 +226,26 @@ def test_budget_env_invalid(capsys, monkeypatch):
     monkeypatch.setenv("LIECOMP_BUDGET", "lots")
     code, _, err = run(capsys, "verify:sl-series", "--field", "3", "--m", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify:thm1.3", "--field", "1000003", "--m", "4"),
+        ("series", "--field", "1000003", "--m", "4"),
+    ],
+)
+def test_budget_exhaustion_exits_2_with_message(capsys, argv):
+    # over GF(1000003) the singular kernels are too wide to sweep and the
+    # line count is far over the budget, so certification gives up
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "budget exceeded" in err
+    assert "not irreducible" not in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_prime_too_large_for_int64_is_usage_error(capsys):
+    code, _, err = run(capsys, "series", "--field", "4294967311", "--m", "4")
+    assert code == 2
+    assert "too large" in err

@@ -79,3 +79,10 @@ def test_field_axioms_randomized():
             assert K.add(a, K.neg(a)) == K.zero()
             if not K.is_zero(a):
                 assert K.mul(a, K.inv(a)) == K.one()
+
+
+def test_primes_beyond_int64_products_refused():
+    assert GF(2**31 - 1).char == 2**31 - 1
+    for token in ("4294967311", "4294967311^2", str(2**61 - 1)):
+        with pytest.raises(ValueError, match="too large"):
+            field_from_token(token)

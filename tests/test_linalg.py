@@ -183,3 +183,23 @@ def test_echelon_gfp_matches_generic():
     for r in rows:
         assert gen.add(r) == fast.add(r)
     assert gen.subspace() == fast.subspace(K)
+
+
+def _python_matmul(A, B, p):
+    """Reference product: Python integers, reduced once at the end."""
+    cols = list(zip(*B.rows))
+    return [[sum(a * b for a, b in zip(r, c)) % p for c in cols] for r in A.rows]
+
+
+def test_gfp_products_exact_near_int64_limit():
+    # one product of residues is close to 2^62 here, so an unsplit int64 sum wraps
+    p = 2**31 - 1
+    K = GF(p)
+    rng = random.Random(11)
+    for _ in range(5):
+        A, B = rand_mat(K, 8, 8, rng), rand_mat(K, 8, 8, rng)
+        assert (A @ B).rows == _python_matmul(A, B, p)
+        if not K.is_zero(A.det()):
+            Ainv = A.inv()
+            assert (Ainv @ A).rows == _python_matmul(Ainv, A, p)
+            assert Ainv @ A == Mat.identity(K, 8)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from lieclassical.fields import GF, QQ
 from lieclassical.forms import classify, standard_symplectic_gram
 from lieclassical.liealg import (
@@ -14,10 +16,11 @@ from lieclassical.liealg import (
     gl_subspace,
     heisenberg,
     is_simple,
+    self_adjoint_module,
     skew_adjoint_algebra,
     sl_subspace,
 )
-from lieclassical.linalg import Mat, Subspace, matvec
+from lieclassical.linalg import Echelon, Mat, Subspace, matvec, op_matrix
 from lieclassical.repmod import (
     LieModule,
     adjoint_module,
@@ -30,6 +33,7 @@ from lieclassical.repmod import (
     hom_members,
     hom_space,
     invariant_under,
+    quotient_lift,
     quotient_module,
     representation_kernel,
     respects_brackets,
@@ -253,3 +257,95 @@ def test_heisenberg_poly_module():
         assert respects_brackets(V, h)
         assert representation_kernel(V, h).dim == 0  # faithful
         assert certify_irreducible(V).status == "irreducible"
+
+
+def _reference_restrict(M, U):
+    """Generators on U from coordinates of A u, one basis vector at a time."""
+    return [
+        op_matrix(M.field, U.dim, U.dim, lambda c, A=A: U.coords(matvec(A, U.lift(c))))
+        for A in M.action_mats()
+    ]
+
+
+def _reference_quotient(M, U):
+    """Generators on M/U from reduced images of lifted quotient coordinates."""
+    free = [j for j in range(M.dim) if j not in U.pivots]
+    return [
+        op_matrix(
+            M.field,
+            len(free),
+            len(free),
+            lambda c, A=A: [U.reduce(matvec(A, quotient_lift(U, c)))[j] for j in free],
+        )
+        for A in M.action_mats()
+    ]
+
+
+def _gl_modules():
+    """gl(m) as an L(f)-module over small prime fields, with L(f), M(f) inside."""
+    for K in (GF(2), GF(3), GF(5)):
+        for gram in (standard_symplectic_gram(K, 4), Mat.diag(K, [K.one()] * 3)):
+            L = skew_adjoint_algebra(gram)
+            M = adjoint_module(L, gl_subspace(K, gram.nrows))
+            yield M, [L.space, self_adjoint_module(gram), gl_subspace(K, gram.nrows)]
+
+
+def test_surgery_matches_reference_on_spun_submodules():
+    rng = random.Random(40)
+    proper = 0
+    for M, pieces in _gl_modules():
+        K = M.field
+        for _ in range(6):
+            piece = rng.choice(pieces)
+            seeds = [piece.lift([K.random(rng) for _ in range(piece.dim)])
+                     for _ in range(rng.randint(1, 2))]
+            U = spin(M, seeds)
+            proper += 0 < U.dim < M.dim
+            sub, quo = restrict_module(M, U), quotient_module(M, U)
+            assert sub.labels() == quo.labels() == M.labels()
+            assert sub.action_mats() == _reference_restrict(M, U)
+            assert quo.action_mats() == _reference_quotient(M, U)
+    assert proper >= 10
+
+
+def test_non_invariant_subspace_refused():
+    rng = random.Random(41)
+    for M, _ in _gl_modules():
+        K = M.field
+        while True:
+            S = Subspace.from_rows(K, M.dim, [[K.random(rng) for _ in range(M.dim)]])
+            if S.dim and not all(invariant_under(S, a) for a in M.action_mats()):
+                break
+        with pytest.raises(ValueError, match="subspace is not invariant"):
+            restrict_module(M, S)
+        with pytest.raises(ValueError, match="candidate chain term is not invariant"):
+            composition_series(M, candidate_chain=[S])
+
+
+def test_spin_exact_near_int64_limit():
+    # G = P T P^-1 with T block upper triangular: P (F^4 + 0) is a proper
+    # submodule, which wrapped int64 sums would almost surely leave
+    p = 2**31 - 1
+    K = GF(p)
+    rng = random.Random(42)
+    n = 8
+    while True:
+        P = Mat(K, [[K.random(rng) for _ in range(n)] for _ in range(n)])
+        if not K.is_zero(P.det()):
+            break
+    Pinv = P.inv()
+    gens = []
+    for i in range(2):
+        T = Mat(K, [[K.random(rng) if r < 4 or c >= 4 else 0 for c in range(n)]
+                    for r in range(n)])
+        G = op_matrix(K, n, n, lambda v, T=T: matvec(P, matvec(T, matvec(Pinv, v))))
+        gens.append((f"g{i}", G))
+    M = LieModule(K, n, gens)
+    seed = matvec(P, [K.random(rng) for _ in range(4)] + [0] * 4)
+    ref = Echelon(K, n)
+    frontier = [seed] if ref.add(seed) else []
+    while frontier:
+        images = [matvec(G, v) for v in frontier for G in M.action_mats()]
+        frontier = [w for w in images if ref.add(w)]
+    assert 0 < ref.dim <= 4
+    assert spin(M, [seed]) == ref.subspace()
