@@ -2,7 +2,8 @@
 
 Matrices are row-major lists of canonical scalars.  Row reduction, kernels and
 subspace lattice operations are exact; prime fields get a numpy int64 fast
-path, the rationals an integer fraction-free path, and GF(p^2) a generic one.
+path, the rationals integer paths (fraction-free row reduction, products with
+cleared denominators), and GF(p^2) a generic one.
 """
 
 from __future__ import annotations
@@ -285,32 +286,30 @@ def _matmul_fast(A: Mat, B: Mat):
         if a.size == 0 or b.size == 0:
             return Mat.zeros(K, A.nrows, B.ncols)
         return Mat(K, gfp_matmul(a, b, K.char).tolist())
-    if isinstance(K, RationalField):
-        ints = _int_array(A.rows) if A.rows else None
-        ints_b = _int_array(B.rows) if B.rows else None
-        if ints is not None and ints_b is not None:
-            bound = A.ncols * max(1, int(np.abs(ints).max(initial=0))) * max(
-                1, int(np.abs(ints_b).max(initial=0))
-            )
-            if bound < 2**62:
-                prod = ints @ ints_b
-                return Mat(K, [[Fraction(int(x)) for x in row] for row in prod])
+    if isinstance(K, RationalField) and A.rows and B.rows:
+        # (a / d_A) @ (b / d_B) = (a @ b) / (d_A d_B) with integer a, b; the
+        # sum of ncols products is at most ncols max|a| max|b| in absolute
+        # value, so int64 is exact below 2^63 and Python ints take over above
+        a, d_a = _cleared(A.rows)
+        b, d_b = _cleared(B.rows)
+        bound = A.ncols * _max_abs(a) * _max_abs(b)
+        dtype = np.int64 if bound < 2**63 else object
+        prod = (np.array(a, dtype=dtype) @ np.array(b, dtype=dtype)).tolist()
+        d = d_a * d_b
+        if d == 1:
+            return Mat(K, [[Fraction(x) for x in row] for row in prod])
+        return Mat(K, [[Fraction(x, d) for x in row] for row in prod])
     return None
 
 
-def _int_array(rows):
-    out = []
-    for r in rows:
-        row = []
-        for a in r:
-            if a.denominator != 1:
-                return None
-            row.append(a.numerator)
-        out.append(row)
-    arr = np.array(out, dtype=object)
-    if arr.size and max(abs(int(x)) for x in arr.flat) < 2**31:
-        return arr.astype(np.int64)
-    return None
+def _cleared(rows):
+    """(ints, d) with rows = ints / d, d the lcm of the denominators."""
+    d = math.lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+
+
+def _max_abs(ints):
+    return max((abs(x) for r in ints for x in r), default=0)
 
 
 def rref(M: Mat):

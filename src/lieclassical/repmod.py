@@ -309,6 +309,9 @@ def restrict_module(M: LieModule, U: Subspace) -> LieModule:
                 raise ValueError("subspace is not invariant")
             out[...] = images[:, piv].T
         return _module_from_stack(M, stack)
+    if U.dim == 0:
+        # an empty basis matrix has no columns to multiply against
+        return LieModule(K, 0, [(lbl, Mat(K, [])) for lbl in M.labels()])
     gens = []
     B = U.basis_matrix()
     for lbl, A in M.generators:

@@ -4,6 +4,7 @@ evidence for each claim."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -215,8 +216,22 @@ def _simple_label(K):
     return "spin certification" if K.order() is not None else "mod-p"
 
 
-def _is_simple_certified(L: MatLieAlg, primes=None):
-    """(simple?, method) with characteristic 0 handled by reduction mod p."""
+def _good_primes(gram: Mat):
+    """The first two primes at which a form over Q reduces well (None over a
+    finite field): coprime to 2m, to the Gram matrix's denominators and to the
+    numerator and denominator of its determinant, so the reduction mod p is a
+    nondegenerate form of the same type."""
+    K = gram.field
+    if K.order() is not None:
+        return None
+    det = gram.det()
+    bad = abs(det.numerator) * det.denominator
+    bad *= math.lcm(*(x.denominator for r in gram.rows for x in r))
+    return first_primes_coprime_to(2 * gram.nrows * bad, count=2)
+
+
+def _is_simple_certified(L: MatLieAlg, primes):
+    """(simple?, method) with characteristic 0 handled by reduction mod primes."""
     K = L.field
     if K.order() is not None:
         return is_simple(L), "spin certification"
@@ -225,8 +240,6 @@ def _is_simple_certified(L: MatLieAlg, primes=None):
     if L.dim <= 1:
         return False, "dimension"
     ad = algebra_adjoint_module(L)
-    if primes is None:
-        primes = first_primes_coprime_to(2 * L.m, count=2)
     for p in primes:
         red = reduce_module_mod_p(ad, p)
         if certify_irreducible(red).status != "irreducible":
@@ -555,7 +568,7 @@ def run_thm_1_4(m, K, diag=None) -> Report:
     if m == 4:
         square = discriminant_is_square(classify(A))
         L = skew_adjoint_algebra(A)
-        simple, method = _is_simple_certified(L)
+        simple, method = _is_simple_certified(L, _good_primes(A))
         rep.check("m=4 dichotomy", "Note 9.1", not square, simple, method)
     return rep
 
@@ -565,6 +578,7 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
     m = form.m
     A = form.gram
     ref = "Thm 1.3" if symplectic else "Thm 1.4"
+    primes = _good_primes(A)
     L = skew_adjoint_algebra(A, "L")
     M = self_adjoint_module(A)
     gl = gl_subspace(K, m)
@@ -597,7 +611,7 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
     module = adjoint_module(L, gl)
     if skip_series:
         if m == 3 or m >= 5:
-            simple, smethod = _is_simple_certified(L)
+            simple, smethod = _is_simple_certified(L, primes)
             rep.check("L simple", "Prop 9.1", True, simple, smethod)
         return
     orth_m4_split = (not symplectic and m == 4
@@ -627,7 +641,6 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
         rep.check("Jordan-Holder factor multiset", ref, sorted(expected_dims),
                   sorted(free.factor_dims), method)
     else:
-        primes = first_primes_coprime_to(2 * m, count=2)
         cs = composition_series(module, candidate_chain=expected_chain, mod_p_primes=primes)
         method = "mod-p"
     rep.check("factor dims", ref, expected_dims, cs.factor_dims, method)
@@ -646,7 +659,7 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
     rep.check("gl/M = L (hom witness)", ref, True, ok)
     # simplicity of L
     if symplectic or m == 3 or m >= 5:
-        simple, smethod = _is_simple_certified(L)
+        simple, smethod = _is_simple_certified(L, primes)
         rep.check("L simple", "Thm 11.1" if symplectic else "Prop 9.1", True,
                   simple, smethod)
 
@@ -676,22 +689,20 @@ def _so4_ideal(L: MatLieAlg) -> Subspace:
             raise ValueError("expected a reducible adjoint module")
         W = res.witness
     else:
-        # over Q the two ideals are spanned by E_ij +/- E_kl pairs
-        W = None
-        mats = L.basis_mats()
-        for i, x in enumerate(mats):
-            for y in mats[i + 1:]:
-                for z in (x + y, x - y):
-                    span = spin(ad, [L.space.coords(z.vec())])
-                    if 0 < span.dim < L.dim:
-                        W = span
-                        break
-                if W is not None:
-                    break
-            if W is not None:
-                break
-        if W is None:
+        # so(4) = I1 + I2, so its centroid End_L(ad) is Q x Q: a non-scalar T
+        # in it acts as alpha on I1 and beta on I2, satisfies T^2 = aT + bI
+        # with roots alpha, beta of x^2 - ax - b, and ker(T - alpha I) = I1
+        eye = Mat.identity(K, L.dim)
+        T = next((t for t in hom_members(ad, ad, hom_space(ad, ad))
+                  if not (t - eye.scale(t.rows[0][0])).is_zero()), None)
+        if T is None:
             raise ValueError("no proper ideal found")
+        coeffs = Mat(K, [list(c) for c in zip(T.vec(), eye.vec())])
+        a, b = solve(coeffs, (T @ T).vec())
+        root = _field_sqrt(K, a * a + 4 * b)
+        if root is None:
+            raise ValueError("no proper ideal found")
+        W = kernel(T - eye.scale((a + root) / 2))
     rows = [L.space.lift(list(r)) for r in W.basis]
     return Subspace.from_rows(K, L.m * L.m, rows)
 
@@ -928,11 +939,8 @@ def _field_sqrt(K, a):
 def _int_sqrt(n):
     if n < 0:
         return None
-    r = int(n**0.5)
-    for t in (r - 1, r, r + 1):
-        if t >= 0 and t * t == n:
-            return t
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def _square_upgrade(rep: Report, ref, G: Mat):

@@ -249,3 +249,21 @@ def test_prime_too_large_for_int64_is_usage_error(capsys):
     code, _, err = run(capsys, "series", "--field", "4294967311", "--m", "4")
     assert code == 2
     assert "too large" in err
+
+
+@pytest.mark.parametrize("diag", ["diag:1,1,1,1,3", "diag:1,1,1,3", "diag:2,7,11,154"])
+def test_thm14_over_q_forms_with_bad_primes(capsys, diag):
+    # 3 divides the discriminant of the first two, which must not be reduced
+    # mod 3; the third has a square discriminant (154^2) and so(4) ideals that
+    # are not spanned by a sum or difference of two basis elements
+    m = str(diag.count(",") + 1)
+    code, out, err = run(capsys, "verify:thm1.4", "--field", "Q", "--m", m,
+                         "--form", diag, "--output", "json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert report["claims"] and all(c["pass"] for c in report["claims"])
+    if diag == "diag:1,1,1,3":
+        # a non-square discriminant: so(4) is simple, certified mod 5 and 7
+        (dichotomy,) = [c for c in report["claims"] if c["label"] == "m=4 dichotomy"]
+        assert dichotomy["computed"] is True

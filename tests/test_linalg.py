@@ -5,6 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+from sympy import QQ as SYMPY_QQ
+from sympy.polys.matrices import DomainMatrix
+
 from lieclassical.fields import GF, QQ
 from lieclassical.linalg import (
     Echelon,
@@ -203,3 +207,81 @@ def test_gfp_products_exact_near_int64_limit():
             Ainv = A.inv()
             assert (Ainv @ A).rows == _python_matmul(Ainv, A, p)
             assert Ainv @ A == Mat.identity(K, 8)
+
+
+def _fraction_matmul(A, B):
+    """Reference product: the schoolbook loop in Fractions."""
+    cols = list(zip(*B.rows))
+    return [[sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in cols] for r in A.rows]
+
+
+def _sympy_matmul(A, B):
+    """Reference product: sympy's DomainMatrix over QQ."""
+    def dm(M):
+        rows = [[SYMPY_QQ(x.numerator, x.denominator) for x in r] for r in M.rows]
+        return DomainMatrix(rows, (M.nrows, M.ncols), SYMPY_QQ)
+
+    prod = dm(A).matmul(dm(B)).to_list()
+    return [[Fraction(int(x.numerator), int(x.denominator)) for x in r] for r in prod]
+
+
+def _q_matrix(draw, r, c, numerators, denominators):
+    return Mat(QQ, [[Fraction(draw(numerators), draw(denominators)) for _ in range(c)]
+                    for _ in range(r)])
+
+
+@st.composite
+def q_products(draw, numerators, denominators):
+    """A pair (A, B) of Q matrices of compatible shapes, 1x1 up to 6x6."""
+    n, k, m = (draw(st.integers(1, 6)) for _ in range(3))
+    return (_q_matrix(draw, n, k, numerators, denominators),
+            _q_matrix(draw, k, m, numerators, denominators))
+
+
+def _assert_exact_product(A, B):
+    prod = A @ B
+    assert prod.rows == _fraction_matmul(A, B) == _sympy_matmul(A, B)
+    assert all(type(x) is Fraction for r in prod.rows for x in r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_products(st.integers(-50, 50), st.integers(1, 12)))
+def test_q_product_with_denominators(pair):
+    _assert_exact_product(*pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_products(st.integers(2**31, 2**40) | st.integers(-2**40, -2**31), st.just(1)))
+def test_q_product_integers_above_2_31(pair):
+    _assert_exact_product(*pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_products(st.integers(-2**70, 2**70), st.integers(1, 2**20)))
+def test_q_product_beyond_int64(pair):
+    _assert_exact_product(*pair)
+
+
+def test_q_product_at_the_int64_edge():
+    # 2^62 + 2^62 = 2^63 wraps in int64: the bound ncols*max|a|*max|b| = 2^63
+    # must send this product to Python integers
+    big = Fraction(2**62)
+    for sign in (1, -1):
+        A = Mat(QQ, [[sign * big, sign * big]])
+        B = Mat(QQ, [[Fraction(1)], [Fraction(1)]])
+        assert (A @ B).rows == [[Fraction(sign * 2**63)]]
+    # with a denominator the cleared integers, not the entries, set the bound
+    A = Mat(QQ, [[Fraction(2**61, 3), Fraction(1, 2)]])
+    B = Mat(QQ, [[Fraction(3)], [Fraction(2**62)]])
+    assert (A @ B).rows == [[Fraction(2**62)]]
+    _assert_exact_product(A, B)
+
+
+def test_q_product_zero_and_thin_shapes():
+    rng = random.Random(12)
+    for n, k, m in ((1, 5, 1), (5, 1, 5), (1, 1, 1), (1, 4, 3), (3, 4, 1)):
+        A, B = rand_mat(QQ, n, k, rng), rand_mat(QQ, k, m, rng)
+        _assert_exact_product(A, B)
+        _assert_exact_product(Mat.zeros(QQ, n, k), B)
+        assert (A @ Mat.zeros(QQ, k, m)) == Mat.zeros(QQ, n, m)
+    assert (Mat(QQ, [[Fraction(1, 2)] * 3]) @ Mat(QQ, [[], [], []])).rows == [[]]

@@ -349,3 +349,12 @@ def test_spin_exact_near_int64_limit():
         frontier = [w for w in images if ref.add(w)]
     assert 0 < ref.dim <= 4
     assert spin(M, [seed]) == ref.subspace()
+
+
+def test_restrict_to_zero_subspace():
+    for K in (QQ, GF(3, 2), GF(5)):
+        M = adjoint_module(MatLieAlg(2, sl_subspace(K, 2)), gl_subspace(K, 2))
+        R = restrict_module(M, Subspace.zero(K, 4))
+        assert R.dim == 0
+        assert R.labels() == M.labels()
+        assert all(a.rows == [] for a in R.action_mats())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from lieclassical.fields import GF, QQ
@@ -66,6 +68,14 @@ def test_thm_1_4_m4_square_disc_splits():
     assert any(
         c.label == "gl/M splits (m=4, square discriminant)" for c in rep.claims
     )
+
+
+def test_thm_1_4_m4_square_disc_splits_over_q():
+    # discriminant 4, a square: over Q the ideals of so(4) come from its centroid
+    rep = verify.run_thm_1_4(4, QQ, [Fraction(d) for d in (1, 1, 2, 2)])
+    assert failing(rep) == []
+    split = [c for c in rep.claims if c.label == "gl/M splits (m=4, square discriminant)"]
+    assert [c.computed for c in split] == [3]
 
 
 def test_thm_1_4_m5_simple():
