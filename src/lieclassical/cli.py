@@ -77,7 +77,8 @@ def build_parser():
         help="alternating | diag:d1,...,dm | file:PATH",
     )
     p.add_argument("--output", choices=("text", "json"), default="text")
-    p.add_argument("--budget", type=int, default=None, help="enumeration cap")
+    p.add_argument("--budget", type=int, default=None,
+                   help="cap per irreducibility test on random elements drawn plus spins")
     p.add_argument("--out", default=None, help="write output to this path")
     return p
 
@@ -183,14 +184,10 @@ def _need_m(args):
 
 def _diag_entries(K, m, form_spec):
     A = load_gram(K, m, form_spec)
-    if any(
-        not K.is_zero(A.rows[i][j])
-        for i in range(A.nrows)
-        for j in range(A.ncols)
-        if i != j
-    ):
+    diag = [A.rows[i][i] for i in range(A.nrows)]
+    if A != Mat.diag(K, diag):
         raise CliError("this command needs a diagonal form")
-    return [A.rows[i][i] for i in range(A.nrows)]
+    return diag
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ m*m), so all structural computation reduces to exact subspace operations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
-from .linalg import Mat, Subspace, kernel, op_matrix, solve
+from .linalg import Mat, Subspace, kernel, op_matrix, solve, unit_vector
 
 
 def bracket(X: Mat, Y: Mat) -> Mat:
@@ -120,16 +121,13 @@ def trace_pairing(x: Mat, y: Mat):
     return (x @ y).trace()
 
 
-def trace_form_gram(mats) -> Mat:
-    K = mats[0].field
-    return Mat(K, [[trace_pairing(x, y) for y in mats] for x in mats])
-
-
 def trace_orthogonal_complement(U: Subspace, within: Subspace) -> Subspace:
     """{x in `within` : tr(x u) = 0 for all u in U}."""
     K = U.field
     m2 = U.ambient
-    m = _isqrt(m2)
+    m = math.isqrt(m2)
+    if m * m != m2:
+        raise ValueError("ambient dimension is not a square")
     # tr(XU) = <vec(X), vec(U')>, so each u contributes one linear constraint
     constraints = []
     for u in U.basis:
@@ -142,15 +140,6 @@ def trace_orthogonal_complement(U: Subspace, within: Subspace) -> Subspace:
     coords_kernel = kernel(C @ B.transpose())
     rows = [within.lift(list(c)) for c in coords_kernel.basis]
     return Subspace.from_rows(K, m2, rows)
-
-
-def _isqrt(n):
-    r = int(n**0.5)
-    while r * r < n:
-        r += 1
-    if r * r != n:
-        raise ValueError("ambient dimension is not a square")
-    return r
 
 
 def adjoint_star(X: Mat, A: Mat) -> Mat:
@@ -197,18 +186,13 @@ class StructureConstants:
     def check_jacobi(self):
         K = self.field
         d = self.dim
-
-        def unit(i):
-            v = [K.zero()] * d
-            v[i] = K.one()
-            return v
-
+        unit = [unit_vector(K, d, i) for i in range(d)]
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    a = self.bracket_coeffs(unit(i), self.table[j][k])
-                    b = self.bracket_coeffs(unit(j), self.table[k][i])
-                    c = self.bracket_coeffs(unit(k), self.table[i][j])
+                    a = self.bracket_coeffs(unit[i], self.table[j][k])
+                    b = self.bracket_coeffs(unit[j], self.table[k][i])
+                    c = self.bracket_coeffs(unit[k], self.table[i][j])
                     s = [K.add(K.add(x, y), z) for x, y, z in zip(a, b, c)]
                     if any(not K.is_zero(x) for x in s):
                         return False
@@ -221,15 +205,10 @@ def heisenberg(K: Field, n: int) -> StructureConstants:
         raise ValueError("need n >= 1")
     d = 2 * n + 1
     labels = [f"u{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)] + ["z"]
-    zero = [K.zero()] * d
-    table = [[list(zero) for _ in range(d)] for _ in range(d)]
+    table = [[[K.zero()] * d for _ in range(d)] for _ in range(d)]
     for i in range(n):
-        z = list(zero)
-        z[d - 1] = K.one()
-        table[i][n + i] = z
-        nz = list(zero)
-        nz[d - 1] = K.neg(K.one())
-        table[n + i][i] = nz
+        table[i][n + i] = unit_vector(K, d, d - 1)
+        table[n + i][i] = [K.neg(c) for c in unit_vector(K, d, d - 1)]
     return StructureConstants(K, labels, table)
 
 
@@ -258,9 +237,7 @@ def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
         free = [j for j in range(L.dim) if j not in pivset]
         reps = []
         for j in free:
-            e = [K.zero()] * L.dim
-            e[j] = K.one()
-            reps.append(Mat.unvec(K, L.space.lift(e), L.m, L.m))
+            reps.append(Mat.unvec(K, L.space.lift(unit_vector(K, L.dim, j)), L.m, L.m))
     if len(reps) != q:
         raise ValueError(f"need {q} coset representatives, got {len(reps)}")
 
@@ -295,15 +272,11 @@ def lie_isomorphic_by_structure(Q: StructureConstants, H: StructureConstants, M:
         return False
     from .linalg import matvec
 
-    def unit(i):
-        v = [K.zero()] * Q.dim
-        v[i] = K.one()
-        return v
-
+    images = [matvec(M, unit_vector(K, Q.dim, i)) for i in range(Q.dim)]
     for i in range(Q.dim):
         for j in range(Q.dim):
             lhs = matvec(M, Q.table[i][j])
-            rhs = H.bracket_coeffs(matvec(M, unit(i)), matvec(M, unit(j)))
+            rhs = H.bracket_coeffs(images[i], images[j])
             if lhs != rhs:
                 return False
     return True

@@ -8,6 +8,7 @@ cleared denominators), and GF(p^2) a generic one.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,14 +233,16 @@ def kron(A: Mat, B: Mat) -> Mat:
     return Mat(K, rows)
 
 
+def unit_vector(field, n, j):
+    """The j-th standard basis vector of F^n."""
+    e = [field.zero()] * n
+    e[j] = field.one()
+    return e
+
+
 def op_matrix(field, n_in, n_out, fn) -> Mat:
     """Matrix of a linear map given as a vector function (columns = images)."""
-    cols = []
-    z, o = field.zero(), field.one()
-    for j in range(n_in):
-        e = [z] * n_in
-        e[j] = o
-        cols.append(fn(e))
+    cols = [fn(unit_vector(field, n_in, j)) for j in range(n_in)]
     return Mat(field, [[cols[j][i] for j in range(n_in)] for i in range(n_out)])
 
 
@@ -447,6 +450,159 @@ def kernel(M: Mat) -> "Subspace":
             v[col] = K.neg(red.rows[i][f])
         basis.append(v)
     return Subspace.from_rows(K, n, basis)
+
+
+# ---------------------------------------------------------------------------
+# Characteristic polynomials and their distinct-degree factors.  A polynomial
+# is a list of coefficients, lowest degree first, with no trailing zeros.
+
+
+def charpoly(A: Mat):
+    """det(xI - A), by a similarity to upper Hessenberg form and the
+    recurrence on its leading minors (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.2.9)."""
+    K = A.field
+    n = A.nrows
+    H = [list(r) for r in A.rows]
+    for c in range(n - 2):
+        piv = next((r for r in range(c + 1, n) if not K.is_zero(H[r][c])), None)
+        if piv is None:
+            continue
+        if piv != c + 1:
+            H[piv], H[c + 1] = H[c + 1], H[piv]
+            for row in H:
+                row[piv], row[c + 1] = row[c + 1], row[piv]
+        inv = K.inv(H[c + 1][c])
+        for r in range(c + 2, n):
+            u = K.mul(H[r][c], inv)
+            if K.is_zero(u):
+                continue
+            # row r -= u row c+1, then column c+1 += u column r
+            H[r] = [K.sub(a, K.mul(u, b)) for a, b in zip(H[r], H[c + 1])]
+            for row in H:
+                row[c + 1] = K.add(row[c + 1], K.mul(u, row[r]))
+    # p_k = (x - h_kk) p_{k-1} - sum_r h_{r,k} (h_{r+1,r} ... h_{k,k-1}) p_{r-1}
+    polys = [[K.one()]]
+    for k in range(1, n + 1):
+        p = [K.zero()] + polys[-1]
+        for i, c in enumerate(polys[-1]):
+            p[i] = K.sub(p[i], K.mul(H[k - 1][k - 1], c))
+        t = K.one()
+        for r in range(k - 1, 0, -1):
+            t = K.mul(t, H[r][r - 1])
+            if K.is_zero(t):
+                break
+            coef = K.mul(t, H[r - 1][k - 1])
+            for i, c in enumerate(polys[r - 1]):
+                p[i] = K.sub(p[i], K.mul(coef, c))
+        polys.append(p)
+    return polys[-1]
+
+
+def poly_at(f, A: Mat) -> Mat:
+    """f(A) for f of degree at least 1, by Horner's rule."""
+    K = A.field
+    out = A.scale(f[-1])
+    for k, c in enumerate(reversed(f[:-1])):
+        if k:
+            out = out @ A
+        for i, row in enumerate(out.rows):
+            row[i] = K.add(row[i], c)
+    return out
+
+
+def _pdivmod(K, f, g):
+    """(quotient, remainder) of f by a nonzero g."""
+    r, dg = list(f), len(g) - 1
+    inv = K.inv(g[-1])
+    quo = [K.zero()] * max(len(f) - dg, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = K.mul(r[k + dg], inv)
+        if not K.is_zero(c):
+            for j, b in enumerate(g):
+                r[k + j] = K.sub(r[k + j], K.mul(c, b))
+    return _ptrim(K, quo), _ptrim(K, r[:dg])
+
+
+def _ptrim(K, f):
+    while f and K.is_zero(f[-1]):
+        f.pop()
+    return f
+
+
+def _psub(K, a, b):
+    z = K.zero()
+    return _ptrim(K, [K.sub(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=z)])
+
+
+def _pmulmod(K, a, b, f):
+    prod = [K.zero()] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        if not K.is_zero(x):
+            for j, y in enumerate(b):
+                prod[i + j] = K.add(prod[i + j], K.mul(x, y))
+    return _pdivmod(K, _ptrim(K, prod), f)[1]
+
+
+def _ppowmod(K, a, e, f):
+    out = [K.one()]
+    for bit in bin(e)[2:]:
+        out = _pmulmod(K, out, out, f)
+        if bit == "1":
+            out = _pmulmod(K, out, a, f)
+    return out
+
+
+def _pgcd(K, a, b):
+    """Monic gcd of a nonzero a and any b."""
+    while b:
+        a, b = b, _pdivmod(K, a, b)[1]
+    inv = K.inv(a[-1])
+    return [K.mul(inv, c) for c in a]
+
+
+def distinct_degree_parts(K, f):
+    """Yield (d, g) for d = 1, 2, ...: g is the product of the distinct monic
+    irreducible factors of degree d of the monic f over the finite field K
+    (parts equal to 1 are skipped).  f need not be squarefree: every power of
+    a found factor is divided out before the next degree."""
+    q = K.order()
+    x = [K.zero(), K.one()]
+    rest, h, d = f, x, 0  # h = x^(q^d) mod rest
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _ppowmod(K, h, q, rest)
+        g = _pgcd(K, rest, _psub(K, h, x))
+        if len(g) > 1:
+            yield d, g
+            while len(g) > 1:
+                rest = _pdivmod(K, rest, g)[0]
+                g = _pgcd(K, rest, g)
+            h = _pdivmod(K, h, rest)[1]
+    # every factor left has degree > d and their degrees add up to < 2(d+1)
+    if len(rest) > 1:
+        yield len(rest) - 1, rest
+
+
+def irreducible_factor(K, g, d, rng):
+    """A monic irreducible factor of g, a product of distinct monic
+    irreducibles of degree d over the finite field K: random splitting by
+    gcd(g, a^((q^d-1)/2) - 1) (Cantor and Zassenhaus, Math. Comp. 1981), in
+    characteristic 2 by gcd(g, a + a^2 + a^4 + ... + a^(q^d/2))."""
+    q = K.order()
+    while len(g) - 1 > d:
+        a = _ptrim(K, [K.random(rng) for _ in range(len(g) - 1)])
+        if K.char == 2:
+            t = s = a
+            for _ in range((q**d).bit_length() - 2):
+                s = _pmulmod(K, s, s, g)
+                t = _psub(K, t, s)  # minus is plus in characteristic 2
+        else:
+            t = _psub(K, _ppowmod(K, a, (q**d - 1) // 2, g), [K.one()])
+        h = _pgcd(K, g, t)
+        if 1 < len(h) < len(g):
+            g = h if 2 * len(h) <= len(g) + 1 else _pdivmod(K, g, h)[0]
+    return g
 
 
 # ---------------------------------------------------------------------------

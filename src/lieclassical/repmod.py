@@ -1,16 +1,17 @@
 """Representation engine: spinning, irreducibility certification, composition
 series, weights, Hom spaces and the tensor-square constructions.
 
-Irreducibility over a finite field is certified either by spinning one
-representative of every line (small search spaces) or by a kernel-and-dual
-argument: for a singular element t of the enveloping algebra, a proper
-submodule U either meets null(t), giving a proper spin there, or satisfies
-tU = U, forcing every functional in null(t') to kill U, so a full dual spin
-rules it out.  Both routes are exact and conclusive.
+Irreducibility over a finite field is certified by the Holt-Rees test
+(`certify_irreducible`): a kernel-and-dual spin at an irreducible factor of
+the characteristic polynomial of a random element of the enveloping
+algebra.  It is exact and conclusive, or reports that its budget ran out.
+Line enumeration (spinning one representative of every line) is kept only
+as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -27,12 +28,17 @@ from .linalg import (
     EchelonGFp,
     Mat,
     Subspace,
+    charpoly,
+    distinct_degree_parts,
     gfp_matmul,
     gfp_reduce,
+    irreducible_factor,
     kernel,
     kron,
     matvec,
     op_matrix,
+    poly_at,
+    unit_vector,
 )
 
 
@@ -124,14 +130,15 @@ def _spin_generic(K, ambient, mats, seeds):
     return ech
 
 
-def spin(M: LieModule, seeds) -> Subspace:
-    """Smallest subspace containing the seeds and invariant under all actions."""
+def spin(M: LieModule, seeds, transposed=False) -> Subspace:
+    """Smallest subspace containing the seeds and invariant under all actions
+    (under their transposes if `transposed`: a spin in the dual module)."""
     K = M.field
     if isinstance(K, PrimeField):
-        ech = _spin_gfp(K.char, M.dim, _np_mats(M), seeds)
-        return ech.subspace(K)
-    ech = _spin_generic(K, M.dim, M.action_mats(), seeds)
-    return ech.subspace()
+        arrays = _np_mats(M).transpose(0, 2, 1) if transposed else _np_mats(M)
+        return _spin_gfp(K.char, M.dim, arrays, seeds).subspace(K)
+    mats = [a.transpose() for a in M.action_mats()] if transposed else M.action_mats()
+    return _spin_generic(K, M.dim, mats, seeds).subspace()
 
 
 # ---------------------------------------------------------------------------
@@ -154,29 +161,28 @@ def _line_reps(K, n):
             yield prefix + list(tail)
 
 
-def _line_reps_in_span(K, rows):
-    """Line representatives of the span of independent rows."""
-    k = len(rows)
-    for coeffs in _line_reps(K, k):
-        v = [K.zero()] * len(rows[0])
-        for c, r in zip(coeffs, rows):
-            if K.is_zero(c):
-                continue
-            v = [K.add(a, K.mul(c, b)) for a, b in zip(v, r)]
-        yield v
-
-
-def _n_lines(q, d):
-    return (q**d - 1) // (q - 1)
-
-
-_ENUM_CUTOFF = 4096
-
-# enumeration cap; the cli lets LIECOMP_BUDGET or --budget override it
+# cap on random elements drawn plus spins per test; the cli lets
+# LIECOMP_BUDGET or --budget override it
 DEFAULT_BUDGET = 10**6
 
 
 def certify_irreducible(M: LieModule, budget: int | None = None, seed: int = 0) -> IrredResult:
+    """Holt and Rees, "Testing modules for irreducibility" (J. Austral. Math.
+    Soc. 1994), with the exceptional case of Ivanyos and Lux (Experiment.
+    Math. 2000).
+
+    Draw theta in the enveloping algebra; split its characteristic polynomial
+    into distinct-degree parts and each part, lowest degree first, into one
+    irreducible factor f, until N = null f(theta) has dim N = deg f.  Then N
+    is a simple K[theta]-module, so a proper submodule U either contains N
+    (and the spin of any v in N stays in U) or meets it trivially; then f
+    divides the characteristic polynomial of theta on V/U, and null f(theta')
+    lies in the annihilator of U, where the dual spin of any w stays.  A full
+    spin and a full dual spin therefore prove irreducibility, and a proper
+    one gives a submodule.  If no factor has dim N = deg f, only a proper
+    spin from N of the lowest factor is used, and theta is drawn again.
+    Each draw and each spin costs one unit of the budget.
+    """
     if budget is None:
         budget = DEFAULT_BUDGET
     K = M.field
@@ -184,102 +190,68 @@ def certify_irreducible(M: LieModule, budget: int | None = None, seed: int = 0) 
         return IrredResult("reducible", None, "zero module")
     if M.dim == 1:
         return IrredResult("irreducible", None, "dimension 1")
-    q = K.order()
-    if q is None:
+    if K.order() is None:
         raise ValueError("irreducibility certification needs a finite field")
-    lines = _n_lines(q, M.dim)
-    if lines <= min(budget, _ENUM_CUTOFF):
-        return _certify_by_enumeration(M)
-    res = _certify_norton(M, seed)
-    if res is not None:
-        return res
-    if lines <= budget:
-        return _certify_by_enumeration(M)
-    return IrredResult("budget-exceeded", None, "enumeration over budget")
+    rng = random.Random(seed)
+    used = 0
+    while used < budget:
+        used += 1
+        theta = _random_element(M, rng)
+        if used == budget:
+            break
+        used += 1
+        lowest = None
+        for d, g in distinct_degree_parts(K, charpoly(theta)):
+            f_theta = poly_at(irreducible_factor(K, g, d, rng), theta)
+            null = kernel(f_theta)
+            if null.dim == d:
+                break
+            lowest = lowest or (f_theta, null, d)
+        else:
+            f_theta, null, d = lowest
+        closure = spin(M, [_random_vector(null, rng)])
+        if closure.dim < M.dim:
+            return IrredResult("reducible", closure, "kernel vector spin")
+        if null.dim > d or used == budget:
+            continue
+        used += 1
+        dual = spin(M, [_random_vector(kernel(f_theta.transpose()), rng)], transposed=True)
+        if dual.dim == M.dim:
+            return IrredResult("irreducible", None, "kernel/dual spin")
+        return IrredResult("reducible", kernel(dual.basis_matrix()), "dual spin annihilator")
+    return IrredResult("budget-exceeded", None, "budget exceeded")
+
+
+def _random_element(M: LieModule, rng) -> Mat:
+    """x y + z for random linear combinations x, y, z of the generators."""
+    K = M.field
+    mats = M.action_mats()
+    coeffs = [[K.random(rng) for _ in mats] for _ in range(3)]
+    if isinstance(K, PrimeField):
+        p, arrays = K.char, _np_mats(M)
+        x, y, z = gfp_matmul(np.array(coeffs), arrays.reshape(len(mats), -1), p).reshape(3, M.dim, M.dim)
+        return Mat(K, ((gfp_matmul(x, y, p) + z) % p).tolist())
+    x, y, z = (functools.reduce(Mat.__add__, map(Mat.scale, mats, cs)) for cs in coeffs)
+    return x @ y + z
+
+
+def _random_vector(U: Subspace, rng):
+    """A uniformly random nonzero vector of U."""
+    K = U.field
+    while True:
+        coeffs = [K.random(rng) for _ in range(U.dim)]
+        if not all(K.is_zero(c) for c in coeffs):
+            return U.lift(coeffs)
 
 
 def _certify_by_enumeration(M: LieModule) -> IrredResult:
+    """Spin one vector of every line: the reference the tests compare against."""
     K = M.field
     for v in _line_reps(K, M.dim):
         closure = spin(M, [v])
         if closure.dim < M.dim:
             return IrredResult("reducible", closure, "line enumeration")
     return IrredResult("irreducible", None, "line enumeration")
-
-
-def _dual_spin(M: LieModule, seeds):
-    K = M.field
-    if isinstance(K, PrimeField):
-        return _spin_gfp(K.char, M.dim, _np_mats(M).transpose(0, 2, 1), seeds).subspace(K)
-    mats_t = [a.transpose() for a in M.action_mats()]
-    return _spin_generic(K, M.dim, mats_t, seeds).subspace()
-
-
-def _singular_candidates(M: LieModule, rng, max_tries=60):
-    """Yield (theta, kernel) for singular enveloping-algebra elements theta."""
-    K = M.field
-    mats = M.action_mats()
-    eye = Mat.identity(K, M.dim)
-    tried = 0
-    pool = list(mats)
-    while tried < max_tries:
-        if tried < len(pool):
-            theta = pool[tried]
-        else:
-            a, b = rng.choice(mats), rng.choice(mats)
-            theta = a @ b
-            for g in mats:
-                c = K.random(rng)
-                if not K.is_zero(c):
-                    theta = theta + g.scale(c)
-        tried += 1
-        for lam in K.elements():
-            shifted = theta - eye.scale(lam) if not K.is_zero(lam) else theta
-            ker = kernel(shifted)
-            if ker.dim > 0:
-                yield shifted, ker
-
-
-def _certify_norton(M: LieModule, seed: int):
-    """Kernel-and-dual certification for one singular enveloping element.
-
-    If U is a proper nonzero submodule, either U meets null(theta), so some
-    kernel line spins to a proper submodule, or theta is injective on U, so
-    theta U = U and every dual spin started in null(theta') annihilates U.
-    Hence all kernel lines spinning full plus one full dual spin is a proof
-    of irreducibility, and either failure hands us an explicit submodule.
-    """
-    K = M.field
-    q = K.order()
-    rng = random.Random(seed)
-    best = None
-    for theta, ker in _singular_candidates(M, rng):
-        if best is None or ker.dim < best[1].dim:
-            best = (theta, ker)
-        if best[1].dim <= 2:
-            break
-    if best is None:
-        return None
-    theta, ker = best
-    if _n_lines(q, ker.dim) > _ENUM_CUTOFF * 4:
-        # kernel too fat to sweep; still usable if the first spin is proper
-        first = next(_line_reps_in_span(K, [list(r) for r in ker.basis]))
-        closure = spin(M, [first])
-        if closure.dim < M.dim:
-            return IrredResult("reducible", closure, "kernel vector spin")
-        return None
-    for v in _line_reps_in_span(K, [list(r) for r in ker.basis]):
-        closure = spin(M, [v])
-        if closure.dim < M.dim:
-            return IrredResult("reducible", closure, "kernel vector spin")
-    # all kernel lines generate; one dual spin from null(theta') finishes
-    dual_ker = kernel(theta.transpose())
-    w = next(_line_reps_in_span(K, [list(r) for r in dual_ker.basis]))
-    dual_closure = _dual_spin(M, [w])
-    if dual_closure.dim == M.dim:
-        return IrredResult("irreducible", None, "kernel/dual spin")
-    ann = kernel(dual_closure.basis_matrix())
-    return IrredResult("reducible", ann, "dual spin annihilator")
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +372,15 @@ def composition_series(
     candidate_chain=None,
     mod_p_primes=None,
     budget: int | None = None,
-    spin_limit: int = 12,
 ) -> CompSeries:
     if budget is None:
         budget = DEFAULT_BUDGET
     K = M.field
     if candidate_chain is not None:
+        chain = _normalize_chain(M, candidate_chain)
         if K.order() is not None:
-            return _certify_chain_finite(M, candidate_chain, budget)
-        return _certify_chain_char0(M, candidate_chain, mod_p_primes, spin_limit)
+            return _series(M, chain, lambda factor: _certified(factor, budget))
+        return _series(M, chain, lambda factor: _certified_mod_p(factor, mod_p_primes))
     if K.order() is None:
         raise ValueError("characteristic 0 needs a candidate chain")
     chain = (
@@ -416,7 +388,7 @@ def composition_series(
         + _max_chain(M, budget)
         + [Subspace.full(K, M.dim)]
     )
-    return _finish_series(M, chain, ["spin certification"])
+    return _series(M, chain, lambda factor: "spin certification")
 
 
 def _normalize_chain(M, candidate_chain):
@@ -433,22 +405,37 @@ def _normalize_chain(M, candidate_chain):
     return chain
 
 
-def _certify_chain_finite(M, candidate_chain, budget):
-    chain = _normalize_chain(M, candidate_chain)
+def _series(M, chain, certify):
+    """The factors of an ascending chain; certify(factor) returns the method
+    that proved it irreducible, or raises."""
     dims, trivial, methods = [], [], []
     for lo, hi in zip(chain, chain[1:]):
-        factor = _factor_module(M, lo, hi)
+        if not hi.contains(lo) or hi.dim <= lo.dim:
+            raise ValueError("chain is not strictly ascending")
+        factor = factor_module(M, lo, hi)
         dims.append(factor.dim)
         trivial.append(trivial_actions(factor))
-        res = certify_irreducible(factor, budget=budget)
-        if res.status == "budget-exceeded":
-            raise ValueError(
-                f"irreducibility budget exceeded on a {factor.dim}-dimensional chain factor"
-            )
-        if res.status != "irreducible":
-            raise ValueError("candidate chain factor is not irreducible")
-        methods.append(res.method)
+        methods.append(certify(factor))
     return CompSeries(chain, dims, trivial, methods)
+
+
+def _certified(factor, budget):
+    res = certify_irreducible(factor, budget=budget)
+    if res.status == "budget-exceeded":
+        raise ValueError(
+            f"irreducibility budget exceeded on a {factor.dim}-dimensional chain factor"
+        )
+    if res.status != "irreducible":
+        raise ValueError("candidate chain factor is not irreducible")
+    return res.method
+
+
+def _certified_mod_p(factor, primes):
+    if factor.dim == 1 and trivial_actions(factor):
+        return "trivial factor"
+    if not _modp_irreducible(factor, primes):
+        raise ValueError("mod-p certification failed for a factor")
+    return "mod-p"
 
 
 def _max_chain(M: LieModule, budget):
@@ -479,22 +466,7 @@ def _max_chain(M: LieModule, budget):
     return chain
 
 
-def _finish_series(M, chain, default_methods):
-    K = M.field
-    dims = []
-    trivial = []
-    methods = []
-    for lo, hi in zip(chain, chain[1:]):
-        if not hi.contains(lo) or hi.dim <= lo.dim:
-            raise AssertionError("chain is not strictly ascending")
-        dims.append(hi.dim - lo.dim)
-        factor = _factor_module(M, lo, hi)
-        trivial.append(trivial_actions(factor))
-        methods.append(default_methods[0])
-    return CompSeries(chain, dims, trivial, methods)
-
-
-def _factor_module(M: LieModule, lo: Subspace, hi: Subspace) -> LieModule:
+def factor_module(M: LieModule, lo: Subspace, hi: Subspace) -> LieModule:
     sub = restrict_module(M, hi) if hi.dim < M.dim else M
     if lo.dim == 0:
         return sub
@@ -505,31 +477,6 @@ def _factor_module(M: LieModule, lo: Subspace, hi: Subspace) -> LieModule:
         else lo
     )
     return quotient_module(sub, lo_in)
-
-
-def _certify_chain_char0(M, candidate_chain, primes, spin_limit):
-    K = M.field
-    chain = _normalize_chain(M, candidate_chain)
-    dims, trivial, methods = [], [], []
-    for lo, hi in zip(chain, chain[1:]):
-        factor = _factor_module(M, lo, hi)
-        dims.append(factor.dim)
-        triv = trivial_actions(factor)
-        trivial.append(triv)
-        if triv and factor.dim == 1:
-            methods.append("trivial factor")
-            continue
-        if factor.dim <= spin_limit:
-            for j in range(factor.dim):
-                e = [K.zero()] * factor.dim
-                e[j] = K.one()
-                if spin(factor, [e]).dim != factor.dim:
-                    raise ValueError("candidate factor is reducible (basis spin)")
-        ok = _modp_irreducible(factor, primes)
-        if not ok:
-            raise ValueError("mod-p certification failed for a factor")
-        methods.append("mod-p")
-    return CompSeries(chain, dims, trivial, methods)
 
 
 def first_primes_coprime_to(n, count=2, avoid=()):
@@ -561,14 +508,14 @@ def reduce_module_mod_p(M: LieModule, p: int) -> LieModule:
 
 
 def _modp_irreducible(factor: LieModule, primes) -> bool:
+    """One prime with an irreducible reduction is enough: a proper rational
+    submodule would reduce to a proper submodule at every prime."""
     if primes is None:
         primes = first_primes_coprime_to(2, count=2)
-    for p in primes:
-        red = reduce_module_mod_p(factor, p)
-        res = certify_irreducible(red)
-        if res.status != "irreducible":
-            return False
-    return True
+    return any(
+        certify_irreducible(reduce_module_mod_p(factor, p)).status == "irreducible"
+        for p in primes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -669,17 +616,9 @@ def tensor_square(form: BilForm, L: MatLieAlg) -> TensorSquare:
         gens.append((f"x{idx}", kron(x, eye) + kron(eye, x)))
     module = LieModule(K, m * m, gens)
     gamma = op_matrix(K, m * m, m * m, lambda t: (Mat.unvec(K, t, m, m).transpose() @ A).vec())
-    omega = Mat(K, [[(Mat.unvec(K, e, m, m).transpose() @ A).trace() for e in _units(K, m * m)]])
-    sym_rows, alt_rows = [], []
-    for i in range(m):
-        sym_rows.append(Mat.unit(K, m, m, i, i).vec())
-        for j in range(i + 1, m):
-            s = Mat.unit(K, m, m, i, j) + Mat.unit(K, m, m, j, i)
-            sym_rows.append(s.vec())
-            a = Mat.unit(K, m, m, i, j) - Mat.unit(K, m, m, j, i)
-            alt_rows.append(a.vec())
-    sym = Subspace.from_rows(K, m * m, sym_rows)
-    alt = Subspace.from_rows(K, m * m, alt_rows)
+    omega = Mat(K, [[(Mat.unvec(K, unit_vector(K, m * m, j), m, m).transpose() @ A).trace()
+                     for j in range(m * m)]])
+    sym, alt = sym_alt_subspaces(m, K)
     delta = None
     if K.char == 2 and form.alternating:
         drow = [K.zero()] * (m * m)
@@ -688,14 +627,6 @@ def tensor_square(form: BilForm, L: MatLieAlg) -> TensorSquare:
                 drow[i * m + j] = A.rows[i][j]
         delta = Mat(K, [drow])
     return TensorSquare(module, gamma, omega, sym, alt, delta)
-
-
-def _units(K, n):
-    z, o = K.zero(), K.one()
-    for j in range(n):
-        e = [z] * n
-        e[j] = o
-        yield e
 
 
 def gamma_image(ts: TensorSquare, U: Subspace) -> Subspace:
@@ -752,8 +683,8 @@ def block_duality_check(r, n, K) -> bool:
         n * r,
         r * n,
         lambda v: [
-            (Mat.unvec(K, v, n, r) @ Mat.unvec(K, e, r, n)).trace()
-            for e in _units(K, r * n)
+            (Mat.unvec(K, v, n, r) @ Mat.unvec(K, unit_vector(K, r * n, j), r, n)).trace()
+            for j in range(r * n)
         ],
     )
     if K.is_zero(phi.det()):
@@ -770,32 +701,10 @@ def conjugation_modules(n, K):
     for i in range(n):
         for j in range(n):
             a = Mat.unit(K, n, n, i, j)
-            gens_z.append(
-                (
-                    f"a{i}{j}",
-                    op_matrix(
-                        K,
-                        n * n,
-                        n * n,
-                        lambda v, a=a: (
-                            (a @ Mat.unvec(K, v, n, n)) + (Mat.unvec(K, v, n, n) @ a.transpose())
-                        ).vec(),
-                    ),
-                )
-            )
-            gens_a.append(
-                (
-                    f"a{i}{j}",
-                    op_matrix(
-                        K,
-                        n * n,
-                        n * n,
-                        lambda v, a=a: (
-                            -(a.transpose() @ Mat.unvec(K, v, n, n)) - (Mat.unvec(K, v, n, n) @ a)
-                        ).vec(),
-                    ),
-                )
-            )
+            gens_z.append((f"a{i}{j}", op_matrix(K, n * n, n * n, lambda v, a=a: (
+                (a @ Mat.unvec(K, v, n, n)) + (Mat.unvec(K, v, n, n) @ a.transpose())).vec())))
+            gens_a.append((f"a{i}{j}", op_matrix(K, n * n, n * n, lambda v, a=a: (
+                -(a.transpose() @ Mat.unvec(K, v, n, n)) - (Mat.unvec(K, v, n, n) @ a)).vec())))
     return LieModule(K, n * n, gens_z), LieModule(K, n * n, gens_a)
 
 
@@ -874,13 +783,9 @@ def algebra_adjoint_module(L: MatLieAlg) -> LieModule:
     return LieModule(L.field, L.dim, [(f"ad{i}", a) for i, a in enumerate(mats)])
 
 
-def representation_kernel(module: LieModule, struct: StructureConstants) -> Subspace:
-    """Kernel of the representation of the abstract algebra on the module."""
-    K = module.field
-    d = struct.dim
-    rows_per_coeff = []
-    for _, a in module.generators:
-        rows_per_coeff.append(a.vec())
+def representation_kernel(module: LieModule, alg) -> Subspace:
+    """Kernel of the representation on the module of the algebra alg
+    (StructureConstants or MatLieAlg) whose basis acts by the generators."""
     # x = sum c_i e_i acts by sum c_i a_i; kernel is where that operator is 0
-    stacked = Mat(K, [[rows_per_coeff[i][k] for i in range(d)] for k in range(module.dim**2)])
-    return kernel(stacked)
+    cols = [a.vec() for _, a in module.generators[: alg.dim]]
+    return kernel(Mat(module.field, [list(r) for r in zip(*cols)]))

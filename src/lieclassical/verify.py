@@ -34,7 +34,7 @@ from .liealg import (
     trace_orthogonal_complement,
     trace_pairing,
 )
-from .linalg import Mat, Subspace, kernel, matvec, solve
+from .linalg import Mat, Subspace, kernel, matvec, solve, unit_vector
 from .repmod import (
     LieModule,
     adjoint_module,
@@ -42,6 +42,7 @@ from .repmod import (
     composition_series,
     conjugation_modules,
     dual_module,
+    factor_module,
     first_primes_coprime_to,
     gamma_image,
     heisenberg_poly_module,
@@ -193,10 +194,6 @@ def _symplectic_block_space(K, n, b_diag, c_diag, traceless_a):
     return _block_span(K, m, blocks)
 
 
-def _chain_contains(chain, term: Subspace) -> bool:
-    return any(t == term for t in chain)
-
-
 def _fill_between(lo: Subspace, hi: Subspace):
     """Intermediate subspaces refining lo < hi one dimension at a time."""
     K = lo.field
@@ -210,10 +207,6 @@ def _fill_between(lo: Subspace, hi: Subspace):
         cur = Subspace.from_rows(K, lo.ambient, [list(r) for r in cur.basis] + [v])
         out.append(cur)
     return out
-
-
-def _simple_label(K):
-    return "spin certification" if K.order() is not None else "mod-p"
 
 
 def _good_primes(gram: Mat):
@@ -231,7 +224,11 @@ def _good_primes(gram: Mat):
 
 
 def _is_simple_certified(L: MatLieAlg, primes):
-    """(simple?, method) with characteristic 0 handled by reduction mod primes."""
+    """(simple?, method) with characteristic 0 handled by reduction mod primes.
+
+    Over Q one prime with an irreducible reduction of the adjoint module
+    proves simplicity.  "Not simple" needs a witness over Q: for m = 4 the
+    so(4) ideal, checked ad-invariant; anything else is refused."""
     K = L.field
     if K.order() is not None:
         return is_simple(L), "spin certification"
@@ -240,11 +237,15 @@ def _is_simple_certified(L: MatLieAlg, primes):
     if L.dim <= 1:
         return False, "dimension"
     ad = algebra_adjoint_module(L)
-    for p in primes:
-        red = reduce_module_mod_p(ad, p)
-        if certify_irreducible(red).status != "irreducible":
-            return False, "mod-p"
-    return True, "mod-p"
+    if any(certify_irreducible(reduce_module_mod_p(ad, p)).status == "irreducible"
+           for p in primes):
+        return True, "mod-p"
+    if L.m == 4:
+        ideal = _so4_ideal(L)
+        adjoint_module(L, ideal)  # raises unless [L, ideal] lies in the ideal
+        if 0 < ideal.dim < L.dim:
+            return False, "so(4) ideal"
+    raise ValueError("mod-p certification failed for the adjoint module")
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +319,7 @@ def run_thm_1_1(m, p=2) -> Report:
               lie_isomorphic_by_structure(heisenberg(K, n), Q, eye))
     # simplicity of the nontrivial factor algebra
     if four:
-        alg = _quotient_as_struct(L2, s)
+        alg, _ = quotient_algebra(L2, s)
         simple = is_simple(alg)
         rep.check("L^(2)/s simple iff m>4", "Thm 12.1", m > 4, simple,
                   "spin certification")
@@ -335,11 +336,6 @@ def _lift_block(K, n, piece, where):
     if where == "upper":
         return Mat.from_blocks([[Z, piece], [Z, Z]])
     return Mat.from_blocks([[Z, Z], [piece, Z]])
-
-
-def _quotient_as_struct(L: MatLieAlg, ideal: Subspace) -> StructureConstants:
-    Q, _ = quotient_algebra(L, ideal)
-    return Q
 
 
 def _run_m2_alternating(rep: Report) -> Report:
@@ -646,7 +642,7 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
     rep.check("factor dims", ref, expected_dims, cs.factor_dims, method)
     if not (symplectic and m == 2):
         rep.check("M/(M cap sl) trivial", ref, True,
-                  trivial_actions(_factor(module, Msl, M)))
+                  trivial_actions(factor_module(module, Msl, M)))
     # L = gl/M as L-modules: projecting coset representatives onto L along
     # M is an explicit intertwiner (cheaper than solving the full Hom system)
     quo = quotient_module(module, M)
@@ -672,9 +668,7 @@ def _projection_intertwiner(quo, Lspace: Subspace, M: Subspace) -> Mat:
     Binv = B.transpose().inv()
     cols = []
     for j in range(quo.dim):
-        e = [K.zero()] * quo.dim
-        e[j] = K.one()
-        c = matvec(Binv, quotient_lift(M, e))
+        c = matvec(Binv, quotient_lift(M, unit_vector(K, quo.dim, j)))
         cols.append(c[: Lspace.dim])
     return Mat(K, [[cols[j][i] for j in range(quo.dim)] for i in range(Lspace.dim)])
 
@@ -723,13 +717,6 @@ def _m_of_j_space(K, m):
     return _block_span(K, m, blocks)
 
 
-def _factor(module: LieModule, lo: Subspace, hi: Subspace) -> LieModule:
-    sub = restrict_module(module, hi)
-    K = module.field
-    lo_in = Subspace.from_rows(K, sub.dim, [hi.coords(list(r)) for r in lo.basis])
-    return quotient_module(sub, lo_in)
-
-
 # ---------------------------------------------------------------------------
 # Small-case lattices (Notes 9.2 and 9.3)
 
@@ -773,8 +760,8 @@ def run_note_9_2() -> Report:
         rows = [Msl.lift(list(r)) for r in inner.basis]
         return Subspace.from_rows(K, 9, rows)
 
-    Xq = _factor(big, s, in_gl(X))
-    Yq = _factor(big, s, in_gl(Y))
+    Xq = factor_module(big, s, in_gl(X))
+    Yq = factor_module(big, s, in_gl(Y))
     rep.check("X/s isomorphic to Y/s", "Note 9.2", 1, hom_space(Xq, Yq).dim)
     return rep
 
@@ -853,11 +840,7 @@ def run_sl_series(m, K) -> Report:
 
 
 def _fixed_vectors(module: LieModule) -> Subspace:
-    K = module.field
-    rows = []
-    for _, a in module.generators:
-        rows.extend(a.rows)
-    return kernel(Mat(K, rows))
+    return kernel(Mat(module.field, [r for _, a in module.generators for r in a.rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +877,7 @@ def run_sp_so_embedding(n, K) -> Report:
     rep.check("gl = L perp (M cap sl) perp s", "Thm 3.1", (m * m, True),
               (total.dim, orth))
     module = adjoint_module(L, W)
-    rep.check("action faithful", "Thm 3.1", 0, _action_kernel_dim(module, L.dim))
+    rep.check("action faithful", "Thm 3.1", 0, representation_kernel(module, L).dim)
     wm = _unvec_rows(W, m)
     G = Mat(K, [[trace_pairing(x, y) for y in wm] for x in wm])
     gform = classify(G)
@@ -913,34 +896,13 @@ def run_sp_so_embedding(n, K) -> Report:
     return rep
 
 
-def _action_kernel_dim(module: LieModule, dim_l):
-    K = module.field
-    cols = [a.vec() for _, a in module.generators]
-    stacked = Mat(K, [[cols[i][k] for i in range(dim_l)] for k in range(len(cols[0]))])
-    return kernel(stacked).dim
-
-
 def _field_sqrt(K, a):
-    if K.is_zero(a):
-        return K.zero()
+    """A square root of a in K, or None."""
     if K.order() is not None:
-        for t in K.elements():
-            if K.mul(t, t) == a:
-                return t
+        return next((t for t in K.elements() if K.mul(t, t) == a), None)
+    if not K.is_square(a):
         return None
-    fr = Fraction(a)
-    rn = _int_sqrt(fr.numerator)
-    rd = _int_sqrt(fr.denominator)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _int_sqrt(n):
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
+    return Fraction(math.isqrt(a.numerator), math.isqrt(a.denominator))
 
 
 def _square_upgrade(rep: Report, ref, G: Mat):

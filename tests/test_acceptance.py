@@ -357,7 +357,6 @@ def test_criterion_10_oracle_equivalence(capsys):
                     W = res.witness
                     if not (0 < W.dim < n and all(invariant_under(W, a) for a in acts)):
                         problems.append(f"{K.token} dim {n}: bad witness")
-                norton = repmod._certify_norton(mod, seed=5)
-                if norton is not None and norton.status != res.status:
-                    problems.append(f"{K.token} dim {n}: norton mismatch")
+                if repmod._certify_by_enumeration(mod).status != res.status:
+                    problems.append(f"{K.token} dim {n}: enumeration mismatch")
     report_line(capsys, 10, not problems, "; ".join(sorted(set(problems))[:4]))

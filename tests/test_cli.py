@@ -236,13 +236,26 @@ def test_budget_env_invalid(capsys, monkeypatch):
     ],
 )
 def test_budget_exhaustion_exits_2_with_message(capsys, argv):
-    # over GF(1000003) the singular kernels are too wide to sweep and the
-    # line count is far over the budget, so certification gives up
-    code, out, err = run(capsys, *argv)
+    # a budget of one unit pays for the first random element but not for the
+    # spin after it, so certification gives up
+    code, out, err = run(capsys, *argv, "--budget", "1")
     assert code == 2
     assert "budget exceeded" in err
     assert "not irreducible" not in err
     assert "Traceback" not in err and out == ""
+
+
+def test_large_prime_field_certifies(capsys):
+    # 5 + 1 + 10 for sp(4) over GF(1000003) (Thm 1.3); no line is enumerated
+    code, out, err = run(capsys, "verify:thm1.3", "--field", "1000003", "--m", "4",
+                         "--output", "json")
+    assert code == 0, err
+    (dims,) = [c for c in json.loads(out)["claims"] if c["label"] == "factor dims"]
+    assert dims["computed"] == [5, 1, 10] and dims["pass"]
+    code, out, err = run(capsys, "series", "--field", "1000003", "--m", "4",
+                         "--output", "json")
+    assert code == 0, err
+    assert sorted(json.loads(out)["factor dims"]) == [1, 5, 10]
 
 
 def test_prime_too_large_for_int64_is_usage_error(capsys):
@@ -264,6 +277,18 @@ def test_thm14_over_q_forms_with_bad_primes(capsys, diag):
     assert report["pass"] is True
     assert report["claims"] and all(c["pass"] for c in report["claims"])
     if diag == "diag:1,1,1,3":
-        # a non-square discriminant: so(4) is simple, certified mod 5 and 7
+        # a non-square discriminant: so(4) is simple, certified mod 5
         (dichotomy,) = [c for c in report["claims"] if c["label"] == "m=4 dichotomy"]
         assert dichotomy["computed"] is True
+
+
+def test_thm14_over_q_one_good_prime_certifies(capsys):
+    # 6 is a square mod 5 but not mod 7, so so(4) for diag(1,1,1,6) splits
+    # mod 5 and stays irreducible mod 7: one prime certifies it simple
+    code, out, err = run(capsys, "verify:thm1.4", "--field", "Q", "--m", "4",
+                         "--form", "diag:1,1,1,6", "--output", "json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["pass"] is True
+    (dichotomy,) = [c for c in report["claims"] if c["label"] == "m=4 dichotomy"]
+    assert dichotomy["computed"] is True

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import QQ as SYMPY_QQ
 from sympy.polys.matrices import DomainMatrix
@@ -15,10 +17,14 @@ from lieclassical.linalg import (
     EchelonGFp,
     Mat,
     Subspace,
+    charpoly,
+    distinct_degree_parts,
+    irreducible_factor,
     kernel,
     kron,
     matvec,
     op_matrix,
+    poly_at,
     rref,
     solve,
 )
@@ -285,3 +291,79 @@ def test_q_product_zero_and_thin_shapes():
         _assert_exact_product(Mat.zeros(QQ, n, k), B)
         assert (A @ Mat.zeros(QQ, k, m)) == Mat.zeros(QQ, n, m)
     assert (Mat(QQ, [[Fraction(1, 2)] * 3]) @ Mat(QQ, [[], [], []])).rows == [[]]
+
+
+# ---------------------------------------------------------------------------
+# Characteristic polynomials and distinct-degree factors against sympy
+
+
+X = sympy.Symbol("x")
+
+
+def _shaped_matrices(K, rng, n):
+    """Dense, sparse, nilpotent, scalar and block-diagonal n x n matrices: the
+    shapes that need a row swap or leave a zero under the Hessenberg diagonal."""
+    z = K.zero()
+    yield rand_mat(K, n, n, rng)
+    yield Mat(K, [[K.random(rng) if rng.random() < 0.25 else z for _ in range(n)]
+                  for _ in range(n)])
+    yield Mat(K, [[K.random(rng) if j > i else z for j in range(n)] for i in range(n)])
+    yield Mat.identity(K, n).scale(K.random(rng))
+    h = n // 2
+    B = rand_mat(K, h, h, rng)
+    yield Mat(K, [r + [z] * (n - h) for r in B.rows]
+              + [[z] * h + r for r in rand_mat(K, n - h, n - h, rng).rows])
+
+
+def _sympy_poly(f, p):
+    return sympy.Poly(list(reversed(f)), X, modulus=p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1000003])
+def test_charpoly_matches_sympy_mod_p(p):
+    K = GF(p)
+    rng = random.Random(p)
+    for n in range(1, 9):
+        for A in _shaped_matrices(K, rng, n):
+            f = charpoly(A)
+            ref = sympy.Matrix(A.rows).charpoly(X).as_expr()
+            assert _sympy_poly(f, p) == sympy.Poly(ref, X, modulus=p)
+            assert len(f) == n + 1 and f[-1] == 1
+            assert poly_at(f, A).is_zero()  # Cayley-Hamilton
+
+
+def test_charpoly_gf9_matches_determinants():
+    # two monic polynomials of degree n < 9 that agree at all nine points of
+    # GF(9) are equal, so det(tI - A) at every t pins det(xI - A) down
+    K = GF(3, 2)
+    rng = random.Random(9)
+    for n in range(1, 9):
+        for A in _shaped_matrices(K, rng, n):
+            f = charpoly(A)
+            assert len(f) == n + 1 and f[-1] == K.one()
+            for t in K.elements():
+                value = K.zero()
+                for c in reversed(f):
+                    value = K.add(K.mul(value, t), c)
+                assert value == (Mat.identity(K, n).scale(t) - A).det()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 1000003])
+def test_distinct_degree_parts_match_sympy_factors(p):
+    K = GF(p)
+    rng = random.Random(100 + p)
+    for n in range(1, 9):
+        for A in _shaped_matrices(K, rng, n):
+            f = charpoly(A)
+            parts = dict(distinct_degree_parts(K, f))
+            expect = {}
+            for fac, _ in _sympy_poly(f, p).factor_list()[1]:
+                d = fac.degree()
+                expect[d] = expect.get(d, sympy.Poly(1, X, modulus=p)) * fac.monic()
+            assert set(parts) == set(expect)
+            for d, g in parts.items():
+                assert _sympy_poly(g, p) == expect[d]
+                # splitting a part gives one of sympy's irreducible factors
+                h = _sympy_poly(irreducible_factor(K, g, d, rng), p)
+                assert h.degree() == d and h.is_irreducible
+                assert expect[d].rem(h).is_zero

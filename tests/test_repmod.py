@@ -23,7 +23,9 @@ from lieclassical.liealg import (
 from lieclassical.linalg import Echelon, Mat, Subspace, matvec, op_matrix
 from lieclassical.repmod import (
     LieModule,
+    _certify_by_enumeration,
     adjoint_module,
+    algebra_adjoint_module,
     block_duality_check,
     certify_irreducible,
     composition_series,
@@ -35,6 +37,7 @@ from lieclassical.repmod import (
     invariant_under,
     quotient_lift,
     quotient_module,
+    reduce_module_mod_p,
     representation_kernel,
     respects_brackets,
     restrict_module,
@@ -78,7 +81,7 @@ def test_certify_reducible_with_witness():
 
 
 def test_norton_agrees_with_enumeration():
-    # same verdicts whether or not the search space fits the enumeration cutoff
+    # the kernel/dual spin test reaches the verdict of sweeping every line
     import lieclassical.repmod as rm
 
     rng = random.Random(30)
@@ -90,10 +93,71 @@ def test_norton_agrees_with_enumeration():
         ]
         M = LieModule(K, 3, gens)
         by_enum = rm._certify_by_enumeration(M)
-        by_norton = rm._certify_norton(M, seed=1)
-        if by_norton is None:
-            continue
+        by_norton = certify_irreducible(M, seed=1)
         assert by_enum.status == by_norton.status
+
+
+def _random_modules(K, rng):
+    """Small modules of every kind: random sparse and dense generators, direct
+    sums S + S of one module with itself (no kernel line of a linear factor
+    spins to all of it), and upper triangular (reducible) ones."""
+    z = K.zero()
+    for n in (2, 3, 4):
+        for _ in range(12):
+            density = rng.choice([0.3, 0.6, 1.0])
+            gens = [(f"g{i}", Mat(K, [[K.random(rng) if rng.random() < density else z
+                                       for _ in range(n)] for _ in range(n)]))
+                    for i in range(rng.randrange(1, 4))]
+            yield LieModule(K, n, gens)
+        gens = [(f"g{i}", Mat(K, [[K.random(rng) if j >= r else z for j in range(n)]
+                                  for r in range(n)])) for i in range(2)]
+        yield LieModule(K, n, gens)
+    for _ in range(4):
+        S = [Mat(K, [[K.random(rng) for _ in range(2)] for _ in range(2)]) for _ in range(2)]
+        yield LieModule(K, 4, [(f"g{i}", Mat(K, [r + [z, z] for r in a.rows]
+                                             + [[z, z] + r for r in a.rows]))
+                               for i, a in enumerate(S)])
+
+
+def _so4_nonsquare_mod(p):
+    """so(4) of diag(1,1,1,2) reduced mod p: 2 is not a square mod 3 or 5, so
+    the adjoint module is irreducible but not absolutely irreducible."""
+    L = skew_adjoint_algebra(Mat.diag(QQ, [Fraction(d) for d in (1, 1, 1, 2)]))
+    return reduce_module_mod_p(algebra_adjoint_module(L), p)
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(3), GF(3, 2)], ids=["gf2", "gf3", "gf9"])
+def test_certify_matches_enumeration_on_random_modules(K):
+    rng = random.Random(40 + K.order())
+    for M in _random_modules(K, rng):
+        res = certify_irreducible(M, seed=rng.randrange(100))
+        assert res.status == _certify_by_enumeration(M).status
+        if res.status == "reducible":
+            W = res.witness
+            assert 0 < W.dim < M.dim
+            assert all(invariant_under(W, a) for _, a in M.generators)
+
+
+@pytest.mark.parametrize("M", [
+    _so4_nonsquare_mod(3),
+    _so4_nonsquare_mod(5),
+    # x^2 + 1 is irreducible over GF(3): its companion matrix alone
+    LieModule(GF(3), 2, [("c", Mat(GF(3), [[0, 2], [1, 0]]))]),
+], ids=["so4-mod3", "so4-mod5", "companion"])
+def test_certify_irreducible_not_absolutely_irreducible(M):
+    assert _certify_by_enumeration(M).status == "irreducible"
+    for seed in range(5):
+        res = certify_irreducible(M, seed=seed)
+        assert (res.status, res.method) == ("irreducible", "kernel/dual spin")
+
+
+def test_certify_budget_counts_draws_and_spins():
+    # an irreducible module needs a draw, a spin and a dual spin: any smaller
+    # budget runs out and says so, never "reducible"
+    M = sl2_natural(GF(5))
+    for budget in (1, 2):
+        assert certify_irreducible(M, budget=budget).status == "budget-exceeded"
+    assert certify_irreducible(M, budget=10).status == "irreducible"
 
 
 def test_composition_series_gl2_under_sl2():

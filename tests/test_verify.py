@@ -76,6 +76,21 @@ def test_thm_1_4_m4_square_disc_splits_over_q():
     assert failing(rep) == []
     split = [c for c in rep.claims if c.label == "gl/M splits (m=4, square discriminant)"]
     assert [c.computed for c in split] == [3]
+    # so(4) splits at every prime, so "not simple" rests on the ideal over Q
+    (dichotomy,) = [c for c in rep.claims if c.label == "m=4 dichotomy"]
+    assert (dichotomy.computed, dichotomy.method) == (False, "so(4) ideal")
+
+
+def test_simplicity_over_q_refused_without_witness():
+    # 2 is a square mod 7 and mod 17, so so(4) of diag(1,1,1,2) splits at
+    # both primes; it is simple over Q, and no ideal exists to say otherwise
+    from lieclassical.linalg import Mat
+    from lieclassical.liealg import skew_adjoint_algebra
+
+    L = skew_adjoint_algebra(Mat.diag(QQ, [Fraction(d) for d in (1, 1, 1, 2)]))
+    with pytest.raises(ValueError):
+        verify._is_simple_certified(L, [7, 17])
+    assert verify._is_simple_certified(L, [3, 7]) == (True, "mod-p")
 
 
 def test_thm_1_4_m5_simple():
