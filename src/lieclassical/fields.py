@@ -30,14 +30,10 @@ def is_prime(n: int) -> bool:
 
 
 def quadratic_nonresidue(p: int):
-    """Smallest positive non-square modulo the odd prime p."""
+    """Smallest positive non-square mod the odd prime p (Euler's criterion)."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
-    squares = {(i * i) % p for i in range(p)}
-    for r in range(2, p):
-        if r not in squares:
-            return r
-    raise AssertionError("unreachable: every odd prime has a nonresidue")
+    return next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
 
 
 class Field:

@@ -1,9 +1,9 @@
 """Dense exact linear algebra over the supported fields.
 
-Matrices are row-major lists of canonical scalars.  Row reduction, kernels and
-subspace lattice operations are exact; prime fields get a numpy int64 fast
-path, the rationals integer paths (fraction-free row reduction, products with
-cleared denominators), and GF(p^2) a generic one.
+Matrices are row-major lists of canonical scalars; everything is exact.  Every
+product is one array product: int64 over GF(p), pairs of int64 arrays over
+GF(p^2), integers with cleared denominators over Q.  Row reduction is int64
+over GF(p), fraction-free over Q and on scalars over GF(p^2).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import Field, PrimeField, QQ, RationalField, field_from_token
+from .fields import Field, PrimeField, QuadraticField, RationalField, field_from_token
 
 
 class Mat:
@@ -105,21 +105,7 @@ class Mat:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        K = self.field
-        fast = _matmul_fast(self, other)
-        if fast is not None:
-            return fast
-        bt = other.transpose().rows
-        out = []
-        for r in self.rows:
-            out_row = []
-            for c in bt:
-                acc = K.zero()
-                for a, b in zip(r, c):
-                    acc = K.add(acc, K.mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return Mat(K, out)
+        return _matmul(self, other)
 
     def transpose(self):
         return Mat(self.field, [list(col) for col in zip(*self.rows)]) if self.rows else Mat(self.field, [])
@@ -281,28 +267,48 @@ def gfp_reduce(rows, basis, pivots, p):
     return (rows - gfp_matmul(coeffs, basis, p)) % p
 
 
-def _matmul_fast(A: Mat, B: Mat):
+def gfp2_matmul(a, b, p, r):
+    """a @ b over GF(p^2) = GF(p)[w]/(w^2 - r) for pairs (a0, a1), (b0, b1)
+    of int64 arrays of residues, a = a0 + a1 w; returns the pair of a @ b.
+
+    Karatsuba: c0 = a0 b0 + r a1 b1, c1 = (a0 + a1)(b0 + b1) - a0 b0 - a1 b1,
+    three gfp_matmul products.  Exact for every prime GF accepts: a0 + a1 and
+    b0 + b1 are reduced first, so gfp_matmul sees residues only, and with
+    t0 = a0 b0, t1 = a1 b1 reduced, t0 + r t1 <= p (p-1) < 2^63 (p <= 3037000493).
+    """
+    (a0, a1), (b0, b1) = a, b
+    t0 = gfp_matmul(a0, b0, p)
+    t1 = gfp_matmul(a1, b1, p)
+    s = gfp_matmul((a0 + a1) % p, (b0 + b1) % p, p)
+    return (t0 + r * t1) % p, (s - t0 - t1) % p
+
+
+def _matmul(A: Mat, B: Mat):
+    """A @ B as one array or integer product, empty shapes included."""
     K = A.field
     if isinstance(K, PrimeField):
-        a = np.array(A.rows, dtype=np.int64)
-        b = np.array(B.rows, dtype=np.int64)
-        if a.size == 0 or b.size == 0:
-            return Mat.zeros(K, A.nrows, B.ncols)
-        return Mat(K, gfp_matmul(a, b, K.char).tolist())
-    if isinstance(K, RationalField) and A.rows and B.rows:
-        # (a / d_A) @ (b / d_B) = (a @ b) / (d_A d_B) with integer a, b; the
-        # sum of ncols products is at most ncols max|a| max|b| in absolute
-        # value, so int64 is exact below 2^63 and Python ints take over above
-        a, d_a = _cleared(A.rows)
-        b, d_b = _cleared(B.rows)
-        bound = A.ncols * _max_abs(a) * _max_abs(b)
-        dtype = np.int64 if bound < 2**63 else object
-        prod = (np.array(a, dtype=dtype) @ np.array(b, dtype=dtype)).tolist()
-        d = d_a * d_b
-        if d == 1:
-            return Mat(K, [[Fraction(x) for x in row] for row in prod])
-        return Mat(K, [[Fraction(x, d) for x in row] for row in prod])
-    return None
+        return Mat(K, gfp_matmul(_array(A.rows, A), _array(B.rows, B), K.char).tolist())
+    if isinstance(K, QuadraticField):
+        a, b = _array(A.rows, A, (2,)), _array(B.rows, B, (2,))
+        c0, c1 = gfp2_matmul((a[..., 0], a[..., 1]), (b[..., 0], b[..., 1]), K.char, K.nonresidue)
+        return Mat(K, [list(zip(r0, r1)) for r0, r1 in zip(c0.tolist(), c1.tolist())])
+    # Q: (a / d_A) @ (b / d_B) = (a @ b) / (d_A d_B) with integer a, b; the
+    # sum of ncols products is at most ncols max|a| max|b| in absolute value
+    # (maxima taken as at least 1, so a zero factor cannot send the other's
+    # large entries to int64): int64 is exact below 2^63, Python ints above
+    a, d_a = _cleared(A.rows)
+    b, d_b = _cleared(B.rows)
+    bound = A.ncols * max(_max_abs(a), 1) * max(_max_abs(b), 1)
+    dtype = np.int64 if bound < 2**63 else object
+    prod = (_array(a, A, dtype=dtype) @ _array(b, B, dtype=dtype)).tolist()
+    d = d_a * d_b
+    if d == 1:
+        return Mat(K, [[Fraction(x) for x in row] for row in prod])
+    return Mat(K, [[Fraction(x, d) for x in row] for row in prod])
+
+
+def _array(rows, M: Mat, entry_shape=(), dtype=np.int64):
+    return np.array(rows, dtype=dtype).reshape(M.nrows, M.ncols, *entry_shape)
 
 
 def _cleared(rows):

@@ -11,7 +11,6 @@ as the reference the tests compare against.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -152,7 +151,7 @@ class IrredResult:
     method: str = ""
 
 
-def _line_reps(K, n):
+def line_reps(K, n):
     """One representative per 1-dimensional subspace of F^n (monic leading 1)."""
     elems = K.elements()
     for lead in range(n):
@@ -231,7 +230,8 @@ def _random_element(M: LieModule, rng) -> Mat:
         p, arrays = K.char, _np_mats(M)
         x, y, z = gfp_matmul(np.array(coeffs), arrays.reshape(len(mats), -1), p).reshape(3, M.dim, M.dim)
         return Mat(K, ((gfp_matmul(x, y, p) + z) % p).tolist())
-    x, y, z = (functools.reduce(Mat.__add__, map(Mat.scale, mats, cs)) for cs in coeffs)
+    combos = Mat(K, coeffs) @ Mat(K, [a.vec() for a in mats])
+    x, y, z = (Mat.unvec(K, v, M.dim, M.dim) for v in combos.rows)
     return x @ y + z
 
 
@@ -247,7 +247,7 @@ def _random_vector(U: Subspace, rng):
 def _certify_by_enumeration(M: LieModule) -> IrredResult:
     """Spin one vector of every line: the reference the tests compare against."""
     K = M.field
-    for v in _line_reps(K, M.dim):
+    for v in line_reps(K, M.dim):
         closure = spin(M, [v])
         if closure.dim < M.dim:
             return IrredResult("reducible", closure, "line enumeration")
@@ -568,6 +568,8 @@ def weights(M: LieModule, H) -> WeightTable:
                 if piece.dim > 0:
                     nxt.append((tag + (lam,), piece))
         spaces = nxt
+    if sum(S.dim for _, S in spaces) != M.dim:
+        raise ValueError(f"weight multiplicities do not sum to dim {M.dim}: eigenvalues missed")
     return WeightTable([(tag, S.dim) for tag, S in spaces])
 
 
@@ -578,19 +580,15 @@ def weights(M: LieModule, H) -> WeightTable:
 def adjoint_module(L: MatLieAlg, ambient: Subspace) -> LieModule:
     """ad action of L's basis restricted to an invariant subspace of gl(m)."""
     K = L.field
-    basis = L.basis_mats()
-    B = ambient.basis_matrix()
+    ws = [Mat.unvec(K, list(r), L.m, L.m) for r in ambient.basis]
+    Ct = _annihilator_matrix(ambient).transpose()  # no rows if ambient is everything
     gens = []
-    for idx, x in enumerate(basis):
-        img_rows = []
-        for r in B.rows:
-            w = Mat.unvec(K, list(r), L.m, L.m)
-            img = bracket(x, w).vec()
-            if not ambient.contains_vector(img):
-                raise ValueError("ambient subspace is not ad-invariant")
-            img_rows.append(img)
-        cols = [[row[p] for p in ambient.pivots] for row in img_rows]
-        gens.append((f"x{idx}", Mat(K, [[cols[j][i] for j in range(len(cols))] for i in range(len(cols))])))
+    for idx, x in enumerate(L.basis_mats()):
+        images = Mat(K, [bracket(x, w).vec() for w in ws])  # in ambient iff images C' = 0
+        if ws and Ct.rows and not (images @ Ct).is_zero():
+            raise ValueError("ambient subspace is not ad-invariant")
+        coords = [[row[p] for p in ambient.pivots] for row in images.rows]
+        gens.append((f"x{idx}", Mat(K, coords).transpose()))
     return LieModule(K, ambient.dim, gens)
 
 

@@ -50,6 +50,7 @@ from .repmod import (
     hom_members,
     hom_space,
     invariant_under,
+    line_reps,
     quotient_lift,
     quotient_module,
     reduce_module_mod_p,
@@ -495,7 +496,7 @@ def _check_prop_10_2(rep: Report, K, L1: MatLieAlg):
     ad = adjoint_module(L1, L1.space)
     r_in = Subspace.from_rows(K, L1.dim,
                               [L1.space.coords(list(r)) for r in R.basis])
-    subs = _all_submodules(ad)
+    subs = all_submodules(ad)
     rep.check("R is the only proper nonzero submodule", "Prop 10.2",
               [r_in], [u for u in subs if 0 < u.dim < ad.dim], "line enumeration")
     # extending the action to all of L makes L^(1) irreducible:
@@ -512,13 +513,11 @@ def _check_prop_10_2(rep: Report, K, L1: MatLieAlg):
               res.status, res.method)
 
 
-def _all_submodules(M: LieModule):
+def all_submodules(M: LieModule):
     """All submodules, as sums of the cyclic ones (small modules only)."""
-    from .repmod import _line_reps
-
     K = M.field
     found = {}
-    for v in _line_reps(K, M.dim):
+    for v in line_reps(K, M.dim):
         S = spin(M, [v])
         found[S.basis] = S
     work = list(found.values())
@@ -740,11 +739,11 @@ def run_note_9_2() -> Report:
     x2 = mk([[0, "i", -1], ["i", 0, 0], [-1, 0, 0]])
     y1 = mk([[0, 0, 0], [0, -1, "i"], [0, "i", 1]])
     y2 = mk([[0, "i", 1], ["i", 0, 0], [1, 0, 0]])
-    X = _span_in(Msl, [eye, x1, x2])
-    Y = _span_in(Msl, [eye, y1, y2])
-    s_in = _span_in(Msl, [eye])
+    X = span_in(Msl, [eye, x1, x2])
+    Y = span_in(Msl, [eye, y1, y2])
+    s_in = span_in(Msl, [eye])
     rep.check("X cap Y = s", "Note 9.2", s_in, X.intersect(Y))
-    subs = _all_submodules(module)
+    subs = all_submodules(module)
     proper = [u for u in subs if 0 < u.dim < module.dim]
     rep.check("s, X, Y are submodules", "Note 9.2", True,
               all(u in proper for u in (s_in, X, Y)), "line enumeration")
@@ -772,7 +771,8 @@ def _gf9(K, x, i):
     return K.of(x)
 
 
-def _span_in(amb: Subspace, mats):
+def span_in(amb: Subspace, mats):
+    """The span of the matrices mats, in the coordinates of amb (which holds them)."""
     K = amb.field
     coords = [amb.coords(x.vec()) for x in mats]
     return Subspace.from_rows(K, amb.dim, coords)
@@ -790,9 +790,9 @@ def run_note_9_3() -> Report:
     module = adjoint_module(L, Msl)
     x = Mat(K, [[1, i], [i, K.neg(1)]])
     y = Mat(K, [[K.neg(1), i], [i, 1]])
-    Fx = _span_in(Msl, [x])
-    Fy = _span_in(Msl, [y])
-    subs = _all_submodules(module)
+    Fx = span_in(Msl, [x])
+    Fy = span_in(Msl, [y])
+    subs = all_submodules(module)
     proper = [u for u in subs if 0 < u.dim < module.dim]
     rep.check("proper nonzero submodules are Fx, Fy", "Note 9.3",
               sorted([Fx, Fy], key=lambda u: (u.dim, u.basis)), proper,

@@ -174,6 +174,10 @@ def test_criterion_06_sl4_so6(capsys):
     report_line(capsys, 6, ok, f"{elapsed:.1f}s")
 
 
+def _gf9(K, x, i):
+    return i if x == "i" else K.of(x)
+
+
 def test_criterion_07_small_case_lattices(capsys):
     t0 = time.monotonic()
     # Note 9.2 over GF(9): the criterion demands that {s, X, Y} is the
@@ -186,15 +190,15 @@ def test_criterion_07_small_case_lattices(capsys):
     module = adjoint_module(L, Msl)
 
     def mk(rows):
-        return Mat(K, [[verify._gf9(K, x, i) for x in row] for row in rows])
+        return Mat(K, [[_gf9(K, x, i) for x in row] for row in rows])
 
     eye = Mat.identity(K, 3)
-    X = verify._span_in(Msl, [eye, mk([[0, 0, 0], [0, 1, "i"], [0, "i", -1]]),
-                              mk([[0, "i", -1], ["i", 0, 0], [-1, 0, 0]])])
-    Y = verify._span_in(Msl, [eye, mk([[0, 0, 0], [0, -1, "i"], [0, "i", 1]]),
-                              mk([[0, "i", 1], ["i", 0, 0], [1, 0, 0]])])
-    s = verify._span_in(Msl, [eye])
-    proper92 = [u for u in verify._all_submodules(module) if 0 < u.dim < module.dim]
+    X = verify.span_in(Msl, [eye, mk([[0, 0, 0], [0, 1, "i"], [0, "i", -1]]),
+                             mk([[0, "i", -1], ["i", 0, 0], [-1, 0, 0]])])
+    Y = verify.span_in(Msl, [eye, mk([[0, 0, 0], [0, -1, "i"], [0, "i", 1]]),
+                             mk([[0, "i", 1], ["i", 0, 0], [1, 0, 0]])])
+    s = verify.span_in(Msl, [eye])
+    proper92 = [u for u in verify.all_submodules(module) if 0 < u.dim < module.dim]
     note92_ok = sorted([s, X, Y], key=lambda u: (u.dim, u.basis)) == proper92
 
     # Note 9.3 over GF(5)
@@ -204,9 +208,9 @@ def test_criterion_07_small_case_lattices(capsys):
     L5 = skew_adjoint_algebra(A5)
     Msl5 = self_adjoint_module(A5).intersect(sl_subspace(K5, 2))
     module5 = adjoint_module(L5, Msl5)
-    Fx = verify._span_in(Msl5, [Mat(K5, [[1, i5], [i5, K5.neg(1)]])])
-    Fy = verify._span_in(Msl5, [Mat(K5, [[K5.neg(1), i5], [i5, 1]])])
-    proper93 = [u for u in verify._all_submodules(module5) if 0 < u.dim < module5.dim]
+    Fx = verify.span_in(Msl5, [Mat(K5, [[1, i5], [i5, K5.neg(1)]])])
+    Fy = verify.span_in(Msl5, [Mat(K5, [[K5.neg(1), i5], [i5, 1]])])
+    proper93 = [u for u in verify.all_submodules(module5) if 0 < u.dim < module5.dim]
     note93_ok = sorted([Fx, Fy], key=lambda u: (u.dim, u.basis)) == proper93
 
     elapsed = time.monotonic() - t0

@@ -3,17 +3,37 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from lieclassical.fields import GF, QQ, field_from_token, quadratic_nonresidue
+from lieclassical.fields import GF, QQ, QuadraticField, field_from_token, is_prime, quadratic_nonresidue
 
 
 def test_quadratic_nonresidue_small_primes():
     assert quadratic_nonresidue(3) == 2
     assert quadratic_nonresidue(5) == 2
     assert quadratic_nonresidue(7) == 3
+
+
+def test_quadratic_nonresidue_matches_the_squares():
+    for p in filter(is_prime, range(3, 400)):
+        squares = {i * i % p for i in range(p)}
+        assert quadratic_nonresidue(p) == min(set(range(1, p)) - squares)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 3037000493])
+def test_gf_p2_builds_fast_for_large_primes(p):
+    # 3037000493 is the largest prime GF accepts; it is 1 mod 4, so -1 is a
+    # square there and the nonresidue is found by testing 2, 3, ...
+    t0 = time.perf_counter()
+    K = QuadraticField(p)
+    assert GF(p, 2).nonresidue == K.nonresidue
+    assert time.perf_counter() - t0 < 0.5
+    r = K.nonresidue
+    assert r < p - 1 and pow(r, (p - 1) // 2, p) == p - 1
+    assert all(pow(s, (p - 1) // 2, p) == 1 for s in range(2, r))
 
 
 def test_quadratic_nonresidue_rejects_two():

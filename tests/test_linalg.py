@@ -215,6 +215,73 @@ def test_gfp_products_exact_near_int64_limit():
             assert Ainv @ A == Mat.identity(K, 8)
 
 
+def _schoolbook_matmul(A, B):
+    """Reference product: the scalar loop over the Field API."""
+    K = A.field
+    out = []
+    for r in A.rows:
+        out_row = []
+        for c in B.transpose().rows:
+            acc = K.zero()
+            for a, b in zip(r, c):
+                acc = K.add(acc, K.mul(a, b))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+P31, P_MAX = 2**31 - 1, 3037000493  # P_MAX: the largest prime GF accepts
+# the default nonresidues are small; p - 1 (P31 is 3 mod 4) and p - 2 (2 is a
+# nonresidue mod P_MAX, -1 a square) make r (a1 b1) as large as it can be
+GF2_FIELDS = [GF(3, 2), GF(5, 2), GF(7, 2), GF(P31, 2), GF(P_MAX, 2),
+              GF(P31, 2, nonresidue=P31 - 1), GF(P_MAX, 2, nonresidue=P_MAX - 2)]
+
+
+@st.composite
+def gf2_products(draw, K):
+    """A pair (A, B) over K of compatible shapes up to 5x5.  A Mat without
+    rows has no columns, and one without columns leaves nothing to multiply
+    against, so a 0 in n or k zeroes the dimensions after it: the empty
+    shapes are 0x0 @ 0x0, n x 0 @ 0x0 and n x k @ k x 0."""
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    k = k if n else 0
+    m = m if k else 0
+    p = K.char
+    coord = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+    entry = st.tuples(coord, coord)
+    return (Mat(K, [[draw(entry) for _ in range(k)] for _ in range(n)]),
+            Mat(K, [[draw(entry) for _ in range(m)] for _ in range(k)]))
+
+
+@pytest.mark.parametrize("K", GF2_FIELDS, ids=lambda K: f"{K.char}^2-r{K.nonresidue}")
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_gf2_product_matches_schoolbook(K, data):
+    A, B = data.draw(gf2_products(K))
+    prod = A @ B
+    assert prod.rows == _schoolbook_matmul(A, B)
+    assert (prod.nrows, prod.ncols) == (A.nrows, B.ncols)
+    assert all(type(x) is tuple for r in prod.rows for x in r)
+
+
+@pytest.mark.parametrize("K", GF2_FIELDS[-2:], ids=["p31", "pmax"])
+def test_gf2_product_with_largest_residues(K):
+    top = (K.char - 1, K.char - 1)
+    for n, k, m in ((1, 6, 1), (6, 1, 6), (4, 4, 4)):
+        A, B = Mat(K, [[top] * k] * n), Mat(K, [[top] * m] * k)
+        assert (A @ B).rows == _schoolbook_matmul(A, B)
+
+
+@pytest.mark.parametrize("K", [GF(3, 2), GF(P31, 2)], ids=["gf9", "p31"])
+def test_gf2_inverse_times_matrix_is_identity(K):
+    rng = random.Random(13)
+    for n in (1, 2, 5, 8):
+        A = rand_mat(K, n, n, rng)
+        if K.is_zero(A.det()):
+            continue
+        assert A.inv() @ A == Mat.identity(K, n) == A @ A.inv()
+
+
 def _fraction_matmul(A, B):
     """Reference product: the schoolbook loop in Fractions."""
     cols = list(zip(*B.rows))
@@ -291,6 +358,15 @@ def test_q_product_zero_and_thin_shapes():
         _assert_exact_product(Mat.zeros(QQ, n, k), B)
         assert (A @ Mat.zeros(QQ, k, m)) == Mat.zeros(QQ, n, m)
     assert (Mat(QQ, [[Fraction(1, 2)] * 3]) @ Mat(QQ, [[], [], []])).rows == [[]]
+
+
+def test_q_product_of_a_zero_or_empty_factor_with_large_entries():
+    # a zero or column-free factor must not send the other's entries above
+    # 2^63 to int64
+    big = Mat(QQ, [[Fraction(2**70), Fraction(-(2**64), 3)]])
+    assert (Mat.zeros(QQ, 2, 1) @ big) == Mat.zeros(QQ, 2, 2)
+    assert (big.transpose() @ Mat(QQ, [[]])).rows == [[], []]
+    _assert_exact_product(big.transpose(), Mat.zeros(QQ, 1, 3))
 
 
 # ---------------------------------------------------------------------------

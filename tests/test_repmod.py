@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from lieclassical.linalg import Echelon, Mat, Subspace, matvec, op_matrix
 from lieclassical.repmod import (
     LieModule,
     _certify_by_enumeration,
+    _random_element,
     adjoint_module,
     algebra_adjoint_module,
     block_duality_check,
@@ -236,6 +238,13 @@ def test_weights_sl2_natural():
     assert sorted(table) == [((Fraction(-1),), 1), ((Fraction(1),), 1)]
 
 
+def test_weights_refuse_an_incomplete_table():
+    # 7 is not among the eigenvalues tried over Q
+    V = LieModule(QQ, 2, [("h", Mat.diag(QQ, [Fraction(7), Fraction(0)]))])
+    with pytest.raises(ValueError, match="do not sum to dim 2"):
+        weights(V, V.generators)
+
+
 def test_weights_adjoint_sl2():
     K = QQ
     L = MatLieAlg(2, sl_subspace(K, 2))
@@ -422,3 +431,23 @@ def test_restrict_to_zero_subspace():
         assert R.dim == 0
         assert R.labels() == M.labels()
         assert all(a.rows == [] for a in R.action_mats())
+
+
+@pytest.mark.parametrize("K", [GF(3, 2), GF(5, 2), GF(5)], ids=["gf9", "gf25", "gf5"])
+def test_random_element_matches_scalar_combinations(K):
+    M = adjoint_module(MatLieAlg(3, sl_subspace(K, 3)), gl_subspace(K, 3))
+    mats = M.action_mats()
+    for seed in range(4):
+        rng = random.Random(seed)
+        coeffs = [[K.random(rng) for _ in mats] for _ in range(3)]
+        x, y, z = (functools.reduce(Mat.__add__, map(Mat.scale, mats, cs)) for cs in coeffs)
+        assert _random_element(M, random.Random(seed)) == x @ y + z
+
+
+def test_adjoint_module_refuses_a_non_invariant_ambient():
+    for K in (QQ, GF(3, 2), GF(5)):
+        L = MatLieAlg(2, sl_subspace(K, 2))
+        # the diagonal matrices: [e, h] is a multiple of e, which leaves them
+        diag = Subspace.from_rows(K, 4, [Mat.unit(K, 2, 2, i, i).vec() for i in range(2)])
+        with pytest.raises(ValueError, match="ambient subspace is not ad-invariant"):
+            adjoint_module(L, diag)
