@@ -61,7 +61,7 @@ class CliError(Exception):
 
 def build_parser():
     p = argparse.ArgumentParser(
-        prog="liecomp",
+        prog="lieclassical",
         description="exact computations with classical Lie algebras inside gl(m)",
     )
     p.add_argument(

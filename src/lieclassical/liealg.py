@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
-from .linalg import Mat, Subspace, kernel, op_matrix, solve, unit_vector
+from .linalg import Mat, Subspace, kernel, op_matrix, solve_many, unit_vector
 
 
 def bracket(X: Mat, Y: Mat) -> Mat:
@@ -249,16 +249,10 @@ def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
     if Subspace.from_rows(K, L.dim, red_reps).dim != q:
         raise ValueError("representatives are dependent modulo the ideal")
 
-    def coset_coords(mat):
-        c = solve(R, reduced(mat))
-        if c is None:
-            raise AssertionError("bracket left the span of the representatives")
-        return c
-
-    table = [[None] * q for _ in range(q)]
-    for i in range(q):
-        for j in range(q):
-            table[i][j] = coset_coords(bracket(reps[i], reps[j]))
+    coords = solve_many(R, [reduced(bracket(x, y)) for x in reps for y in reps])
+    if coords is None:
+        raise AssertionError("bracket left the span of the representatives")
+    table = [coords[i * q : (i + 1) * q] for i in range(q)]
     labels = [f"r{i}" for i in range(q)]
     return StructureConstants(K, labels, table), reps
 

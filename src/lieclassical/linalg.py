@@ -2,8 +2,10 @@
 
 Matrices are row-major lists of canonical scalars; everything is exact.  Every
 product is one array product: int64 over GF(p), pairs of int64 arrays over
-GF(p^2), integers with cleared denominators over Q.  Row reduction is int64
-over GF(p), fraction-free over Q and on scalars over GF(p^2).
+GF(p^2), integers with cleared denominators over Q.  Row reduction over GF(p)
+and GF(p^2) is one incremental echelon basis (int64 rows over GF(p), scalar
+pairs over GF(p^2)) whose fully reduced rows are the RREF; it serves rref,
+subspaces and spins alike.  Over Q it is fraction-free.
 """
 
 from __future__ import annotations
@@ -322,49 +324,27 @@ def _max_abs(ints):
 
 
 def rref(M: Mat):
-    """Canonical reduced row echelon form; returns (matrix, rank, pivots)."""
+    """Canonical reduced row echelon form; returns (matrix, rank, pivots).
+
+    Fraction-free elimination over Q; over GF(p) and GF(p^2) the rows are
+    fed into an incremental echelon basis, whose rows sorted by pivot are
+    the RREF basis."""
     K = M.field
-    if isinstance(K, PrimeField):
-        rows, rank, pivots = _rref_gfp(M.rows, K.char, M.ncols)
-        return Mat(K, rows), rank, tuple(pivots)
     if isinstance(K, RationalField):
-        rows, rank, pivots = _rref_rational(M.rows, M.ncols)
-        return Mat(K, rows), rank, tuple(pivots)
-    rows, rank, pivots = _rref_generic(M.rows, K, M.ncols)
-    return Mat(K, rows), rank, tuple(pivots)
-
-
-def _rref_gfp(rows, p, ncols):
-    a = np.array(rows, dtype=np.int64) % p
-    nrows = a.shape[0] if a.size else 0
-    if nrows == 0:
-        return [], 0, []
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if a[r, col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        mask = a[:, col].copy()
-        mask[rank] = 0
-        a = (a - np.outer(mask, a[rank])) % p
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return a.tolist(), rank, pivots
+        basis, pivots = _rref_rational(M.rows, M.ncols)
+    else:
+        ech = (EchelonGFp if isinstance(K, PrimeField) else Echelon)(K, M.ncols)
+        for r in M.rows:
+            ech.add(r)
+        S = ech.subspace()
+        basis, pivots = S.basis, S.pivots
+    zero = [K.zero()] * M.ncols
+    return Mat(K, [*basis, *[zero] * (M.nrows - len(basis))]), len(basis), tuple(pivots)
 
 
 def _rref_rational(rows, ncols):
-    # Fraction-free elimination on primitive integer rows, normalized at the end.
+    """(basis rows, pivots) of the RREF: fraction-free elimination on
+    primitive integer rows, normalized at the end."""
     work = []
     for r in rows:
         den = math.lcm(*[f.denominator for f in r]) if r else 1
@@ -394,51 +374,27 @@ def _rref_rational(rows, ncols):
         rank += 1
         if rank == nrows:
             break
-    out = []
-    for i in range(rank):
-        pv = work[i][pivots[i]]
-        out.append([Fraction(x, pv) for x in work[i]])
-    z = Fraction(0)
-    for _ in range(nrows - rank):
-        out.append([z] * ncols)
-    return out, rank, pivots
-
-
-def _rref_generic(rows, K, ncols):
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if not K.is_zero(work[r][col])), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = K.inv(work[rank][col])
-        work[rank] = [K.mul(inv, x) for x in work[rank]]
-        for r in range(nrows):
-            if r == rank or K.is_zero(work[r][col]):
-                continue
-            f = work[r][col]
-            work[r] = [K.sub(x, K.mul(f, y)) for x, y in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return work, rank, pivots
+    return [[Fraction(x, work[i][pv]) for x in work[i]] for i, pv in enumerate(pivots)], pivots
 
 
 def solve(A: Mat, b):
     """One solution of A x = b, or None if inconsistent."""
-    K = A.field
-    aug = Mat(K, [row + [bb] for row, bb in zip(A.rows, b)])
-    red, rank, pivots = rref(aug)
-    if A.ncols in pivots:
+    sols = solve_many(A, [b])
+    return None if sols is None else sols[0]
+
+
+def solve_many(A: Mat, bs):
+    """One solution of A x = b for each of the nonempty list bs, from one rref
+    of [A | b_1 ... b_k]; None unless every system is consistent."""
+    K, n = A.field, A.ncols
+    red, rank, pivots = rref(Mat(K, [row + list(c) for row, c in zip(A.rows, zip(*bs))]))
+    if pivots and pivots[-1] >= n:
         return None
-    x = [K.zero()] * A.ncols
+    sols = [[K.zero()] * n for _ in bs]
     for i, col in enumerate(pivots):
-        x[col] = red.rows[i][A.ncols]
-    return x
+        for x, c in zip(sols, red.rows[i][n:]):
+            x[col] = c
+    return sols
 
 
 def kernel(M: Mat) -> "Subspace":
@@ -650,14 +606,7 @@ class Subspace:
 
     def reduce(self, v):
         """Residual of v after eliminating the pivot coordinates."""
-        K = self.field
-        v = list(v)
-        for row, piv in zip(self.basis, self.pivots):
-            c = v[piv]
-            if K.is_zero(c):
-                continue
-            v = [K.sub(a, K.mul(c, b)) for a, b in zip(v, row)]
-        return v
+        return _reduce(self.field, v, self.basis, self.pivots)
 
     def contains_vector(self, v) -> bool:
         K = self.field
@@ -714,11 +663,13 @@ class Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Incremental echelon bases (used by the spinning closure)
+# Incremental echelon bases: the elimination behind rref over finite fields
+# and the spinning closure.  Rows are kept normalized and fully reduced (zero
+# in every other pivot column), so sorted by pivot they are the RREF basis.
 
 
 class Echelon:
-    """Growing row-echelon basis with O(dim * N) membership reduction."""
+    """Growing echelon basis on scalars of any field."""
 
     def __init__(self, field, ambient):
         self.field = field
@@ -730,40 +681,34 @@ class Echelon:
     def dim(self):
         return len(self.rows)
 
-    def reduce(self, v):
-        K = self.field
-        v = list(v)
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if not K.is_zero(c):
-                v = [K.sub(a, K.mul(c, b)) for a, b in zip(v, row)]
-        return v
-
     def add(self, v) -> bool:
         """Insert v; returns True if it enlarged the span."""
         K = self.field
-        r = self.reduce(v)
+        r = _reduce(K, v, self.rows, self.pivots)
         piv = next((i for i, a in enumerate(r) if not K.is_zero(a)), None)
         if piv is None:
             return False
         inv = K.inv(r[piv])
-        self.rows.append([K.mul(inv, a) for a in r])
+        r = [K.mul(inv, a) for a in r]
+        for i, row in enumerate(self.rows):
+            c = row[piv]
+            if not K.is_zero(c):
+                self.rows[i] = [K.sub(a, K.mul(c, b)) for a, b in zip(row, r)]
+        self.rows.append(r)
         self.pivots.append(piv)
         return True
 
-    def contains(self, v) -> bool:
-        K = self.field
-        return all(K.is_zero(a) for a in self.reduce(v))
-
     def subspace(self) -> Subspace:
-        return Subspace.from_rows(self.field, self.ambient, self.rows)
+        return _sorted_subspace(self.field, self.ambient, self.rows, self.pivots)
 
 
 class EchelonGFp:
-    """numpy-backed echelon basis over GF(p)."""
+    """Growing echelon basis over GF(p) as one int64 array: fully reduced
+    rows make reducing a vector a single product (`gfp_reduce`)."""
 
-    def __init__(self, p, ambient):
-        self.p = p
+    def __init__(self, field, ambient):
+        self.field = field
+        self.p = field.char
         self.ambient = ambient
         self.mat = np.zeros((0, ambient), dtype=np.int64)
         self.pivots = []
@@ -772,17 +717,13 @@ class EchelonGFp:
     def dim(self):
         return self.mat.shape[0]
 
-    def reduce(self, v):
-        return gfp_reduce(np.array(v, dtype=np.int64) % self.p, self.mat, self.pivots, self.p)
-
     def add(self, v) -> bool:
-        r = self.reduce(v)
+        r = gfp_reduce(np.array(v, dtype=np.int64) % self.p, self.mat, self.pivots, self.p)
         nz = np.nonzero(r)[0]
         if nz.size == 0:
             return False
         piv = int(nz[0])
         r = (r * pow(int(r[piv]), self.p - 2, self.p)) % self.p
-        # Keep stored rows fully reduced so `reduce` is a single matmul.
         if self.pivots:
             col = self.mat[:, piv].copy()
             self.mat = (self.mat - np.outer(col, r)) % self.p
@@ -790,8 +731,22 @@ class EchelonGFp:
         self.pivots.append(piv)
         return True
 
-    def contains(self, v) -> bool:
-        return not self.reduce(v).any()
+    def subspace(self) -> Subspace:
+        return _sorted_subspace(self.field, self.ambient, self.mat.tolist(), self.pivots)
 
-    def subspace(self, field) -> Subspace:
-        return Subspace.from_rows(field, self.ambient, self.mat.tolist())
+
+def _reduce(K, v, rows, pivots):
+    """Residual of v after eliminating the pivot coordinates of fully reduced
+    rows: each row is zero at the other pivots, so the order does not matter."""
+    v = list(v)
+    for row, piv in zip(rows, pivots):
+        c = v[piv]
+        if not K.is_zero(c):
+            v = [K.sub(a, K.mul(c, b)) for a, b in zip(v, row)]
+    return v
+
+
+def _sorted_subspace(field, ambient, rows, pivots):
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return Subspace(field, ambient, tuple(tuple(rows[i]) for i in order),
+                    tuple(pivots[i] for i in order))

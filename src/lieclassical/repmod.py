@@ -98,46 +98,31 @@ def _np_mats(M: LieModule):
     return M._arrays
 
 
-def _spin_gfp(p, ambient, gen_arrays, seeds):
-    ech = EchelonGFp(p, ambient)
-    frontier = []
-    for s in seeds:
-        v = np.array(s, dtype=np.int64) % p
-        if ech.add(v):
-            frontier.append(ech.mat[-1])
-    while frontier and ech.dim < ambient:
-        batch = np.array(frontier, dtype=np.int64)
-        frontier = []
-        for G in gen_arrays:
-            for row in gfp_matmul(batch, G.T, p):
-                if ech.add(row):
-                    frontier.append(ech.mat[-1])
-    return ech
-
-
-def _spin_generic(K, ambient, mats, seeds):
-    ech = Echelon(K, ambient)
-    frontier = [list(s) for s in seeds if ech.add(s)]
-    while frontier and ech.dim < ambient:
-        nxt = []
-        for v in frontier:
-            for A in mats:
-                w = matvec(A, v)
-                if ech.add(w):
-                    nxt.append(w)
-        frontier = nxt
-    return ech
-
-
 def spin(M: LieModule, seeds, transposed=False) -> Subspace:
     """Smallest subspace containing the seeds and invariant under all actions
-    (under their transposes if `transposed`: a spin in the dual module)."""
+    (under their transposes if `transposed`: a spin in the dual module).
+
+    Each round feeds the images of the vectors the last round added to one
+    echelon basis; over GF(p) a round's images are one product per generator.
+    """
     K = M.field
     if isinstance(K, PrimeField):
+        p, ech = K.char, EchelonGFp(K, M.dim)
         arrays = _np_mats(M).transpose(0, 2, 1) if transposed else _np_mats(M)
-        return _spin_gfp(K.char, M.dim, arrays, seeds).subspace(K)
-    mats = [a.transpose() for a in M.action_mats()] if transposed else M.action_mats()
-    return _spin_generic(K, M.dim, mats, seeds).subspace()
+
+        def images(frontier):
+            batch = np.array(frontier, dtype=np.int64) % p
+            return (w for G in arrays for w in gfp_matmul(batch, G.T, p))
+    else:
+        ech = Echelon(K, M.dim)
+        mats = [a.transpose() for a in M.action_mats()] if transposed else M.action_mats()
+
+        def images(frontier):
+            return (matvec(A, v) for v in frontier for A in mats)
+    frontier = [s for s in seeds if ech.add(s)]
+    while frontier and ech.dim < M.dim:
+        frontier = [w for w in images(frontier) if ech.add(w)]
+    return ech.subspace()
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +345,6 @@ class CompSeries:
     chain: list  # ascending Subspaces, chain[0] = 0, chain[-1] = full
     factor_dims: list
     factor_trivial: list
-    factor_methods: list = dc_field(default_factory=list)
 
     @property
     def n_factors(self):
@@ -388,7 +372,7 @@ def composition_series(
         + _max_chain(M, budget)
         + [Subspace.full(K, M.dim)]
     )
-    return _series(M, chain, lambda factor: "spin certification")
+    return _series(M, chain)
 
 
 def _normalize_chain(M, candidate_chain):
@@ -405,18 +389,18 @@ def _normalize_chain(M, candidate_chain):
     return chain
 
 
-def _series(M, chain, certify):
-    """The factors of an ascending chain; certify(factor) returns the method
-    that proved it irreducible, or raises."""
-    dims, trivial, methods = [], [], []
+def _series(M, chain, certify=lambda factor: None):
+    """The factors of an ascending chain; certify(factor) raises unless the
+    factor is irreducible."""
+    dims, trivial = [], []
     for lo, hi in zip(chain, chain[1:]):
         if not hi.contains(lo) or hi.dim <= lo.dim:
             raise ValueError("chain is not strictly ascending")
         factor = factor_module(M, lo, hi)
         dims.append(factor.dim)
         trivial.append(trivial_actions(factor))
-        methods.append(certify(factor))
-    return CompSeries(chain, dims, trivial, methods)
+        certify(factor)
+    return CompSeries(chain, dims, trivial)
 
 
 def _certified(factor, budget):
@@ -427,15 +411,11 @@ def _certified(factor, budget):
         )
     if res.status != "irreducible":
         raise ValueError("candidate chain factor is not irreducible")
-    return res.method
 
 
 def _certified_mod_p(factor, primes):
-    if factor.dim == 1 and trivial_actions(factor):
-        return "trivial factor"
-    if not _modp_irreducible(factor, primes):
+    if factor.dim > 1 and not modp_irreducible(factor, primes):
         raise ValueError("mod-p certification failed for a factor")
-    return "mod-p"
 
 
 def _max_chain(M: LieModule, budget):
@@ -479,11 +459,11 @@ def factor_module(M: LieModule, lo: Subspace, hi: Subspace) -> LieModule:
     return quotient_module(sub, lo_in)
 
 
-def first_primes_coprime_to(n, count=2, avoid=()):
+def first_primes_coprime_to(n, count=2):
     out = []
     p = 2
     while len(out) < count:
-        if is_prime(p) and n % p != 0 and p not in avoid:
+        if is_prime(p) and n % p != 0:
             out.append(p)
         p += 1
     return out
@@ -507,7 +487,7 @@ def reduce_module_mod_p(M: LieModule, p: int) -> LieModule:
     return LieModule(Kp, M.dim, gens)
 
 
-def _modp_irreducible(factor: LieModule, primes) -> bool:
+def modp_irreducible(factor: LieModule, primes) -> bool:
     """One prime with an irreducible reduction is enough: a proper rational
     submodule would reduce to a proper submodule at every prime."""
     if primes is None:

@@ -34,10 +34,11 @@ from .liealg import (
     trace_orthogonal_complement,
     trace_pairing,
 )
-from .linalg import Mat, Subspace, kernel, matvec, solve, unit_vector
+from .linalg import Mat, Subspace, irreducible_factor, kernel, matvec, solve, unit_vector
 from .repmod import (
     LieModule,
     adjoint_module,
+    algebra_adjoint_module,
     certify_irreducible,
     composition_series,
     conjugation_modules,
@@ -51,9 +52,9 @@ from .repmod import (
     hom_space,
     invariant_under,
     line_reps,
+    modp_irreducible,
     quotient_lift,
     quotient_module,
-    reduce_module_mod_p,
     representation_kernel,
     respects_brackets,
     restrict_module,
@@ -233,13 +234,9 @@ def _is_simple_certified(L: MatLieAlg, primes):
     K = L.field
     if K.order() is not None:
         return is_simple(L), "spin certification"
-    from .repmod import algebra_adjoint_module
-
     if L.dim <= 1:
         return False, "dimension"
-    ad = algebra_adjoint_module(L)
-    if any(certify_irreducible(reduce_module_mod_p(ad, p)).status == "irreducible"
-           for p in primes):
+    if modp_irreducible(algebra_adjoint_module(L), primes):
         return True, "mod-p"
     if L.m == 4:
         ideal = _so4_ideal(L)
@@ -897,12 +894,16 @@ def run_sp_so_embedding(n, K) -> Report:
 
 
 def _field_sqrt(K, a):
-    """A square root of a in K, or None."""
-    if K.order() is not None:
-        return next((t for t in K.elements() if K.mul(t, t) == a), None)
+    """A square root of a in K, or None.  Over a finite field of odd
+    characteristic, the root of a linear factor of x^2 - a."""
     if not K.is_square(a):
         return None
-    return Fraction(math.isqrt(a.numerator), math.isqrt(a.denominator))
+    if K.order() is None:
+        return Fraction(math.isqrt(a.numerator), math.isqrt(a.denominator))
+    if K.is_zero(a):
+        return a
+    f = irreducible_factor(K, [K.neg(a), K.zero(), K.one()], 1, random.Random(0))
+    return K.neg(f[0])
 
 
 def _square_upgrade(rep: Report, ref, G: Mat):

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from lieclassical import repmod
-from lieclassical.cli import main
+from lieclassical.cli import build_parser, main
 from lieclassical.fields import GF
 from lieclassical.linalg import Mat
 
@@ -256,6 +256,25 @@ def test_large_prime_field_certifies(capsys):
                          "--output", "json")
     assert code == 0, err
     assert sorted(json.loads(out)["factor dims"]) == [1, 5, 10]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify:sp-so", "--field", "2147483647", "--m", "4"),
+    ("verify:sl4-so6", "--field", "3037000493"),
+    ("verify:sp-so", "--field", "2147483647^2", "--m", "4"),
+], ids=["sp-so-p31", "sl4-so6-pmax", "sp-so-p31^2"])
+def test_square_roots_over_large_prime_fields(capsys, argv):
+    # the congruence claims take square roots in the field; a search through
+    # every element does not fit in memory at these primes
+    code, out, err = run(capsys, *argv, "--output", "json")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert any("congruent to identity" in c["label"] for c in report["claims"])
+
+
+def test_usage_names_the_installed_command():
+    assert build_parser().format_usage().startswith("usage: lieclassical ")
 
 
 def test_prime_too_large_for_int64_is_usage_error(capsys):

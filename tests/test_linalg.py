@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from sympy import QQ as SYMPY_QQ
+from sympy import GF as SYMPY_GF, QQ as SYMPY_QQ
 from sympy.polys.matrices import DomainMatrix
 
-from lieclassical.fields import GF, QQ
+from lieclassical.fields import GF, QQ, PrimeField
 from lieclassical.linalg import (
     Echelon,
     EchelonGFp,
@@ -27,6 +27,7 @@ from lieclassical.linalg import (
     poly_at,
     rref,
     solve,
+    solve_many,
 )
 
 
@@ -144,6 +145,20 @@ def test_solve_consistent_and_inconsistent():
     assert solve(A, [Fraction(1), Fraction(0)]) is None
 
 
+def test_solve_many_matches_solve():
+    rng = random.Random(15)
+    for K in (QQ, GF(5), GF(3, 2)):
+        A = rand_mat(K, 6, 4, rng) @ Mat.diag(K, [K.one()] * 3 + [K.zero()])  # rank <= 3
+        bs = [matvec(A, [K.random(rng) for _ in range(4)]) for _ in range(5)]
+        sols = solve_many(A, bs)
+        assert sols == [solve(A, b) for b in bs]
+        assert [matvec(A, x) for x in sols] == bs
+        bad = next(b for b in ([K.random(rng) for _ in range(6)] for _ in range(20))
+                   if solve(A, b) is None)
+        assert solve_many(A, bs + [bad]) is None
+        assert solve_many(A, [bad] + bs) is None
+
+
 def test_op_matrix_transpose_operator():
     K = GF(3)
     T = op_matrix(K, 4, 4, lambda v: Mat.unvec(K, v, 2, 2).transpose().vec())
@@ -171,28 +186,15 @@ def test_det_inv():
     assert N @ N.inv() == Mat.identity(K, 2)
 
 
-def test_echelon_matches_subspace():
-    rng = random.Random(9)
-    for K in (QQ, GF(3), GF(5, 2)):
-        rows = [[K.random(rng) for _ in range(6)] for _ in range(4)]
-        ech = Echelon(K, 6)
-        for r in rows:
-            ech.add(r)
-        assert ech.subspace() == Subspace.from_rows(K, 6, rows)
-        for r in rows:
-            assert ech.contains(r)
-
-
 def test_echelon_gfp_matches_generic():
     rng = random.Random(10)
-    p = 5
-    K = GF(p)
+    K = GF(5)
     rows = [[K.random(rng) for _ in range(8)] for _ in range(6)]
     gen = Echelon(K, 8)
-    fast = EchelonGFp(p, 8)
+    fast = EchelonGFp(K, 8)
     for r in rows:
         assert gen.add(r) == fast.add(r)
-    assert gen.subspace() == fast.subspace(K)
+    assert gen.subspace() == fast.subspace()
 
 
 def _python_matmul(A, B, p):
@@ -280,6 +282,100 @@ def test_gf2_inverse_times_matrix_is_identity(K):
         if K.is_zero(A.det()):
             continue
         assert A.inv() @ A == Mat.identity(K, n) == A @ A.inv()
+
+
+def _gauss_jordan(rows, K, ncols):
+    """Reference RREF: scalar Gauss-Jordan elimination over the Field API;
+    returns (rows, pivots) with the zero rows last."""
+    work = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(work)) if not K.is_zero(work[r][col])), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = K.inv(work[rank][col])
+        work[rank] = [K.mul(inv, x) for x in work[rank]]
+        for r in range(len(work)):
+            f = work[r][col]
+            if r != rank and not K.is_zero(f):
+                work[r] = [K.sub(x, K.mul(f, y)) for x, y in zip(work[r], work[rank])]
+        pivots.append(col)
+    return work, pivots
+
+
+def _sympy_rref(rows, K, ncols):
+    """Reference RREF: sympy's DomainMatrix over GF(p) or QQ."""
+    if K == QQ:
+        dom = SYMPY_QQ
+        entries = [[dom(x.numerator, x.denominator) for x in r] for r in rows]
+
+        def back(x):
+            return Fraction(int(x.numerator), int(x.denominator))
+    else:
+        dom = SYMPY_GF(K.char)
+        entries = [[dom(x) for x in r] for r in rows]
+
+        def back(x):
+            return int(x) % K.char
+    red, pivots = DomainMatrix(entries, (len(rows), ncols), dom).rref()
+    return [[back(x) for x in r] for r in red.to_list()], list(pivots)
+
+
+@st.composite
+def row_sets(draw, K):
+    """(ncols, rows) over K: 0 to 6 rows of 1 to 6 entries, each row either
+    random or a random combination of the rows before it, so the rank can
+    fall short of the row count (zero rows included)."""
+    if K == QQ:
+        entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    else:
+        p = K.char
+        coord = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+        entry = coord if K.order() == p else st.tuples(coord, coord)
+    ncols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if rows and draw(st.booleans()):
+            row = [K.zero()] * ncols
+            for r in rows:
+                c = draw(entry)
+                row = [K.add(a, K.mul(c, b)) for a, b in zip(row, r)]
+        else:
+            row = [draw(entry) for _ in range(ncols)]
+        rows.append(row)
+    return ncols, rows
+
+
+def _assert_rref_is(K, ncols, rows, ref_rows, ref_pivots):
+    """Every echelon basis that takes K, Subspace.from_rows and rref give the
+    reference RREF of rows."""
+    rank = len(ref_pivots)
+    basis, pivots = tuple(tuple(r) for r in ref_rows[:rank]), tuple(ref_pivots)
+    for cls in (Echelon, EchelonGFp) if isinstance(K, PrimeField) else (Echelon,):
+        ech = cls(K, ncols)
+        assert sum(ech.add(r) for r in rows) == ech.dim == rank
+        assert ech.subspace() == Subspace(K, ncols, basis, pivots)
+    assert Subspace.from_rows(K, ncols, rows) == Subspace(K, ncols, basis, pivots)
+    if rows:
+        assert rref(Mat(K, rows)) == (Mat(K, ref_rows), rank, pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_echelon_matches_subspace(data):
+    K = data.draw(st.sampled_from([GF(2), GF(3), GF(P31), QQ]), label="field")
+    ncols, rows = data.draw(row_sets(K))
+    _assert_rref_is(K, ncols, rows, *_sympy_rref(rows, K, ncols))
+
+
+@pytest.mark.parametrize("K", GF2_FIELDS[:4], ids=lambda K: f"{K.char}^2-r{K.nonresidue}")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gf2_echelon_matches_gauss_jordan(K, data):
+    ncols, rows = data.draw(row_sets(K))
+    _assert_rref_is(K, ncols, rows, *_gauss_jordan(rows, K, ncols))
 
 
 def _fraction_matmul(A, B):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,19 @@ def test_sl_series_divisible_case():
 def test_sl_series_excludes_2_2():
     with pytest.raises(ValueError):
         verify.run_sl_series(2, GF(2))
+
+
+@pytest.mark.parametrize("K", [GF(2**31 - 1), GF(3037000493), GF(2**31 - 1, 2)],
+                         ids=["p31", "pmax", "p31^2"])
+def test_field_sqrt_over_large_fields(K):
+    rng = random.Random(14)
+    for _ in range(10):
+        x = K.random(rng)
+        root = verify._field_sqrt(K, K.mul(x, x))
+        assert root in (x, K.neg(x))
+    assert verify._field_sqrt(K, K.zero()) == K.zero()
+    nonsquare = next(a for a in (K.random(rng) for _ in range(100)) if not K.is_square(a))
+    assert verify._field_sqrt(K, nonsquare) is None
 
 
 def test_sp_so_embedding_gf13():
