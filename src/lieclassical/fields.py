@@ -286,16 +286,6 @@ class QuadraticField(Field):
             return True
         return self.pow(a, (self.order() - 1) // 2) == self.one()
 
-    def sqrt_of_minus_one(self):
-        """An element i with i^2 = -1, if one exists outside GF(p)."""
-        # When r = -1 the generator x itself works.
-        if self.nonresidue == self.char - 1:
-            return (0, 1)
-        for a in self.elements():
-            if self.mul(a, a) == self.of(-1):
-                return a
-        raise ValueError("-1 has no square root here")
-
     def random(self, rng):
         return (rng.randrange(self.char), rng.randrange(self.char))
 

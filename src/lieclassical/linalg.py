@@ -567,6 +567,18 @@ def irreducible_factor(K, g, d, rng):
     return g
 
 
+def roots(K, f, rng):
+    """The distinct roots in the finite field K of the monic f, sorted."""
+    out = []
+    for d, g in distinct_degree_parts(K, f):
+        while d == 1 and len(g) > 1:
+            x_minus_root = irreducible_factor(K, g, 1, rng)
+            out.append(K.neg(x_minus_root[0]))
+            g = _pdivmod(K, g, x_minus_root)[0]
+        break
+    return sorted(out)
+
+
 # ---------------------------------------------------------------------------
 # Subspaces
 

@@ -5,8 +5,6 @@ Irreducibility over a finite field is certified by the Holt-Rees test
 (`certify_irreducible`): a kernel-and-dual spin at an irreducible factor of
 the characteristic polynomial of a random element of the enveloping
 algebra.  It is exact and conclusive, or reports that its budget ran out.
-Line enumeration (spinning one representative of every line) is kept only
-as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from .linalg import (
     matvec,
     op_matrix,
     poly_at,
+    roots,
     unit_vector,
 )
 
@@ -227,16 +226,6 @@ def _random_vector(U: Subspace, rng):
         coeffs = [K.random(rng) for _ in range(U.dim)]
         if not all(K.is_zero(c) for c in coeffs):
             return U.lift(coeffs)
-
-
-def _certify_by_enumeration(M: LieModule) -> IrredResult:
-    """Spin one vector of every line: the reference the tests compare against."""
-    K = M.field
-    for v in line_reps(K, M.dim):
-        closure = spin(M, [v])
-        if closure.dim < M.dim:
-            return IrredResult("reducible", closure, "line enumeration")
-    return IrredResult("irreducible", None, "line enumeration")
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +522,11 @@ def weights(M: LieModule, H) -> WeightTable:
         for j in range(i + 1, len(H)):
             if H[i][1] @ H[j][1] != H[j][1] @ H[i][1]:
                 raise ValueError("weight family must commute")
-    if K.order() is not None:
-        candidates = K.elements()
-    else:
-        candidates = [Fraction(t) for t in range(-6, 7)]
+    rng = random.Random(0)
     spaces = [((), Subspace.full(K, M.dim))]
     for _, h in H:
+        candidates = (roots(K, charpoly(h), rng) if K.order() is not None
+                      else [Fraction(t) for t in range(-6, 7)])
         nxt = []
         for tag, S in spaces:
             for lam in candidates:

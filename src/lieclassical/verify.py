@@ -59,7 +59,6 @@ from .repmod import (
     respects_brackets,
     restrict_module,
     restrict_to_sl,
-    spin,
     star_map,
     sym_alt_subspaces,
     tensor_square,
@@ -495,7 +494,7 @@ def _check_prop_10_2(rep: Report, K, L1: MatLieAlg):
                               [L1.space.coords(list(r)) for r in R.basis])
     subs = all_submodules(ad)
     rep.check("R is the only proper nonzero submodule", "Prop 10.2",
-              [r_in], [u for u in subs if 0 < u.dim < ad.dim], "line enumeration")
+              [r_in], [u for u in subs if 0 < u.dim < ad.dim], "maximal-submodule descent")
     # extending the action to all of L makes L^(1) irreducible:
     # [e11, g1] = f1 leaves R
     e11 = Mat.unit(K, m, m, 0, 0)
@@ -511,22 +510,33 @@ def _check_prop_10_2(rep: Report, K, L1: MatLieAlg):
 
 
 def all_submodules(M: LieModule):
-    """All submodules, as sums of the cyclic ones (small modules only)."""
+    """All submodules, by descent through maximal submodules.  Those of a
+    submodule U are the kernels of the nonzero homs from U onto M's composition
+    factors (one per isomorphism class: simple S, T are isomorphic iff
+    Hom(S, T) != 0), and every proper submodule lies in a maximal one."""
     K = M.field
-    found = {}
-    for v in line_reps(K, M.dim):
-        S = spin(M, [v])
-        found[S.basis] = S
-    work = list(found.values())
+    if not M.generators:  # every subspace is a submodule, as under a zero action
+        M = LieModule(K, M.dim, [("0", Mat.zeros(K, M.dim, M.dim))])
+    chain = composition_series(M).chain if M.dim else []
+    simples = []
+    for lo, hi in zip(chain, chain[1:]):
+        S = factor_module(M, lo, hi)
+        if all(hom_space(S, T).dim == 0 for T in simples):
+            simples.append(S)
+    full, zero = Subspace.full(K, M.dim), Subspace.zero(K, M.dim)
+    found = {zero.basis: zero, full.basis: full}
+    work = [full]
     while work:
-        cur = work.pop()
-        for other in list(found.values()):
-            s = cur + other
-            if s.basis not in found:
-                found[s.basis] = s
-                work.append(s)
-    zero = Subspace.zero(K, M.dim)
-    found[zero.basis] = zero
+        U = work.pop()
+        sub = M if U.dim == M.dim else restrict_module(M, U)
+        for S in simples:
+            H = hom_space(sub, S)
+            for coeffs in line_reps(K, H.dim):
+                null = kernel(Mat.unvec(K, H.lift(coeffs), S.dim, sub.dim))
+                W = Subspace.from_rows(K, M.dim, [U.lift(list(r)) for r in null.basis])
+                if W.basis not in found:
+                    found[W.basis] = W
+                    work.append(W)
     return sorted(found.values(), key=lambda u: (u.dim, u.basis if u.dim else ()))
 
 
@@ -743,12 +753,12 @@ def run_note_9_2() -> Report:
     subs = all_submodules(module)
     proper = [u for u in subs if 0 < u.dim < module.dim]
     rep.check("s, X, Y are submodules", "Note 9.2", True,
-              all(u in proper for u in (s_in, X, Y)), "line enumeration")
+              all(u in proper for u in (s_in, X, Y)), "maximal-submodule descent")
     # the stated trio is not the whole lattice: M0/s = X/s + Y/s with
     # X/s isomorphic to Y/s, so each of the q+1 = 10 lines of the
     # projective line over GF(9) yields an intermediate submodule
     rep.check("11 proper nonzero submodules (s plus 10 graphs)", "Note 9.2",
-              [1] + [3] * 10, [u.dim for u in proper], "line enumeration")
+              [1] + [3] * 10, [u.dim for u in proper], "maximal-submodule descent")
     big = adjoint_module(L, gl_subspace(K, 3))
     s = scalars_subspace(K, 3)
 
@@ -793,7 +803,7 @@ def run_note_9_3() -> Report:
     proper = [u for u in subs if 0 < u.dim < module.dim]
     rep.check("proper nonzero submodules are Fx, Fy", "Note 9.3",
               sorted([Fx, Fy], key=lambda u: (u.dim, u.basis)), proper,
-              "line enumeration")
+              "maximal-submodule descent")
     return rep
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -134,6 +135,18 @@ def test_weights_command(capsys):
     )
     assert code == 0
     assert "multiplicity" in out
+
+
+def test_weights_over_a_large_prime_field(capsys):
+    # the eigenvalues are the roots of the characteristic polynomial, so no
+    # list of the field's million elements is walked
+    t0 = time.monotonic()
+    code, out, err = run(
+        capsys, "weights", "--field", "1000003", "--m", "4", "--form", "alternating"
+    )
+    assert code == 0, err
+    assert time.monotonic() - t0 < 5.0
+    assert "(0, 1000001)  multiplicity 1" in out
 
 
 def test_hom_command(capsys):

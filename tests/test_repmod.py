@@ -24,7 +24,6 @@ from lieclassical.liealg import (
 from lieclassical.linalg import Echelon, Mat, Subspace, matvec, op_matrix
 from lieclassical.repmod import (
     LieModule,
-    _certify_by_enumeration,
     _random_element,
     adjoint_module,
     algebra_adjoint_module,
@@ -48,6 +47,7 @@ from lieclassical.repmod import (
     tensor_square,
     weights,
 )
+from line_enumeration import certify_by_enumeration
 
 
 def sl2_natural(K):
@@ -84,8 +84,6 @@ def test_certify_reducible_with_witness():
 
 def test_norton_agrees_with_enumeration():
     # the kernel/dual spin test reaches the verdict of sweeping every line
-    import lieclassical.repmod as rm
-
     rng = random.Random(30)
     K = GF(3)
     for _ in range(20):
@@ -94,7 +92,7 @@ def test_norton_agrees_with_enumeration():
             for i in range(2)
         ]
         M = LieModule(K, 3, gens)
-        by_enum = rm._certify_by_enumeration(M)
+        by_enum = certify_by_enumeration(M)
         by_norton = certify_irreducible(M, seed=1)
         assert by_enum.status == by_norton.status
 
@@ -133,7 +131,7 @@ def test_certify_matches_enumeration_on_random_modules(K):
     rng = random.Random(40 + K.order())
     for M in _random_modules(K, rng):
         res = certify_irreducible(M, seed=rng.randrange(100))
-        assert res.status == _certify_by_enumeration(M).status
+        assert res.status == certify_by_enumeration(M).status
         if res.status == "reducible":
             W = res.witness
             assert 0 < W.dim < M.dim
@@ -147,7 +145,7 @@ def test_certify_matches_enumeration_on_random_modules(K):
     LieModule(GF(3), 2, [("c", Mat(GF(3), [[0, 2], [1, 0]]))]),
 ], ids=["so4-mod3", "so4-mod5", "companion"])
 def test_certify_irreducible_not_absolutely_irreducible(M):
-    assert _certify_by_enumeration(M).status == "irreducible"
+    assert certify_by_enumeration(M).status == "irreducible"
     for seed in range(5):
         res = certify_irreducible(M, seed=seed)
         assert (res.status, res.method) == ("irreducible", "kernel/dual spin")
@@ -243,6 +241,23 @@ def test_weights_refuse_an_incomplete_table():
     V = LieModule(QQ, 2, [("h", Mat.diag(QQ, [Fraction(7), Fraction(0)]))])
     with pytest.raises(ValueError, match="do not sum to dim 2"):
         weights(V, V.generators)
+
+
+@pytest.mark.parametrize("K", [GF(5), GF(7), GF(3, 2)], ids=["gf5", "gf7", "gf9"])
+def test_weights_over_finite_fields_in_element_order(K):
+    # a diagonalisable h = P D P^-1 with repeated eigenvalues: the table lists
+    # each eigenvalue once, in the order of K.elements()
+    rng = random.Random(50 + K.order())
+    n = 5
+    for _ in range(5):
+        diag = [rng.choice(K.elements()[:4]) for _ in range(n)]
+        while True:
+            P = Mat(K, [[K.random(rng) for _ in range(n)] for _ in range(n)])
+            if not K.is_zero(P.det()):
+                break
+        h = P @ Mat.diag(K, diag) @ P.inv()
+        table = weights(LieModule(K, n, [("h", h)]), [("h", h)]).entries
+        assert table == [((lam,), diag.count(lam)) for lam in K.elements() if lam in diag]
 
 
 def test_weights_adjoint_sl2():

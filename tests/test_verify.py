@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lieclassical import repmod, verify
+from lieclassical.cli import main
 from lieclassical.fields import GF, QQ
-from lieclassical import verify
+from lieclassical.liealg import self_adjoint_module, skew_adjoint_algebra, sl_subspace
+from lieclassical.linalg import Mat
+from line_enumeration import all_submodules_by_enumeration
 
 
 def failing(rep):
@@ -114,6 +120,112 @@ def test_note_9_2_full_lattice():
         c.label == "11 proper nonzero submodules (s plus 10 graphs)"
         for c in rep.claims
     )
+
+
+def test_note_9_2_lattice_takes_few_spins(monkeypatch):
+    # the descent spins only inside the composition series; line enumeration
+    # spun all 7,381 lines of the 5-dimensional module over GF(9)
+    calls = []
+    counted = repmod.spin
+
+    def spin(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(repmod, "spin", spin)
+    rep = verify.run_note_9_2()
+    assert failing(rep) == []
+    assert 0 < len(calls) <= 20
+
+
+def _note_9_2_module(K):
+    """Note 9.2's module M cap sl(3) for f = I, under ad of L(f)."""
+    A = Mat.identity(K, 3)
+    Msl = self_adjoint_module(A).intersect(sl_subspace(K, 3))
+    return repmod.adjoint_module(skew_adjoint_algebra(A), Msl)
+
+
+@pytest.mark.parametrize("K", [GF(7, 2), GF(11, 2)], ids=["gf49", "gf121"])
+def test_note_9_2_module_is_simple_off_characteristic_3(K):
+    # tr I = 3 is nonzero, so the scalars are not in sl(3) and M cap sl(3) is
+    # simple; line enumeration would spin (q^5 - 1)/(q - 1) lines, 5.9 M at q = 49
+    module = _note_9_2_module(K)
+    assert module.dim == 5
+    t0 = time.monotonic()
+    subs = verify.all_submodules(module)
+    assert time.monotonic() - t0 < 1.0
+    assert [u.dim for u in subs] == [0, 5]
+
+
+FIELDS = {"gf2": (GF(2), 4), "gf3": (GF(3), 4), "gf5": (GF(5), 4),
+          "gf9": (GF(3, 2), 3), "gf25": (GF(5, 2), 3)}
+
+
+@st.composite
+def small_modules(draw, K, max_dim):
+    """Modules of 0-2 generators: dense, block upper triangular, self-extensions
+    [[A, X], [0, A]] (usually non-split) and zero actions.  The entries come
+    from a drawn seed, so shrinking never zeroes a large module, whose lattice
+    of all subspaces line enumeration could not close in time."""
+    kind = draw(st.sampled_from(["dense", "triangular", "extension", "zero"]))
+    count = draw(st.integers(0, 2) if kind in ("dense", "zero") else st.integers(1, 2))
+    if kind == "zero" or count == 0:
+        # every subspace is a submodule: keep to at most 31 lines
+        q = K.order()
+        max_dim = max(n for n in range(1, max_dim + 1) if (q**n - 1) // (q - 1) <= 31)
+    if kind == "extension":
+        d = draw(st.integers(1, max_dim // 2))
+        n = 2 * d
+    else:
+        n = draw(st.integers(1, max_dim))
+    split = draw(st.integers(1, n)) if kind == "triangular" else n
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    z = K.zero()
+
+    def entry(i, j):
+        if kind == "zero" or (i >= split and j < split):
+            return z
+        if kind == "extension" and (i >= d and j < d):
+            return z
+        return K.random(rng)
+
+    gens = []
+    for g in range(count):
+        rows = [[entry(i, j) for j in range(n)] for i in range(n)]
+        if kind == "extension":  # the same block A on both diagonal blocks
+            for i in range(d):
+                rows[d + i][d:] = rows[i][:d]
+        gens.append((f"g{g}", Mat(K, rows)))
+    return repmod.LieModule(K, n, gens)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_all_submodules_matches_line_enumeration(name, data):
+    K, max_dim = FIELDS[name]
+    M = data.draw(small_modules(K, max_dim))
+    assert verify.all_submodules(M) == all_submodules_by_enumeration(M)
+
+
+def test_all_submodules_on_prop_10_2_module(monkeypatch, capsys):
+    # the lattice claim of Prop 10.2 (the adjoint module of L^(1) over GF(2))
+    # agrees with line enumeration
+    seen = []
+    descent = verify.all_submodules
+
+    def recording(M):
+        subs = descent(M)
+        seen.append((M, subs))
+        return subs
+
+    monkeypatch.setattr(verify, "all_submodules", recording)
+    assert main(["verify:thm1.2", "--field", "2", "--m", "4"]) == 0
+    capsys.readouterr()
+    assert [M.dim for M, _ in seen] == [6]
+    for M, subs in seen:
+        assert subs == all_submodules_by_enumeration(M)
+        assert [u.dim for u in subs] == [0, 3, 6]
 
 
 def test_note_9_3():
