@@ -18,12 +18,13 @@ from .fields import field_from_token
 from .forms import standard_symplectic_gram
 from .liealg import (
     MatLieAlg,
+    ad_gl,
     derived_series,
     gl_subspace,
     skew_adjoint_algebra,
     self_adjoint_module,
 )
-from .linalg import Mat, Subspace, kron
+from .linalg import Mat, Subspace
 from .repmod import (
     LieModule,
     adjoint_module,
@@ -355,12 +356,7 @@ def _run_weights(K, args):
     H_space = L.space.intersect(diag)
     if H_space.dim == 0:
         raise CliError("L contains no nonzero diagonal matrices")
-    # the action of h on gl is ad(h) = kron(h, I) - kron(I, h')
-    eye = Mat.identity(K, m)
-    H = []
-    for i, r in enumerate(H_space.basis):
-        h = Mat.unvec(K, list(r), m, m)
-        H.append((f"h{i}", kron(h, eye) - kron(eye, h.transpose())))
+    H = [(f"h{i}", ad_gl(Mat.unvec(K, list(r), m, m))) for i, r in enumerate(H_space.basis)]
     module = adjoint_module(L, gl_subspace(K, m))
     table = weights(module, H)
     entries = sorted(

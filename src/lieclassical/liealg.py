@@ -17,6 +17,21 @@ def bracket(X: Mat, Y: Mat) -> Mat:
     return X @ Y - Y @ X
 
 
+def ad_gl(x: Mat) -> Mat:
+    """ad x = [x, -] on gl(m) in row-major coordinates, kron(x, I) - kron(I, x'):
+    row (i, k) holds x[i][j] at (j, k) and -x[l][k] at (i, l)."""
+    K, m = x.field, x.nrows
+    rows = []
+    for i in range(m):
+        for k in range(m):
+            row = [K.zero()] * (m * m)
+            row[k::m] = x.rows[i]
+            for l in range(m):
+                row[i * m + l] = K.sub(row[i * m + l], x.rows[l][k])
+            rows.append(row)
+    return Mat(K, rows)
+
+
 def gl_subspace(K: Field, m: int) -> Subspace:
     return Subspace.full(K, m * m)
 
@@ -282,30 +297,16 @@ def is_simple(alg, budget: int | None = None) -> bool:
     Ideals of a Lie algebra are exactly the submodules of its adjoint
     module, so dim > 1 plus an irreducible adjoint module is simplicity.
     """
-    from .repmod import LieModule, certify_irreducible
+    from .repmod import LieModule, adjoint_module, certify_irreducible
 
-    if isinstance(alg, StructureConstants):
-        dim = alg.dim
-        mats = alg.adjoint_matrices()
-        K = alg.field
-    else:
-        dim = alg.dim
-        K = alg.field
-        mats = _adjoint_action_matrices(alg)
-    if dim <= 1:
+    if alg.dim <= 1:
         return False
-    module = LieModule(K, dim, [(f"ad{i}", a) for i, a in enumerate(mats)])
+    if isinstance(alg, StructureConstants):
+        mats = alg.adjoint_matrices()
+        module = LieModule(alg.field, alg.dim, [(f"ad{i}", a) for i, a in enumerate(mats)])
+    else:
+        module = adjoint_module(alg, alg.space)
     res = certify_irreducible(module, budget=budget)
     if res.status == "budget-exceeded":
         raise ValueError("irreducibility budget exceeded")
     return res.status == "irreducible"
-
-
-def _adjoint_action_matrices(L: MatLieAlg):
-    K = L.field
-    basis = L.basis_mats()
-    mats = []
-    for x in basis:
-        cols = [L.space.coords(bracket(x, y).vec()) for y in basis]
-        mats.append(Mat(K, [[cols[j][i] for j in range(L.dim)] for i in range(L.dim)]))
-    return mats

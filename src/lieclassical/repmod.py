@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import Field, PrimeField, GF, is_prime
 from .forms import BilForm
-from .liealg import MatLieAlg, StructureConstants, bracket
+from .liealg import MatLieAlg, StructureConstants, ad_gl, bracket
 from .linalg import (
     Echelon,
     EchelonGFp,
@@ -209,6 +209,8 @@ def _random_element(M: LieModule, rng) -> Mat:
     """x y + z for random linear combinations x, y, z of the generators."""
     K = M.field
     mats = M.action_mats()
+    if not mats:
+        return Mat.zeros(K, M.dim, M.dim)
     coeffs = [[K.random(rng) for _ in mats] for _ in range(3)]
     if isinstance(K, PrimeField):
         p, arrays = K.char, _np_mats(M)
@@ -255,19 +257,31 @@ def restrict_module(M: LieModule, U: Subspace) -> LieModule:
                 raise ValueError("subspace is not invariant")
             out[...] = images[:, piv].T
         return _module_from_stack(M, stack)
-    if U.dim == 0:
-        # an empty basis matrix has no columns to multiply against
-        return LieModule(K, 0, [(lbl, Mat(K, [])) for lbl in M.labels()])
     gens = []
-    B = U.basis_matrix()
     for lbl, A in M.generators:
-        images = B @ A.transpose()  # rows are A * u_i
-        for row in images.rows:
-            if not U.contains_vector(row):
-                raise ValueError("subspace is not invariant")
-        sub = Mat(K, [[row[p] for p in U.pivots] for row in images.rows])
-        gens.append((lbl, sub.transpose()))
+        C = _restricted(U, A)
+        if C is None:
+            raise ValueError("subspace is not invariant")
+        gens.append((lbl, C))
     return LieModule(K, U.dim, gens)
+
+
+def _columns(U: Subspace) -> Mat:
+    """U's basis as the columns of an ambient x dim matrix B' (no columns for U = 0)."""
+    return Mat(U.field, [[u[j] for u in U.basis] for j in range(U.ambient)])
+
+
+def _restricted(U: Subspace, A: Mat) -> Mat | None:
+    """The matrix of A on U in U's coordinates, or None unless A U lies in U.
+
+    The columns of A B' are the images A u_i; their entries C at U's pivot
+    rows are the coordinates each would have in U, so A U lies in U iff
+    B' C = A B'.
+    """
+    Bt = _columns(U)
+    images = A @ Bt
+    C = Mat(U.field, [images.rows[p] for p in U.pivots])
+    return C if Bt @ C == images else None
 
 
 def quotient_module(M: LieModule, U: Subspace) -> LieModule:
@@ -303,26 +317,7 @@ def quotient_lift(U: Subspace, coords):
 
 def invariant_under(U: Subspace, A: Mat) -> bool:
     """A U contained in U."""
-    return _invariance_test(U)(A)
-
-
-def _invariance_test(U: Subspace):
-    """The predicate A -> (A U contained in U), checked as C (A B')' = 0.
-
-    C has one row per functional vanishing on U, so the product being zero
-    says every image A u still satisfies all defining equations of U.  C is
-    built once, so testing many generators costs one kernel.
-    """
-    if U.dim == 0 or U.dim == U.ambient:
-        return lambda A: True
-    B = U.basis_matrix()
-    Ct = _annihilator_matrix(U).transpose()
-    return lambda A: ((B @ A.transpose()) @ Ct).is_zero()
-
-
-def _annihilator_matrix(U: Subspace) -> Mat:
-    """Rows c with c . u = 0 for all u in U (a basis of the annihilator)."""
-    return kernel(U.basis_matrix()).basis_matrix()
+    return U.dim in (0, U.ambient) or _restricted(U, A) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +367,7 @@ def _normalize_chain(M, candidate_chain):
     if chain[-1].dim != M.dim:
         chain.append(Subspace.full(K, M.dim))
     for term in chain:
-        invariant = _invariance_test(term)
-        if not all(invariant(A) for _, A in M.generators):
+        if not all(invariant_under(term, A) for _, A in M.generators):
             raise ValueError("candidate chain term is not invariant")
     return chain
 
@@ -502,6 +496,8 @@ def hom_space(M1: LieModule, M2: LieModule) -> Subspace:
     eye2 = Mat.identity(K, n2)
     for (_, a1), (_, a2) in zip(M1.generators, M2.generators):
         blocks.append(kron(eye2, a1.transpose()) - kron(a2, eye1))
+    if not blocks:
+        return Subspace.full(K, n1 * n2)
     stacked = Mat(K, [row for b in blocks for row in b.rows])
     return kernel(stacked)
 
@@ -547,17 +543,13 @@ def weights(M: LieModule, H) -> WeightTable:
 
 def adjoint_module(L: MatLieAlg, ambient: Subspace) -> LieModule:
     """ad action of L's basis restricted to an invariant subspace of gl(m)."""
-    K = L.field
-    ws = [Mat.unvec(K, list(r), L.m, L.m) for r in ambient.basis]
-    Ct = _annihilator_matrix(ambient).transpose()  # no rows if ambient is everything
-    gens = []
-    for idx, x in enumerate(L.basis_mats()):
-        images = Mat(K, [bracket(x, w).vec() for w in ws])  # in ambient iff images C' = 0
-        if ws and Ct.rows and not (images @ Ct).is_zero():
-            raise ValueError("ambient subspace is not ad-invariant")
-        coords = [[row[p] for p in ambient.pivots] for row in images.rows]
-        gens.append((f"x{idx}", Mat(K, coords).transpose()))
-    return LieModule(K, ambient.dim, gens)
+    gl = LieModule(L.field, L.m * L.m, [(f"x{i}", ad_gl(x)) for i, x in enumerate(L.basis_mats())])
+    if ambient.dim == gl.dim:
+        return gl
+    try:
+        return restrict_module(gl, ambient)
+    except ValueError:
+        raise ValueError("ambient subspace is not ad-invariant") from None
 
 
 @dataclass
@@ -596,8 +588,7 @@ def tensor_square(form: BilForm, L: MatLieAlg) -> TensorSquare:
 
 
 def gamma_image(ts: TensorSquare, U: Subspace) -> Subspace:
-    rows = [matvec(ts.gamma, list(r)) for r in U.basis]
-    return Subspace.from_rows(U.field, U.ambient, rows)
+    return Subspace.from_rows(U.field, U.ambient, (ts.gamma @ _columns(U)).transpose().rows)
 
 
 def star_map(s: Mat) -> Mat:
@@ -739,14 +730,6 @@ def heisenberg_poly_module_on_basis(K, n: int, alpha, monomials) -> LieModule:
         gens.append((f"v{i+1}", mv))
     gens.append(("z", Mat.identity(K, d).scale(alpha)))
     return LieModule(K, d, gens)
-
-
-def algebra_adjoint_module(L: MatLieAlg) -> LieModule:
-    """The adjoint module of L on itself, in L's own coordinates."""
-    from .liealg import _adjoint_action_matrices
-
-    mats = _adjoint_action_matrices(L)
-    return LieModule(L.field, L.dim, [(f"ad{i}", a) for i, a in enumerate(mats)])
 
 
 def representation_kernel(module: LieModule, alg) -> Subspace:

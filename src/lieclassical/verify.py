@@ -19,7 +19,6 @@ from .forms import (
 )
 from .liealg import (
     MatLieAlg,
-    StructureConstants,
     bracket,
     derived_series,
     gl_subspace,
@@ -34,11 +33,10 @@ from .liealg import (
     trace_orthogonal_complement,
     trace_pairing,
 )
-from .linalg import Mat, Subspace, irreducible_factor, kernel, matvec, solve, unit_vector
+from .linalg import Mat, Subspace, irreducible_factor, kernel, solve
 from .repmod import (
     LieModule,
     adjoint_module,
-    algebra_adjoint_module,
     certify_irreducible,
     composition_series,
     conjugation_modules,
@@ -53,7 +51,6 @@ from .repmod import (
     invariant_under,
     line_reps,
     modp_irreducible,
-    quotient_lift,
     quotient_module,
     representation_kernel,
     respects_brackets,
@@ -131,23 +128,6 @@ def _ser(x):
 def _unvec_rows(space: Subspace, m):
     K = space.field
     return [Mat.unvec(K, list(r), m, m) for r in space.basis]
-
-
-def struct_of(L: MatLieAlg, basis=None) -> StructureConstants:
-    """Structure constants of L on a chosen (or its canonical) matrix basis."""
-    K = L.field
-    mats = basis if basis is not None else L.basis_mats()
-    B = Mat(K, [x.vec() for x in mats]).transpose()
-    table = []
-    for x in mats:
-        row = []
-        for y in mats:
-            c = solve(B, bracket(x, y).vec())
-            if c is None:
-                raise ValueError("basis does not span a subalgebra")
-            row.append(c)
-        table.append(row)
-    return StructureConstants(K, [f"e{i}" for i in range(len(mats))], table)
 
 
 def _block_span(K, m, blocks):
@@ -235,7 +215,7 @@ def _is_simple_certified(L: MatLieAlg, primes):
         return is_simple(L), "spin certification"
     if L.dim <= 1:
         return False, "dimension"
-    if modp_irreducible(algebra_adjoint_module(L), primes):
+    if modp_irreducible(adjoint_module(L, L.space), primes):
         return True, "mod-p"
     if L.m == 4:
         ideal = _so4_ideal(L)
@@ -346,7 +326,7 @@ def _run_m2_alternating(rep: Report) -> Report:
     e = Mat.unit(K, 2, 2, 0, 1)
     f = Mat.unit(K, 2, 2, 1, 0)
     eye = Mat.identity(K, 2)
-    S = struct_of(L, [e, f, eye])
+    S, _ = quotient_algebra(L, Subspace.zero(K, 4), reps=[e, f, eye])
     rep.check("L = h(1)", "Note 12.5", True,
               lie_isomorphic_by_structure(heisenberg(K, 1), S, Mat.identity(K, 3)))
     poly = heisenberg_poly_module(K, 1, K.one())
@@ -515,8 +495,6 @@ def all_submodules(M: LieModule):
     factors (one per isomorphism class: simple S, T are isomorphic iff
     Hom(S, T) != 0), and every proper submodule lies in a maximal one."""
     K = M.field
-    if not M.generators:  # every subspace is a submodule, as under a zero action
-        M = LieModule(K, M.dim, [("0", Mat.zeros(K, M.dim, M.dim))])
     chain = composition_series(M).chain if M.dim else []
     simples = []
     for lo, hi in zip(chain, chain[1:]):
@@ -653,7 +631,7 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
     # M is an explicit intertwiner (cheaper than solving the full Hom system)
     quo = quotient_module(module, M)
     adL = restrict_module(module, L.space)
-    T = _projection_intertwiner(quo, L.space, M)
+    T = _projection_intertwiner(L.space, M)
     ok = not K.is_zero(T.det()) and all(
         T @ aq == al @ T
         for (_, aq), (_, al) in zip(quo.generators, adL.generators)
@@ -666,17 +644,16 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
                   simple, smethod)
 
 
-def _projection_intertwiner(quo, Lspace: Subspace, M: Subspace) -> Mat:
-    """Matrix of gl/M -> L sending a coset to its L-component along M."""
+def _projection_intertwiner(Lspace: Subspace, M: Subspace) -> Mat:
+    """Matrix of gl/M -> L sending a coset to its L-component along M.
+
+    The coset of e_j, j not a pivot of M, has L-coordinates column j of the
+    top rows of the inverse of [L basis | M basis] (bases as columns)."""
     K = Lspace.field
-    n = Lspace.ambient
     B = Mat(K, [list(r) for r in Lspace.basis] + [list(r) for r in M.basis])
     Binv = B.transpose().inv()
-    cols = []
-    for j in range(quo.dim):
-        c = matvec(Binv, quotient_lift(M, unit_vector(K, quo.dim, j)))
-        cols.append(c[: Lspace.dim])
-    return Mat(K, [[cols[j][i] for j in range(quo.dim)] for i in range(Lspace.dim)])
+    free = [j for j in range(Lspace.ambient) if j not in M.pivots]
+    return Mat(K, [[row[j] for j in free] for row in Binv.rows[: Lspace.dim]])
 
 
 def _so4_ideal(L: MatLieAlg) -> Subspace:

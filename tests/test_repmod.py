@@ -26,7 +26,6 @@ from lieclassical.repmod import (
     LieModule,
     _random_element,
     adjoint_module,
-    algebra_adjoint_module,
     block_duality_check,
     certify_irreducible,
     composition_series,
@@ -123,7 +122,7 @@ def _so4_nonsquare_mod(p):
     """so(4) of diag(1,1,1,2) reduced mod p: 2 is not a square mod 3 or 5, so
     the adjoint module is irreducible but not absolutely irreducible."""
     L = skew_adjoint_algebra(Mat.diag(QQ, [Fraction(d) for d in (1, 1, 1, 2)]))
-    return reduce_module_mod_p(algebra_adjoint_module(L), p)
+    return reduce_module_mod_p(adjoint_module(L, L.space), p)
 
 
 @pytest.mark.parametrize("K", [GF(2), GF(3), GF(3, 2)], ids=["gf2", "gf3", "gf9"])
@@ -370,8 +369,8 @@ def _reference_quotient(M, U):
 
 
 def _gl_modules():
-    """gl(m) as an L(f)-module over small prime fields, with L(f), M(f) inside."""
-    for K in (GF(2), GF(3), GF(5)):
+    """gl(m) as an L(f)-module over small fields and Q, with L(f), M(f) inside."""
+    for K in (GF(2), GF(3), GF(5), GF(3, 2), QQ):
         for gram in (standard_symplectic_gram(K, 4), Mat.diag(K, [K.one()] * 3)):
             L = skew_adjoint_algebra(gram)
             M = adjoint_module(L, gl_subspace(K, gram.nrows))
@@ -466,3 +465,35 @@ def test_adjoint_module_refuses_a_non_invariant_ambient():
         diag = Subspace.from_rows(K, 4, [Mat.unit(K, 2, 2, i, i).vec() for i in range(2)])
         with pytest.raises(ValueError, match="ambient subspace is not ad-invariant"):
             adjoint_module(L, diag)
+
+
+def _reference_adjoint(L, ambient):
+    """ad action of L's basis on an ad-invariant subspace of gl(m): one bracket
+    per pair of basis element and ambient vector, read off in its coordinates."""
+    K = L.field
+    ws = [Mat.unvec(K, list(r), L.m, L.m) for r in ambient.basis]
+    return [Mat(K, [ambient.coords(bracket(x, w).vec()) for w in ws]).transpose()
+            for x in L.basis_mats()]
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(3), GF(3, 2), QQ], ids=["gf2", "gf3", "gf9", "q"])
+def test_adjoint_module_matches_bracket_reference(K):
+    for gram in (standard_symplectic_gram(K, 4), Mat.diag(K, [K.one()] * 3)):
+        L = skew_adjoint_algebra(gram)
+        M = self_adjoint_module(gram)
+        m = gram.nrows
+        for ambient in (gl_subspace(K, m), L.space, M, M.intersect(sl_subspace(K, m))):
+            mod = adjoint_module(L, ambient)
+            assert mod.dim == ambient.dim
+            assert mod.labels() == [f"x{i}" for i in range(L.dim)]
+            assert mod.action_mats() == _reference_adjoint(L, ambient)
+
+
+@pytest.mark.parametrize("K", [GF(3), GF(3, 2)], ids=["gf3", "gf9"])
+def test_generator_free_module(K):
+    M = LieModule(K, 2, [])
+    assert _random_element(M, random.Random(0)) == Mat.zeros(K, 2, 2)
+    assert hom_space(M, M) == Subspace.full(K, 4)
+    assert certify_irreducible(M).status == "reducible"
+    cs = composition_series(M)
+    assert (cs.factor_dims, cs.factor_trivial) == ([1, 1], [True, True])
