@@ -185,7 +185,7 @@ def _need_m(args):
 
 def _diag_entries(K, m, form_spec):
     A = load_gram(K, m, form_spec)
-    diag = [A.rows[i][i] for i in range(A.nrows)]
+    diag = A.diagonal()
     if A != Mat.diag(K, diag):
         raise CliError("this command needs a diagonal form")
     return diag

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import Mat, Subspace, matvec
+from .linalg import Mat, Subspace
 
 
 @dataclass(frozen=True)
@@ -44,18 +44,13 @@ def classify(A: Mat) -> BilForm:
     K = A.field
     symmetric = A == A.transpose()
     skew = A.transpose() == -A
-    alternating = skew and all(K.is_zero(A.rows[i][i]) for i in range(A.nrows))
+    alternating = skew and all(K.is_zero(a) for a in A.diagonal())
     nondeg = not K.is_zero(A.det())
     return BilForm(A, symmetric, alternating, nondeg)
 
 
 def _form_value(A: Mat, u, v):
-    K = A.field
-    Av = matvec(A, v)
-    acc = K.zero()
-    for a, b in zip(u, Av):
-        acc = K.add(acc, K.mul(a, b))
-    return acc
+    return (Mat(A.field, [u]) @ A @ Mat(A.field, [v]).transpose()).rows[0][0]
 
 
 def symplectic_basis(A: Mat) -> CongruenceResult:
@@ -65,9 +60,8 @@ def symplectic_basis(A: Mat) -> CongruenceResult:
         raise ValueError("symplectic basis needs a nondegenerate alternating form")
     K = A.field
     m = A.nrows
-    basis = [[K.one() if i == j else K.zero() for j in range(m)] for i in range(m)]
     us, vs = [], []
-    remaining = basis
+    remaining = Mat.identity(K, m).rows
     while remaining:
         u = remaining[0]
         partner = next(
@@ -93,10 +87,8 @@ def symplectic_basis(A: Mat) -> CongruenceResult:
             ]
             new_remaining.append(w2)
         remaining = [w for w in new_remaining if any(not K.is_zero(a) for a in w)]
-    n = len(us)
-    cols = us + vs
-    S = Mat(K, [[cols[j][i] for j in range(m)] for i in range(m)])
-    J = standard_symplectic_gram(K, 2 * n)
+    S = Mat(K, us + vs).transpose()
+    J = standard_symplectic_gram(K, 2 * len(us))
     check = S.transpose() @ A @ S
     if check != J:
         raise AssertionError("symplectic reduction did not reach J")
@@ -121,9 +113,8 @@ def diagonalize_symmetric(A: Mat) -> CongruenceResult:
     if char2 and form.alternating and not A.is_zero():
         raise ValueError("alternating form in characteristic 2 has no diagonal Gram")
     m = A.nrows
-    basis = [[K.one() if i == j else K.zero() for j in range(m)] for i in range(m)]
     done = []
-    remaining = basis
+    remaining = Mat.identity(K, m).rows
     while remaining:
         # everything orthogonal to `done` lives in span(remaining)
         vals = [_form_value(A, w, w) for w in remaining]
@@ -161,12 +152,10 @@ def diagonalize_symmetric(A: Mat) -> CongruenceResult:
         u = remaining.pop(idx)
         done.append(u)
         remaining = _orth_complement(A, remaining, u)
-    S = Mat(K, [[done[j][i] for j in range(m)] for i in range(m)])
+    S = Mat(K, done).transpose()
     D = S.transpose() @ A @ S
-    for i in range(m):
-        for j in range(m):
-            if i != j and not K.is_zero(D.rows[i][j]):
-                raise AssertionError("diagonalization failed to reach diagonal form")
+    if D != Mat.diag(K, D.diagonal()):
+        raise AssertionError("diagonalization failed to reach diagonal form")
     if K.is_zero(S.det()):
         raise AssertionError("diagonalizing transform is singular")
     return CongruenceResult(S, D)

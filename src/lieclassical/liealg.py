@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .fields import Field
-from .linalg import Mat, Subspace, kernel, op_matrix, solve_many, unit_vector
+from .linalg import Mat, Subspace, kernel, kron, matvec, op_matrix, solve_many, unit_vector
 
 
 def bracket(X: Mat, Y: Mat) -> Mat:
@@ -18,18 +18,10 @@ def bracket(X: Mat, Y: Mat) -> Mat:
 
 
 def ad_gl(x: Mat) -> Mat:
-    """ad x = [x, -] on gl(m) in row-major coordinates, kron(x, I) - kron(I, x'):
-    row (i, k) holds x[i][j] at (j, k) and -x[l][k] at (i, l)."""
-    K, m = x.field, x.nrows
-    rows = []
-    for i in range(m):
-        for k in range(m):
-            row = [K.zero()] * (m * m)
-            row[k::m] = x.rows[i]
-            for l in range(m):
-                row[i * m + l] = K.sub(row[i * m + l], x.rows[l][k])
-            rows.append(row)
-    return Mat(K, rows)
+    """ad x = [x, -] on gl(m) in row-major coordinates: x y - y x has
+    vec(x y) = kron(x, I) vec(y) and vec(y x) = kron(I, x') vec(y)."""
+    eye = Mat.identity(x.field, x.nrows)
+    return kron(x, eye) - kron(eye, x.transpose())
 
 
 def gl_subspace(K: Field, m: int) -> Subspace:
@@ -143,18 +135,13 @@ def trace_orthogonal_complement(U: Subspace, within: Subspace) -> Subspace:
     m = math.isqrt(m2)
     if m * m != m2:
         raise ValueError("ambient dimension is not a square")
-    # tr(XU) = <vec(X), vec(U')>, so each u contributes one linear constraint
-    constraints = []
-    for u in U.basis:
-        umat = Mat.unvec(K, list(u), m, m)
-        constraints.append(umat.transpose().vec())
     if not within.basis:
         return within
-    B = within.basis_matrix()
-    C = Mat(K, constraints)
-    coords_kernel = kernel(C @ B.transpose())
-    rows = [within.lift(list(c)) for c in coords_kernel.basis]
-    return Subspace.from_rows(K, m2, rows)
+    # tr(XU) = <vec(X), vec(U')>, so each u contributes one linear constraint
+    # vec(u'), the entries of vec(u) at the transposed positions
+    C = U.basis_matrix()[:, [j * m + i for i in range(m) for j in range(m)]]
+    coords_kernel = kernel(C @ within.basis_matrix().transpose())
+    return Subspace.from_rows(K, m2, [within.lift(c) for c in coords_kernel.basis])
 
 
 def adjoint_star(X: Mat, A: Mat) -> Mat:
@@ -191,12 +178,7 @@ class StructureConstants:
 
     def adjoint_matrices(self):
         """ad(e_i) as dim x dim matrices (columns indexed by e_j)."""
-        K = self.field
-        mats = []
-        for i in range(self.dim):
-            cols = [self.table[i][j] for j in range(self.dim)]
-            mats.append(Mat(K, [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]))
-        return mats
+        return [Mat(self.field, self.table[i]).transpose() for i in range(self.dim)]
 
     def check_jacobi(self):
         K = self.field
@@ -249,10 +231,7 @@ def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
     q = L.dim - ideal.dim
     if reps is None:
         pivset = set(coords_I.pivots)
-        free = [j for j in range(L.dim) if j not in pivset]
-        reps = []
-        for j in free:
-            reps.append(Mat.unvec(K, L.space.lift(unit_vector(K, L.dim, j)), L.m, L.m))
+        reps = [basis[j] for j in range(L.dim) if j not in pivset]
     if len(reps) != q:
         raise ValueError(f"need {q} coset representatives, got {len(reps)}")
 
@@ -260,7 +239,7 @@ def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
         return coords_I.reduce(L.space.coords(mat.vec()))
 
     red_reps = [reduced(r) for r in reps]
-    R = Mat(K, [[red_reps[j][i] for j in range(q)] for i in range(L.dim)])
+    R = Mat(K, red_reps).transpose()
     if Subspace.from_rows(K, L.dim, red_reps).dim != q:
         raise ValueError("representatives are dependent modulo the ideal")
 
@@ -279,9 +258,7 @@ def lie_isomorphic_by_structure(Q: StructureConstants, H: StructureConstants, M:
     K = Q.field
     if K.is_zero(M.det()):
         return False
-    from .linalg import matvec
-
-    images = [matvec(M, unit_vector(K, Q.dim, i)) for i in range(Q.dim)]
+    images = M.transpose().rows  # M e_i
     for i in range(Q.dim):
         for j in range(Q.dim):
             lhs = matvec(M, Q.table[i][j])

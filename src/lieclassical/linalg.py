@@ -1,11 +1,17 @@
 """Dense exact linear algebra over the supported fields.
 
-Matrices are row-major lists of canonical scalars; everything is exact.  Every
-product is one array product: int64 over GF(p), pairs of int64 arrays over
-GF(p^2), integers with cleared denominators over Q.  Row reduction over GF(p)
-and GF(p^2) is one incremental echelon basis (int64 rows over GF(p), scalar
-pairs over GF(p^2)) whose fully reduced rows are the RREF; it serves rref,
-subspaces and spins alike.  Over Q it is fraction-free.
+A `Mat` holds one numpy array in the format of its field family: int64
+residues over GF(p); int64 residue pairs A0 + A1 w over GF(p^2) =
+GF(p)[w]/(w^2 - r), the pair on a leading axis of length 2; over Q, integer
+numerators over one positive common denominator, kept in lowest terms (int64
+while every numerator is below 2^63 in absolute value, Python ints
+otherwise).  Sums, scalings, products, transposes, Kronecker products and
+submatrices are array operations that stay exact; `Mat.rows` is a derived
+list of canonical scalars for the scalar algorithms (det, charpoly, the
+scalar echelon basis) and for output.  Row reduction over GF(p) and GF(p^2)
+is one incremental echelon basis (int64 rows over GF(p), scalar pairs over
+GF(p^2)) whose fully reduced rows are the RREF; it serves rref, subspaces
+and spins alike.  Over Q it is fraction-free.
 """
 
 from __future__ import annotations
@@ -17,50 +23,79 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import Field, PrimeField, QuadraticField, RationalField, field_from_token
+from .fields import GF, Field, PrimeField, field_from_token
 
 
 class Mat:
-    """Immutable dense matrix over one exact field."""
+    """Immutable dense matrix over one exact field, held as one array in the
+    format of its field family (see the module docstring)."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "a", "d")
 
     def __init__(self, field: Field, rows):
-        self.field = field
-        self.rows = [list(r) for r in rows]
+        rows = [list(r) for r in rows]
+        shape = (len(rows), len(rows[0]) if rows else 0)
+        d = 1
+        if field.degree == 2:
+            a = np.array(rows, dtype=np.int64).reshape(*shape, 2).transpose(2, 0, 1) % field.char
+        elif field.char:
+            a = np.array(rows, dtype=np.int64).reshape(shape) % field.char
+        else:
+            d = math.lcm(*(x.denominator for r in rows for x in r))
+            num = [[x.numerator * (d // x.denominator) for x in r] for r in rows]
+            a, d = _lowest_terms(np.array(num, dtype=object).reshape(shape), d)
+        self.field, self.a, self.d = field, a, d
+
+    @classmethod
+    def _of(cls, field, a, d=1):
+        """The matrix of an array in field's format: canonical residues over
+        GF(p) and GF(p^2), any integer numerators over d over Q."""
+        M = cls.__new__(cls)
+        if not field.char:
+            a, d = _lowest_terms(a, d)
+        M.field, M.a, M.d = field, a, d
+        return M
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return self.a.shape[-2]
 
     @property
     def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
+        return self.a.shape[-1]
+
+    @property
+    def rows(self):
+        """The entries as lists of canonical scalars (Python ints, pairs or
+        Fractions); a fresh copy, so writing into it changes nothing."""
+        K = self.field
+        if K.degree == 2:
+            return [list(zip(r0, r1)) for r0, r1 in zip(*(x.tolist() for x in self.a))]
+        if not K.char:
+            d = self.d
+            return [[Fraction(x, d) for x in r] for r in self.a.tolist()]
+        return self.a.tolist()
 
     @classmethod
     def zeros(cls, field, r, c):
-        z = field.zero()
-        return cls(field, [[z] * c for _ in range(r)])
+        return cls._of(field, np.zeros((2, r, c) if field.degree == 2 else (r, c), dtype=np.int64))
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.diag(field, [field.one()] * n)
 
     @classmethod
     def unit(cls, field, r, c, i, j):
         """The canonical matrix with a single 1 in position (i, j)."""
-        m = cls.zeros(field, r, c)
-        m.rows[i][j] = field.one()
-        return m
+        rows = [[field.zero()] * c for _ in range(r)]
+        rows[i][j] = field.one()
+        return cls(field, rows)
 
     @classmethod
     def diag(cls, field, entries):
-        n = len(entries)
-        m = cls.zeros(field, n, n)
-        for i, d in enumerate(entries):
-            m.rows[i][i] = d
-        return m
+        z = field.zero()
+        return cls(field, [[d if i == j else z for j in range(len(entries))]
+                           for i, d in enumerate(entries)])
 
     @classmethod
     def from_int_rows(cls, field, rows):
@@ -69,73 +104,101 @@ class Mat:
     @classmethod
     def from_blocks(cls, blocks):
         """Assemble from a 2D grid of matrices with matching shapes."""
-        rows = []
-        for block_row in blocks:
-            for i in range(block_row[0].nrows):
-                row = []
-                for b in block_row:
-                    row.extend(b.rows[i])
-                rows.append(row)
-        return cls(blocks[0][0].field, rows)
+        arrays, d = _aligned([b for row in blocks for b in row])
+        it = iter(arrays)
+        grid = [np.concatenate([next(it) for _ in row], axis=-1) for row in blocks]
+        return cls._of(blocks[0][0].field, np.concatenate(grid, axis=-2), d)
 
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
             and self.field == other.field
-            and self.rows == other.rows
+            and self.d == other.d
+            and np.array_equal(self.a, other.a)
         )
 
     def __hash__(self):
-        return hash((self.field, tuple(tuple(r) for r in self.rows)))
+        return hash((self.field, self.a.shape, self.d, tuple(self.a.ravel().tolist())))
 
     def __add__(self, other):
-        K = self.field
-        return Mat(K, [[K.add(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        (a, b), d = _aligned([self, other], terms=2)
+        return Mat._of(self.field, _mod(self.field, a + b), d)
 
     def __sub__(self, other):
-        K = self.field
-        return Mat(K, [[K.sub(a, b) for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        (a, b), d = _aligned([self, other], terms=2)
+        return Mat._of(self.field, _mod(self.field, a - b), d)
 
     def __neg__(self):
-        K = self.field
-        return Mat(K, [[K.neg(a) for a in r] for r in self.rows])
+        return Mat._of(self.field, _mod(self.field, -self.a), self.d)
 
     def scale(self, c):
-        K = self.field
-        return Mat(K, [[K.mul(c, a) for a in r] for r in self.rows])
+        K, a = self.field, self.a
+        if K.degree == 2:
+            return Mat._of(K, _pair_product(K, a, np.array(c, dtype=np.int64).reshape(2, 1, 1)))
+        if K.char:
+            return Mat._of(K, (a * c) % K.char)
+        c = Fraction(c)
+        (a,) = _exact(_height(a) * max(abs(c.numerator), 1), a)
+        return Mat._of(K, a * c.numerator, self.d * c.denominator)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        return _matmul(self, other)
+        K, a, b = self.field, self.a, other.a
+        if K.degree == 2:
+            return Mat._of(K, np.array(gfp2_matmul(a, b, K.char, K.nonresidue)))
+        if K.char:
+            return Mat._of(K, gfp_matmul(a, b, K.char))
+        # Q: (a / d_a) @ (b / d_b) = (a @ b) / (d_a d_b); no entry of a @ b,
+        # nor any partial sum, exceeds ncols max|a| max|b| in absolute value
+        bound = self.ncols * _height(a) * _height(b)
+        return Mat._of(K, _int_matmul(*_exact(bound, a, b), bound), self.d * other.d)
+
+    def __getitem__(self, key):
+        """The submatrix M[rows, cols]; each index is a slice or a list."""
+        rows, cols = key
+        return Mat._of(self.field, self.a[..., rows, :][..., cols], self.d)
 
     def transpose(self):
-        return Mat(self.field, [list(col) for col in zip(*self.rows)]) if self.rows else Mat(self.field, [])
+        return Mat._of(self.field, np.swapaxes(self.a, -1, -2), self.d)
+
+    def reshape(self, r, c):
+        """The same entries, read row by row, as an r x c matrix."""
+        return Mat._of(self.field, self.a.reshape(*self.a.shape[:-2], r, c), self.d)
 
     def trace(self):
         K = self.field
-        acc = K.zero()
-        for i in range(min(self.nrows, self.ncols)):
-            acc = K.add(acc, self.rows[i][i])
-        return acc
+        diag = np.diagonal(self.a, axis1=-2, axis2=-1).tolist()
+        if K.degree == 2:
+            return tuple(sum(x) % K.char for x in diag)
+        if K.char:
+            return sum(diag) % K.char
+        return Fraction(sum(diag), self.d)
+
+    def diagonal(self):
+        return [r[i] for i, r in enumerate(self.rows)]
 
     def is_zero(self):
-        K = self.field
-        return all(K.is_zero(a) for r in self.rows for a in r)
+        return not self.a.any()
 
     def vec(self):
         """Row-major flattening."""
-        return [a for r in self.rows for a in r]
+        return self.reshape(1, self.nrows * self.ncols).rows[0]
 
     @classmethod
     def unvec(cls, field, v, r, c):
-        return cls(field, [v[i * c : (i + 1) * c] for i in range(r)])
+        return cls(field, [v]).reshape(r, c)
+
+    def cleared_mod(self, p):
+        """Over Q: the integer matrix d M, d the least common denominator of
+        the entries, reduced mod p, over GF(p)."""
+        return Mat._of(GF(p), (self.a % p).astype(np.int64))
 
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
         K = self.field
-        a = [list(r) for r in self.rows]
+        a = self.rows
         n = self.nrows
         det = K.one()
         for col in range(n):
@@ -158,11 +221,11 @@ class Mat:
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        aug = Mat(self.field, [self.rows[i] + Mat.identity(self.field, n).rows[i] for i in range(n)])
-        red, rank, _ = rref(aug)
-        if rank < n:
+        # [M | I] always has rank n; M is invertible iff its pivots are M's columns
+        red, _, pivots = rref(Mat.from_blocks([[self, Mat.identity(self.field, n)]]))
+        if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Mat(self.field, [r[n:] for r in red.rows])
+        return red[:, n:]
 
     def to_text(self):
         K = self.field
@@ -193,16 +256,60 @@ class Mat:
         return f"Mat({self.field!r}, {self.nrows}x{self.ncols})"
 
 
+def _mod(K, a):
+    return a % K.char if K.char else a
+
+
+def _height(a):
+    """The largest absolute value in an integer array, at least 1."""
+    return max(int(abs(a).max()), 1) if a.size else 1
+
+
+def _exact(bound, *arrays):
+    """The integer arrays in int64 when no value the operation at hand makes
+    exceeds bound < 2^63 in absolute value, else in Python ints."""
+    dtype = np.int64 if bound < 2**63 else object
+    return [x.astype(dtype, copy=False) for x in arrays]
+
+
+def _lowest_terms(num, d):
+    """num / d with the gcd of d and all numerators divided out, in int64
+    when every numerator fits.  A zero matrix gets d = 1 and keeps its
+    numerators (g = d then, which need not fit in int64)."""
+    if d != 1:
+        g = math.gcd(d, int(np.gcd.reduce(num, axis=None)))
+        if g > 1:
+            num, d = num // g if num.any() else num, d // g
+    if num.dtype == object and _height(num) < 2**63:
+        num = num.astype(np.int64)
+    return num, d
+
+
+def _aligned(mats, terms=1):
+    """The arrays of mats over one denominator D, and D (1 outside Q); over Q
+    in int64 unless a sum of `terms` entries could reach 2^63."""
+    if mats[0].field.char:
+        return [M.a for M in mats], 1
+    D = math.lcm(*(M.d for M in mats))
+    scales = [D // M.d for M in mats]
+    arrays = _exact(terms * max(_height(M.a) * s for M, s in zip(mats, scales)),
+                    *(M.a for M in mats))
+    return [x * s if s > 1 else x for x, s in zip(arrays, scales)], D
+
+
+def _pair_product(K, x, y):
+    """The entrywise product over GF(p^2) of broadcastable residue-pair
+    arrays (pair on the leading axis); each product of two residues is
+    reduced before it is added to another."""
+    p, r = K.char, K.nonresidue
+    (x0, x1), (y0, y1) = x, y
+    c0 = ((x0 * y0) % p + (r * ((x1 * y1) % p)) % p) % p
+    return np.array((c0, ((x0 * y1) % p + (x1 * y0) % p) % p))
+
+
 def matvec(M: Mat, v):
-    K = M.field
-    out = []
-    for r in M.rows:
-        acc = K.zero()
-        for a, b in zip(r, v):
-            if not K.is_zero(a):
-                acc = K.add(acc, K.mul(a, b))
-        out.append(acc)
-    return out
+    """M v as a list, for a vector v of scalars."""
+    return (M @ Mat(M.field, [v]).transpose()).vec()
 
 
 def kron(A: Mat, B: Mat) -> Mat:
@@ -210,15 +317,16 @@ def kron(A: Mat, B: Mat) -> Mat:
     if A.field != B.field:
         raise ValueError("field mismatch in kron")
     K = A.field
-    rows = []
-    for i in range(A.nrows):
-        for k in range(B.nrows):
-            row = []
-            for j in range(A.ncols):
-                a = A.rows[i][j]
-                row.extend(K.mul(a, b) for b in B.rows[k])
-            rows.append(row)
-    return Mat(K, rows)
+    x, y = A.a[..., :, None, :, None], B.a[..., None, :, None, :]
+    d = 1
+    if K.degree == 2:
+        out = _pair_product(K, x, y)
+    elif K.char:
+        out = (x * y) % K.char
+    else:
+        x, y = _exact(_height(A.a) * _height(B.a), x, y)
+        out, d = x * y, A.d * B.d
+    return Mat._of(K, out.reshape(*out.shape[:-4], A.nrows * B.nrows, A.ncols * B.ncols), d)
 
 
 def unit_vector(field, n, j):
@@ -230,12 +338,23 @@ def unit_vector(field, n, j):
 
 def op_matrix(field, n_in, n_out, fn) -> Mat:
     """Matrix of a linear map given as a vector function (columns = images)."""
-    cols = [fn(unit_vector(field, n_in, j)) for j in range(n_in)]
-    return Mat(field, [[cols[j][i] for j in range(n_in)] for i in range(n_out)])
+    return Mat(field, [fn(unit_vector(field, n_in, j)) for j in range(n_in)]).transpose()
 
 
 # ---------------------------------------------------------------------------
-# Row reduction
+# Integer products: bounded, over GF(p) and over GF(p^2)
+
+
+def _int_matmul(a, b, bound):
+    """a @ b for integer arrays when no entry of the product, nor any partial
+    sum, exceeds bound in absolute value (int64 arrays need bound < 2^63).
+    Below 2^53 every such sum is an integer that float64 holds exactly, so a
+    product large enough to repay the conversions runs through float64 BLAS
+    (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 2008); numpy's int64
+    product has no BLAS."""
+    if bound < 2**53 and a.size * b.shape[-1] >= 4096:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return a @ b
 
 
 def gfp_matmul(a, b, p):
@@ -244,29 +363,16 @@ def gfp_matmul(a, b, p):
 
     Delayed reduction: k products of residues sum to at most k (p-1)^2, so the
     inner dimension is cut into chunks of k with k (p-1)^2 + p - 1 < 2^63 and
-    the running sum is reduced after each chunk (Dumas, Giorgi and Pernet,
-    FFLAS-FFPACK, ACM TOMS 2008).
+    the running sum is reduced after each chunk (FFLAS-FFPACK again).
     """
     k = (2**63 - p) // (p - 1) ** 2
     n = a.shape[-1]
     if n <= k:
-        return (a @ b) % p
+        return _int_matmul(a, b, n * (p - 1) ** 2) % p
     out = (a[..., :k] @ b[..., :k, :]) % p
     for s in range(k, n, k):
         out = (out + a[..., s : s + k] @ b[..., s : s + k, :]) % p
     return out
-
-
-def gfp_reduce(rows, basis, pivots, p):
-    """Residuals of rows of residues mod p against a fully reduced echelon basis.
-
-    A fully reduced row is zero in every other pivot column, so eliminating
-    the pivot coordinates one row at a time equals rows - rows[:, pivots] @ basis.
-    """
-    coeffs = rows.take(pivots, axis=-1)
-    if not coeffs.any():
-        return rows
-    return (rows - gfp_matmul(coeffs, basis, p)) % p
 
 
 def gfp2_matmul(a, b, p, r):
@@ -285,42 +391,8 @@ def gfp2_matmul(a, b, p, r):
     return (t0 + r * t1) % p, (s - t0 - t1) % p
 
 
-def _matmul(A: Mat, B: Mat):
-    """A @ B as one array or integer product, empty shapes included."""
-    K = A.field
-    if isinstance(K, PrimeField):
-        return Mat(K, gfp_matmul(_array(A.rows, A), _array(B.rows, B), K.char).tolist())
-    if isinstance(K, QuadraticField):
-        a, b = _array(A.rows, A, (2,)), _array(B.rows, B, (2,))
-        c0, c1 = gfp2_matmul((a[..., 0], a[..., 1]), (b[..., 0], b[..., 1]), K.char, K.nonresidue)
-        return Mat(K, [list(zip(r0, r1)) for r0, r1 in zip(c0.tolist(), c1.tolist())])
-    # Q: (a / d_A) @ (b / d_B) = (a @ b) / (d_A d_B) with integer a, b; the
-    # sum of ncols products is at most ncols max|a| max|b| in absolute value
-    # (maxima taken as at least 1, so a zero factor cannot send the other's
-    # large entries to int64): int64 is exact below 2^63, Python ints above
-    a, d_a = _cleared(A.rows)
-    b, d_b = _cleared(B.rows)
-    bound = A.ncols * max(_max_abs(a), 1) * max(_max_abs(b), 1)
-    dtype = np.int64 if bound < 2**63 else object
-    prod = (_array(a, A, dtype=dtype) @ _array(b, B, dtype=dtype)).tolist()
-    d = d_a * d_b
-    if d == 1:
-        return Mat(K, [[Fraction(x) for x in row] for row in prod])
-    return Mat(K, [[Fraction(x, d) for x in row] for row in prod])
-
-
-def _array(rows, M: Mat, entry_shape=(), dtype=np.int64):
-    return np.array(rows, dtype=dtype).reshape(M.nrows, M.ncols, *entry_shape)
-
-
-def _cleared(rows):
-    """(ints, d) with rows = ints / d, d the lcm of the denominators."""
-    d = math.lcm(*(x.denominator for r in rows for x in r))
-    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
-
-
-def _max_abs(ints):
-    return max((abs(x) for r in ints for x in r), default=0)
+# ---------------------------------------------------------------------------
+# Row reduction
 
 
 def rref(M: Mat):
@@ -330,29 +402,29 @@ def rref(M: Mat):
     fed into an incremental echelon basis, whose rows sorted by pivot are
     the RREF basis."""
     K = M.field
-    if isinstance(K, RationalField):
-        basis, pivots = _rref_rational(M.rows, M.ncols)
-    else:
-        ech = (EchelonGFp if isinstance(K, PrimeField) else Echelon)(K, M.ncols)
-        for r in M.rows:
-            ech.add(r)
-        S = ech.subspace()
-        basis, pivots = S.basis, S.pivots
-    zero = [K.zero()] * M.ncols
-    return Mat(K, [*basis, *[zero] * (M.nrows - len(basis))]), len(basis), tuple(pivots)
+    basis, pivots = _rref_basis(M)
+    zeros = Mat.zeros(K, M.nrows - len(basis), M.ncols)
+    red = Mat.from_blocks([[Mat(K, basis)], [zeros]]) if basis else zeros
+    return red, len(basis), tuple(pivots)
+
+
+def _rref_basis(M: Mat):
+    """(basis rows, pivots) of the RREF of M."""
+    if not M.field.char:
+        return _rref_rational(M.a.tolist(), M.ncols)
+    ech = echelon(M.field, M.ncols)
+    ech.add_rows(M)
+    S = ech.subspace()
+    return S.basis, S.pivots
 
 
 def _rref_rational(rows, ncols):
-    """(basis rows, pivots) of the RREF: fraction-free elimination on
-    primitive integer rows, normalized at the end."""
+    """(basis rows, pivots) of the RREF of integer rows: fraction-free
+    elimination on primitive rows, normalized at the end."""
     work = []
-    for r in rows:
-        den = math.lcm(*[f.denominator for f in r]) if r else 1
-        ints = [int(f * den) for f in r]
-        g = math.gcd(*ints) if any(ints) else 1
-        if g > 1:
-            ints = [x // g for x in ints]
-        work.append(ints)
+    for ints in rows:
+        g = math.gcd(*ints)
+        work.append([x // g for x in ints] if g > 1 else ints)
     nrows = len(work)
     rank = 0
     pivots = []
@@ -367,7 +439,7 @@ def _rref_rational(rows, ncols):
                 continue
             f = work[r][col]
             work[r] = [pv * x - f * y for x, y in zip(work[r], work[rank])]
-            g = math.gcd(*work[r]) if any(work[r]) else 1
+            g = math.gcd(*work[r])
             if g > 1:
                 work[r] = [x // g for x in work[r]]
         pivots.append(col)
@@ -387,31 +459,29 @@ def solve_many(A: Mat, bs):
     """One solution of A x = b for each of the nonempty list bs, from one rref
     of [A | b_1 ... b_k]; None unless every system is consistent."""
     K, n = A.field, A.ncols
-    red, rank, pivots = rref(Mat(K, [row + list(c) for row, c in zip(A.rows, zip(*bs))]))
+    red, rank, pivots = rref(Mat.from_blocks([[A, Mat(K, bs).transpose()]]))
     if pivots and pivots[-1] >= n:
         return None
     sols = [[K.zero()] * n for _ in bs]
-    for i, col in enumerate(pivots):
-        for x, c in zip(sols, red.rows[i][n:]):
+    for col, row in zip(pivots, red[:rank, n:].rows):
+        for x, c in zip(sols, row):
             x[col] = c
     return sols
 
 
 def kernel(M: Mat) -> "Subspace":
-    """Right kernel {v : M v = 0} as a canonical subspace."""
-    K = M.field
+    """Right kernel {v : M v = 0} as a canonical subspace: one vector
+    e_f - sum_i R[i][f] e_(pivot i) per free column f of the RREF R."""
+    K, n = M.field, M.ncols
     red, rank, pivots = rref(M)
-    n = M.ncols
     pivset = set(pivots)
     free = [j for j in range(n) if j not in pivset]
-    basis = []
-    for f in free:
-        v = [K.zero()] * n
-        v[f] = K.one()
-        for i, col in enumerate(pivots):
-            v[col] = K.neg(red.rows[i][f])
-        basis.append(v)
-    return Subspace.from_rows(K, n, basis)
+    if not free:
+        return Subspace.zero(K, n)
+    # the kernel vectors with their coordinates in the order pivots, free
+    vecs = Mat.from_blocks([[-red[:rank, free].transpose(), Mat.identity(K, len(free))]])
+    order = sorted(range(n), key=[*pivots, *free].__getitem__)
+    return Subspace.from_rows(K, n, vecs[:, order].rows)
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +533,12 @@ def charpoly(A: Mat):
 
 def poly_at(f, A: Mat) -> Mat:
     """f(A) for f of degree at least 1, by Horner's rule."""
-    K = A.field
+    eye = Mat.identity(A.field, A.nrows)
     out = A.scale(f[-1])
     for k, c in enumerate(reversed(f[:-1])):
         if k:
             out = out @ A
-        for i, row in enumerate(out.rows):
-            row[i] = K.add(row[i], c)
+        out = out + eye.scale(c)
     return out
 
 
@@ -596,9 +665,8 @@ class Subspace:
     def from_rows(cls, field, ambient, rows):
         if not rows:
             return cls(field, ambient, (), ())
-        red, rank, pivots = rref(Mat(field, rows))
-        basis = tuple(tuple(r) for r in red.rows[:rank])
-        return cls(field, ambient, basis, pivots)
+        basis, pivots = _rref_basis(Mat(field, rows))
+        return cls(field, ambient, tuple(tuple(r) for r in basis), tuple(pivots))
 
     @classmethod
     def zero(cls, field, ambient):
@@ -614,11 +682,20 @@ class Subspace:
         return len(self.basis)
 
     def basis_matrix(self) -> Mat:
-        return Mat(self.field, [list(r) for r in self.basis])
+        if not self.basis:
+            return Mat.zeros(self.field, 0, self.ambient)
+        return Mat(self.field, self.basis)
 
     def reduce(self, v):
         """Residual of v after eliminating the pivot coordinates."""
         return _reduce(self.field, v, self.basis, self.pivots)
+
+    def residuals(self, X: Mat) -> Mat:
+        """The residuals of X's rows: the basis rows are zero at each other's
+        pivots, so eliminating the pivot coordinates is X - X[:, pivots] B."""
+        if not self.basis:
+            return X
+        return X - X[:, list(self.pivots)] @ self.basis_matrix()
 
     def contains_vector(self, v) -> bool:
         K = self.field
@@ -631,39 +708,23 @@ class Subspace:
         return [v[p] for p in self.pivots]
 
     def lift(self, coords):
-        K = self.field
-        out = [K.zero()] * self.ambient
-        for c, row in zip(coords, self.basis):
-            if K.is_zero(c):
-                continue
-            out = [K.add(a, K.mul(c, b)) for a, b in zip(out, row)]
-        return out
+        return (Mat(self.field, [coords]) @ self.basis_matrix()).vec()
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(list(r)) for r in other.basis)
+        return self.residuals(other.basis_matrix()).is_zero()
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compat(other)
-        return Subspace.from_rows(
-            self.field, self.ambient, [list(r) for r in self.basis + other.basis]
-        )
+        return Subspace.from_rows(self.field, self.ambient, self.basis + other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compat(other)
         if not self.basis or not other.basis:
             return Subspace.zero(self.field, self.ambient)
         # x = a·U = b·W  <=>  (a, b) in ker [U' | -W'].
-        K = self.field
-        stacked = Mat(
-            K,
-            [
-                [self.basis[i][r] for i in range(self.dim)]
-                + [K.neg(other.basis[j][r]) for j in range(other.dim)]
-                for r in range(self.ambient)
-            ],
-        )
-        ker = kernel(stacked)
-        rows = [self.lift(list(k)[: self.dim]) for k in ker.basis]
+        ker = kernel(Mat.from_blocks([[self.basis_matrix().transpose(),
+                                       -other.basis_matrix().transpose()]]))
+        rows = [self.lift(k[: self.dim]) for k in ker.basis]
         return Subspace.from_rows(self.field, self.ambient, rows)
 
     def _check_compat(self, other):
@@ -678,6 +739,12 @@ class Subspace:
 # Incremental echelon bases: the elimination behind rref over finite fields
 # and the spinning closure.  Rows are kept normalized and fully reduced (zero
 # in every other pivot column), so sorted by pivot they are the RREF basis.
+
+
+def echelon(field, ambient):
+    """An empty echelon basis of F^ambient: int64 rows over GF(p), scalars
+    over the other fields."""
+    return (EchelonGFp if isinstance(field, PrimeField) else Echelon)(field, ambient)
 
 
 class Echelon:
@@ -710,13 +777,29 @@ class Echelon:
         self.pivots.append(piv)
         return True
 
+    def add_rows(self, M: Mat) -> Mat:
+        """Insert M's rows in order, until the basis fills the ambient space;
+        returns the submatrix of the rows that enlarged the span."""
+        kept = []
+        for i, r in enumerate(self._rows_of(M)):
+            if self.dim == self.ambient:
+                break
+            if self.add(r):
+                kept.append(i)
+        return M[kept, :]
+
+    @staticmethod
+    def _rows_of(M):
+        return M.rows
+
     def subspace(self) -> Subspace:
         return _sorted_subspace(self.field, self.ambient, self.rows, self.pivots)
 
 
-class EchelonGFp:
-    """Growing echelon basis over GF(p) as one int64 array: fully reduced
-    rows make reducing a vector a single product (`gfp_reduce`)."""
+class EchelonGFp(Echelon):
+    """Growing echelon basis over GF(p) as one int64 array: its rows are zero
+    at every other pivot, so a vector v reduces in one product,
+    v - v[pivots] @ basis (eliminating the pivots one row at a time)."""
 
     def __init__(self, field, ambient):
         self.field = field
@@ -730,7 +813,11 @@ class EchelonGFp:
         return self.mat.shape[0]
 
     def add(self, v) -> bool:
-        r = gfp_reduce(np.array(v, dtype=np.int64) % self.p, self.mat, self.pivots, self.p)
+        p = self.p
+        r = np.array(v, dtype=np.int64) % p
+        coeffs = r[self.pivots]
+        if coeffs.any():
+            r = (r - gfp_matmul(coeffs, self.mat, p)) % p
         nz = np.nonzero(r)[0]
         if nz.size == 0:
             return False
@@ -742,6 +829,10 @@ class EchelonGFp:
         self.mat = np.vstack([self.mat, r[None, :]])
         self.pivots.append(piv)
         return True
+
+    @staticmethod
+    def _rows_of(M):
+        return M.a
 
     def subspace(self) -> Subspace:
         return _sorted_subspace(self.field, self.ambient, self.mat.tolist(), self.pivots)

@@ -10,29 +10,22 @@ algebra.  It is exact and conclusive, or reports that its budget ran out.
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .fields import Field, PrimeField, GF, is_prime
+from .fields import GF, Field, is_prime
 from .forms import BilForm
 from .liealg import MatLieAlg, StructureConstants, ad_gl, bracket
 from .linalg import (
-    Echelon,
-    EchelonGFp,
     Mat,
     Subspace,
     charpoly,
     distinct_degree_parts,
-    gfp_matmul,
-    gfp_reduce,
+    echelon,
     irreducible_factor,
     kernel,
     kron,
-    matvec,
     op_matrix,
     poly_at,
     roots,
@@ -45,15 +38,27 @@ class LieModule:
     field: Field
     dim: int
     generators: list  # (label, Mat dim x dim)
-    # over GF(p): the generators as one int64 array, built on first use by
-    # spins and surgery; generators are not changed once a module is built
-    _arrays: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
 
     def action_mats(self):
         return [a for _, a in self.generators]
 
     def labels(self):
         return [lbl for lbl, _ in self.generators]
+
+    def stacked(self, transposed=False) -> Mat:
+        """The generators (or their transposes) stacked into one
+        (count * dim) x dim matrix, the surgery and spins work on."""
+        mats = [a.transpose() if transposed else a for a in self.action_mats()]
+        if not mats:
+            return Mat.zeros(self.field, 0, self.dim)
+        return Mat.from_blocks([[a] for a in mats])
+
+    def on_stack(self, X: Mat) -> "LieModule":
+        """The module with these labels whose i-th generator is X[i::count]'
+        (X's rows interleave the generators, as `_images` makes them)."""
+        g = len(self.generators)
+        return LieModule(self.field, X.ncols,
+                         [(lbl, X[i::g, :].transpose()) for i, lbl in enumerate(self.labels())])
 
 
 def dual_module(M: LieModule) -> LieModule:
@@ -85,42 +90,25 @@ def respects_brackets(M: LieModule, struct: StructureConstants) -> bool:
 # Spinning
 
 
-def _np_mats(M: LieModule):
-    """The generators as one (count, dim, dim) int64 array, converted once per module."""
-    if M._arrays is None:
-        mats = M.action_mats()
-        entries = itertools.chain.from_iterable(itertools.chain.from_iterable(a.rows for a in mats))
-        count = len(mats) * M.dim * M.dim
-        M._arrays = np.fromiter(entries, dtype=np.int64, count=count).reshape(
-            len(mats), M.dim, M.dim
-        )
-    return M._arrays
+def _images(S: Mat, X: Mat) -> Mat:
+    """The images A_i x_j of the rows x_j of X under the blocks A_i of the
+    stack S, as rows: one product, row j * count + i holding A_i x_j."""
+    n = S.ncols
+    return (X @ S.transpose()).reshape(X.nrows * S.nrows // n if n else 0, n)
 
 
 def spin(M: LieModule, seeds, transposed=False) -> Subspace:
     """Smallest subspace containing the seeds and invariant under all actions
     (under their transposes if `transposed`: a spin in the dual module).
 
-    Each round feeds the images of the vectors the last round added to one
-    echelon basis; over GF(p) a round's images are one product per generator.
+    Each round feeds the images of the vectors the last round added, one
+    product with the stacked generators, to one echelon basis.
     """
-    K = M.field
-    if isinstance(K, PrimeField):
-        p, ech = K.char, EchelonGFp(K, M.dim)
-        arrays = _np_mats(M).transpose(0, 2, 1) if transposed else _np_mats(M)
-
-        def images(frontier):
-            batch = np.array(frontier, dtype=np.int64) % p
-            return (w for G in arrays for w in gfp_matmul(batch, G.T, p))
-    else:
-        ech = Echelon(K, M.dim)
-        mats = [a.transpose() for a in M.action_mats()] if transposed else M.action_mats()
-
-        def images(frontier):
-            return (matvec(A, v) for v in frontier for A in mats)
-    frontier = [s for s in seeds if ech.add(s)]
-    while frontier and ech.dim < M.dim:
-        frontier = [w for w in images(frontier) if ech.add(w)]
+    S = M.stacked(transposed)
+    ech = echelon(M.field, M.dim)
+    frontier = ech.add_rows(Mat(M.field, seeds))
+    while frontier.nrows and ech.dim < M.dim:
+        frontier = ech.add_rows(_images(S, frontier))
     return ech.subspace()
 
 
@@ -207,17 +195,12 @@ def certify_irreducible(M: LieModule, budget: int | None = None, seed: int = 0) 
 
 def _random_element(M: LieModule, rng) -> Mat:
     """x y + z for random linear combinations x, y, z of the generators."""
-    K = M.field
-    mats = M.action_mats()
-    if not mats:
-        return Mat.zeros(K, M.dim, M.dim)
-    coeffs = [[K.random(rng) for _ in mats] for _ in range(3)]
-    if isinstance(K, PrimeField):
-        p, arrays = K.char, _np_mats(M)
-        x, y, z = gfp_matmul(np.array(coeffs), arrays.reshape(len(mats), -1), p).reshape(3, M.dim, M.dim)
-        return Mat(K, ((gfp_matmul(x, y, p) + z) % p).tolist())
-    combos = Mat(K, coeffs) @ Mat(K, [a.vec() for a in mats])
-    x, y, z = (Mat.unvec(K, v, M.dim, M.dim) for v in combos.rows)
+    K, n, g = M.field, M.dim, len(M.generators)
+    if not g:
+        return Mat.zeros(K, n, n)
+    coeffs = Mat(K, [[K.random(rng) for _ in range(g)] for _ in range(3)])
+    combos = coeffs @ M.stacked().reshape(g, n * n)
+    x, y, z = (combos[i : i + 1, :].reshape(n, n) for i in range(3))
     return x @ y + z
 
 
@@ -234,74 +217,40 @@ def _random_vector(U: Subspace, rng):
 # Module surgery: restriction, quotient
 
 
-def _basis_array(U: Subspace):
-    return np.array(U.basis, dtype=np.int64).reshape(U.dim, U.ambient)
-
-
-def _module_from_stack(M: LieModule, stack) -> LieModule:
-    """M's labels on the (count, d, d) array of new generators."""
-    gens = [(lbl, Mat(M.field, a.tolist())) for lbl, a in zip(M.labels(), stack)]
-    return LieModule(M.field, stack.shape[1], gens, stack)
-
-
 def restrict_module(M: LieModule, U: Subspace) -> LieModule:
     """Actions restricted to an invariant subspace, in its RREF coordinates."""
-    K = M.field
-    if isinstance(K, PrimeField):
-        p, piv = K.char, list(U.pivots)
-        B = _basis_array(U)
-        stack = np.empty((len(M.generators), U.dim, U.dim), dtype=np.int64)
-        for A, out in zip(_np_mats(M), stack):
-            images = gfp_matmul(B, A.T, p)  # rows are A * u_i
-            if gfp_reduce(images, B, piv, p).any():
-                raise ValueError("subspace is not invariant")
-            out[...] = images[:, piv].T
-        return _module_from_stack(M, stack)
-    gens = []
-    for lbl, A in M.generators:
-        C = _restricted(U, A)
-        if C is None:
-            raise ValueError("subspace is not invariant")
-        gens.append((lbl, C))
-    return LieModule(K, U.dim, gens)
+    coords = _image_coords(U, M.stacked())
+    if coords is None:
+        raise ValueError("subspace is not invariant")
+    return M.on_stack(coords)
 
 
-def _columns(U: Subspace) -> Mat:
-    """U's basis as the columns of an ambient x dim matrix B' (no columns for U = 0)."""
-    return Mat(U.field, [[u[j] for u in U.basis] for j in range(U.ambient)])
+def _image_coords(U: Subspace, S: Mat) -> Mat | None:
+    """The U-coordinates of the images A_i u_j of U's basis under the blocks
+    of the stack S (rows as in `_images`), or None unless every A_i maps U
+    into U.
 
-
-def _restricted(U: Subspace, A: Mat) -> Mat | None:
-    """The matrix of A on U in U's coordinates, or None unless A U lies in U.
-
-    The columns of A B' are the images A u_i; their entries C at U's pivot
-    rows are the coordinates each would have in U, so A U lies in U iff
-    B' C = A B'.
+    A u_j has U-coordinates its entries C at U's pivots if it lies in U, and
+    lies in U iff it equals C B for the basis matrix B.
     """
-    Bt = _columns(U)
-    images = A @ Bt
-    C = Mat(U.field, [images.rows[p] for p in U.pivots])
-    return C if Bt @ C == images else None
+    B = U.basis_matrix()
+    images = _images(S, B)
+    coords = images[:, list(U.pivots)]
+    return coords if coords @ B == images else None
 
 
 def quotient_module(M: LieModule, U: Subspace) -> LieModule:
-    """Actions on M/U in the coordinates of the non-pivot positions of U."""
-    K = M.field
+    """Actions on M/U in the coordinates of the non-pivot positions of U.
+
+    The images A_i e_j of the free unit vectors are columns of the
+    generators; reduced against U, their free entries are the quotient
+    action.
+    """
+    S, g = M.stacked(), len(M.generators)
     pivset = set(U.pivots)
     free = [j for j in range(M.dim) if j not in pivset]
-    if isinstance(K, PrimeField):
-        B, piv = _basis_array(U), list(U.pivots)
-        stack = np.empty((len(M.generators), len(free), len(free)), dtype=np.int64)
-        for A, out in zip(_np_mats(M), stack):
-            reduced = gfp_reduce(A[:, free].T, B, piv, K.char)  # rows are A * e_j
-            out[...] = reduced[:, free].T
-        return _module_from_stack(M, stack)
-    gens = []
-    for lbl, A in M.generators:
-        cols = A.transpose().rows
-        reduced = [U.reduce(cols[j]) for j in free]
-        gens.append((lbl, Mat(K, [[img[f] for img in reduced] for f in free])))
-    return LieModule(K, len(free), gens)
+    images = S.transpose()[free, :].reshape(len(free) * g, M.dim)
+    return M.on_stack(U.residuals(images)[:, free])
 
 
 def quotient_lift(U: Subspace, coords):
@@ -315,9 +264,10 @@ def quotient_lift(U: Subspace, coords):
     return v
 
 
-def invariant_under(U: Subspace, A: Mat) -> bool:
-    """A U contained in U."""
-    return U.dim in (0, U.ambient) or _restricted(U, A) is not None
+def invariant_under(U: Subspace, S: Mat) -> bool:
+    """A U contained in U for every block A of the stack S of ambient x
+    ambient matrices (one matrix is a stack of one)."""
+    return U.dim in (0, U.ambient) or _image_coords(U, S) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +316,9 @@ def _normalize_chain(M, candidate_chain):
         chain.insert(0, Subspace.zero(K, M.dim))
     if chain[-1].dim != M.dim:
         chain.append(Subspace.full(K, M.dim))
-    for term in chain:
-        if not all(invariant_under(term, A) for _, A in M.generators):
-            raise ValueError("candidate chain term is not invariant")
+    S = M.stacked()
+    if not all(invariant_under(term, S) for term in chain):
+        raise ValueError("candidate chain term is not invariant")
     return chain
 
 
@@ -416,11 +366,7 @@ def _max_chain(M: LieModule, budget):
     quot = quotient_module(M, W)
     lower = _max_chain(sub, budget)
     upper = _max_chain(quot, budget)
-    chain = []
-    for c in lower:
-        chain.append(
-            Subspace.from_rows(K, M.dim, [W.lift(list(r)) for r in c.basis])
-        )
+    chain = [Subspace.from_rows(K, M.dim, [W.lift(r) for r in c.basis]) for c in lower]
     chain.append(W)
     for c in upper:
         rows = [list(r) for r in W.basis]
@@ -458,16 +404,8 @@ def reduce_module_mod_p(M: LieModule, p: int) -> LieModule:
     Scaling a generator by a nonzero rational does not change its invariant
     subspaces, so the reduced module's lattice refines the rational one.
     """
-    Kp = GF(p)
-    gens = []
-    for lbl, A in M.generators:
-        den = 1
-        for row in A.rows:
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        rows = [[(x.numerator * (den // x.denominator)) % p for x in row] for row in A.rows]
-        gens.append((lbl, Mat(Kp, rows)))
-    return LieModule(Kp, M.dim, gens)
+    gens = [(lbl, A.cleared_mod(p)) for lbl, A in M.generators]
+    return LieModule(GF(p), M.dim, gens)
 
 
 def modp_irreducible(factor: LieModule, primes) -> bool:
@@ -498,8 +436,7 @@ def hom_space(M1: LieModule, M2: LieModule) -> Subspace:
         blocks.append(kron(eye2, a1.transpose()) - kron(a2, eye1))
     if not blocks:
         return Subspace.full(K, n1 * n2)
-    stacked = Mat(K, [row for b in blocks for row in b.rows])
-    return kernel(stacked)
+    return kernel(Mat.from_blocks([[b] for b in blocks]))
 
 
 def hom_members(M1, M2, H: Subspace):
@@ -574,21 +511,17 @@ def tensor_square(form: BilForm, L: MatLieAlg) -> TensorSquare:
         gens.append((f"x{idx}", kron(x, eye) + kron(eye, x)))
     module = LieModule(K, m * m, gens)
     gamma = op_matrix(K, m * m, m * m, lambda t: (Mat.unvec(K, t, m, m).transpose() @ A).vec())
-    omega = Mat(K, [[(Mat.unvec(K, unit_vector(K, m * m, j), m, m).transpose() @ A).trace()
-                     for j in range(m * m)]])
+    omega = Mat(K, [A.vec()])  # tr(T' A) = sum of T_ij A_ij
     sym, alt = sym_alt_subspaces(m, K)
     delta = None
     if K.char == 2 and form.alternating:
-        drow = [K.zero()] * (m * m)
-        for i in range(m):
-            for j in range(i + 1, m):
-                drow[i * m + j] = A.rows[i][j]
-        delta = Mat(K, [drow])
+        rows = A.rows
+        delta = Mat(K, [[rows[i][j] if i < j else K.zero() for i in range(m) for j in range(m)]])
     return TensorSquare(module, gamma, omega, sym, alt, delta)
 
 
 def gamma_image(ts: TensorSquare, U: Subspace) -> Subspace:
-    return Subspace.from_rows(U.field, U.ambient, (ts.gamma @ _columns(U)).transpose().rows)
+    return Subspace.from_rows(U.field, U.ambient, (U.basis_matrix() @ ts.gamma.transpose()).rows)
 
 
 def star_map(s: Mat) -> Mat:
@@ -598,15 +531,16 @@ def star_map(s: Mat) -> Mat:
         raise ValueError("star map needs a 4x4 matrix")
     if K.char == 2:
         raise ValueError("star map needs characteristic != 2")
-    a, b, c = s.rows[0][1], s.rows[0][2], s.rows[0][3]
-    d, e, f = s.rows[1][2], s.rows[1][3], s.rows[2][3]
+    rows = s.rows
+    a, b, c = rows[0][1], rows[0][2], rows[0][3]
+    d, e, f = rows[1][2], rows[1][3], rows[2][3]
     n = K.neg
-    out = Mat.zeros(K, 4, 4)
+    out = [[K.zero()] * 4 for _ in range(4)]
     upper = {(0, 1): f, (0, 2): n(e), (0, 3): d, (1, 2): c, (1, 3): n(b), (2, 3): a}
     for (i, j), val in upper.items():
-        out.rows[i][j] = val
-        out.rows[j][i] = n(val)
-    return out
+        out[i][j] = val
+        out[j][i] = n(val)
+    return Mat(K, out)
 
 
 # ---------------------------------------------------------------------------
@@ -614,21 +548,22 @@ def star_map(s: Mat) -> Mat:
 
 
 def block_modules(r, n, K):
-    """The gl(r) (+) gl(n) modules Z = M_{r x n} and A = M_{n x r}."""
+    """The gl(r) (+) gl(n) modules Z = M_{r x n} (a.s = as, b.s = -sb) and
+    A = M_{n x r} (a.t = -ta, b.t = bt); in row-major coordinates
+    vec(x y z) = kron(x, z') vec(y)."""
+    eye_r, eye_n = Mat.identity(K, r), Mat.identity(K, n)
     gens_z, gens_a = [], []
     for i in range(r):
         for j in range(r):
             a = Mat.unit(K, r, r, i, j)
-            gens_z.append((f"a{i}{j}", op_matrix(K, r * n, r * n, lambda v, a=a: (a @ Mat.unvec(K, v, r, n)).vec())))
-            gens_a.append((f"a{i}{j}", op_matrix(K, n * r, n * r, lambda v, a=a: (-(Mat.unvec(K, v, n, r) @ a)).vec())))
+            gens_z.append((f"a{i}{j}", kron(a, eye_n)))
+            gens_a.append((f"a{i}{j}", -kron(eye_n, a.transpose())))
     for i in range(n):
         for j in range(n):
             b = Mat.unit(K, n, n, i, j)
-            gens_z.append((f"b{i}{j}", op_matrix(K, r * n, r * n, lambda v, b=b: (-(Mat.unvec(K, v, r, n) @ b)).vec())))
-            gens_a.append((f"b{i}{j}", op_matrix(K, n * r, n * r, lambda v, b=b: (b @ Mat.unvec(K, v, n, r)).vec())))
-    Z = LieModule(K, r * n, gens_z)
-    A = LieModule(K, n * r, gens_a)
-    return Z, A
+            gens_z.append((f"b{i}{j}", -kron(eye_r, b.transpose())))
+            gens_a.append((f"b{i}{j}", kron(b, eye_r)))
+    return LieModule(K, r * n, gens_z), LieModule(K, n * r, gens_a)
 
 
 def block_duality_check(r, n, K) -> bool:
@@ -654,14 +589,13 @@ def block_duality_check(r, n, K) -> bool:
 
 def conjugation_modules(n, K):
     """For r = n: the single-gl(n) modules Z (a.s = as + sa') and A (a.t = -a't - ta)."""
+    eye = Mat.identity(K, n)
     gens_z, gens_a = [], []
     for i in range(n):
         for j in range(n):
             a = Mat.unit(K, n, n, i, j)
-            gens_z.append((f"a{i}{j}", op_matrix(K, n * n, n * n, lambda v, a=a: (
-                (a @ Mat.unvec(K, v, n, n)) + (Mat.unvec(K, v, n, n) @ a.transpose())).vec())))
-            gens_a.append((f"a{i}{j}", op_matrix(K, n * n, n * n, lambda v, a=a: (
-                -(a.transpose() @ Mat.unvec(K, v, n, n)) - (Mat.unvec(K, v, n, n) @ a)).vec())))
+            gens_z.append((f"a{i}{j}", kron(a, eye) + kron(eye, a)))
+            gens_a.append((f"a{i}{j}", -kron(a.transpose(), eye) - kron(eye, a.transpose())))
     return LieModule(K, n * n, gens_z), LieModule(K, n * n, gens_a)
 
 
@@ -713,21 +647,21 @@ def heisenberg_poly_module_on_basis(K, n: int, alpha, monomials) -> LieModule:
     d = len(monomials)
     gens = []
     for i in range(n):
-        du = Mat.zeros(K, d, d)
+        du = [[K.zero()] * d for _ in range(d)]
         for mo, col in index.items():
             if mo[i] > 0:
                 lower = list(mo)
                 lower[i] -= 1
-                du.rows[index[tuple(lower)]][col] = K.of(mo[i])
-        gens.append((f"u{i+1}", du))
+                du[index[tuple(lower)]][col] = K.of(mo[i])
+        gens.append((f"u{i+1}", Mat(K, du)))
     for i in range(n):
-        mv = Mat.zeros(K, d, d)
+        mv = [[K.zero()] * d for _ in range(d)]
         for mo, col in index.items():
             if mo[i] < p - 1:
                 upper = list(mo)
                 upper[i] += 1
-                mv.rows[index[tuple(upper)]][col] = alpha
-        gens.append((f"v{i+1}", mv))
+                mv[index[tuple(upper)]][col] = alpha
+        gens.append((f"v{i+1}", Mat(K, mv)))
     gens.append(("z", Mat.identity(K, d).scale(alpha)))
     return LieModule(K, d, gens)
 
@@ -736,5 +670,5 @@ def representation_kernel(module: LieModule, alg) -> Subspace:
     """Kernel of the representation on the module of the algebra alg
     (StructureConstants or MatLieAlg) whose basis acts by the generators."""
     # x = sum c_i e_i acts by sum c_i a_i; kernel is where that operator is 0
-    cols = [a.vec() for _, a in module.generators[: alg.dim]]
-    return kernel(Mat(module.field, [list(r) for r in zip(*cols)]))
+    n, g = module.dim, min(alg.dim, len(module.generators))
+    return kernel(module.stacked()[: g * n, :].reshape(g, n * n).transpose())

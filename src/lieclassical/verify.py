@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .fields import GF, QQ, Field, PrimeField, RationalField
+from .fields import GF, QQ, Field
 from .forms import (
     BilForm,
     classify,
@@ -113,7 +113,8 @@ def _ser(x):
     if isinstance(x, Mat):
         return x.to_text()
     if isinstance(x, Subspace):
-        return x.basis_matrix().to_text()
+        # the basis rows as they stand: "0 0" for the zero subspace
+        return Mat(x.field, x.basis).to_text()
     if isinstance(x, (list, tuple)):
         return [_ser(v) for v in x]
     if isinstance(x, Fraction):
@@ -132,25 +133,14 @@ def _unvec_rows(space: Subspace, m):
 
 def _block_span(K, m, blocks):
     """Span of m x m matrices assembled from (i, j, mat) block placements."""
+    eye = Mat.identity(K, m)
     rows = []
     for placements in blocks:
         X = Mat.zeros(K, m, m)
         for i0, j0, piece in placements:
-            for i in range(piece.nrows):
-                for j in range(piece.ncols):
-                    X.rows[i0 + i][j0 + j] = K.add(X.rows[i0 + i][j0 + j], piece.rows[i][j])
+            X = X + eye[:, i0 : i0 + piece.nrows] @ piece @ eye[j0 : j0 + piece.ncols, :]
         rows.append(X.vec())
     return Subspace.from_rows(K, m * m, rows)
-
-
-def _sym_units(K, n, with_diag):
-    out = []
-    for i in range(n):
-        if with_diag:
-            out.append(Mat.unit(K, n, n, i, i))
-        for j in range(i + 1, n):
-            out.append(Mat.unit(K, n, n, i, j) + Mat.unit(K, n, n, j, i))
-    return out
 
 
 def _symplectic_block_space(K, n, b_diag, c_diag, traceless_a):
@@ -168,10 +158,14 @@ def _symplectic_block_space(K, n, b_diag, c_diag, traceless_a):
         for i in range(n - 1):
             a = Mat.unit(K, n, n, i, i) + Mat.unit(K, n, n, n - 1, n - 1)
             blocks.append([(0, 0, a), (n, n, a)])
-    for b in _sym_units(K, n, b_diag):
-        blocks.append([(0, n, b)])
-    for c in _sym_units(K, n, c_diag):
-        blocks.append([(n, 0, c)])
+    # the symmetric units: e_ii (trace 1) and e_ij + e_ji (trace 0)
+    sym = _unvec_rows(sym_alt_subspaces(n, K)[0], n)
+    for b in sym:
+        if b_diag or K.is_zero(b.trace()):
+            blocks.append([(0, n, b)])
+    for c in sym:
+        if c_diag or K.is_zero(c.trace()):
+            blocks.append([(n, 0, c)])
     return _block_span(K, m, blocks)
 
 
@@ -391,7 +385,7 @@ def run_thm_1_2(m, diag=None, p=2) -> Report:
     rng.shuffle(extra)
     mid = Subspace.from_rows(K, m * m, mid_rows + extra[: max(1, len(extra) // 2)])
     rep.check("random insertion invariant", "Thm 1.2", True,
-              all(invariant_under(mid, a) for _, a in module.generators))
+              invariant_under(mid, module.stacked()))
     if m == 4:
         square = discriminant_is_square(form)
         simple = is_simple(L1)
@@ -446,12 +440,11 @@ def _invertible_member(H: Subspace, r, c):
 
 def _check_prop_10_2(rep: Report, K, L1: MatLieAlg):
     m = 4
-
-    def sym(i, j):
-        return Mat.unit(K, m, m, i, j) + Mat.unit(K, m, m, j, i)
-
-    f1, f2, f3 = sym(0, 1), sym(1, 2), sym(0, 2)
-    h1, h2, h3 = sym(2, 3), sym(0, 3), sym(3, 1)
+    # e_ij + e_ji (e_ii for i = j) under the key (i, j), i <= j: the pivot of its row
+    sym, _ = sym_alt_subspaces(m, K)
+    unit = {divmod(p, m): u for p, u in zip(sym.pivots, _unvec_rows(sym, m))}
+    f1, f2, f3 = unit[0, 1], unit[1, 2], unit[0, 2]
+    h1, h2, h3 = unit[2, 3], unit[0, 3], unit[1, 3]
     gs = [f1 + h1, f2 + h2, f3 + h3]
     S = Subspace.from_rows(K, 16, [f.vec() for f in (f1, f2, f3)])
     R = Subspace.from_rows(K, 16, [g.vec() for g in gs])
@@ -649,11 +642,9 @@ def _projection_intertwiner(Lspace: Subspace, M: Subspace) -> Mat:
 
     The coset of e_j, j not a pivot of M, has L-coordinates column j of the
     top rows of the inverse of [L basis | M basis] (bases as columns)."""
-    K = Lspace.field
-    B = Mat(K, [list(r) for r in Lspace.basis] + [list(r) for r in M.basis])
-    Binv = B.transpose().inv()
+    B = Mat.from_blocks([[Lspace.basis_matrix()], [M.basis_matrix()]])
     free = [j for j in range(Lspace.ambient) if j not in M.pivots]
-    return Mat(K, [[row[j] for j in free] for row in Binv.rows[: Lspace.dim]])
+    return B.transpose().inv()[: Lspace.dim, free]
 
 
 def _so4_ideal(L: MatLieAlg) -> Subspace:
@@ -824,7 +815,7 @@ def run_sl_series(m, K) -> Report:
 
 
 def _fixed_vectors(module: LieModule) -> Subspace:
-    return kernel(Mat(module.field, [r for _, a in module.generators for r in a.rows]))
+    return kernel(module.stacked())
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +888,7 @@ def _square_upgrade(rep: Report, ref, G: Mat):
     """Report congruence of G to the identity when the diagonal is all squares."""
     K = G.field
     res = diagonalize_symmetric(G)
-    roots = [_field_sqrt(K, res.normal_form.rows[i][i]) for i in range(G.nrows)]
+    roots = [_field_sqrt(K, d) for d in res.normal_form.diagonal()]
     all_square = all(r is not None and not K.is_zero(r) for r in roots)
     if all_square:
         S = res.transform @ Mat.diag(K, [K.inv(r) for r in roots])
@@ -1030,13 +1021,14 @@ def _check_prop_12_2(rep: Report):
     rep.check("[x,y] = [e,f] = z", "Prop 12.2", (eye, eye), (bracket(x, y), bracket(e, f)))
     # U = L^(2)/s with basis e, x, f, y; g(u,v) reads the bracket in s
     ubasis = [e, x, f, y]
-    gram = Mat.zeros(K, 4, 4)
+    gram = [[K.zero()] * 4 for _ in range(4)]
     for i2 in range(4):
         for j2 in range(4):
             br = bracket(ubasis[i2], ubasis[j2])
-            gram.rows[i2][j2] = K.one() if br == eye else K.zero()
+            gram[i2][j2] = K.one() if br == eye else K.zero()
             if not (br == eye or br.is_zero()):
                 raise AssertionError("bracket left the scalars")
+    gram = Mat(K, gram)
     rep.check("Gram of g on U is J", "Prop 12.2", standard_symplectic_gram(K, 4), gram)
     # the representation R of L on U; kernel L^(2), image 5-dimensional in L(g)
     u_in_l2 = Subspace.from_rows(K, 16, [v.vec() for v in ubasis] + [eye.vec()])
@@ -1059,8 +1051,7 @@ def _check_prop_12_2(rep: Report):
               [expected[lbl].to_text() for lbl in ("u1", "u2", "v1", "v2", "z")],
               [R(v).to_text() for v in (b1, b2, c1, c2, a)])
     rmats = [R(v) for v in L.basis_mats()]
-    stacked = Mat(K, [[rmats[i].vec()[k] for i in range(len(rmats))] for k in range(16)])
-    kdim = kernel(stacked).dim
+    kdim = kernel(Mat(K, [rm.vec() for rm in rmats]).transpose()).dim
     rep.check("dim ker R = dim L^(2)", "Prop 12.2", L2.dim, kdim)
     image = Subspace.from_rows(K, 16, [rm.vec() for rm in rmats])
     rep.check("R(L) is 5-dimensional", "Prop 12.2", 5, image.dim)

@@ -49,24 +49,24 @@ def test_symplectic_scaled_2x2():
 
 
 def rand_alternating(K, m, rng):
-    A = Mat.zeros(K, m, m)
+    A = [[K.zero()] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
             a = K.random(rng)
-            A.rows[i][j] = a
-            A.rows[j][i] = K.neg(a)
-    return A
+            A[i][j] = a
+            A[j][i] = K.neg(a)
+    return Mat(K, A)
 
 
 def rand_symmetric(K, m, rng):
-    A = Mat.zeros(K, m, m)
+    A = [[K.zero()] * m for _ in range(m)]
     for i in range(m):
-        A.rows[i][i] = K.random(rng)
+        A[i][i] = K.random(rng)
         for j in range(i + 1, m):
             a = K.random(rng)
-            A.rows[i][j] = a
-            A.rows[j][i] = a
-    return A
+            A[i][j] = a
+            A[j][i] = a
+    return Mat(K, A)
 
 
 def test_symplectic_random_gf3():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import GF as SYMPY_GF, QQ as SYMPY_QQ
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from lieclassical.fields import GF, QQ, PrimeField
 from lieclassical.linalg import (
@@ -215,6 +217,31 @@ def test_gfp_products_exact_near_int64_limit():
             Ainv = A.inv()
             assert (Ainv @ A).rows == _python_matmul(Ainv, A, p)
             assert Ainv @ A == Mat.identity(K, 8)
+
+
+@pytest.mark.parametrize("p", [11863279, 11863289])
+def test_gfp_products_exact_at_the_float64_edge(p):
+    # 64 (p-1)^2 is just below 2^53 for the first prime and just above it for
+    # the second: large products whose sums fit run through float64 BLAS,
+    # where every integer below 2^53 is exact, and the others in int64
+    K = GF(p)
+    rng = random.Random(p)
+    top = Mat(K, [[p - 1] * 64] * 64)
+    near = [Mat(K, [[rng.randrange(p - 5, p) for _ in range(64)] for _ in range(64)])
+            for _ in range(2)]
+    for A, B in ((top, top), (near[0], near[1]), (near[0], top)):
+        assert (A @ B).rows == _python_matmul(A, B, p)
+
+
+def test_q_products_exact_at_the_float64_edge():
+    # ncols * max|a| * max|b| just below and just above 2^53 on 32 x 32
+    # products whose sums come as close to the bound as the entries allow
+    rng = random.Random(14)
+    for h in (math.isqrt(2**53 // 32), math.isqrt(2**53 // 32) + 1):
+        for sign in (1, -1):
+            A, B = (Mat(QQ, [[Fraction(sign * rng.randrange(h - 1, h + 1)) for _ in range(32)]
+                             for _ in range(32)]) for _ in range(2))
+            _assert_exact_product(A, B)
 
 
 def _schoolbook_matmul(A, B):
@@ -539,3 +566,163 @@ def test_distinct_degree_parts_match_sympy_factors(p):
                 h = _sympy_poly(irreducible_factor(K, g, d, rng), p)
                 assert h.degree() == d and h.is_irreducible
                 assert expect[d].rem(h).is_zero
+
+
+# ---------------------------------------------------------------------------
+# kernel and inverse against sympy's DomainMatrix
+
+
+DIFF_FIELDS = [GF(2), GF(5), GF(P31), GF(P_MAX), QQ]
+
+
+def _sympy_dm(M):
+    K = M.field
+    if K == QQ:
+        rows = [[SYMPY_QQ(x.numerator, x.denominator) for x in r] for r in M.rows]
+        return DomainMatrix(rows, (M.nrows, M.ncols), SYMPY_QQ)
+    dom = SYMPY_GF(K.char)
+    return DomainMatrix([[dom(x) for x in r] for r in M.rows], (M.nrows, M.ncols), dom)
+
+
+def _from_sympy(K, rows):
+    if K == QQ:
+        return [[Fraction(int(x.numerator), int(x.denominator)) for x in r] for r in rows]
+    return [[int(x) % K.char for x in r] for r in rows]
+
+
+def _low_rank(K, r, c, rank, rng):
+    """An r x c matrix of rank at most `rank` (a product through rank columns)."""
+    if rank == 0:
+        return Mat.zeros(K, r, c)
+    return rand_mat(K, r, rank, rng) @ rand_mat(K, rank, c, rng)
+
+
+@pytest.mark.parametrize("K", DIFF_FIELDS, ids=repr)
+def test_kernel_matches_sympy_nullspace(K):
+    rng = random.Random(21)
+    for r, c in ((1, 1), (2, 5), (5, 2), (4, 4), (6, 7), (7, 6)):
+        for rank in range(min(r, c) + 1):
+            M = _low_rank(K, r, c, rank, rng)
+            null = _sympy_dm(M).nullspace()
+            ker = kernel(M)
+            assert ker.dim == null.shape[0]
+            if ker.dim:
+                red, pivots = null.rref()
+                assert ker.basis == tuple(tuple(row) for row in _from_sympy(K, red.to_list()))
+                assert ker.pivots == tuple(pivots)
+
+
+@pytest.mark.parametrize("K", DIFF_FIELDS, ids=repr)
+def test_inverse_matches_sympy_inv(K):
+    rng = random.Random(22)
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(4):
+            M = rand_mat(K, n, n, rng)
+            try:
+                ref = _from_sympy(K, _sympy_dm(M).inv().to_list())
+            except DMNonInvertibleMatrixError:
+                with pytest.raises(ValueError, match="singular"):
+                    M.inv()
+                continue
+            assert M.inv().rows == ref
+        with pytest.raises(ValueError, match="singular"):
+            _low_rank(K, n, n, n - 1, rng).inv()
+
+
+# ---------------------------------------------------------------------------
+# The array operations against scalar loops over the Field API
+
+
+def _entries_are_scalars(K, rows):
+    if K.degree == 2:
+        return all(type(x) is tuple and all(type(c) is int for c in x) for r in rows for x in r)
+    return all(type(x) is (Fraction if K == QQ else int) for r in rows for x in r)
+
+
+def _scalar_kron(A, B):
+    K = A.field
+    return [[K.mul(a, b) for a in ra for b in rb] for ra in A.rows for rb in B.rows]
+
+
+def _check_array_operations(A, B, C, c, v):
+    """A, B of one shape r x k, C of any shape, c a scalar, v of length r."""
+    K = A.field
+    (r, k) = A.nrows, A.ncols
+    expect = {
+        "add": ([[K.add(a, b) for a, b in zip(x, y)] for x, y in zip(A.rows, B.rows)], A + B),
+        "sub": ([[K.sub(a, b) for a, b in zip(x, y)] for x, y in zip(A.rows, B.rows)], A - B),
+        "neg": ([[K.neg(a) for a in x] for x in A.rows], -A),
+        "scale": ([[K.mul(c, a) for a in x] for x in A.rows], A.scale(c)),
+        "transpose": ([[A.rows[i][j] for i in range(r)] for j in range(k)], A.transpose()),
+        "kron": (_scalar_kron(A, C), kron(A, C)),
+    }
+    shapes = {"transpose": (k, r), "kron": (r * C.nrows, k * C.ncols)}
+    for name, (ref, got) in expect.items():
+        assert got.rows == ref, name
+        assert (got.nrows, got.ncols) == shapes.get(name, (r, k)), name
+        assert _entries_are_scalars(K, got.rows), name
+    trace = K.zero()
+    for i in range(min(r, k)):
+        trace = K.add(trace, A.rows[i][i])
+    assert A.trace() == trace and type(A.trace()) is type(trace)
+    w = [K.zero()] * k
+    for x, a in zip(v, A.rows):
+        w = [K.add(s, K.mul(x, t)) for s, t in zip(w, a)]
+    assert matvec(A.transpose(), v) == w
+    assert _entries_are_scalars(K, [matvec(A.transpose(), v)])
+    ker = kernel(A)
+    assert _entries_are_scalars(K, ker.basis)
+    assert _entries_are_scalars(K, Subspace.from_rows(K, k, A.rows).basis)
+
+
+def _edge_coord(p):
+    return st.sampled_from([0, 1, p - 2, p - 1]) | st.integers(0, p - 1)
+
+
+Q_EDGE = st.sampled_from([0, 1, -1, 2**62, 2**63 - 1, -(2**63 - 1), 2**63, 2**64 + 1]) | \
+    st.integers(-(2**70), 2**70)
+ARRAY_FIELDS = {
+    "gf-pmax": (GF(P_MAX), _edge_coord(P_MAX)),
+    "gf-pmax2": (GF(P_MAX, 2, nonresidue=P_MAX - 2),
+                 st.tuples(_edge_coord(P_MAX), _edge_coord(P_MAX))),
+    "q": (QQ, st.builds(Fraction, Q_EDGE, st.integers(1, 2**20) | st.just(1))),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_array_operations_match_field_loops(name, data):
+    K, entry = ARRAY_FIELDS[name]
+    # 0 x 0 and n x 0 included: a matrix without rows has no columns
+    r = data.draw(st.integers(0, 4), label="rows")
+    k = data.draw(st.integers(0, 4), label="cols") if r else 0
+    A, B, C = (Mat(K, [[data.draw(entry) for _ in range(cc)] for _ in range(rr)])
+               for rr, cc in ((r, k), (r, k), (data.draw(st.integers(1, 3)),) * 2))
+    v = [data.draw(entry) for _ in range(r)]
+    _check_array_operations(A, B, C, data.draw(entry), v)
+
+
+@pytest.mark.parametrize("name", ARRAY_FIELDS)
+def test_array_operations_on_empty_shapes(name):
+    K, _ = ARRAY_FIELDS[name]
+    for M in (Mat(K, []), Mat(K, [[], [], []]), Mat.zeros(K, 0, 3), Mat.zeros(K, 3, 0)):
+        _check_array_operations(M, M, Mat.identity(K, 2), K.one(), [K.one()] * M.nrows)
+    assert Mat.zeros(K, 0, 3).transpose().rows == [[], [], []]
+    assert kron(Mat(K, [[], []]), Mat.identity(K, 2)).rows == [[], [], [], []]
+
+
+def test_q_sums_and_scalings_at_the_int64_edge():
+    # 2^62 + 2^62 = 2^63 wraps in int64: every operation must leave int64 first
+    big = Mat(QQ, [[Fraction(2**62), Fraction(-(2**62))]])
+    edge = [[Fraction(2**63), Fraction(-(2**63))]]
+    assert (big + big).rows == edge
+    assert (big - (-big)).rows == edge
+    assert big.scale(Fraction(2)).rows == edge
+    assert kron(big, Mat(QQ, [[Fraction(2)]])).rows == edge
+    # over a common denominator the scaled numerators set the bound
+    A, B = Mat(QQ, [[Fraction(2**62, 3)]]), Mat(QQ, [[Fraction(2**62, 5)]])
+    assert (A + B).rows == [[Fraction(2**65, 15)]]
+    assert Mat.from_blocks([[A, B]]).rows == [[Fraction(2**62, 3), Fraction(2**62, 5)]]
+    # a zero matrix over a denominator beyond 2^63 is the zero matrix over 1
+    assert Mat.zeros(QQ, 1, 2).scale(Fraction(1, 2**80)) == Mat.zeros(QQ, 1, 2)

@@ -315,9 +315,7 @@ def test_tensor_square_delta_char2():
     ts = tensor_square(classify(J), L)
     assert ts.delta is not None
     # delta reads off the form: on v (x) w + w (x) v it gives f(v, w)
-    t = Mat.zeros(K, 4, 4)
-    t.rows[0][2] = K.one()
-    t.rows[2][0] = K.one()
+    t = Mat.unit(K, 4, 4, 0, 2) + Mat.unit(K, 4, 4, 2, 0)
     assert matvec(ts.delta, t.vec()) == [K.one()]
 
 
