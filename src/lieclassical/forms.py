@@ -114,7 +114,7 @@ def diagonalize_symmetric(A: Mat) -> CongruenceResult:
         raise ValueError("alternating form in characteristic 2 has no diagonal Gram")
     m = A.nrows
     done = []
-    remaining = Mat.identity(K, m).rows
+    remaining = list(Mat.identity(K, m).rows)
     while remaining:
         # everything orthogonal to `done` lives in span(remaining)
         vals = [_form_value(A, w, w) for w in remaining]

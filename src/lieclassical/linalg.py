@@ -66,8 +66,12 @@ class Mat:
 
     @property
     def rows(self):
-        """The entries as lists of canonical scalars (Python ints, pairs or
-        Fractions); a fresh copy, so writing into it changes nothing."""
+        """The entries as read-only lists of canonical scalars (Python ints,
+        pairs or Fractions), derived from the array: writing into them
+        raises, since the write could only be lost."""
+        return _ReadOnly(map(_ReadOnly, self._scalar_rows()))
+
+    def _scalar_rows(self):
         K = self.field
         if K.degree == 2:
             return [list(zip(r0, r1)) for r0, r1 in zip(*(x.tolist() for x in self.a))]
@@ -151,8 +155,8 @@ class Mat:
             return Mat._of(K, gfp_matmul(a, b, K.char))
         # Q: (a / d_a) @ (b / d_b) = (a @ b) / (d_a d_b); no entry of a @ b,
         # nor any partial sum, exceeds ncols max|a| max|b| in absolute value
-        bound = self.ncols * _height(a) * _height(b)
-        return Mat._of(K, _int_matmul(*_exact(bound, a, b), bound), self.d * other.d)
+        a, b = _exact(self.ncols * _height(a) * _height(b), a, b)
+        return Mat._of(K, a @ b, self.d * other.d)
 
     def __getitem__(self, key):
         """The submatrix M[rows, cols]; each index is a slice or a list."""
@@ -176,14 +180,14 @@ class Mat:
         return Fraction(sum(diag), self.d)
 
     def diagonal(self):
-        return [r[i] for i, r in enumerate(self.rows)]
+        return [r[i] for i, r in enumerate(self._scalar_rows())]
 
     def is_zero(self):
         return not self.a.any()
 
     def vec(self):
         """Row-major flattening."""
-        return self.reshape(1, self.nrows * self.ncols).rows[0]
+        return self.reshape(1, self.nrows * self.ncols)._scalar_rows()[0]
 
     @classmethod
     def unvec(cls, field, v, r, c):
@@ -198,7 +202,7 @@ class Mat:
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
         K = self.field
-        a = self.rows
+        a = self._scalar_rows()
         n = self.nrows
         det = K.one()
         for col in range(n):
@@ -254,6 +258,16 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.field!r}, {self.nrows}x{self.ncols})"
+
+
+class _ReadOnly(list):
+    """A list that refuses every write."""
+
+    def _refuse(self, *args):
+        raise TypeError("Mat.rows is read-only: build lists of rows and call Mat(field, rows)")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
 
 
 def _mod(K, a):
@@ -342,19 +356,7 @@ def op_matrix(field, n_in, n_out, fn) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Integer products: bounded, over GF(p) and over GF(p^2)
-
-
-def _int_matmul(a, b, bound):
-    """a @ b for integer arrays when no entry of the product, nor any partial
-    sum, exceeds bound in absolute value (int64 arrays need bound < 2^63).
-    Below 2^53 every such sum is an integer that float64 holds exactly, so a
-    product large enough to repay the conversions runs through float64 BLAS
-    (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 2008); numpy's int64
-    product has no BLAS."""
-    if bound < 2**53 and a.size * b.shape[-1] >= 4096:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    return a @ b
+# Products over GF(p) and GF(p^2)
 
 
 def gfp_matmul(a, b, p):
@@ -363,12 +365,13 @@ def gfp_matmul(a, b, p):
 
     Delayed reduction: k products of residues sum to at most k (p-1)^2, so the
     inner dimension is cut into chunks of k with k (p-1)^2 + p - 1 < 2^63 and
-    the running sum is reduced after each chunk (FFLAS-FFPACK again).
+    the running sum is reduced after each chunk (Dumas, Giorgi and Pernet,
+    FFLAS-FFPACK, ACM TOMS 2008).
     """
     k = (2**63 - p) // (p - 1) ** 2
     n = a.shape[-1]
     if n <= k:
-        return _int_matmul(a, b, n * (p - 1) ** 2) % p
+        return (a @ b) % p
     out = (a[..., :k] @ b[..., :k, :]) % p
     for s in range(k, n, k):
         out = (out + a[..., s : s + k] @ b[..., s : s + k, :]) % p
@@ -778,25 +781,13 @@ class Echelon:
         return True
 
     def add_rows(self, M: Mat) -> Mat:
-        """Insert M's rows in order, until the basis fills the ambient space;
-        returns the submatrix of the rows that enlarged the span."""
-        kept = []
-        for i, r in enumerate(self._rows_of(M)):
-            if self.dim == self.ambient:
-                break
-            if self.add(r):
-                kept.append(i)
-        return M[kept, :]
-
-    @staticmethod
-    def _rows_of(M):
-        return M.rows
+        return _add_rows(self, M._scalar_rows(), M)
 
     def subspace(self) -> Subspace:
         return _sorted_subspace(self.field, self.ambient, self.rows, self.pivots)
 
 
-class EchelonGFp(Echelon):
+class EchelonGFp:
     """Growing echelon basis over GF(p) as one int64 array: its rows are zero
     at every other pivot, so a vector v reduces in one product,
     v - v[pivots] @ basis (eliminating the pivots one row at a time)."""
@@ -830,12 +821,24 @@ class EchelonGFp(Echelon):
         self.pivots.append(piv)
         return True
 
-    @staticmethod
-    def _rows_of(M):
-        return M.a
+    def add_rows(self, M: Mat) -> Mat:
+        return _add_rows(self, M.a, M)
 
     def subspace(self) -> Subspace:
         return _sorted_subspace(self.field, self.ambient, self.mat.tolist(), self.pivots)
+
+
+def _add_rows(ech, rows, M: Mat) -> Mat:
+    """Insert the rows of M, given as `rows`, into the echelon basis ech in
+    order, until it fills the ambient space; returns the submatrix of the
+    rows that enlarged the span."""
+    kept = []
+    for i, r in enumerate(rows):
+        if ech.dim == ech.ambient:
+            break
+        if ech.add(r):
+            kept.append(i)
+    return M[kept, :]
 
 
 def _reduce(K, v, rows, pivots):

@@ -33,32 +33,42 @@ from .linalg import (
 )
 
 
-@dataclass
 class LieModule:
-    field: Field
-    dim: int
-    generators: list  # (label, Mat dim x dim)
+    """A module over the Lie algebra spanned by labelled generators, built
+    from (label, dim x dim action) pairs.  The actions are held stacked into
+    one (count * dim) x dim matrix, block i the action of generator i, which
+    the surgery and spins multiply with."""
+
+    def __init__(self, field: Field, dim: int, generators):
+        mats = [a for _, a in generators]
+        self.field, self.dim, self._labels = field, dim, [lbl for lbl, _ in generators]
+        self.stack = Mat.from_blocks([[a] for a in mats]) if mats else Mat.zeros(field, 0, dim)
+
+    @classmethod
+    def _of_stack(cls, field, labels, stack: Mat):
+        M = cls.__new__(cls)
+        M.field, M.dim, M._labels, M.stack = field, stack.ncols, labels, stack
+        return M
+
+    @property
+    def generators(self):
+        n = self.dim
+        return [(lbl, self.stack[i * n : (i + 1) * n, :]) for i, lbl in enumerate(self._labels)]
 
     def action_mats(self):
         return [a for _, a in self.generators]
 
     def labels(self):
-        return [lbl for lbl, _ in self.generators]
-
-    def stacked(self, transposed=False) -> Mat:
-        """The generators (or their transposes) stacked into one
-        (count * dim) x dim matrix, the surgery and spins work on."""
-        mats = [a.transpose() if transposed else a for a in self.action_mats()]
-        if not mats:
-            return Mat.zeros(self.field, 0, self.dim)
-        return Mat.from_blocks([[a] for a in mats])
+        return list(self._labels)
 
     def on_stack(self, X: Mat) -> "LieModule":
         """The module with these labels whose i-th generator is X[i::count]'
         (X's rows interleave the generators, as `_images` makes them)."""
-        g = len(self.generators)
-        return LieModule(self.field, X.ncols,
-                         [(lbl, X[i::g, :].transpose()) for i, lbl in enumerate(self.labels())])
+        g, r = len(self._labels), X.ncols
+        return LieModule._of_stack(self.field, self._labels, X.reshape(r, g * r).transpose())
+
+    def __repr__(self):
+        return f"LieModule({self.field!r}, dim={self.dim}, {len(self._labels)} generators)"
 
 
 def dual_module(M: LieModule) -> LieModule:
@@ -68,7 +78,7 @@ def dual_module(M: LieModule) -> LieModule:
 
 
 def trivial_actions(M: LieModule) -> bool:
-    return all(a.is_zero() for _, a in M.generators)
+    return M.stack.is_zero()
 
 
 def respects_brackets(M: LieModule, struct: StructureConstants) -> bool:
@@ -104,7 +114,7 @@ def spin(M: LieModule, seeds, transposed=False) -> Subspace:
     Each round feeds the images of the vectors the last round added, one
     product with the stacked generators, to one echelon basis.
     """
-    S = M.stacked(transposed)
+    S = (dual_module(M) if transposed else M).stack
     ech = echelon(M.field, M.dim)
     frontier = ech.add_rows(Mat(M.field, seeds))
     while frontier.nrows and ech.dim < M.dim:
@@ -195,11 +205,11 @@ def certify_irreducible(M: LieModule, budget: int | None = None, seed: int = 0) 
 
 def _random_element(M: LieModule, rng) -> Mat:
     """x y + z for random linear combinations x, y, z of the generators."""
-    K, n, g = M.field, M.dim, len(M.generators)
+    K, n, g = M.field, M.dim, len(M.labels())
     if not g:
         return Mat.zeros(K, n, n)
     coeffs = Mat(K, [[K.random(rng) for _ in range(g)] for _ in range(3)])
-    combos = coeffs @ M.stacked().reshape(g, n * n)
+    combos = coeffs @ M.stack.reshape(g, n * n)
     x, y, z = (combos[i : i + 1, :].reshape(n, n) for i in range(3))
     return x @ y + z
 
@@ -219,7 +229,7 @@ def _random_vector(U: Subspace, rng):
 
 def restrict_module(M: LieModule, U: Subspace) -> LieModule:
     """Actions restricted to an invariant subspace, in its RREF coordinates."""
-    coords = _image_coords(U, M.stacked())
+    coords = _image_coords(U, M.stack)
     if coords is None:
         raise ValueError("subspace is not invariant")
     return M.on_stack(coords)
@@ -246,7 +256,7 @@ def quotient_module(M: LieModule, U: Subspace) -> LieModule:
     generators; reduced against U, their free entries are the quotient
     action.
     """
-    S, g = M.stacked(), len(M.generators)
+    S, g = M.stack, len(M.labels())
     pivset = set(U.pivots)
     free = [j for j in range(M.dim) if j not in pivset]
     images = S.transpose()[free, :].reshape(len(free) * g, M.dim)
@@ -316,8 +326,7 @@ def _normalize_chain(M, candidate_chain):
         chain.insert(0, Subspace.zero(K, M.dim))
     if chain[-1].dim != M.dim:
         chain.append(Subspace.full(K, M.dim))
-    S = M.stacked()
-    if not all(invariant_under(term, S) for term in chain):
+    if not all(invariant_under(term, M.stack) for term in chain):
         raise ValueError("candidate chain term is not invariant")
     return chain
 
@@ -670,5 +679,5 @@ def representation_kernel(module: LieModule, alg) -> Subspace:
     """Kernel of the representation on the module of the algebra alg
     (StructureConstants or MatLieAlg) whose basis acts by the generators."""
     # x = sum c_i e_i acts by sum c_i a_i; kernel is where that operator is 0
-    n, g = module.dim, min(alg.dim, len(module.generators))
-    return kernel(module.stacked()[: g * n, :].reshape(g, n * n).transpose())
+    n, g = module.dim, min(alg.dim, len(module.labels()))
+    return kernel(module.stack[: g * n, :].reshape(g, n * n).transpose())

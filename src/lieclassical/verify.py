@@ -385,7 +385,7 @@ def run_thm_1_2(m, diag=None, p=2) -> Report:
     rng.shuffle(extra)
     mid = Subspace.from_rows(K, m * m, mid_rows + extra[: max(1, len(extra) // 2)])
     rep.check("random insertion invariant", "Thm 1.2", True,
-              invariant_under(mid, module.stacked()))
+              invariant_under(mid, module.stack))
     if m == 4:
         square = discriminant_is_square(form)
         simple = is_simple(L1)
@@ -815,7 +815,7 @@ def run_sl_series(m, K) -> Report:
 
 
 def _fixed_vectors(module: LieModule) -> Subspace:
-    return kernel(module.stacked())
+    return kernel(module.stack)
 
 
 # ---------------------------------------------------------------------------
