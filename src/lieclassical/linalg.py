@@ -6,9 +6,9 @@ GF(p)[w]/(w^2 - r), the pair on a leading axis of length 2; over Q, integer
 numerators over one positive common denominator, kept in lowest terms (int64
 while every numerator is below 2^63 in absolute value, Python ints
 otherwise).  Sums, scalings, products, transposes, Kronecker products and
-submatrices are array operations that stay exact; `Mat.rows` is a derived
-list of canonical scalars for the scalar algorithms (det, charpoly, the
-scalar echelon basis) and for output.  Row reduction over GF(p) and GF(p^2)
+submatrices are array operations that stay exact; `Mat.rows` is a derived,
+read-only list of canonical scalars for the scalar algorithms (det,
+charpoly, the scalar echelon basis) and for output.  Row reduction over GF(p) and GF(p^2)
 is one incremental echelon basis (int64 rows over GF(p), scalar pairs over
 GF(p^2)) whose fully reduced rows are the RREF; it serves rref, subspaces
 and spins alike.  Over Q it is fraction-free.
