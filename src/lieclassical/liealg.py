@@ -9,8 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .fields import Field
-from .linalg import Mat, Subspace, kernel, kron, matvec, op_matrix, solve_many, unit_vector
+from .linalg import Mat, Subspace, kernel, kron, matvec, solve_many, unit_vector
 
 
 def bracket(X: Mat, Y: Mat) -> Mat:
@@ -61,11 +63,7 @@ class MatLieAlg:
 
     def is_bracket_closed(self) -> bool:
         mats = self.basis_mats()
-        return all(
-            self.space.contains_vector(bracket(x, y).vec())
-            for i, x in enumerate(mats)
-            for y in mats[i + 1 :]
-        )
+        return self.space.residuals(bracket_rows(self.field, self.m, mats, mats)).is_zero()
 
     def with_space(self, space: Subspace, label=""):
         return MatLieAlg(self.m, space, label or self.label)
@@ -73,38 +71,29 @@ class MatLieAlg:
 
 def skew_adjoint_algebra(A: Mat, label="") -> MatLieAlg:
     """L(A) = {X : X'A = -AX}, the symplectic/orthogonal algebra of A."""
-    K = A.field
-    m = A.nrows
-
-    def constraint(v):
-        X = Mat.unvec(K, v, m, m)
-        return (X.transpose() @ A + A @ X).vec()
-
-    op = op_matrix(K, m * m, m * m, constraint)
-    return MatLieAlg(m, kernel(op), label or "L(A)")
+    return MatLieAlg(A.nrows, kernel(_adjoint_condition(A, 1)), label or "L(A)")
 
 
 def self_adjoint_module(A: Mat) -> Subspace:
     """M(A) = {Y : Y'A = AY}, an L(A)-submodule of gl(m)."""
-    K = A.field
+    return kernel(_adjoint_condition(A, -1))
+
+
+def _adjoint_condition(A: Mat, sign) -> Mat:
+    """The matrix of X -> X'A + sign AX on row-major vecs: vec(AX) is
+    kron(A, I) vec X, and vec(X'A) is kron(I, A') vec X', which reads vec X
+    at the transposed positions."""
     m = A.nrows
-
-    def constraint(v):
-        Y = Mat.unvec(K, v, m, m)
-        return (Y.transpose() @ A - A @ Y).vec()
-
-    op = op_matrix(K, m * m, m * m, constraint)
-    return kernel(op)
+    eye = Mat.identity(A.field, m)
+    xt_a = kron(eye, A.transpose())[:, [j * m + i for i in range(m) for j in range(m)]]
+    return xt_a + kron(A, eye) if sign > 0 else xt_a - kron(A, eye)
 
 
 def derived_space(m: int, space: Subspace) -> Subspace:
     K = space.field
     mats = [Mat.unvec(K, list(r), m, m) for r in space.basis]
-    rows = []
-    for i, x in enumerate(mats):
-        for y in mats[i + 1 :]:
-            rows.append(bracket(x, y).vec())
-    return Subspace.from_rows(K, m * m, rows)
+    pairs = [i * len(mats) + j for i in range(len(mats)) for j in range(i + 1, len(mats))]
+    return Subspace.from_rows(K, m * m, bracket_rows(K, m, mats, mats)[pairs, :].rows)
 
 
 def derived(L: MatLieAlg) -> MatLieAlg:
@@ -220,35 +209,50 @@ def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
         raise ValueError("ideal is not contained in the algebra")
     basis = L.basis_mats()
     ideal_mats = [Mat.unvec(K, list(r), L.m, L.m) for r in ideal.basis]
-    for x in basis:
-        for y in ideal_mats:
-            if not ideal.contains_vector(bracket(x, y).vec()):
-                raise ValueError("subspace is not an ideal")
+    if not ideal.residuals(bracket_rows(K, L.m, basis, ideal_mats)).is_zero():
+        raise ValueError("subspace is not an ideal")
     # coordinates of the ideal inside L
-    coords_I = Subspace.from_rows(
-        K, L.dim, [L.space.coords(list(r)) for r in ideal.basis]
-    )
+    pivots = list(L.space.pivots)
+    coords_I = Subspace.from_rows(K, L.dim, ideal.basis_matrix()[:, pivots].rows)
     q = L.dim - ideal.dim
     if reps is None:
         pivset = set(coords_I.pivots)
         reps = [basis[j] for j in range(L.dim) if j not in pivset]
     if len(reps) != q:
         raise ValueError(f"need {q} coset representatives, got {len(reps)}")
+    if not q:
+        return StructureConstants(K, [], []), reps
 
-    def reduced(mat):
-        return coords_I.reduce(L.space.coords(mat.vec()))
+    def reduced(X):
+        if not L.space.residuals(X).is_zero():
+            raise ValueError("vector not in subspace")
+        return coords_I.residuals(X[:, pivots])
 
-    red_reps = [reduced(r) for r in reps]
-    R = Mat(K, red_reps).transpose()
-    if Subspace.from_rows(K, L.dim, red_reps).dim != q:
+    red_reps = reduced(Mat.from_blocks([[X.reshape(1, L.m * L.m)] for X in reps]))
+    if Subspace.from_rows(K, L.dim, red_reps.rows).dim != q:
         raise ValueError("representatives are dependent modulo the ideal")
 
-    coords = solve_many(R, [reduced(bracket(x, y)) for x in reps for y in reps])
+    brackets = reduced(bracket_rows(K, L.m, reps, reps))
+    coords = solve_many(red_reps.transpose(), brackets.rows)
     if coords is None:
         raise AssertionError("bracket left the span of the representatives")
     table = [coords[i * q : (i + 1) * q] for i in range(q)]
     labels = [f"r{i}" for i in range(q)]
     return StructureConstants(K, labels, table), reps
+
+
+def bracket_rows(K: Field, m: int, xs, ys) -> Mat:
+    """The matrix whose rows are the vecs of [x, y] for x in xs and y in ys,
+    y running fastest: two products of the stacks, X Y of blocks x_i y_j and
+    Y X of blocks y_j x_i, whose rows are read in the order (i, j, row)."""
+    a, b = len(xs), len(ys)
+    if not a * b:
+        return Mat.zeros(K, 0, m * m)
+    xy = (Mat.from_blocks([[x] for x in xs]) @ Mat.from_blocks([ys])).reshape(a * m * b, m)
+    yx = (Mat.from_blocks([[y] for y in ys]) @ Mat.from_blocks([xs])).reshape(b * m * a, m)
+    irj, jri = np.arange(a * m * b).reshape(a, m, b), np.arange(b * m * a).reshape(b, m, a)
+    return (xy[irj.transpose(0, 2, 1).ravel(), :]
+            - yx[jri.transpose(2, 0, 1).ravel(), :]).reshape(a * b, m * m)
 
 
 def lie_isomorphic_by_structure(Q: StructureConstants, H: StructureConstants, M: Mat) -> bool:

@@ -5,13 +5,12 @@ residues over GF(p); int64 residue pairs A0 + A1 w over GF(p^2) =
 GF(p)[w]/(w^2 - r), the pair on a leading axis of length 2; over Q, integer
 numerators over one positive common denominator, kept in lowest terms (int64
 while every numerator is below 2^63 in absolute value, Python ints
-otherwise).  Sums, scalings, products, transposes, Kronecker products and
-submatrices are array operations that stay exact; `Mat.rows` is a derived,
-read-only list of canonical scalars for the scalar algorithms (det,
-charpoly, the scalar echelon basis) and for output.  Row reduction over GF(p) and GF(p^2)
-is one incremental echelon basis (int64 rows over GF(p), scalar pairs over
-GF(p^2)) whose fully reduced rows are the RREF; it serves rref, subspaces
-and spins alike.  Over Q it is fraction-free.
+otherwise).  Arithmetic, products, Kronecker products, submatrices and the
+characteristic polynomial over finite fields are exact array operations;
+`Mat.rows` is a derived, read-only list of canonical scalars for det, the
+scalar echelon basis and output.  Row reduction over finite fields is one
+incremental echelon basis whose fully reduced rows are the RREF; it serves
+rref, subspaces and spins alike.  Over Q it is fraction-free.
 """
 
 from __future__ import annotations
@@ -137,10 +136,8 @@ class Mat:
 
     def scale(self, c):
         K, a = self.field, self.a
-        if K.degree == 2:
-            return Mat._of(K, _pair_product(K, a, np.array(c, dtype=np.int64).reshape(2, 1, 1)))
         if K.char:
-            return Mat._of(K, (a * c) % K.char)
+            return Mat._of(K, _times(K, a, np.reshape(c, a.shape[:-2] + (1, 1))))
         c = Fraction(c)
         (a,) = _exact(_height(a) * max(abs(c.numerator), 1), a)
         return Mat._of(K, a * c.numerator, self.d * c.denominator)
@@ -149,10 +146,8 @@ class Mat:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         K, a, b = self.field, self.a, other.a
-        if K.degree == 2:
-            return Mat._of(K, np.array(gfp2_matmul(a, b, K.char, K.nonresidue)))
         if K.char:
-            return Mat._of(K, gfp_matmul(a, b, K.char))
+            return Mat._of(K, _dot(K, a, b))
         # Q: (a / d_a) @ (b / d_b) = (a @ b) / (d_a d_b); no entry of a @ b,
         # nor any partial sum, exceeds ncols max|a| max|b| in absolute value
         a, b = _exact(self.ncols * _height(a) * _height(b), a, b)
@@ -311,10 +306,12 @@ def _aligned(mats, terms=1):
     return [x * s if s > 1 else x for x, s in zip(arrays, scales)], D
 
 
-def _pair_product(K, x, y):
-    """The entrywise product over GF(p^2) of broadcastable residue-pair
-    arrays (pair on the leading axis); each product of two residues is
-    reduced before it is added to another."""
+def _times(K, x, y):
+    """The entrywise product of broadcastable arrays in the format of the
+    finite field K (over GF(p^2) the pair on the leading axis); each product
+    of two residues is reduced before it is added to another."""
+    if K.degree == 1:
+        return (x * y) % K.char
     p, r = K.char, K.nonresidue
     (x0, x1), (y0, y1) = x, y
     c0 = ((x0 * y0) % p + (r * ((x1 * y1) % p)) % p) % p
@@ -333,10 +330,8 @@ def kron(A: Mat, B: Mat) -> Mat:
     K = A.field
     x, y = A.a[..., :, None, :, None], B.a[..., None, :, None, :]
     d = 1
-    if K.degree == 2:
-        out = _pair_product(K, x, y)
-    elif K.char:
-        out = (x * y) % K.char
+    if K.char:
+        out = _times(K, x, y)
     else:
         x, y = _exact(_height(A.a) * _height(B.a), x, y)
         out, d = x * y, A.d * B.d
@@ -392,6 +387,13 @@ def gfp2_matmul(a, b, p, r):
     t1 = gfp_matmul(a1, b1, p)
     s = gfp_matmul((a0 + a1) % p, (b0 + b1) % p, p)
     return (t0 + r * t1) % p, (s - t0 - t1) % p
+
+
+def _dot(K, a, b):
+    """a @ b for arrays in the format of the finite field K."""
+    if K.degree == 2:
+        return np.array(gfp2_matmul(a, b, K.char, K.nonresidue))
+    return gfp_matmul(a, b, K.char)
 
 
 # ---------------------------------------------------------------------------
@@ -493,45 +495,43 @@ def kernel(M: Mat) -> "Subspace":
 
 
 def charpoly(A: Mat):
-    """det(xI - A), by a similarity to upper Hessenberg form and the
-    recurrence on its leading minors (Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 2.2.9)."""
-    K = A.field
-    n = A.nrows
-    H = [list(r) for r in A.rows]
+    """det(xI - A) over a finite field: a similarity to upper Hessenberg form
+    and the recurrence on its leading minors (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.2.9) in whole-row array operations, which
+    reduce each product of residues before adding it (exact for every GF)."""
+    K, n = A.field, A.nrows
+    if not K.char:
+        raise ValueError("charpoly needs a finite field")
+    p, pair = K.char, K.degree == 2
+    H = A.a.copy()
+    one = np.reshape(K.one(), H.shape[:-2] + (1,))
     for c in range(n - 2):
-        piv = next((r for r in range(c + 1, n) if not K.is_zero(H[r][c])), None)
-        if piv is None:
+        nz = np.flatnonzero(H[..., c + 1 :, c].reshape(-1, n - c - 1).any(axis=0))
+        if not nz.size:
             continue
-        if piv != c + 1:
-            H[piv], H[c + 1] = H[c + 1], H[piv]
-            for row in H:
-                row[piv], row[c + 1] = row[c + 1], row[piv]
-        inv = K.inv(H[c + 1][c])
-        for r in range(c + 2, n):
-            u = K.mul(H[r][c], inv)
-            if K.is_zero(u):
-                continue
-            # row r -= u row c+1, then column c+1 += u column r
-            H[r] = [K.sub(a, K.mul(u, b)) for a, b in zip(H[r], H[c + 1])]
-            for row in H:
-                row[c + 1] = K.add(row[c + 1], K.mul(u, row[r]))
-    # p_k = (x - h_kk) p_{k-1} - sum_r h_{r,k} (h_{r+1,r} ... h_{k,k-1}) p_{r-1}
-    polys = [[K.one()]]
+        swap = [c + 1, c + 1 + int(nz[0])]
+        H[..., swap, :] = H[..., swap[::-1], :]
+        H[..., swap] = H[..., swap[::-1]]
+        h = H[..., c + 1, c].tolist()
+        # conjugate by I - u e_(c+1)', u = H[c+2:, c] / H[c+1, c]: rows c+2..
+        # minus u times row c+1, then column c+1 plus columns c+2.. times u
+        u = _times(K, H[..., c + 2 :, c], np.reshape(K.inv(tuple(h) if pair else h), one.shape))
+        H[..., c + 2 :, c:] -= _times(K, u[..., None], H[..., c + 1 : c + 2, c:])
+        H[..., c + 2 :, c:] %= p
+        H[..., c + 1] += _dot(K, H[..., c + 2 :], u[..., None])[..., 0]
+        H[..., c + 1] %= p
+    # row k of P: p_k = x p_(k-1) - sum_(r<=k) w_r h_(r-1,k-1) p_(r-1), w_r the
+    # subdiagonal product h_(r,r-1) ... h_(k-1,k-2) (w_k = 1; a zero ends it)
+    P = np.zeros(H.shape[:-2] + (n + 1, n + 1), dtype=np.int64)
+    P[..., 0, :1] = one
     for k in range(1, n + 1):
-        p = [K.zero()] + polys[-1]
-        for i, c in enumerate(polys[-1]):
-            p[i] = K.sub(p[i], K.mul(H[k - 1][k - 1], c))
-        t = K.one()
-        for r in range(k - 1, 0, -1):
-            t = K.mul(t, H[r][r - 1])
-            if K.is_zero(t):
-                break
-            coef = K.mul(t, H[r - 1][k - 1])
-            for i, c in enumerate(polys[r - 1]):
-                p[i] = K.sub(p[i], K.mul(coef, c))
-        polys.append(p)
-    return polys[-1]
+        w = np.concatenate([_times(K, w, H[..., k - 1 : k, k - 2]), one], axis=-1) if k > 1 else one
+        P[..., k, 1 : k + 1] = P[..., k - 1, :k]
+        coef = _times(K, w, H[..., None, :k, k - 1])
+        P[..., k, : k + 1] -= _dot(K, coef, P[..., :k, : k + 1])[..., 0, :]
+        P[..., k, : k + 1] %= p
+    f = P[..., n, :].tolist()
+    return list(zip(*f)) if pair else f
 
 
 def poly_at(f, A: Mat) -> Mat:

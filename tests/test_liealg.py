@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from lieclassical.liealg import (
     MatLieAlg,
     adjoint_star,
     bracket,
+    bracket_rows,
     derived_series,
     gl_subspace,
     heisenberg,
@@ -24,7 +26,7 @@ from lieclassical.liealg import (
     sl_subspace,
     trace_orthogonal_complement,
 )
-from lieclassical.linalg import Mat, Subspace
+from lieclassical.linalg import Mat, Subspace, kernel, op_matrix
 
 
 def test_bracket_sl2():
@@ -127,6 +129,37 @@ def test_heisenberg_structure():
         assert all(QQ.is_zero(c) for c in h.bracket_coeffs(z, e))
 
 
+def _random_mat(K, m, rng):
+    return Mat(K, [[K.random(rng) for _ in range(m)] for _ in range(m)])
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(5), GF(3, 2), QQ], ids=repr)
+def test_bracket_rows_match_pairwise_brackets(K):
+    rng = random.Random(11)
+    for m, a, b in [(1, 1, 1), (2, 3, 2), (3, 2, 4), (4, 5, 3), (3, 0, 2), (3, 2, 0)]:
+        xs = [_random_mat(K, m, rng) for _ in range(a)]
+        ys = [_random_mat(K, m, rng) for _ in range(b)]
+        rows = bracket_rows(K, m, xs, ys)
+        assert (rows.nrows, rows.ncols) == (a * b, m * m)
+        assert rows.rows == [bracket(x, y).vec() for x in xs for y in ys]
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(5), GF(3, 2), QQ], ids=repr)
+def test_adjoint_spaces_match_their_defining_conditions(K):
+    # L(A) = {X : X'A + AX = 0} and M(A) = {Y : Y'A - AY = 0} as kernels of
+    # the conditions applied to each unit matrix
+    rng = random.Random(12)
+    for m in range(1, 5):
+        for A in (_random_mat(K, m, rng), Mat.identity(K, m)):
+            def condition(sign):
+                def fn(v):
+                    X = Mat.unvec(K, v, m, m)
+                    return (X.transpose() @ A + (A @ X).scale(K.of(sign))).vec()
+                return kernel(op_matrix(K, m * m, m * m, fn))
+            assert skew_adjoint_algebra(A).space == condition(1)
+            assert self_adjoint_module(A) == condition(-1)
+
+
 def test_quotient_gl2_by_scalars():
     K = GF(5)
     L = MatLieAlg(2, gl_subspace(K, 2))
@@ -141,6 +174,81 @@ def test_quotient_rejects_non_ideal():
     not_ideal = Subspace.from_rows(K, 4, [Mat.unit(K, 2, 2, 0, 1).vec()])
     with pytest.raises(ValueError):
         quotient_algebra(L, not_ideal)
+
+
+def test_quotient_rejects_dependent_representatives():
+    K = GF(5)
+    L = MatLieAlg(2, gl_subspace(K, 2))
+    e, f = Mat.unit(K, 2, 2, 0, 1), Mat.unit(K, 2, 2, 1, 0)
+    # e + scalar and e are one coset modulo the scalars
+    with pytest.raises(ValueError, match="representatives are dependent modulo the ideal"):
+        quotient_algebra(L, scalars_subspace(K, 2), reps=[e, e + Mat.identity(K, 2), f])
+
+
+def test_quotient_rejects_an_ideal_outside_the_algebra():
+    K = GF(3)
+    L = MatLieAlg(2, sl_subspace(K, 2))
+    with pytest.raises(ValueError, match="ideal is not contained in the algebra"):
+        quotient_algebra(L, scalars_subspace(K, 2))
+
+
+def test_quotient_rejects_a_bracket_outside_the_algebra():
+    # span(e, f) is no subalgebra: [e, f] = h leaves it
+    K = QQ
+    e, f = Mat.unit(K, 2, 2, 0, 1), Mat.unit(K, 2, 2, 1, 0)
+    L = MatLieAlg(2, Subspace.from_rows(K, 4, [e.vec(), f.vec()]))
+    with pytest.raises(ValueError, match="vector not in subspace"):
+        quotient_algebra(L, Subspace.zero(K, 4))
+
+
+def _nonzero_constants(Q):
+    """(i, j, k) for every nonzero coefficient of e_k in [e_i, e_j]."""
+    return [(i, j, k) for i in range(Q.dim) for j in range(Q.dim)
+            for k, c in enumerate(Q.table[i][j]) if not Q.field.is_zero(c)]
+
+
+def _lift_block(K, n, piece, where):
+    """piece on the diagonal blocks, or in the upper or lower corner."""
+    Z = Mat.zeros(K, n, n)
+    blocks = {"diag": [[piece, Z], [Z, piece]], "upper": [[Z, piece], [Z, Z]],
+              "lower": [[Z, Z], [piece, Z]]}
+    return Mat.from_blocks(blocks[where])
+
+
+def _symplectic_gf2(m):
+    K = GF(2)
+    L = skew_adjoint_algebra(standard_symplectic_gram(K, m))
+    return K, L, derived_series(L)[2]
+
+
+@pytest.mark.parametrize("m, expect", [
+    (4, [(0, 2, 4), (1, 3, 4), (2, 0, 4), (3, 1, 4)]),
+    (6, [(0, 3, 6), (1, 4, 6), (2, 5, 6), (3, 0, 6), (4, 1, 6), (5, 2, 6)]),
+])
+def test_quotient_by_second_derived_is_heisenberg_table(m, expect):
+    # L/L^(2) on the representatives of Thm 1.1(6): [b_i, c_i] = [c_i, b_i] = a
+    # in characteristic 2 (recorded from the scalar membership tests)
+    K, L, L2 = _symplectic_gf2(m)
+    n = m // 2
+    a = _lift_block(K, n, Mat.unit(K, n, n, 0, 0), "diag")
+    bs = [_lift_block(K, n, Mat.unit(K, n, n, i, i), "upper") for i in range(n)]
+    cs = [_lift_block(K, n, Mat.unit(K, n, n, i, i), "lower") for i in range(n)]
+    Q, _ = quotient_algebra(L, L2.space, reps=bs + cs + [a])
+    assert Q.dim == m + 1
+    assert _nonzero_constants(Q) == expect
+
+
+def test_quotient_of_second_derived_by_scalars_is_unchanged():
+    # L^(2)/s for m = 8 over GF(2): the table and the chosen representatives,
+    # as digests recorded from the scalar membership tests
+    K, _, L2 = _symplectic_gf2(8)
+    Q, reps = quotient_algebra(L2, scalars_subspace(K, 8))
+    nonzero = _nonzero_constants(Q)
+    assert Q.dim == 26 and len(nonzero) == 288
+    assert hashlib.sha256(repr(nonzero).encode()).hexdigest() == (
+        "d4e5f70e9ee3c02f2e7f5ffed476ac7c2c42f1405699aedfeecc1e90463a593d")
+    assert hashlib.sha256(repr([r.vec() for r in reps]).encode()).hexdigest() == (
+        "ff64b507e4e94a21dc038d1d21a8da5605f277460889c0f71093777eae2a9180")
 
 
 def test_structure_isomorphism_identity():

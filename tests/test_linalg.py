@@ -30,6 +30,7 @@ from lieclassical.linalg import (
     solve,
     solve_many,
 )
+from charpoly_reference import charpoly_by_scalars
 
 
 def rand_mat(K, r, c, rng):
@@ -519,6 +520,47 @@ def test_charpoly_gf9_matches_determinants():
                 for c in reversed(f):
                     value = K.add(K.mul(value, t), c)
                 assert value == (Mat.identity(K, n).scale(t) - A).det()
+
+
+CHARPOLY_FIELDS = [GF(2), GF(5), GF(P_MAX), GF(3, 2), *GF2_FIELDS[-2:]]
+
+
+def _top_matrix(K, n):
+    """The n x n matrix with every entry p - 1 (both residues over GF(p^2)),
+    which makes every intermediate product as large as it can be."""
+    top = (K.char - 1, K.char - 1) if K.degree == 2 else K.char - 1
+    return Mat(K, [[top] * n for _ in range(n)])
+
+
+@pytest.mark.parametrize("K", CHARPOLY_FIELDS, ids=repr)
+def test_charpoly_matches_scalar_reference(K):
+    rng = random.Random(K.char)
+    for n in (0, 1, 2, 3, 5, 12, 48):
+        for A in [*_shaped_matrices(K, rng, n), _top_matrix(K, n)]:
+            assert charpoly(A) == charpoly_by_scalars(A)
+
+
+def test_charpoly_refuses_the_rationals():
+    with pytest.raises(ValueError, match="finite field"):
+        charpoly(Mat.identity(QQ, 3))
+
+
+def test_charpoly_makes_no_per_entry_field_calls(monkeypatch):
+    # the array path calls the field only for one inverse per column; a
+    # scalar Hessenberg reduction would make about n^3 calls
+    K, n = GF(5), 48
+    A = rand_mat(K, n, n, random.Random(48))
+    calls = {"mul": 0, "sub": 0, "add": 0, "inv": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(K, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(K, name, counted, raising=False)
+    f = charpoly(A)
+    monkeypatch.undo()
+    assert f == charpoly_by_scalars(A)
+    assert calls["mul"] + calls["sub"] + calls["add"] <= 2 * n
+    assert calls["inv"] <= n
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 1000003])
