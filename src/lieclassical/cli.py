@@ -302,7 +302,7 @@ def _run_algebra(K, args):
         "dim L": L.dim,
         "dim M": M.dim,
         "derived dims": [a.dim for a in ds],
-        "L basis": L.space.basis_matrix().to_text(),
+        "L basis": L.space.basis.to_text(),
     }
     if args.output == "json":
         return json.dumps(data, indent=2) + "\n", True
@@ -356,7 +356,7 @@ def _run_weights(K, args):
     H_space = L.space.intersect(diag)
     if H_space.dim == 0:
         raise CliError("L contains no nonzero diagonal matrices")
-    H = [(f"h{i}", ad_gl(Mat.unvec(K, list(r), m, m))) for i, r in enumerate(H_space.basis)]
+    H = [(f"h{i}", ad_gl(h)) for i, h in enumerate(H_space.matrices(m, m))]
     module = adjoint_module(L, gl_subspace(K, m))
     table = weights(module, H)
     entries = sorted(

@@ -147,7 +147,7 @@ def diagonalize_symmetric(A: Mat) -> CongruenceResult:
             done.append(u2)
             projected = _orth_complement(A, remaining + [u], u2)
             # the projections carry one dependency; rebuild an independent basis
-            remaining = [list(r) for r in Subspace.from_rows(K, m, projected).basis]
+            remaining = list(Subspace.from_rows(K, m, projected).basis.rows)
             continue
         u = remaining.pop(idx)
         done.append(u)

@@ -56,7 +56,7 @@ class MatLieAlg:
         return self.space.dim
 
     def basis_mats(self):
-        return [Mat.unvec(self.field, list(r), self.m, self.m) for r in self.space.basis]
+        return self.space.matrices(self.m, self.m)
 
     def contains(self, X: Mat) -> bool:
         return self.space.contains_vector(X.vec())
@@ -91,9 +91,9 @@ def _adjoint_condition(A: Mat, sign) -> Mat:
 
 def derived_space(m: int, space: Subspace) -> Subspace:
     K = space.field
-    mats = [Mat.unvec(K, list(r), m, m) for r in space.basis]
+    mats = space.matrices(m, m)
     pairs = [i * len(mats) + j for i in range(len(mats)) for j in range(i + 1, len(mats))]
-    return Subspace.from_rows(K, m * m, bracket_rows(K, m, mats, mats)[pairs, :].rows)
+    return Subspace.span(bracket_rows(K, m, mats, mats)[pairs, :])
 
 
 def derived(L: MatLieAlg) -> MatLieAlg:
@@ -119,18 +119,17 @@ def trace_pairing(x: Mat, y: Mat):
 
 def trace_orthogonal_complement(U: Subspace, within: Subspace) -> Subspace:
     """{x in `within` : tr(x u) = 0 for all u in U}."""
-    K = U.field
     m2 = U.ambient
     m = math.isqrt(m2)
     if m * m != m2:
         raise ValueError("ambient dimension is not a square")
-    if not within.basis:
+    if not within.dim:
         return within
     # tr(XU) = <vec(X), vec(U')>, so each u contributes one linear constraint
     # vec(u'), the entries of vec(u) at the transposed positions
-    C = U.basis_matrix()[:, [j * m + i for i in range(m) for j in range(m)]]
-    coords_kernel = kernel(C @ within.basis_matrix().transpose())
-    return Subspace.from_rows(K, m2, [within.lift(c) for c in coords_kernel.basis])
+    C = U.basis[:, [j * m + i for i in range(m) for j in range(m)]]
+    coords_kernel = kernel(C @ within.basis.transpose())
+    return Subspace.span(coords_kernel.basis @ within.basis)
 
 
 def adjoint_star(X: Mat, A: Mat) -> Mat:
@@ -208,28 +207,24 @@ def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
     if not L.space.contains(ideal):
         raise ValueError("ideal is not contained in the algebra")
     basis = L.basis_mats()
-    ideal_mats = [Mat.unvec(K, list(r), L.m, L.m) for r in ideal.basis]
+    ideal_mats = ideal.matrices(L.m, L.m)
     if not ideal.residuals(bracket_rows(K, L.m, basis, ideal_mats)).is_zero():
         raise ValueError("subspace is not an ideal")
     # coordinates of the ideal inside L
-    pivots = list(L.space.pivots)
-    coords_I = Subspace.from_rows(K, L.dim, ideal.basis_matrix()[:, pivots].rows)
+    coords_I = Subspace.span(ideal.basis[:, list(L.space.pivots)])
     q = L.dim - ideal.dim
     if reps is None:
-        pivset = set(coords_I.pivots)
-        reps = [basis[j] for j in range(L.dim) if j not in pivset]
+        reps = [basis[j] for j in coords_I.nonpivots()]
     if len(reps) != q:
         raise ValueError(f"need {q} coset representatives, got {len(reps)}")
     if not q:
         return StructureConstants(K, [], []), reps
 
     def reduced(X):
-        if not L.space.residuals(X).is_zero():
-            raise ValueError("vector not in subspace")
-        return coords_I.residuals(X[:, pivots])
+        return coords_I.residuals(L.space.coords_of(X))
 
     red_reps = reduced(Mat.from_blocks([[X.reshape(1, L.m * L.m)] for X in reps]))
-    if Subspace.from_rows(K, L.dim, red_reps.rows).dim != q:
+    if Subspace.span(red_reps).dim != q:
         raise ValueError("representatives are dependent modulo the ideal")
 
     brackets = reduced(bracket_rows(K, L.m, reps, reps))

@@ -7,10 +7,16 @@ numerators over one positive common denominator, kept in lowest terms (int64
 while every numerator is below 2^63 in absolute value, Python ints
 otherwise).  Arithmetic, products, Kronecker products, submatrices and the
 characteristic polynomial over finite fields are exact array operations;
-`Mat.rows` is a derived, read-only list of canonical scalars for det, the
-scalar echelon basis and output.  Row reduction over finite fields is one
-incremental echelon basis whose fully reduced rows are the RREF; it serves
-rref, subspaces and spins alike.  Over Q it is fraction-free.
+`Mat.rows` is a derived, read-only list of canonical scalars for det and
+output.
+
+A `Subspace` holds its canonical RREF basis as one `Mat` next to its pivots,
+and reduces, tests membership, takes coordinates and lifts them with
+products of that basis.  Each field family has one incremental echelon
+basis whose fully reduced rows are the RREF, and rref, kernels, subspaces
+and spins all go through it: `EchelonGFp` on the residue (pair) arrays over
+every finite field, `Echelon` on primitive Python-int rows, fraction-free,
+over Q.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import GF, Field, PrimeField, field_from_token
+from .fields import GF, Field, field_from_token
 
 
 class Mat:
@@ -180,6 +186,11 @@ class Mat:
     def is_zero(self):
         return not self.a.any()
 
+    def nonzero_rows(self):
+        """The indices of the rows with a nonzero entry."""
+        nonzero = (self.a != 0).any(axis=-1).reshape(-1, self.nrows).any(axis=0)
+        return np.flatnonzero(nonzero).tolist()
+
     def vec(self):
         """Row-major flattening."""
         return self.reshape(1, self.nrows * self.ncols)._scalar_rows()[0]
@@ -307,15 +318,17 @@ def _aligned(mats, terms=1):
 
 
 def _times(K, x, y):
-    """The entrywise product of broadcastable arrays in the format of the
-    finite field K (over GF(p^2) the pair on the leading axis); each product
-    of two residues is reduced before it is added to another."""
+    """The entrywise product of broadcastable arrays with as many axes, in
+    the format of the finite field K (over GF(p^2) the pair on the leading
+    axis); each product of two residues is reduced before it is added to
+    another."""
+    p = K.char
     if K.degree == 1:
-        return (x * y) % K.char
-    p, r = K.char, K.nonresidue
-    (x0, x1), (y0, y1) = x, y
-    c0 = ((x0 * y0) % p + (r * ((x1 * y1) % p)) % p) % p
-    return np.array((c0, ((x0 * y1) % p + (x1 * y0) % p) % p))
+        return (x * y) % p
+    t = (x[:, None] * y[None, :]) % p  # t[i, j] = x_i y_j
+    out = t[0] + t[1, ::-1]  # (x0 y0 + x1 y1, x0 y1 + x1 y0)
+    out[0] += (K.nonresidue - 1) * t[1, 1]  # x0 y0 + r x1 y1 <= p (p - 1) < 2^63
+    return out % p
 
 
 def matvec(M: Mat, v):
@@ -401,57 +414,11 @@ def _dot(K, a, b):
 
 
 def rref(M: Mat):
-    """Canonical reduced row echelon form; returns (matrix, rank, pivots).
-
-    Fraction-free elimination over Q; over GF(p) and GF(p^2) the rows are
-    fed into an incremental echelon basis, whose rows sorted by pivot are
-    the RREF basis."""
-    K = M.field
-    basis, pivots = _rref_basis(M)
-    zeros = Mat.zeros(K, M.nrows - len(basis), M.ncols)
-    red = Mat.from_blocks([[Mat(K, basis)], [zeros]]) if basis else zeros
-    return red, len(basis), tuple(pivots)
-
-
-def _rref_basis(M: Mat):
-    """(basis rows, pivots) of the RREF of M."""
-    if not M.field.char:
-        return _rref_rational(M.a.tolist(), M.ncols)
-    ech = echelon(M.field, M.ncols)
-    ech.add_rows(M)
-    S = ech.subspace()
-    return S.basis, S.pivots
-
-
-def _rref_rational(rows, ncols):
-    """(basis rows, pivots) of the RREF of integer rows: fraction-free
-    elimination on primitive rows, normalized at the end."""
-    work = []
-    for ints in rows:
-        g = math.gcd(*ints)
-        work.append([x // g for x in ints] if g > 1 else ints)
-    nrows = len(work)
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if work[r][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        for r in range(nrows):
-            if r == rank or not work[r][col]:
-                continue
-            f = work[r][col]
-            work[r] = [pv * x - f * y for x, y in zip(work[r], work[rank])]
-            g = math.gcd(*work[r])
-            if g > 1:
-                work[r] = [x // g for x in work[r]]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return [[Fraction(x, work[i][pv]) for x in work[i]] for i, pv in enumerate(pivots)], pivots
+    """Canonical reduced row echelon form; returns (matrix, rank, pivots): the
+    canonical basis of the row space, then zero rows."""
+    S = Subspace.span(M)
+    red = Mat.from_blocks([[S.basis], [Mat.zeros(M.field, M.nrows - S.dim, M.ncols)]])
+    return red, S.dim, S.pivots
 
 
 def solve(A: Mat, b):
@@ -478,15 +445,14 @@ def kernel(M: Mat) -> "Subspace":
     """Right kernel {v : M v = 0} as a canonical subspace: one vector
     e_f - sum_i R[i][f] e_(pivot i) per free column f of the RREF R."""
     K, n = M.field, M.ncols
-    red, rank, pivots = rref(M)
-    pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
+    R = Subspace.span(M)
+    free = R.nonpivots()
     if not free:
         return Subspace.zero(K, n)
     # the kernel vectors with their coordinates in the order pivots, free
-    vecs = Mat.from_blocks([[-red[:rank, free].transpose(), Mat.identity(K, len(free))]])
-    order = sorted(range(n), key=[*pivots, *free].__getitem__)
-    return Subspace.from_rows(K, n, vecs[:, order].rows)
+    vecs = Mat.from_blocks([[-R.basis[:, free].transpose(), Mat.identity(K, len(free))]])
+    order = sorted(range(n), key=[*R.pivots, *free].__getitem__)
+    return Subspace.span(vecs[:, order])
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +493,7 @@ def charpoly(A: Mat):
     for k in range(1, n + 1):
         w = np.concatenate([_times(K, w, H[..., k - 1 : k, k - 2]), one], axis=-1) if k > 1 else one
         P[..., k, 1 : k + 1] = P[..., k - 1, :k]
-        coef = _times(K, w, H[..., None, :k, k - 1])
+        coef = _times(K, w[..., None, :], H[..., None, :k, k - 1])
         P[..., k, : k + 1] -= _dot(K, coef, P[..., :k, : k + 1])[..., 0, :]
         P[..., k, : k + 1] %= p
     f = P[..., n, :].tolist()
@@ -657,78 +623,93 @@ def roots(K, f, rng):
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of F^N held as a canonical RREF basis (rows)."""
+    """Subspace of F^N held as its canonical RREF basis: the rows of `basis`,
+    in the array format of the field, sorted by pivot, each 1 at its own pivot
+    and 0 at the others."""
 
-    field: Field
-    ambient: int
-    basis: tuple
+    basis: Mat
     pivots: tuple
 
     @classmethod
+    def span(cls, X: Mat) -> "Subspace":
+        """The row space of X."""
+        ech = echelon(X.field, X.ncols)
+        ech.add_rows(X)
+        return ech.subspace()
+
+    @classmethod
     def from_rows(cls, field, ambient, rows):
-        if not rows:
-            return cls(field, ambient, (), ())
-        basis, pivots = _rref_basis(Mat(field, rows))
-        return cls(field, ambient, tuple(tuple(r) for r in basis), tuple(pivots))
+        return cls.span(Mat(field, rows)) if rows else cls.zero(field, ambient)
 
     @classmethod
     def zero(cls, field, ambient):
-        return cls(field, ambient, (), ())
+        return cls(Mat.zeros(field, 0, ambient), ())
 
     @classmethod
     def full(cls, field, ambient):
-        eye = Mat.identity(field, ambient)
-        return cls(field, ambient, tuple(tuple(r) for r in eye.rows), tuple(range(ambient)))
+        return cls(Mat.identity(field, ambient), tuple(range(ambient)))
+
+    @property
+    def field(self):
+        return self.basis.field
+
+    @property
+    def ambient(self):
+        return self.basis.ncols
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self.basis.nrows
 
-    def basis_matrix(self) -> Mat:
-        if not self.basis:
-            return Mat.zeros(self.field, 0, self.ambient)
-        return Mat(self.field, self.basis)
+    def nonpivots(self):
+        pivset = set(self.pivots)
+        return [j for j in range(self.ambient) if j not in pivset]
 
-    def reduce(self, v):
-        """Residual of v after eliminating the pivot coordinates."""
-        return _reduce(self.field, v, self.basis, self.pivots)
+    def matrices(self, r, c):
+        """The basis vectors as r x c matrices, each read row by row."""
+        stack = self.basis.reshape(self.dim * r, c)
+        return [stack[i * r : (i + 1) * r, :] for i in range(self.dim)]
 
     def residuals(self, X: Mat) -> Mat:
         """The residuals of X's rows: the basis rows are zero at each other's
         pivots, so eliminating the pivot coordinates is X - X[:, pivots] B."""
-        if not self.basis:
-            return X
-        return X - X[:, list(self.pivots)] @ self.basis_matrix()
+        return X - X[:, list(self.pivots)] @ self.basis if self.pivots else X
+
+    def reduce(self, v):
+        """Residual of the vector v after eliminating the pivot coordinates."""
+        return self.residuals(Mat(self.field, [v])).vec()
 
     def contains_vector(self, v) -> bool:
         K = self.field
         return all(K.is_zero(a) for a in self.reduce(v))
 
-    def coords(self, v):
-        """Coordinates relative to the canonical basis (requires membership)."""
-        if not self.contains_vector(v):
+    def coords_of(self, X: Mat) -> Mat:
+        """The coordinates of X's rows relative to the canonical basis, their
+        entries at the pivots; raises unless every row lies in the subspace."""
+        if not self.residuals(X).is_zero():
             raise ValueError("vector not in subspace")
-        return [v[p] for p in self.pivots]
+        return X[:, list(self.pivots)]
+
+    def coords(self, v):
+        return self.coords_of(Mat(self.field, [v])).vec()
 
     def lift(self, coords):
-        return (Mat(self.field, [coords]) @ self.basis_matrix()).vec()
+        return (Mat(self.field, [coords]) @ self.basis).vec()
 
     def contains(self, other: "Subspace") -> bool:
-        return self.residuals(other.basis_matrix()).is_zero()
+        return self.residuals(other.basis).is_zero()
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compat(other)
-        return Subspace.from_rows(self.field, self.ambient, self.basis + other.basis)
+        return Subspace.span(Mat.from_blocks([[self.basis], [other.basis]]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compat(other)
-        if not self.basis or not other.basis:
+        if not self.dim or not other.dim:
             return Subspace.zero(self.field, self.ambient)
         # x = a·U = b·W  <=>  (a, b) in ker [U' | -W'].
-        ker = kernel(Mat.from_blocks([[self.basis_matrix().transpose(),
-                                       -other.basis_matrix().transpose()]]))
-        rows = [self.lift(k[: self.dim]) for k in ker.basis]
-        return Subspace.from_rows(self.field, self.ambient, rows)
+        ker = kernel(Mat.from_blocks([[self.basis.transpose(), -other.basis.transpose()]]))
+        return Subspace.span(ker.basis[:, : self.dim] @ self.basis)
 
     def _check_compat(self, other):
         if self.field != other.field or self.ambient != other.ambient:
@@ -739,19 +720,21 @@ class Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Incremental echelon bases: the elimination behind rref over finite fields
-# and the spinning closure.  Rows are kept normalized and fully reduced (zero
-# in every other pivot column), so sorted by pivot they are the RREF basis.
+# Incremental echelon bases, one per field family: the elimination behind
+# rref, subspaces and the spinning closure.  Rows are kept fully reduced (zero
+# in every other pivot column), so sorted by pivot and normalized they are the
+# RREF basis.  `add_rows` inserts the rows of a Mat one by one through `add`.
 
 
 def echelon(field, ambient):
-    """An empty echelon basis of F^ambient: int64 rows over GF(p), scalars
-    over the other fields."""
-    return (EchelonGFp if isinstance(field, PrimeField) else Echelon)(field, ambient)
+    """An empty echelon basis of F^ambient: residue arrays over finite fields,
+    fraction-free integer rows over Q."""
+    return (EchelonGFp if field.char else Echelon)(field, ambient)
 
 
 class Echelon:
-    """Growing echelon basis on scalars of any field."""
+    """Growing echelon basis over Q, fraction-free: primitive rows of Python
+    ints, each zero at the other rows' pivots."""
 
     def __init__(self, field, ambient):
         self.field = field
@@ -764,68 +747,90 @@ class Echelon:
         return len(self.rows)
 
     def add(self, v) -> bool:
-        """Insert v; returns True if it enlarged the span."""
-        K = self.field
-        r = _reduce(K, v, self.rows, self.pivots)
-        piv = next((i for i, a in enumerate(r) if not K.is_zero(a)), None)
+        """Insert the integer row v (a row of numerators: the common
+        denominator of a Q matrix does not change its row space); returns
+        True if it enlarged the span."""
+        for row, piv in zip(self.rows, self.pivots):
+            c = v[piv]
+            if c:
+                a = row[piv]
+                v = _primitive([a * x - c * y for x, y in zip(v, row)])
+        piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        inv = K.inv(r[piv])
-        r = [K.mul(inv, a) for a in r]
+        v = _primitive(v)
+        a = v[piv]
         for i, row in enumerate(self.rows):
             c = row[piv]
-            if not K.is_zero(c):
-                self.rows[i] = [K.sub(a, K.mul(c, b)) for a, b in zip(row, r)]
-        self.rows.append(r)
+            if c:
+                self.rows[i] = _primitive([a * x - c * y for x, y in zip(row, v)])
+        self.rows.append(v)
         self.pivots.append(piv)
         return True
 
     def add_rows(self, M: Mat) -> Mat:
-        return _add_rows(self, M._scalar_rows(), M)
+        return _add_rows(self, M.a.tolist(), M)
 
     def subspace(self) -> Subspace:
-        return _sorted_subspace(self.field, self.ambient, self.rows, self.pivots)
+        order = sorted(range(self.dim), key=self.pivots.__getitem__)
+        rows = [self.rows[i] for i in order]
+        pivots = tuple(self.pivots[i] for i in order)
+        # row / row[pivot] over the common denominator d of the pivot entries
+        d = math.lcm(*(r[j] for r, j in zip(rows, pivots)))
+        num = [[x * (d // r[j]) for x in r] for r, j in zip(rows, pivots)]
+        a = np.array(num, dtype=object).reshape(len(rows), self.ambient)
+        return Subspace(Mat._of(self.field, a, d), pivots)
+
+
+def _primitive(v):
+    """The integer row v divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
 class EchelonGFp:
-    """Growing echelon basis over GF(p) as one int64 array: its rows are zero
-    at every other pivot, so a vector v reduces in one product,
-    v - v[pivots] @ basis (eliminating the pivots one row at a time)."""
+    """Growing echelon basis over GF(p) or GF(p^2) as one array in the
+    field's format: its rows are zero at every other pivot, so a row v
+    reduces in one product, v - v[pivots] basis."""
 
     def __init__(self, field, ambient):
         self.field = field
-        self.p = field.char
         self.ambient = ambient
-        self.mat = np.zeros((0, ambient), dtype=np.int64)
+        self.pair = field.degree == 2
+        self.mat = Mat.zeros(field, 0, ambient).a
         self.pivots = []
 
     @property
     def dim(self):
-        return self.mat.shape[0]
+        return self.mat.shape[-2]
 
     def add(self, v) -> bool:
-        p = self.p
-        r = np.array(v, dtype=np.int64) % p
-        coeffs = r[self.pivots]
+        """Insert the row v of canonical residues (a pair of rows over
+        GF(p^2)); returns True if it enlarged the span."""
+        K, p = self.field, self.field.char
+        coeffs = v[..., self.pivots]
         if coeffs.any():
-            r = (r - gfp_matmul(coeffs, self.mat, p)) % p
-        nz = np.nonzero(r)[0]
+            v = (v - _dot(K, coeffs, self.mat)) % p
+        nz = np.flatnonzero(v[0] | v[1] if self.pair else v)
         if nz.size == 0:
             return False
         piv = int(nz[0])
-        r = (r * pow(int(r[piv]), self.p - 2, self.p)) % self.p
+        h = v[..., piv].tolist()
+        v = _times(K, v, np.array(K.inv(tuple(h)))[:, None] if self.pair else pow(h, p - 2, p))
         if self.pivots:
-            col = self.mat[:, piv].copy()
-            self.mat = (self.mat - np.outer(col, r)) % self.p
-        self.mat = np.vstack([self.mat, r[None, :]])
+            col = self.mat[..., piv]
+            self.mat = (self.mat - _times(K, col[..., None], v[..., None, :])) % p
+        self.mat = np.concatenate([self.mat, v[..., None, :]], axis=-2)
         self.pivots.append(piv)
         return True
 
     def add_rows(self, M: Mat) -> Mat:
-        return _add_rows(self, M.a, M)
+        return _add_rows(self, M.a.swapaxes(0, -2), M)
 
     def subspace(self) -> Subspace:
-        return _sorted_subspace(self.field, self.ambient, self.mat.tolist(), self.pivots)
+        order = sorted(range(self.dim), key=self.pivots.__getitem__)
+        return Subspace(Mat._of(self.field, self.mat[..., order, :]),
+                        tuple(self.pivots[i] for i in order))
 
 
 def _add_rows(ech, rows, M: Mat) -> Mat:
@@ -839,20 +844,3 @@ def _add_rows(ech, rows, M: Mat) -> Mat:
         if ech.add(r):
             kept.append(i)
     return M[kept, :]
-
-
-def _reduce(K, v, rows, pivots):
-    """Residual of v after eliminating the pivot coordinates of fully reduced
-    rows: each row is zero at the other pivots, so the order does not matter."""
-    v = list(v)
-    for row, piv in zip(rows, pivots):
-        c = v[piv]
-        if not K.is_zero(c):
-            v = [K.sub(a, K.mul(c, b)) for a, b in zip(v, row)]
-    return v
-
-
-def _sorted_subspace(field, ambient, rows, pivots):
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return Subspace(field, ambient, tuple(tuple(rows[i]) for i in order),
-                    tuple(pivots[i] for i in order))

@@ -199,7 +199,7 @@ def certify_irreducible(M: LieModule, budget: int | None = None, seed: int = 0) 
         dual = spin(M, [_random_vector(kernel(f_theta.transpose()), rng)], transposed=True)
         if dual.dim == M.dim:
             return IrredResult("irreducible", None, "kernel/dual spin")
-        return IrredResult("reducible", kernel(dual.basis_matrix()), "dual spin annihilator")
+        return IrredResult("reducible", kernel(dual.basis), "dual spin annihilator")
     return IrredResult("budget-exceeded", None, "budget exceeded")
 
 
@@ -243,7 +243,7 @@ def _image_coords(U: Subspace, S: Mat) -> Mat | None:
     A u_j has U-coordinates its entries C at U's pivots if it lies in U, and
     lies in U iff it equals C B for the basis matrix B.
     """
-    B = U.basis_matrix()
+    B = U.basis
     images = _images(S, B)
     coords = images[:, list(U.pivots)]
     return coords if coords @ B == images else None
@@ -257,21 +257,15 @@ def quotient_module(M: LieModule, U: Subspace) -> LieModule:
     action.
     """
     S, g = M.stack, len(M.labels())
-    pivset = set(U.pivots)
-    free = [j for j in range(M.dim) if j not in pivset]
+    free = U.nonpivots()
     images = S.transpose()[free, :].reshape(len(free) * g, M.dim)
     return M.on_stack(U.residuals(images)[:, free])
 
 
-def quotient_lift(U: Subspace, coords):
-    """Canonical preimage in the ambient of a quotient coordinate vector."""
-    K = U.field
-    pivset = set(U.pivots)
-    free = [j for j in range(U.ambient) if j not in pivset]
-    v = [K.zero()] * U.ambient
-    for c, j in zip(coords, free):
-        v[j] = c
-    return v
+def quotient_lift(U: Subspace, C: Mat) -> Mat:
+    """Canonical preimages in the ambient of the quotient coordinate rows of
+    C: C's columns at U's non-pivot positions, zero at its pivots."""
+    return C @ Mat.identity(U.field, U.ambient)[U.nonpivots(), :]
 
 
 def invariant_under(U: Subspace, S: Mat) -> bool:
@@ -362,7 +356,6 @@ def _certified_mod_p(factor, primes):
 
 def _max_chain(M: LieModule, budget):
     """Interior terms of a maximal submodule chain, in M's own coordinates."""
-    K = M.field
     if M.dim == 0:
         return []
     res = certify_irreducible(M, budget=budget)
@@ -375,12 +368,10 @@ def _max_chain(M: LieModule, budget):
     quot = quotient_module(M, W)
     lower = _max_chain(sub, budget)
     upper = _max_chain(quot, budget)
-    chain = [Subspace.from_rows(K, M.dim, [W.lift(r) for r in c.basis]) for c in lower]
+    chain = [Subspace.span(c.basis @ W.basis) for c in lower]
     chain.append(W)
     for c in upper:
-        rows = [list(r) for r in W.basis]
-        rows += [quotient_lift(W, list(r)) for r in c.basis]
-        chain.append(Subspace.from_rows(K, M.dim, rows))
+        chain.append(Subspace.span(Mat.from_blocks([[W.basis], [quotient_lift(W, c.basis)]])))
     return chain
 
 
@@ -388,12 +379,7 @@ def factor_module(M: LieModule, lo: Subspace, hi: Subspace) -> LieModule:
     sub = restrict_module(M, hi) if hi.dim < M.dim else M
     if lo.dim == 0:
         return sub
-    K = M.field
-    lo_in = (
-        Subspace.from_rows(K, sub.dim, [hi.coords(list(r)) for r in lo.basis])
-        if hi.dim < M.dim
-        else lo
-    )
+    lo_in = Subspace.span(hi.coords_of(lo.basis)) if hi.dim < M.dim else lo
     return quotient_module(sub, lo_in)
 
 
@@ -449,7 +435,7 @@ def hom_space(M1: LieModule, M2: LieModule) -> Subspace:
 
 
 def hom_members(M1, M2, H: Subspace):
-    return [Mat.unvec(H.field, list(r), M2.dim, M1.dim) for r in H.basis]
+    return H.matrices(M2.dim, M1.dim)
 
 
 @dataclass
@@ -530,7 +516,7 @@ def tensor_square(form: BilForm, L: MatLieAlg) -> TensorSquare:
 
 
 def gamma_image(ts: TensorSquare, U: Subspace) -> Subspace:
-    return Subspace.from_rows(U.field, U.ambient, (U.basis_matrix() @ ts.gamma.transpose()).rows)
+    return Subspace.span(U.basis @ ts.gamma.transpose())
 
 
 def star_map(s: Mat) -> Mat:

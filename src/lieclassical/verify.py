@@ -34,7 +34,7 @@ from .liealg import (
     trace_orthogonal_complement,
     trace_pairing,
 )
-from .linalg import Mat, Subspace, irreducible_factor, kernel, solve
+from .linalg import Mat, Subspace, echelon, irreducible_factor, kernel, solve
 from .repmod import (
     LieModule,
     adjoint_module,
@@ -115,7 +115,7 @@ def _ser(x):
         return x.to_text()
     if isinstance(x, Subspace):
         # the basis rows as they stand: "0 0" for the zero subspace
-        return Mat(x.field, x.basis).to_text()
+        return (x.basis if x.dim else Mat(x.field, [])).to_text()
     if isinstance(x, (list, tuple)):
         return [_ser(v) for v in x]
     if isinstance(x, Fraction):
@@ -125,11 +125,6 @@ def _ser(x):
 
 # ---------------------------------------------------------------------------
 # Shared constructions
-
-
-def _unvec_rows(space: Subspace, m):
-    K = space.field
-    return [Mat.unvec(K, list(r), m, m) for r in space.basis]
 
 
 def _block_span(K, m, blocks):
@@ -160,7 +155,7 @@ def _symplectic_block_space(K, n, b_diag, c_diag, traceless_a):
             a = Mat.unit(K, n, n, i, i) + Mat.unit(K, n, n, n - 1, n - 1)
             blocks.append([(0, 0, a), (n, n, a)])
     # the symmetric units: e_ii (trace 1) and e_ij + e_ji (trace 0)
-    sym = _unvec_rows(sym_alt_subspaces(n, K)[0], n)
+    sym = sym_alt_subspaces(n, K)[0].matrices(n, n)
     for b in sym:
         if b_diag or K.is_zero(b.trace()):
             blocks.append([(0, n, b)])
@@ -171,18 +166,14 @@ def _symplectic_block_space(K, n, b_diag, c_diag, traceless_a):
 
 
 def _fill_between(lo: Subspace, hi: Subspace):
-    """Intermediate subspaces refining lo < hi one dimension at a time."""
-    K = lo.field
-    out = []
-    cur = lo
-    for v in [list(r) for r in hi.basis]:
-        if cur.dim + 1 >= hi.dim:
-            break
-        if cur.contains_vector(v):
-            continue
-        cur = Subspace.from_rows(K, lo.ambient, [list(r) for r in cur.basis] + [v])
-        out.append(cur)
-    return out
+    """Intermediate subspaces refining lo < hi one dimension at a time: lo
+    plus the first k basis rows of hi that leave the span of lo and the rows
+    before them."""
+    ech = echelon(lo.field, lo.ambient)
+    ech.add_rows(lo.basis)
+    new = ech.add_rows(hi.basis)
+    return [Subspace.span(Mat.from_blocks([[lo.basis], [new[:k, :]]]))
+            for k in range(1, hi.dim - lo.dim)]
 
 
 def _good_primes(gram: Mat):
@@ -245,7 +236,7 @@ def run_thm_1_1(m, p=2) -> Report:
     four = m % 4 == 0
     x = Mat.from_blocks([[Mat.identity(K, n), Mat.zeros(K, n, n)],
                          [Mat.zeros(K, n, n), Mat.zeros(K, n, n)]])
-    U = Subspace.from_rows(K, m * m, [list(r) for r in L.space.basis] + [x.vec()])
+    U = Subspace.span(Mat.from_blocks([[L.space.basis], [x.reshape(1, m * m)]]))
     rep.check("[x, L] in L", "Thm 1.1", True,
               all(L.contains(bracket(x, y)) for y in L.basis_mats()))
     canonical = [s, L2.space] if four else [L2.space]
@@ -377,14 +368,14 @@ def run_thm_1_2(m, diag=None, p=2) -> Report:
     rep.check("gl/L = L^(1) (hom witness)", "Thm 1.2(4)", True, inv is not None)
     # m-1 free insertions between L^(1) and L: trivial action on L/L^(1)
     between = restrict_module(module, L.space)
-    l1_in = Subspace.from_rows(K, L.dim, [L.space.coords(list(r)) for r in L1.space.basis])
+    l1_in = Subspace.span(L.space.coords_of(L1.space.basis))
     rep.check("L/L^(1) trivial action", "Thm 1.2", True,
               trivial_actions(quotient_module(between, l1_in)))
     rng = random.Random(7)
-    mid_rows = [list(r) for r in L1.space.basis]
-    extra = [list(r) for r in L.space.basis if not L1.space.contains_vector(list(r))]
+    extra = L1.space.residuals(L.space.basis).nonzero_rows()
     rng.shuffle(extra)
-    mid = Subspace.from_rows(K, m * m, mid_rows + extra[: max(1, len(extra) // 2)])
+    mid = Subspace.span(Mat.from_blocks([[L1.space.basis],
+                                         [L.space.basis[extra[: max(1, len(extra) // 2)], :]]]))
     rep.check("random insertion invariant", "Thm 1.2", True,
               invariant_under(mid, module.stack))
     if m == 4:
@@ -424,7 +415,7 @@ def _invertible_member(H: Subspace, r, c):
     if r != c or H.dim == 0:
         return None
     K = H.field
-    mats = [Mat.unvec(K, list(v), r, c) for v in H.basis]
+    mats = H.matrices(r, c)
     for T in mats:
         if not K.is_zero(T.det()):
             return T
@@ -443,14 +434,14 @@ def _check_prop_10_2(rep: Report, K, L1: MatLieAlg):
     m = 4
     # e_ij + e_ji (e_ii for i = j) under the key (i, j), i <= j: the pivot of its row
     sym, _ = sym_alt_subspaces(m, K)
-    unit = {divmod(p, m): u for p, u in zip(sym.pivots, _unvec_rows(sym, m))}
+    unit = {divmod(p, m): u for p, u in zip(sym.pivots, sym.matrices(m, m))}
     f1, f2, f3 = unit[0, 1], unit[1, 2], unit[0, 2]
     h1, h2, h3 = unit[2, 3], unit[0, 3], unit[1, 3]
     gs = [f1 + h1, f2 + h2, f3 + h3]
     S = Subspace.from_rows(K, 16, [f.vec() for f in (f1, f2, f3)])
     R = Subspace.from_rows(K, 16, [g.vec() for g in gs])
     rep.check("L^(1) = S + R", "Prop 10.2", L1.space, S + R)
-    rmats = _unvec_rows(R, m)
+    rmats = R.matrices(m, m)
     rep.check("R abelian", "Prop 10.2", True, bracket_rows(K, m, rmats, rmats).is_zero())
     rep.check("R ideal of L^(1)", "Prop 10.2", True,
               R.residuals(bracket_rows(K, m, L1.basis_mats(), rmats)).is_zero())
@@ -460,8 +451,7 @@ def _check_prop_10_2(rep: Report, K, L1: MatLieAlg):
     # the unique proper nonzero L^(1)-submodule of L^(1) is the abelian
     # ideal R (not S: [f1, g2] lands outside S)
     ad = adjoint_module(L1, L1.space)
-    r_in = Subspace.from_rows(K, L1.dim,
-                              [L1.space.coords(list(r)) for r in R.basis])
+    r_in = Subspace.span(L1.space.coords_of(R.basis))
     subs = all_submodules(ad)
     rep.check("R is the only proper nonzero submodule", "Prop 10.2",
               [r_in], [u for u in subs if 0 < u.dim < ad.dim], "maximal-submodule descent")
@@ -492,7 +482,7 @@ def all_submodules(M: LieModule):
         if all(hom_space(S, T).dim == 0 for T in simples):
             simples.append(S)
     full, zero = Subspace.full(K, M.dim), Subspace.zero(K, M.dim)
-    found = {zero.basis: zero, full.basis: full}
+    found = {zero, full}
     work = [full]
     while work:
         U = work.pop()
@@ -500,12 +490,12 @@ def all_submodules(M: LieModule):
         for S in simples:
             H = hom_space(sub, S)
             for coeffs in line_reps(K, H.dim):
-                null = kernel(Mat.unvec(K, H.lift(coeffs), S.dim, sub.dim))
-                W = Subspace.from_rows(K, M.dim, [U.lift(list(r)) for r in null.basis])
-                if W.basis not in found:
-                    found[W.basis] = W
+                null = kernel((Mat(K, [coeffs]) @ H.basis).reshape(S.dim, sub.dim))
+                W = Subspace.span(null.basis @ U.basis)
+                if W not in found:
+                    found.add(W)
                     work.append(W)
-    return sorted(found.values(), key=lambda u: (u.dim, u.basis if u.dim else ()))
+    return sorted(found, key=lambda u: (u.dim, u.basis.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +629,8 @@ def _projection_intertwiner(Lspace: Subspace, M: Subspace) -> Mat:
 
     The coset of e_j, j not a pivot of M, has L-coordinates column j of the
     top rows of the inverse of [L basis | M basis] (bases as columns)."""
-    B = Mat.from_blocks([[Lspace.basis_matrix()], [M.basis_matrix()]])
-    free = [j for j in range(Lspace.ambient) if j not in M.pivots]
-    return B.transpose().inv()[: Lspace.dim, free]
+    B = Mat.from_blocks([[Lspace.basis], [M.basis]])
+    return B.transpose().inv()[: Lspace.dim, M.nonpivots()]
 
 
 def _so4_ideal(L: MatLieAlg) -> Subspace:
@@ -668,8 +657,7 @@ def _so4_ideal(L: MatLieAlg) -> Subspace:
         if root is None:
             raise ValueError("no proper ideal found")
         W = kernel(T - eye.scale((a + root) / 2))
-    rows = [L.space.lift(list(r)) for r in W.basis]
-    return Subspace.from_rows(K, L.m * L.m, rows)
+    return Subspace.span(W.basis @ L.space.basis)
 
 
 def _m_of_j_space(K, m):
@@ -728,8 +716,7 @@ def run_note_9_2() -> Report:
     s = scalars_subspace(K, 3)
 
     def in_gl(inner):
-        rows = [Msl.lift(list(r)) for r in inner.basis]
-        return Subspace.from_rows(K, 9, rows)
+        return Subspace.span(inner.basis @ Msl.basis)
 
     Xq = factor_module(big, s, in_gl(X))
     Yq = factor_module(big, s, in_gl(Y))
@@ -745,9 +732,8 @@ def _gf9(K, x, i):
 
 def span_in(amb: Subspace, mats):
     """The span of the matrices mats, in the coordinates of amb (which holds them)."""
-    K = amb.field
-    coords = [amb.coords(x.vec()) for x in mats]
-    return Subspace.from_rows(K, amb.dim, coords)
+    vecs = Mat.from_blocks([[x.reshape(1, amb.ambient)] for x in mats])
+    return Subspace.span(amb.coords_of(vecs))
 
 
 def run_note_9_3() -> Report:
@@ -767,7 +753,7 @@ def run_note_9_3() -> Report:
     subs = all_submodules(module)
     proper = [u for u in subs if 0 < u.dim < module.dim]
     rep.check("proper nonzero submodules are Fx, Fy", "Note 9.3",
-              sorted([Fx, Fy], key=lambda u: (u.dim, u.basis)), proper,
+              sorted([Fx, Fy], key=lambda u: (u.dim, u.basis.rows)), proper,
               "maximal-submodule descent")
     return rep
 
@@ -843,14 +829,14 @@ def run_sp_so_embedding(n, K) -> Report:
         K.is_zero(trace_pairing(xm, ym))
         for a in range(3)
         for b in range(a + 1, 3)
-        for xm in _unvec_rows(pieces[a], m)
-        for ym in _unvec_rows(pieces[b], m)
+        for xm in pieces[a].matrices(m, m)
+        for ym in pieces[b].matrices(m, m)
     )
     rep.check("gl = L perp (M cap sl) perp s", "Thm 3.1", (m * m, True),
               (total.dim, orth))
     module = adjoint_module(L, W)
     rep.check("action faithful", "Thm 3.1", 0, representation_kernel(module, L).dim)
-    wm = _unvec_rows(W, m)
+    wm = W.matrices(m, m)
     G = Mat(K, [[trace_pairing(x, y) for y in wm] for x in wm])
     gform = classify(G)
     rep.check("G symmetric nondegenerate non-alternating", "Thm 3.1",
@@ -907,10 +893,9 @@ def run_sl4_so6(K) -> Report:
     Zsl = restrict_to_sl(Z, 4, K)
     _, alt = sym_alt_subspaces(4, K)
     T = restrict_module(Zsl, alt)  # dim 6
-    tmats = [Mat.unvec(K, list(r), 4, 4) for r in alt.basis]
+    tmats = alt.matrices(4, 4)
     # the star map in the coordinates of T
-    phi_rows = [alt.coords(star_map(t).vec()) for t in tmats]
-    Phi = Mat(K, phi_rows).transpose()
+    Phi = alt.coords_of(Mat.from_blocks([[star_map(t).reshape(1, 16)] for t in tmats])).transpose()
     Asl = restrict_to_sl(conjugation_modules(4, K)[1], 4, K)
     C = restrict_module(Asl, alt)
     ok = all(Phi @ at == ac @ Phi
@@ -1058,7 +1043,7 @@ def _check_prop_12_2(rep: Report):
               MatLieAlg(4, image).is_bracket_closed())
     # U as a quotient by s: check irreducibility of L^(2)/s under L
     mod5 = adjoint_module(L, u_in_l2)
-    s_in = Subspace.from_rows(K, 5, [u_in_l2.coords(eye.vec())])
+    s_in = Subspace.span(u_in_l2.coords_of(eye.reshape(1, 16)))
     Umod = quotient_module(mod5, s_in)
     res = certify_irreducible(Umod)
     rep.check("U irreducible", "Prop 12.2", "irreducible", res.status, res.method)

@@ -25,15 +25,15 @@ def all_submodules_by_enumeration(M):
     found = {}
     for v in line_reps(K, M.dim):
         S = spin(M, [v])
-        found[S.basis] = S
+        found[S] = S
     work = list(found.values())
     while work:
         cur = work.pop()
         for other in list(found.values()):
             s = cur + other
-            if s.basis not in found:
-                found[s.basis] = s
+            if s not in found:
+                found[s] = s
                 work.append(s)
     zero = Subspace.zero(K, M.dim)
-    found[zero.basis] = zero
-    return sorted(found.values(), key=lambda u: (u.dim, u.basis if u.dim else ()))
+    found[zero] = zero
+    return sorted(found.values(), key=lambda u: (u.dim, u.basis.rows))

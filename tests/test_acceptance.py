@@ -200,7 +200,7 @@ def test_criterion_07_small_case_lattices(capsys):
                              mk([[0, "i", 1], ["i", 0, 0], [1, 0, 0]])])
     s = verify.span_in(Msl, [eye])
     proper92 = [u for u in verify.all_submodules(module) if 0 < u.dim < module.dim]
-    note92_ok = sorted([s, X, Y], key=lambda u: (u.dim, u.basis)) == proper92
+    note92_ok = sorted([s, X, Y], key=lambda u: (u.dim, u.basis.rows)) == proper92
 
     # Note 9.3 over GF(5)
     K5 = GF(5)
@@ -212,7 +212,7 @@ def test_criterion_07_small_case_lattices(capsys):
     Fx = verify.span_in(Msl5, [Mat(K5, [[1, i5], [i5, K5.neg(1)]])])
     Fy = verify.span_in(Msl5, [Mat(K5, [[K5.neg(1), i5], [i5, 1]])])
     proper93 = [u for u in verify.all_submodules(module5) if 0 < u.dim < module5.dim]
-    note93_ok = sorted([Fx, Fy], key=lambda u: (u.dim, u.basis)) == proper93
+    note93_ok = sorted([Fx, Fy], key=lambda u: (u.dim, u.basis.rows)) == proper93
 
     elapsed = time.monotonic() - t0
     ok = note92_ok and note93_ok and elapsed < 10.0
@@ -296,7 +296,7 @@ def test_criterion_09_property_suites(capsys):
                     break
             S1 = Subspace.from_rows(K, 4, [list(r) for r in A.rows])
             S2 = Subspace.from_rows(K, 4, [list(r) for r in (M @ A).rows])
-            S3 = Subspace.from_rows(K, 4, [list(r) for r in S1.basis])
+            S3 = Subspace.from_rows(K, 4, S1.basis.rows)
             if not (S1 == S2 == S3):
                 failures.append(f"rref canonicity over {K.token}")
                 break
@@ -305,7 +305,7 @@ def test_criterion_09_property_suites(capsys):
             mod = LieModule(K, 3, [("a", _rand_mat(K, rng, 3, 3)),
                                    ("b", _rand_mat(K, rng, 3, 3))])
             S = spin(mod, [[K.random(rng) for _ in range(3)]])
-            if spin(mod, [list(r) for r in S.basis]) != S:
+            if spin(mod, S.basis.rows) != S:
                 failures.append(f"spin idempotence over {K.token}")
                 break
         # hom_space members intertwine
@@ -327,11 +327,11 @@ def _all_subspaces(K, n):
     vecs = [v for v in vecs if any(not K.is_zero(a) for a in v)]
     seen = {}
     zero = Subspace.zero(K, n)
-    seen[zero.basis] = zero
+    seen[zero] = zero
     for size in range(1, n + 1):
         for combo in itertools.combinations(vecs, size):
             S = Subspace.from_rows(K, n, list(combo))
-            seen.setdefault(S.basis, S)
+            seen.setdefault(S, S)
     return list(seen.values())
 
 

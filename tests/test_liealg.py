@@ -106,7 +106,7 @@ def test_l_m_bracket_rules():
     L = skew_adjoint_algebra(J)
     M = self_adjoint_module(J)
     lmats = L.basis_mats()
-    mmats = [Mat.unvec(K, list(r), 4, 4) for r in M.basis]
+    mmats = M.matrices(4, 4)
     for _ in range(30):
         x = rng.choice(lmats)
         y, y2 = rng.choice(mmats), rng.choice(mmats)

@@ -12,7 +12,7 @@ from sympy import GF as SYMPY_GF, QQ as SYMPY_QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from lieclassical.fields import GF, QQ, PrimeField
+from lieclassical.fields import GF, QQ
 from lieclassical.linalg import (
     Echelon,
     EchelonGFp,
@@ -20,6 +20,7 @@ from lieclassical.linalg import (
     Subspace,
     charpoly,
     distinct_degree_parts,
+    echelon,
     irreducible_factor,
     kernel,
     kron,
@@ -31,6 +32,7 @@ from lieclassical.linalg import (
     solve_many,
 )
 from charpoly_reference import charpoly_by_scalars
+from echelon_reference import ScalarEchelon
 
 
 def rand_mat(K, r, c, rng):
@@ -78,13 +80,13 @@ def test_rank_nullity():
             _, rank, _ = rref(M)
             ker = kernel(M)
             assert rank + ker.dim == 6
-            for v in ker.basis:
-                assert all(K.is_zero(a) for a in matvec(M, list(v)))
+            for v in ker.basis.rows:
+                assert all(K.is_zero(a) for a in matvec(M, v))
 
 
 def test_kernel_parity_gf2():
     ker = kernel(Mat.from_int_rows(GF(2), [[1, 1]]))
-    assert ker.basis == ((1, 1),)
+    assert ker.basis.rows == [[1, 1]]
 
 
 def test_kernel_identity_is_zero():
@@ -192,10 +194,10 @@ def test_echelon_gfp_matches_generic():
     rng = random.Random(10)
     K = GF(5)
     rows = [[K.random(rng) for _ in range(8)] for _ in range(6)]
-    gen = Echelon(K, 8)
+    gen = ScalarEchelon(K, 8)
     fast = EchelonGFp(K, 8)
     for r in rows:
-        assert gen.add(r) == fast.add(r)
+        assert gen.add(r) == (fast.add_rows(Mat(K, [r])).nrows == 1)
     assert gen.subspace() == fast.subspace()
 
 
@@ -351,15 +353,22 @@ def row_sets(draw, K):
 
 
 def _assert_rref_is(K, ncols, rows, ref_rows, ref_pivots):
-    """Every echelon basis that takes K, Subspace.from_rows and rref give the
-    reference RREF of rows."""
+    """The field family's one echelon basis (EchelonGFp over finite fields,
+    Echelon over Q), the scalar reference echelon, Subspace.from_rows and
+    rref all give the reference RREF of rows."""
     rank = len(ref_pivots)
-    basis, pivots = tuple(tuple(r) for r in ref_rows[:rank]), tuple(ref_pivots)
-    for cls in (Echelon, EchelonGFp) if isinstance(K, PrimeField) else (Echelon,):
-        ech = cls(K, ncols)
-        assert sum(ech.add(r) for r in rows) == ech.dim == rank
-        assert ech.subspace() == Subspace(K, ncols, basis, pivots)
-    assert Subspace.from_rows(K, ncols, rows) == Subspace(K, ncols, basis, pivots)
+    pivots = tuple(ref_pivots)
+    want = Subspace(Mat(K, ref_rows[:rank]) if rank else Mat.zeros(K, 0, ncols), pivots)
+    ech = echelon(K, ncols)
+    assert type(ech) is (Echelon if K == QQ else EchelonGFp)
+    assert ech.add_rows(Mat(K, rows) if rows else Mat.zeros(K, 0, ncols)).nrows == rank
+    assert ech.dim == rank and ech.subspace() == want
+    ref = ScalarEchelon(K, ncols)
+    assert sum(ref.add(r) for r in rows) == ref.dim == rank
+    assert ref.subspace() == want
+    S = Subspace.from_rows(K, ncols, rows)
+    assert S == want and isinstance(S.basis, Mat)
+    assert _entries_are_scalars(K, S.basis.rows)
     if rows:
         assert rref(Mat(K, rows)) == (Mat(K, ref_rows), rank, pivots)
 
@@ -550,17 +559,45 @@ def test_charpoly_makes_no_per_entry_field_calls(monkeypatch):
     # scalar Hessenberg reduction would make about n^3 calls
     K, n = GF(5), 48
     A = rand_mat(K, n, n, random.Random(48))
+    f, calls = _count_field_calls(monkeypatch, K, lambda: charpoly(A))
+    assert f == charpoly_by_scalars(A)
+    assert calls["mul"] + calls["sub"] + calls["add"] <= 2 * n
+    assert calls["inv"] <= n
+
+
+def _count_field_calls(monkeypatch, K, fn):
+    """fn() and the number of calls it made to each of K.mul, K.sub, K.add
+    and K.inv."""
     calls = {"mul": 0, "sub": 0, "add": 0, "inv": 0}
     for name in calls:
         def counted(*args, name=name, fn=getattr(K, name)):
             calls[name] += 1
             return fn(*args)
         monkeypatch.setattr(K, name, counted, raising=False)
-    f = charpoly(A)
+    out = fn()
     monkeypatch.undo()
-    assert f == charpoly_by_scalars(A)
+    return out, calls
+
+
+def test_gf9_echelon_makes_no_per_entry_field_calls(monkeypatch):
+    # the pair-array echelon calls the field only for one inverse per pivot;
+    # the scalar one made about n^3 calls for an n x n matrix
+    from lieclassical.repmod import LieModule, spin
+
+    K, n = GF(3, 2), 48
+    rng = random.Random(49)
+    A = rand_mat(K, n, n, rng)
+    S, calls = _count_field_calls(monkeypatch, K, lambda: Subspace.from_rows(K, n, A.rows))
     assert calls["mul"] + calls["sub"] + calls["add"] <= 2 * n
-    assert calls["inv"] <= n
+    ref = ScalarEchelon(K, n)
+    for r in A.rows:
+        ref.add(r)
+    assert S == ref.subspace()
+    M = LieModule(K, n, [("a", rand_mat(K, n, n, rng)), ("b", rand_mat(K, n, n, rng))])
+    seed = [K.random(rng) for _ in range(n)]
+    S, calls = _count_field_calls(monkeypatch, K, lambda: spin(M, [seed]))
+    assert calls["mul"] + calls["sub"] + calls["add"] <= 2 * n
+    assert S.dim == n
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 1000003])
@@ -624,7 +661,7 @@ def test_kernel_matches_sympy_nullspace(K):
             assert ker.dim == null.shape[0]
             if ker.dim:
                 red, pivots = null.rref()
-                assert ker.basis == tuple(tuple(row) for row in _from_sympy(K, red.to_list()))
+                assert ker.basis.rows == _from_sympy(K, red.to_list())
                 assert ker.pivots == tuple(pivots)
 
 
@@ -687,8 +724,8 @@ def _check_array_operations(A, B, C, c, v):
     assert matvec(A.transpose(), v) == w
     assert _entries_are_scalars(K, [matvec(A.transpose(), v)])
     ker = kernel(A)
-    assert _entries_are_scalars(K, ker.basis)
-    assert _entries_are_scalars(K, Subspace.from_rows(K, k, A.rows).basis)
+    assert isinstance(ker.basis, Mat) and _entries_are_scalars(K, ker.basis.rows)
+    assert _entries_are_scalars(K, Subspace.from_rows(K, k, A.rows).basis.rows)
 
 
 def _edge_coord(p):

@@ -21,7 +21,7 @@ from lieclassical.liealg import (
     skew_adjoint_algebra,
     sl_subspace,
 )
-from lieclassical.linalg import Echelon, Mat, Subspace, matvec, op_matrix
+from lieclassical.linalg import Mat, Subspace, matvec, op_matrix
 from lieclassical.repmod import (
     LieModule,
     _random_element,
@@ -46,6 +46,7 @@ from lieclassical.repmod import (
     tensor_square,
     weights,
 )
+from echelon_reference import ScalarEchelon
 from line_enumeration import certify_by_enumeration
 
 
@@ -360,7 +361,8 @@ def _reference_quotient(M, U):
             M.field,
             len(free),
             len(free),
-            lambda c, A=A: [U.reduce(matvec(A, quotient_lift(U, c)))[j] for j in free],
+            lambda c, A=A: [U.reduce(matvec(A, quotient_lift(U, Mat(U.field, [c])).vec()))[j]
+                             for j in free],
         )
         for A in M.action_mats()
     ]
@@ -427,7 +429,7 @@ def test_spin_exact_near_int64_limit():
         gens.append((f"g{i}", G))
     M = LieModule(K, n, gens)
     seed = matvec(P, [K.random(rng) for _ in range(4)] + [0] * 4)
-    ref = Echelon(K, n)
+    ref = ScalarEchelon(K, n)
     frontier = [seed] if ref.add(seed) else []
     while frontier:
         images = [matvec(G, v) for v in frontier for G in M.action_mats()]
@@ -469,7 +471,7 @@ def _reference_adjoint(L, ambient):
     """ad action of L's basis on an ad-invariant subspace of gl(m): one bracket
     per pair of basis element and ambient vector, read off in its coordinates."""
     K = L.field
-    ws = [Mat.unvec(K, list(r), L.m, L.m) for r in ambient.basis]
+    ws = ambient.matrices(L.m, L.m)
     return [Mat(K, [ambient.coords(bracket(x, w).vec()) for w in ws]).transpose()
             for x in L.basis_mats()]
 
