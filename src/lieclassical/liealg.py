@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import Field
-from .linalg import Mat, Subspace, kernel, kron, matvec, solve_many, unit_vector
+from .linalg import Mat, Subspace, kernel, kron, solve_many, unit_vector
 
 
 def bracket(X: Mat, Y: Mat) -> Mat:
@@ -257,14 +257,15 @@ def lie_isomorphic_by_structure(Q: StructureConstants, H: StructureConstants, M:
     K = Q.field
     if K.is_zero(M.det()):
         return False
-    images = M.transpose().rows  # M e_i
-    for i in range(Q.dim):
-        for j in range(Q.dim):
-            lhs = matvec(M, Q.table[i][j])
-            rhs = H.bracket_coeffs(images[i], images[j])
-            if lhs != rhs:
-                return False
-    return True
+    # all brackets at once: M [e_i, e_j] is row (i, j) of T_Q M', and
+    # [M e_i, M e_j] = sum_ab M_ai M_bj [f_a, f_b] is row (i, j) of kron(M', M') T_H
+    Mt = M.transpose()
+    return _table(Q) @ Mt == kron(Mt, Mt) @ _table(H)
+
+
+def _table(A: StructureConstants) -> Mat:
+    """The q^2 x q matrix T whose row (i, j) holds the coordinates of [e_i, e_j]."""
+    return Mat(A.field, [row for rows in A.table for row in rows])
 
 
 def is_simple(alg, budget: int | None = None) -> bool:

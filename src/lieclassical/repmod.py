@@ -320,19 +320,21 @@ def _normalize_chain(M, candidate_chain):
         chain.insert(0, Subspace.zero(K, M.dim))
     if chain[-1].dim != M.dim:
         chain.append(Subspace.full(K, M.dim))
-    if not all(invariant_under(term, M.stack) for term in chain):
-        raise ValueError("candidate chain term is not invariant")
     return chain
 
 
 def _series(M, chain, certify=lambda factor: None):
     """The factors of an ascending chain; certify(factor) raises unless the
-    factor is irreducible."""
+    factor is irreducible.  Restricting M to each proper term hi is the one
+    invariance check of the chain (0 and the full space are invariant)."""
     dims, trivial = [], []
     for lo, hi in zip(chain, chain[1:]):
         if not hi.contains(lo) or hi.dim <= lo.dim:
             raise ValueError("chain is not strictly ascending")
-        factor = factor_module(M, lo, hi)
+        try:
+            factor = factor_module(M, lo, hi)
+        except ValueError:  # restrict_module refuses a non-invariant hi
+            raise ValueError("candidate chain term is not invariant") from None
         dims.append(factor.dim)
         trivial.append(trivial_actions(factor))
         certify(factor)

@@ -251,6 +251,35 @@ def test_quotient_of_second_derived_by_scalars_is_unchanged():
         "ff64b507e4e94a21dc038d1d21a8da5605f277460889c0f71093777eae2a9180")
 
 
+def _brackets_preserved_pairwise(Q, H, M):
+    """Reference: M [e_i, e_j] against [M e_i, M e_j], one pair at a time."""
+    images = M.transpose().rows
+    return all((M @ Mat(Q.field, [Q.table[i][j]]).transpose()).vec()
+               == H.bracket_coeffs(images[i], images[j])
+               for i in range(Q.dim) for j in range(Q.dim))
+
+
+@pytest.mark.parametrize("K", [GF(5), GF(3, 2), QQ], ids=lambda K: K.token)
+def test_structure_isomorphism_matches_pairwise_check(K):
+    # on h(2) = <u1, u2, v1, v2, z>, u_i -> a u_i, v_i -> b v_i, z -> a b z
+    # is an automorphism, and so is it followed by u1 -> u1 + c z
+    rng = random.Random(17)
+    h = heisenberg(K, 2)
+    checked = set()
+    for _ in range(8):
+        a, b, c = (K.random(rng) for _ in range(3))
+        if K.is_zero(a) or K.is_zero(b):
+            continue
+        auto = Mat.diag(K, [a, a, b, b, K.mul(a, b)]) + Mat.unit(K, 5, 5, 4, 0).scale(c)
+        other = Mat(K, [[K.random(rng) for _ in range(5)] for _ in range(5)])
+        for M in (auto, other, auto + Mat.unit(K, 5, 5, 0, 2).scale(a)):
+            if not K.is_zero(M.det()):
+                verdict = lie_isomorphic_by_structure(h, h, M)
+                assert verdict == _brackets_preserved_pairwise(h, h, M)
+                checked.add(verdict)
+    assert checked == {True, False}
+
+
 def test_structure_isomorphism_identity():
     h = heisenberg(GF(3), 1)
     eye = Mat.identity(GF(3), 3)

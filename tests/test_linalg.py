@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -14,13 +15,17 @@ from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from lieclassical.fields import GF, QQ
 from lieclassical.linalg import (
+    BLAS_MIN_MULADDS,
     Echelon,
     EchelonGFp,
     Mat,
     Subspace,
     charpoly,
     distinct_degree_parts,
+    _chunking,
     echelon,
+    gfp2_matmul,
+    gfp_matmul,
     irreducible_factor,
     kernel,
     kron,
@@ -219,6 +224,66 @@ def test_gfp_products_exact_near_int64_limit():
             Ainv = A.inv()
             assert (Ainv @ A).rows == _python_matmul(Ainv, A, p)
             assert Ainv @ A == Mat.identity(K, 8)
+
+
+P_F64_TOP, P_F64_NEXT = 94906249, 94906297  # (p-1)^2 + p - 1 < 2^53 for the first only
+# (p, m, k, n, dtype the product runs in); k = 9007 is one float64 chunk at p = 1000003
+PRODUCT_EDGES = [
+    (P_F64_TOP, 16, 16, 16, np.float64),  # chunks of one term
+    (P_F64_NEXT, 16, 16, 16, np.int64),
+    (1000003, 1, 9007, 1, np.float64),
+    (1000003, 1, 9008, 1, np.float64),  # two chunks
+    (1000003, 2, 9008 * 3, 1, np.float64),
+    (1000003, 15, 16, 17, np.int64),  # just below the crossover
+    (1000003, 16, 16, 16, np.float64),
+    (3037000493, 16, 16, 16, np.int64),  # P_MAX, chunks of one term
+    (3037000493, 2, 3, 2, np.int64),
+]
+
+
+def _edge_operands(p, m, k, n):
+    """All-(p-1) operands, and the same with the last term of every sum made
+    (p-2)^2: that sum is odd, so a chunk too long for its dtype would sum to
+    an odd integer above 2^53 (2^63), which float64 (int64) cannot hold."""
+    a, b = np.full((m, k), p - 1, dtype=np.int64), np.full((k, n), p - 1, dtype=np.int64)
+    a_odd, b_odd = a.copy(), b.copy()
+    a_odd[:, -1] = b_odd[-1, :] = p - 2
+    return [(a, b), (a_odd, b_odd)]
+
+
+def _exact_product(a, b, p):
+    """a @ b mod p in Python ints."""
+    return (a.astype(object) @ b.astype(object)) % p
+
+
+@pytest.mark.parametrize("p, m, k, n, dtype", PRODUCT_EDGES)
+def test_gfp_product_exact_on_both_paths(p, m, k, n, dtype):
+    assert _chunking(m * k * n, p)[0] is dtype
+    for a, b in _edge_operands(p, m, k, n):
+        out = gfp_matmul(a, b, p)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, _exact_product(a, b, p))
+
+
+@pytest.mark.parametrize("p, m, k, n, dtype", PRODUCT_EDGES)
+def test_gfp2_product_exact_on_both_paths(p, m, k, n, dtype):
+    # its three Karatsuba products have the shape of a0 @ b0, so one path
+    assert _chunking(m * k * n, p)[0] is dtype
+    r = GF(p, 2).nonresidue
+    (a1, b1), (a0, b0) = _edge_operands(p, m, k, n)
+    c0, c1 = gfp2_matmul((a0, a1), (b0, b1), p, r)
+    x0, x1, y0, y1 = (z.astype(object) for z in (a0, a1, b0, b1))
+    assert np.array_equal(c0, (x0 @ y0 + r * (x1 @ y1)) % p)
+    assert np.array_equal(c1, (x0 @ y1 + x1 @ y0) % p)
+
+
+def test_product_dtype_and_chunk_length():
+    # the crossover counts multiply-adds; float64 needs a chunk of one term
+    assert _chunking(BLAS_MIN_MULADDS - 1, 5) == (np.int64, (2**63 - 5) // 16)
+    assert _chunking(BLAS_MIN_MULADDS, 5) == (np.float64, (2**53 - 5) // 16)
+    assert _chunking(BLAS_MIN_MULADDS, 1000003) == (np.float64, 9007)
+    assert _chunking(BLAS_MIN_MULADDS, P_F64_TOP) == (np.float64, 1)
+    assert _chunking(BLAS_MIN_MULADDS, P_F64_NEXT) == (np.int64, 1023)
 
 
 def _schoolbook_matmul(A, B):
