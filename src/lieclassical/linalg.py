@@ -15,8 +15,8 @@ and reduces, tests membership, takes coordinates and lifts them with
 products of that basis.  Each field family has one incremental echelon
 basis whose fully reduced rows are the RREF, and rref, kernels, subspaces
 and spins all go through it: `EchelonGFp` on the residue (pair) arrays over
-every finite field, `Echelon` on primitive Python-int rows, fraction-free,
-over Q.
+every finite field, a block of rows at a time, and `Echelon` on primitive
+Python-int rows, fraction-free, over Q, one row at a time.
 """
 
 from __future__ import annotations
@@ -747,7 +747,7 @@ class Subspace:
 # Incremental echelon bases, one per field family: the elimination behind
 # rref, subspaces and the spinning closure.  Rows are kept fully reduced (zero
 # in every other pivot column), so sorted by pivot and normalized they are the
-# RREF basis.  `add_rows` inserts the rows of a Mat one by one through `add`.
+# RREF basis.  `add_rows` hands a Mat's rows to `add`, in one block over GF(q).
 
 
 def echelon(field, ambient):
@@ -793,7 +793,8 @@ class Echelon:
         return True
 
     def add_rows(self, M: Mat) -> Mat:
-        return _add_rows(self, M.a.tolist(), M)
+        kept = [i for i, r in enumerate(M.a.tolist()) if self.dim < self.ambient and self.add(r)]
+        return M[kept, :]
 
     def subspace(self) -> Subspace:
         order = sorted(range(self.dim), key=self.pivots.__getitem__)
@@ -814,8 +815,8 @@ def _primitive(v):
 
 class EchelonGFp:
     """Growing echelon basis over GF(p) or GF(p^2) as one array in the
-    field's format: its rows are zero at every other pivot, so a row v
-    reduces in one product, v - v[pivots] basis."""
+    field's format: its rows are zero at every other pivot, so rows X reduce
+    in one product, X - X[:, pivots] basis."""
 
     def __init__(self, field, ambient):
         self.field = field
@@ -828,28 +829,58 @@ class EchelonGFp:
     def dim(self):
         return self.mat.shape[-2]
 
-    def add(self, v) -> bool:
-        """Insert the row v of canonical residues (a pair of rows over
-        GF(p^2)); returns True if it enlarged the span."""
-        K, p = self.field, self.field.char
-        coeffs = v[..., self.pivots]
-        if coeffs.any():
-            v = (v - _dot(K, coeffs, self.mat)) % p
-        nz = np.flatnonzero(v[0] | v[1] if self.pair else v)
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        h = v[..., piv].tolist()
-        v = _times(K, v, np.array(K.inv(tuple(h)))[:, None] if self.pair else pow(h, p - 2, p))
-        if self.pivots:
-            col = self.mat[..., piv]
-            self.mat = (self.mat - _times(K, col[..., None], v[..., None, :])) % p
-        self.mat = np.concatenate([self.mat, v[..., None, :]], axis=-2)
-        self.pivots.append(piv)
-        return True
+    def add(self, X) -> list:
+        """Insert the rows of X, canonical residues of shape (k, ambient) (a
+        pair of such arrays over GF(p^2)), in order until the basis fills;
+        returns the indices of the rows that enlarged the span.  Block
+        elimination (Dumas, Giorgi and Pernet, ACM TOMS 2008) in panels of at
+        most `ambient` rows: one product reduces a panel against the basis,
+        Gauss-Jordan runs on the panel, and one product clears its new pivots
+        from the basis."""
+        K, p, n = self.field, self.field.char, self.ambient
+        kept = []
+        for s in range(0, X.shape[-2], n or 1):
+            if self.dim == n:
+                break
+            W = X[..., s : s + n, :]
+            W = _sub(p, W, _dot(K, W[..., self.pivots], self.mat)) if self.pivots else W.copy()
+            rows, pivs = self._eliminate(W)
+            if rows:
+                V = W[..., rows, :]
+                if self.pivots:
+                    self.mat = _sub(p, self.mat, _dot(K, self.mat[..., pivs], V))
+                self.mat = np.concatenate([self.mat, V], axis=-2)
+                self.pivots += pivs
+                kept += [s + r for r in rows]
+        return kept
+
+    def _eliminate(self, W):
+        """Gauss-Jordan in place on the reduced panel W until the basis would
+        fill, pivoting in the first nonzero row left (so it keeps the rows a
+        row-by-row insertion keeps); returns (rows, pivots)."""
+        K, p, n = self.field, self.field.char, self.ambient
+        rows, pivs, r = [], [], -1
+        while len(pivs) < n - self.dim and r + 1 < W.shape[-2]:
+            nz = (W[:, r + 1 :] != 0).any(axis=0) if self.pair else W[r + 1 :] != 0
+            i, piv = divmod(int(nz.argmax()), n)
+            if not nz[i, piv]:
+                break
+            r += 1 + i
+            if p > 2:
+                h = W[..., r, piv].tolist()
+                c = np.array(K.inv(tuple(h)))[:, None] if self.pair else K.inv(h)
+                W[..., r, :] = _times(K, W[..., r, :], c)
+            # subtract column piv times the pivot row v, which is zero left of piv
+            v = W[..., r, None, piv:].copy()
+            cv = _times(K, W[..., piv, None], v) if self.pair else W[..., piv, None] * v
+            W[..., piv:] = _sub(p, W[..., piv:], cv)
+            W[..., r, None, piv:] = v
+            rows.append(r)
+            pivs.append(piv)
+        return rows, pivs
 
     def add_rows(self, M: Mat) -> Mat:
-        return _add_rows(self, M.a.swapaxes(0, -2), M)
+        return M[self.add(M.a), :]
 
     def subspace(self) -> Subspace:
         order = sorted(range(self.dim), key=self.pivots.__getitem__)
@@ -857,14 +888,11 @@ class EchelonGFp:
                         tuple(self.pivots[i] for i in order))
 
 
-def _add_rows(ech, rows, M: Mat) -> Mat:
-    """Insert the rows of M, given as `rows`, into the echelon basis ech in
-    order, until it fills the ambient space; returns the submatrix of the
-    rows that enlarged the span."""
-    kept = []
-    for i, r in enumerate(rows):
-        if ech.dim == ech.ambient:
-            break
-        if ech.add(r):
-            kept.append(i)
-    return M[kept, :]
+def _sub(p, a, b):
+    """a - b mod p for int64 arrays, a of residues and 0 <= b <= (p-1)^2 (so
+    a - b fits int64 for every GF); floor division is faster than %."""
+    if p == 2:
+        return a ^ b
+    t = a - b
+    t -= t // p * p
+    return t

@@ -168,12 +168,14 @@ def _symplectic_block_space(K, n, b_diag, c_diag, traceless_a):
 def _fill_between(lo: Subspace, hi: Subspace):
     """Intermediate subspaces refining lo < hi one dimension at a time: lo
     plus the first k basis rows of hi that leave the span of lo and the rows
-    before them."""
+    before them, read off one echelon basis seeded with lo."""
     ech = echelon(lo.field, lo.ambient)
     ech.add_rows(lo.basis)
-    new = ech.add_rows(hi.basis)
-    return [Subspace.span(Mat.from_blocks([[lo.basis], [new[:k, :]]]))
-            for k in range(1, hi.dim - lo.dim)]
+    steps = []
+    for i in range(hi.dim):
+        if ech.add_rows(hi.basis[[i], :]).nrows:
+            steps.append(ech.subspace())
+    return steps[:-1]  # the last step is hi
 
 
 def _good_primes(gram: Mat):

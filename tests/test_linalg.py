@@ -665,6 +665,115 @@ def test_gf9_echelon_makes_no_per_entry_field_calls(monkeypatch):
     assert S.dim == n
 
 
+ECHELON_FIELDS = [GF(2), GF(3), GF(P31), GF(P_MAX), GF(3, 2), GF(P_MAX, 2)]
+
+
+def _assert_blocks_insert_like_scalar(K, n, blocks):
+    """EchelonGFp given each block whole, by `add` and `add_rows` in turn,
+    keeps the rows, the dimension and the subspace that ScalarEchelon keeps
+    when it inserts the same rows one at a time."""
+    fast, ref = EchelonGFp(K, n), ScalarEchelon(K, n)
+    for j, rows in enumerate(blocks):
+        want = [i for i, r in enumerate(rows) if ref.dim < n and ref.add(r)]
+        M = Mat(K, rows) if rows else Mat.zeros(K, 0, n)
+        if j % 2:
+            assert fast.add_rows(M) == M[want, :]
+        else:
+            assert fast.add(M.a) == want
+        assert fast.dim == ref.dim
+        assert fast.subspace() == ref.subspace()
+
+
+def _block_rows(K, n, count, rng):
+    """count rows of F^n, mostly zero rows, repeats and combinations of
+    earlier rows, so new pivots turn up late in a block; entries favour 0, 1
+    and p - 1."""
+    p = K.char
+
+    def coord():
+        return rng.choice([0, 1, p - 1, rng.randrange(p)])
+
+    def entry():
+        return (coord(), coord()) if K.degree == 2 else coord()
+
+    rows = []
+    for _ in range(count):
+        kind = rng.choice(["zero", "repeat", "combination", "combination", "fresh"])
+        row = [K.zero()] * n
+        if kind == "fresh":
+            row = [entry() for _ in range(n)]
+        elif kind == "repeat" and rows:
+            row = list(rng.choice(rows))
+        elif kind == "combination":
+            for r in rng.sample(rows, min(len(rows), 2)):
+                c = entry()
+                row = [K.add(a, K.mul(c, b)) for a, b in zip(row, r)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("K", ECHELON_FIELDS, ids=str)
+def test_echelon_gfp_blocks_match_scalar_insertion(K):
+    # blocks of up to 4n + 2 rows (several panels), after up to two earlier
+    # blocks (a seeded basis), often filling the basis part way through
+    rng = random.Random(f"echelon blocks {K.char} {K.degree}")
+    for _ in range(15):
+        n = rng.randrange(1, 7)
+        blocks = [_block_rows(K, n, rng.randrange(4 * n + 3), rng) for _ in range(3)]
+        _assert_blocks_insert_like_scalar(K, n, blocks)
+
+
+@pytest.mark.parametrize("K", ECHELON_FIELDS, ids=str)
+def test_echelon_gfp_block_edge_cases(K):
+    p, n = K.char, 4
+    z, one = K.zero(), K.one()
+    top = (p - 1, p - 1) if K.degree == 2 else p - 1
+    e = [[one if i == j else z for j in range(n)] for i in range(n)]
+    # a zero-column ambient space takes no row
+    _assert_blocks_insert_like_scalar(K, 0, [[[]] * 3, [], [[]]])
+    # entries p - 1 everywhere; over GF(p) the pivot row [1, p-1, ...] times
+    # the entry p - 1 of the next row takes the update to its extreme -(p-1)^2
+    tops = [[one] + [top] * (n - 1), [top] + [z] * (n - 1), [top] * n,
+            [top, top, z, top], [top] * n]
+    _assert_blocks_insert_like_scalar(K, n, [tops, tops[::-1] * 2])
+    # zero and repeated rows around pivots that arrive in the third panel,
+    # after a seeded basis; then a block that fills the basis at its 2nd row
+    late = [[z] * n] * (2 * n) + [e[0], e[0], [z] * n, e[3]] + [e[0]] * n
+    _assert_blocks_insert_like_scalar(K, n, [[e[1]], late, [e[0], e[2], e[3], e[2]]])
+
+
+def test_span_reduces_each_panel_with_one_product(monkeypatch):
+    # a block goes in panels of `ambient` rows: one product reduces each
+    # panel, and only panels with new pivots take a second one
+    import lieclassical.linalg as linalg
+
+    K, rng = GF(2), np.random.default_rng(15)
+    products = []
+    matmul = linalg.gfp_matmul
+    monkeypatch.setattr(linalg, "gfp_matmul", lambda *args: products.append(1) or matmul(*args))
+    for rank in (50, 64):
+        M = Mat(K, (rng.integers(0, 2, (2304, rank)) @ rng.integers(0, 2, (rank, 64)) % 2).tolist())
+        products.clear()
+        S = Subspace.span(M)
+        assert len(products) <= -(-2304 // 64) + 1
+        assert S.residuals(M).is_zero() and S.dim <= rank
+
+
+def test_spin_inserts_each_round_with_one_echelon_add(monkeypatch):
+    from lieclassical import repmod
+
+    K, n = GF(5), 10
+    shift = Mat(K, [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)])
+    M = repmod.LieModule(K, n, [("s", shift)])
+    adds, rounds = [], []
+    add, images = EchelonGFp.add, repmod._images
+    monkeypatch.setattr(EchelonGFp, "add", lambda self, X: adds.append(1) or add(self, X))
+    monkeypatch.setattr(repmod, "_images", lambda S, X: rounds.append(1) or images(S, X))
+    S = repmod.spin(M, [[1] + [0] * (n - 1)])
+    assert S.dim == n and len(rounds) == n - 1
+    assert len(adds) == len(rounds) + 1
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 1000003])
 def test_distinct_degree_parts_match_sympy_factors(p):
     K = GF(p)
