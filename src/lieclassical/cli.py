@@ -3,7 +3,7 @@
 Selects a field and bilinear form, runs verification suites or individual
 computations, and emits text or JSON.  Exit code 0 means every requested
 claim passed, 1 means some claim failed, 2 means a usage or validation
-error.
+error, or that the computation ran out of memory.
 """
 
 from __future__ import annotations
@@ -94,6 +94,9 @@ def main(argv=None) -> int:
         text, all_passed = run_command(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return EXIT_USAGE
     if args.out:
         with open(args.out, "w") as fh:

@@ -1,9 +1,9 @@
 """Bilinear form classification and congruence normal forms.
 
-A form is carried by its Gram matrix A; f(u, v) = u' A v.  We produce a
-symplectic basis for nondegenerate alternating forms and a diagonalizing
-basis for symmetric forms, including the non-alternating characteristic 2
-case where the usual orthogonal-complement recursion needs extra care.
+A form is carried by its Gram matrix A; f(u, v) = u' A v.  We produce the
+standard symplectic Gram matrix and a diagonalizing basis for symmetric
+forms, including the non-alternating characteristic 2 case where the usual
+orthogonal-complement recursion needs extra care.
 """
 
 from __future__ import annotations
@@ -51,48 +51,6 @@ def classify(A: Mat) -> BilForm:
 
 def _form_value(A: Mat, u, v):
     return (Mat(A.field, [u]) @ A @ Mat(A.field, [v]).transpose()).rows[0][0]
-
-
-def symplectic_basis(A: Mat) -> CongruenceResult:
-    """Basis u_1..u_n, v_1..v_n with Gram [[0, I], [-I, 0]]."""
-    form = classify(A)
-    if not (form.alternating and form.nondegenerate):
-        raise ValueError("symplectic basis needs a nondegenerate alternating form")
-    K = A.field
-    m = A.nrows
-    us, vs = [], []
-    remaining = Mat.identity(K, m).rows
-    while remaining:
-        u = remaining[0]
-        partner = next(
-            (w for w in remaining[1:] if not K.is_zero(_form_value(A, u, w))), None
-        )
-        if partner is None:
-            raise ValueError("form is degenerate on the working complement")
-        c = K.inv(_form_value(A, u, partner))
-        v = [K.mul(c, a) for a in partner]
-        us.append(u)
-        vs.append(v)
-        new_remaining = []
-        for w in remaining:
-            if w is u or w is partner:
-                continue
-            # project w into the f-complement of span{u, v}
-            fu = _form_value(A, u, w)
-            fv = _form_value(A, v, w)
-            # w + f(v,w) u - f(u,w) v is orthogonal to both u and v
-            w2 = [
-                K.sub(K.add(a, K.mul(fv, b1)), K.mul(fu, b2))
-                for a, b1, b2 in zip(w, u, v)
-            ]
-            new_remaining.append(w2)
-        remaining = [w for w in new_remaining if any(not K.is_zero(a) for a in w)]
-    S = Mat(K, us + vs).transpose()
-    J = standard_symplectic_gram(K, 2 * len(us))
-    check = S.transpose() @ A @ S
-    if check != J:
-        raise AssertionError("symplectic reduction did not reach J")
-    return CongruenceResult(S, J)
 
 
 def standard_symplectic_gram(K: Field, m: int) -> Mat:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import Field
-from .linalg import Mat, Subspace, kernel, kron, solve_many, unit_vector
+from .linalg import Mat, Subspace, kernel, kron, kron_sum_stack, solve_many
 
 
 def bracket(X: Mat, Y: Mat) -> Mat:
@@ -20,10 +20,20 @@ def bracket(X: Mat, Y: Mat) -> Mat:
 
 
 def ad_gl(x: Mat) -> Mat:
-    """ad x = [x, -] on gl(m) in row-major coordinates: x y - y x has
+    """ad x = [x, -] on gl(m) in row-major coordinates."""
+    return ad_stack(x.reshape(1, x.nrows * x.ncols))
+
+
+def ad_stack(X: Mat) -> Mat:
+    """The stack of ad x for the rows vec(x) of X: x y - y x has
     vec(x y) = kron(x, I) vec(y) and vec(y x) = kron(I, x') vec(y)."""
-    eye = Mat.identity(x.field, x.nrows)
-    return kron(x, eye) - kron(eye, x.transpose())
+    return kron_sum_stack(X, X[:, transposed_positions(math.isqrt(X.ncols))], -1)
+
+
+def transposed_positions(m):
+    """The row-major positions of X' read in row-major order: vec(X') is
+    vec(X) at these positions."""
+    return [j * m + i for i in range(m) for j in range(m)]
 
 
 def gl_subspace(K: Field, m: int) -> Subspace:
@@ -31,12 +41,11 @@ def gl_subspace(K: Field, m: int) -> Subspace:
 
 
 def sl_subspace(K: Field, m: int) -> Subspace:
-    tr = Mat(K, [Mat.identity(K, m).vec()])
-    return kernel(tr)
+    return kernel(Mat.identity(K, m).reshape(1, m * m))
 
 
 def scalars_subspace(K: Field, m: int) -> Subspace:
-    return Subspace.from_rows(K, m * m, [Mat.identity(K, m).vec()])
+    return Subspace.span(Mat.identity(K, m).reshape(1, m * m))
 
 
 @dataclass(frozen=True)
@@ -81,12 +90,16 @@ def self_adjoint_module(A: Mat) -> Subspace:
 
 def _adjoint_condition(A: Mat, sign) -> Mat:
     """The matrix of X -> X'A + sign AX on row-major vecs: vec(AX) is
-    kron(A, I) vec X, and vec(X'A) is kron(I, A') vec X', which reads vec X
-    at the transposed positions."""
+    kron(A, I) vec X."""
+    xt_a, ax = transpose_product(A), kron(A, Mat.identity(A.field, A.nrows))
+    return xt_a + ax if sign > 0 else xt_a - ax
+
+
+def transpose_product(A: Mat) -> Mat:
+    """The matrix of X -> X'A on row-major vecs: vec(X'A) is kron(I, A')
+    vec X', which reads vec X at the transposed positions."""
     m = A.nrows
-    eye = Mat.identity(A.field, m)
-    xt_a = kron(eye, A.transpose())[:, [j * m + i for i in range(m) for j in range(m)]]
-    return xt_a + kron(A, eye) if sign > 0 else xt_a - kron(A, eye)
+    return kron(Mat.identity(A.field, m), A.transpose())[:, transposed_positions(m)]
 
 
 def derived_space(m: int, space: Subspace) -> Subspace:
@@ -127,14 +140,9 @@ def trace_orthogonal_complement(U: Subspace, within: Subspace) -> Subspace:
         return within
     # tr(XU) = <vec(X), vec(U')>, so each u contributes one linear constraint
     # vec(u'), the entries of vec(u) at the transposed positions
-    C = U.basis[:, [j * m + i for i in range(m) for j in range(m)]]
+    C = U.basis[:, transposed_positions(m)]
     coords_kernel = kernel(C @ within.basis.transpose())
     return Subspace.span(coords_kernel.basis @ within.basis)
-
-
-def adjoint_star(X: Mat, A: Mat) -> Mat:
-    """X* = A^{-1} X' A, the f-adjoint for an invertible Gram matrix A."""
-    return A.inv() @ X.transpose() @ A
 
 
 class StructureConstants:
@@ -168,21 +176,6 @@ class StructureConstants:
         """ad(e_i) as dim x dim matrices (columns indexed by e_j)."""
         return [Mat(self.field, self.table[i]).transpose() for i in range(self.dim)]
 
-    def check_jacobi(self):
-        K = self.field
-        d = self.dim
-        unit = [unit_vector(K, d, i) for i in range(d)]
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    a = self.bracket_coeffs(unit[i], self.table[j][k])
-                    b = self.bracket_coeffs(unit[j], self.table[k][i])
-                    c = self.bracket_coeffs(unit[k], self.table[i][j])
-                    s = [K.add(K.add(x, y), z) for x, y, z in zip(a, b, c)]
-                    if any(not K.is_zero(x) for x in s):
-                        return False
-        return True
-
 
 def heisenberg(K: Field, n: int) -> StructureConstants:
     """h(n): basis u_1..u_n, v_1..v_n, z with [u_i, v_i] = z central."""
@@ -192,8 +185,8 @@ def heisenberg(K: Field, n: int) -> StructureConstants:
     labels = [f"u{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)] + ["z"]
     table = [[[K.zero()] * d for _ in range(d)] for _ in range(d)]
     for i in range(n):
-        table[i][n + i] = unit_vector(K, d, d - 1)
-        table[n + i][i] = [K.neg(c) for c in unit_vector(K, d, d - 1)]
+        table[i][n + i] = [K.zero()] * (d - 1) + [K.one()]
+        table[n + i][i] = [K.zero()] * (d - 1) + [K.neg(K.one())]
     return StructureConstants(K, labels, table)
 
 

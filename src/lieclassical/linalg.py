@@ -7,8 +7,9 @@ numerators over one positive common denominator, kept in lowest terms (int64
 while every numerator is below 2^63 in absolute value, Python ints
 otherwise).  Arithmetic, products, Kronecker products, submatrices and the
 characteristic polynomial over finite fields are exact array operations;
-`Mat.rows` is a derived, read-only list of canonical scalars for det and
-output.
+structured matrices (identity, unit, diagonal, Kronecker sums) are built
+from arrays and the text format is read off them; `Mat.rows` is a derived,
+read-only list of canonical scalars for det and the scalar algorithms.
 
 A `Subspace` holds its canonical RREF basis as one `Mat` next to its pivots,
 and reduces, tests membership, takes coordinates and lifts them with
@@ -86,29 +87,38 @@ class Mat:
         return self.a.tolist()
 
     @classmethod
+    def from_ints(cls, field, a):
+        """The matrix over field of an int64 array of integers: residues mod p,
+        pairs with a zero w part over GF(p^2), numerators over 1 over Q."""
+        if field.degree == 2:
+            pair = np.zeros((2, *a.shape), dtype=np.int64)
+            pair[0] = a % field.char
+            return cls._of(field, pair)
+        return cls._of(field, _mod(field, a))
+
+    @classmethod
     def zeros(cls, field, r, c):
-        return cls._of(field, np.zeros((2, r, c) if field.degree == 2 else (r, c), dtype=np.int64))
+        return cls.from_ints(field, np.zeros((r, c), dtype=np.int64))
 
     @classmethod
     def identity(cls, field, n):
-        return cls.diag(field, [field.one()] * n)
+        return cls.from_ints(field, np.eye(n, dtype=np.int64))
 
     @classmethod
     def unit(cls, field, r, c, i, j):
         """The canonical matrix with a single 1 in position (i, j)."""
-        rows = [[field.zero()] * c for _ in range(r)]
-        rows[i][j] = field.one()
-        return cls(field, rows)
+        a = np.zeros((r, c), dtype=np.int64)
+        a[i, j] = 1
+        return cls.from_ints(field, a)
 
     @classmethod
     def diag(cls, field, entries):
-        z = field.zero()
-        return cls(field, [[d if i == j else z for j in range(len(entries))]
-                           for i, d in enumerate(entries)])
-
-    @classmethod
-    def from_int_rows(cls, field, rows):
-        return cls(field, [[field.of(x) for x in row] for row in rows])
+        """The diagonal matrix of entries: one 1 x n matrix of them, scattered
+        onto the diagonal."""
+        row, n = cls(field, [entries]), len(entries)
+        a = np.zeros(row.a.shape[:-2] + (n, n), dtype=row.a.dtype)
+        a[..., np.arange(n), np.arange(n)] = row.a[..., 0, :]
+        return cls._of(field, a, row.d)
 
     @classmethod
     def from_blocks(cls, blocks):
@@ -195,10 +205,6 @@ class Mat:
         """Row-major flattening."""
         return self.reshape(1, self.nrows * self.ncols)._scalar_rows()[0]
 
-    @classmethod
-    def unvec(cls, field, v, r, c):
-        return cls(field, [v]).reshape(r, c)
-
     def cleared_mod(self, p):
         """Over Q: the integer matrix d M, d the least common denominator of
         the entries, reduced mod p, over GF(p)."""
@@ -238,10 +244,22 @@ class Mat:
         return red[:, n:]
 
     def to_text(self):
-        K = self.field
-        lines = [f"{self.nrows} {self.ncols} {K.token}"]
-        for r in self.rows:
-            lines.append(" ".join(K.fmt(a) for a in r))
+        """The header `rows cols token`, then one line per row: residues over
+        GF(p), a+b*x over GF(p^2), n or n/d in lowest terms over Q."""
+        K, a = self.field, self.a
+        if K.degree == 2:
+            rows = [[f"{x}+{y}*x" for x, y in zip(r0, r1)]
+                    for r0, r1 in zip(a[0].tolist(), a[1].tolist())]
+        elif K.char:
+            rows = [map(str, r) for r in a.tolist()]
+        else:
+            # entry x / d in lowest terms: divide both by gcd(x, d), which is
+            # d for x = 0, so zeros read 0; a d beyond int64 needs int objects
+            a = a.astype(object) if self.d >= 2**63 else a
+            g = np.gcd(a, self.d)
+            rows = [[f"{x}" if e == 1 else f"{x}/{e}" for x, e in zip(r, s)]
+                    for r, s in zip((a // g).tolist(), (self.d // g).tolist())]
+        lines = [f"{self.nrows} {self.ncols} {K.token}"] + [" ".join(r) for r in rows]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -351,16 +369,19 @@ def kron(A: Mat, B: Mat) -> Mat:
     return Mat._of(K, out.reshape(*out.shape[:-4], A.nrows * B.nrows, A.ncols * B.ncols), d)
 
 
-def unit_vector(field, n, j):
-    """The j-th standard basis vector of F^n."""
-    e = [field.zero()] * n
-    e[j] = field.one()
-    return e
-
-
-def op_matrix(field, n_in, n_out, fn) -> Mat:
-    """Matrix of a linear map given as a vector function (columns = images)."""
-    return Mat(field, [fn(unit_vector(field, n_in, j)) for j in range(n_in)]).transpose()
+def kron_sum_stack(X: Mat, Y: Mat, sign) -> Mat:
+    """The stack of kron(x, I) + sign kron(I, y), one m^2 x m^2 block per
+    pair of rows vec(x), vec(y) of X and Y, built in one array: block entry
+    [(i,k),(j,l)] is x_ij d_kl + sign d_ij y_kl."""
+    K, g, m = X.field, X.nrows, math.isqrt(X.ncols)
+    (x, y), d = _aligned([X, Y], terms=2)
+    x, y = (t.reshape(*t.shape[:-1], m, m) for t in (x, y))
+    out = np.zeros(x.shape[:-2] + (m,) * 4, dtype=x.dtype)
+    for k in range(m):
+        out[..., :, k, :, k] = x
+    for i in range(m):
+        out[..., i, :, i, :] = _mod(K, out[..., i, :, i, :] + sign * y)
+    return Mat._of(K, out.reshape(*out.shape[:-5], g * m * m, m * m), d)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .fields import GF, Field, is_prime
 from .forms import BilForm
-from .liealg import MatLieAlg, StructureConstants, ad_gl, bracket
+from .liealg import (
+    MatLieAlg,
+    StructureConstants,
+    ad_stack,
+    bracket,
+    transpose_product,
+    transposed_positions,
+)
 from .linalg import (
     Mat,
     Subspace,
@@ -26,10 +35,9 @@ from .linalg import (
     irreducible_factor,
     kernel,
     kron,
-    op_matrix,
+    kron_sum_stack,
     poly_at,
     roots,
-    unit_vector,
 )
 
 
@@ -477,7 +485,8 @@ def weights(M: LieModule, H) -> WeightTable:
 
 def adjoint_module(L: MatLieAlg, ambient: Subspace) -> LieModule:
     """ad action of L's basis restricted to an invariant subspace of gl(m)."""
-    gl = LieModule(L.field, L.m * L.m, [(f"x{i}", ad_gl(x)) for i, x in enumerate(L.basis_mats())])
+    labels = [f"x{i}" for i in range(L.dim)]
+    gl = LieModule._of_stack(L.field, labels, ad_stack(L.space.basis))
     if ambient.dim == gl.dim:
         return gl
     try:
@@ -502,18 +511,16 @@ def tensor_square(form: BilForm, L: MatLieAlg) -> TensorSquare:
     K = form.field
     m = form.m
     A = form.gram
-    eye = Mat.identity(K, m)
-    gens = []
-    for idx, x in enumerate(L.basis_mats()):
-        gens.append((f"x{idx}", kron(x, eye) + kron(eye, x)))
-    module = LieModule(K, m * m, gens)
-    gamma = op_matrix(K, m * m, m * m, lambda t: (Mat.unvec(K, t, m, m).transpose() @ A).vec())
-    omega = Mat(K, [A.vec()])  # tr(T' A) = sum of T_ij A_ij
+    X = L.space.basis  # x acts on V (x) V by kron(x, I) + kron(I, x)
+    module = LieModule._of_stack(K, [f"x{i}" for i in range(L.dim)], kron_sum_stack(X, X, 1))
+    gamma = transpose_product(A)
+    omega = A.reshape(1, m * m)  # tr(T' A) = sum of T_ij A_ij
     sym, alt = sym_alt_subspaces(m, K)
     delta = None
     if K.char == 2 and form.alternating:
-        rows = A.rows
-        delta = Mat(K, [[rows[i][j] if i < j else K.zero() for i in range(m) for j in range(m)]])
+        # the entries A_ij, i < j, at their row-major positions, zero elsewhere
+        upper = [i * m + j for i in range(m) for j in range(i + 1, m)]
+        delta = A.reshape(1, m * m)[:, upper] @ Mat.identity(K, m * m)[upper, :]
     return TensorSquare(module, gamma, omega, sym, alt, delta)
 
 
@@ -541,72 +548,32 @@ def star_map(s: Mat) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Block modules Z, A and the duality check
-
-
-def block_modules(r, n, K):
-    """The gl(r) (+) gl(n) modules Z = M_{r x n} (a.s = as, b.s = -sb) and
-    A = M_{n x r} (a.t = -ta, b.t = bt); in row-major coordinates
-    vec(x y z) = kron(x, z') vec(y)."""
-    eye_r, eye_n = Mat.identity(K, r), Mat.identity(K, n)
-    gens_z, gens_a = [], []
-    for i in range(r):
-        for j in range(r):
-            a = Mat.unit(K, r, r, i, j)
-            gens_z.append((f"a{i}{j}", kron(a, eye_n)))
-            gens_a.append((f"a{i}{j}", -kron(eye_n, a.transpose())))
-    for i in range(n):
-        for j in range(n):
-            b = Mat.unit(K, n, n, i, j)
-            gens_z.append((f"b{i}{j}", -kron(eye_r, b.transpose())))
-            gens_a.append((f"b{i}{j}", kron(b, eye_r)))
-    return LieModule(K, r * n, gens_z), LieModule(K, n * r, gens_a)
-
-
-def block_duality_check(r, n, K) -> bool:
-    """phi: A -> Z*, phi_t(s) = tr(t s), intertwines the actions and is bijective."""
-    Z, A = block_modules(r, n, K)
-    Zdual = dual_module(Z)
-    phi = op_matrix(
-        K,
-        n * r,
-        r * n,
-        lambda v: [
-            (Mat.unvec(K, v, n, r) @ Mat.unvec(K, unit_vector(K, r * n, j), r, n)).trace()
-            for j in range(r * n)
-        ],
-    )
-    if K.is_zero(phi.det()):
-        return False
-    for (_, aA), (_, aZ) in zip(A.generators, Zdual.generators):
-        if phi @ aA != aZ @ phi:
-            return False
-    return True
+# Conjugation modules Z, A and the sym/alt split
 
 
 def conjugation_modules(n, K):
-    """For r = n: the single-gl(n) modules Z (a.s = as + sa') and A (a.t = -a't - ta)."""
-    eye = Mat.identity(K, n)
-    gens_z, gens_a = [], []
-    for i in range(n):
-        for j in range(n):
-            a = Mat.unit(K, n, n, i, j)
-            gens_z.append((f"a{i}{j}", kron(a, eye) + kron(eye, a)))
-            gens_a.append((f"a{i}{j}", -kron(a.transpose(), eye) - kron(eye, a.transpose())))
-    return LieModule(K, n * n, gens_z), LieModule(K, n * n, gens_a)
+    """The gl(n) modules Z (a.s = as + sa') and A (a.t = -a't - ta) on n x n
+    matrices, generated by the units a = e_ij."""
+    labels = [f"a{i}{j}" for i in range(n) for j in range(n)]
+    E = Mat.identity(K, n * n)  # rows vec(e_ij)
+    Et = E[:, transposed_positions(n)]  # rows vec(e_ij')
+    return (LieModule._of_stack(K, labels, kron_sum_stack(E, E, 1)),
+            LieModule._of_stack(K, labels, -kron_sum_stack(Et, Et, 1)))
 
 
 def sym_alt_subspaces(n, K):
-    sym_rows, alt_rows = [], []
-    for i in range(n):
-        sym_rows.append(Mat.unit(K, n, n, i, i).vec())
-        for j in range(i + 1, n):
-            sym_rows.append((Mat.unit(K, n, n, i, j) + Mat.unit(K, n, n, j, i)).vec())
-            alt_rows.append((Mat.unit(K, n, n, i, j) - Mat.unit(K, n, n, j, i)).vec())
-    return (
-        Subspace.from_rows(K, n * n, sym_rows),
-        Subspace.from_rows(K, n * n, alt_rows),
-    )
+    """S^2 and Lambda^2 in row-major coordinates, built as their RREF bases:
+    e_ii and e_ij + e_ji, then e_ij - e_ji, for i < j; row (i, j) has its
+    pivot at i n + j, and its other entry at j n + i is no pivot."""
+    out = []
+    for k, sign in ((0, 1), (1, -1)):
+        i, j = np.triu_indices(n, k)
+        rows = np.arange(len(i))
+        a = np.zeros((len(i), n * n), dtype=np.int64)
+        a[rows, i * n + j] = 1
+        a[rows, j * n + i] += sign * (i != j)
+        out.append(Subspace(Mat.from_ints(K, a), tuple((i * n + j).tolist())))
+    return tuple(out)
 
 
 def restrict_to_sl(module: LieModule, n, K) -> LieModule:

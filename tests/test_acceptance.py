@@ -38,6 +38,7 @@ from lieclassical.repmod import (
     tensor_square,
 )
 from line_enumeration import certify_by_enumeration
+from scalar_reference import unvec
 
 
 def report_line(capsys, num, ok, detail=""):
@@ -280,7 +281,7 @@ def test_criterion_09_property_suites(capsys):
             idx = rng.randrange(len(acts))
             t = [K.random(rng) for _ in range(16)]
             moved = matvec(acts[idx], t)
-            gt = Mat.unvec(K, matvec(ts.gamma, t), 4, 4)
+            gt = unvec(K, matvec(ts.gamma, t), 4, 4)
             if matvec(ts.gamma, moved) != bracket(mats[idx], gt).vec():
                 failures.append(f"Gamma equivariance over {K.token}")
                 break

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import lieclassical
 from lieclassical import repmod
 from lieclassical.cli import build_parser, main
 from lieclassical.fields import GF
@@ -324,3 +329,33 @@ def test_thm14_over_q_one_good_prime_certifies(capsys):
     assert report["pass"] is True
     (dichotomy,) = [c for c in report["claims"] if c["label"] == "m=4 dichotomy"]
     assert dichotomy["computed"] is True
+
+
+def test_out_of_memory_exits_2_without_traceback(capsys, monkeypatch):
+    from lieclassical import verify
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(verify, "run_thm_1_2", exhausted)
+    code, out, err = run(capsys, "verify:thm1.2", "--field", "2", "--m", "10")
+    assert code == 2
+    assert err == "error: out of memory in verify:thm1.2\n"
+    assert out == ""
+
+
+# sha256 of `lieclassical verify:all --output json`, recorded before the
+# structured matrices and the report text were built on arrays; every change
+# that claims only speed must print the same bytes
+VERIFY_ALL_JSON_SHA256 = "2b7e61326f659cd24d5fc9160609a2facfd61f34da10d52f1f2dc47adef38b0b"
+
+
+def test_verify_all_json_is_byte_identical():
+    # a fresh process: the budget is module state that other tests set
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lieclassical.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("LIECOMP_BUDGET", None)
+    argv = [sys.executable, "-m", "lieclassical.cli", "verify:all", "--output", "json"]
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_JSON_SHA256

@@ -30,7 +30,6 @@ from lieclassical.linalg import (
     kernel,
     kron,
     matvec,
-    op_matrix,
     poly_at,
     rref,
     solve,
@@ -38,6 +37,7 @@ from lieclassical.linalg import (
 )
 from charpoly_reference import charpoly_by_scalars
 from echelon_reference import ScalarEchelon
+from scalar_reference import from_int_rows, op_matrix, unvec
 
 
 def rand_mat(K, r, c, rng):
@@ -45,7 +45,7 @@ def rand_mat(K, r, c, rng):
 
 
 def test_rref_proportional_rows():
-    M = Mat.from_int_rows(QQ, [[1, 2], [2, 4]])
+    M = from_int_rows(QQ, [[1, 2], [2, 4]])
     red, rank, pivots = rref(M)
     assert rank == 1
     assert pivots == (0,)
@@ -58,7 +58,7 @@ def test_rref_identity_gf5():
 
 
 def test_rref_permutation_gf2():
-    M = Mat.from_int_rows(GF(2), [[0, 1], [1, 0]])
+    M = from_int_rows(GF(2), [[0, 1], [1, 0]])
     red, rank, _ = rref(M)
     assert rank == 2
     assert red == Mat.identity(GF(2), 2)
@@ -90,7 +90,7 @@ def test_rank_nullity():
 
 
 def test_kernel_parity_gf2():
-    ker = kernel(Mat.from_int_rows(GF(2), [[1, 1]]))
+    ker = kernel(from_int_rows(GF(2), [[1, 1]]))
     assert ker.basis.rows == [[1, 1]]
 
 
@@ -148,7 +148,7 @@ def test_subspace_coords_lift_round_trip():
 
 
 def test_solve_consistent_and_inconsistent():
-    A = Mat.from_int_rows(QQ, [[1, 2], [2, 4]])
+    A = from_int_rows(QQ, [[1, 2], [2, 4]])
     x = solve(A, [Fraction(3), Fraction(6)])
     assert x is not None and matvec(A, x) == [Fraction(3), Fraction(6)]
     assert solve(A, [Fraction(1), Fraction(0)]) is None
@@ -170,7 +170,7 @@ def test_solve_many_matches_solve():
 
 def test_op_matrix_transpose_operator():
     K = GF(3)
-    T = op_matrix(K, 4, 4, lambda v: Mat.unvec(K, v, 2, 2).transpose().vec())
+    T = op_matrix(K, 4, 4, lambda v: unvec(K, v, 2, 2).transpose().vec())
     for _ in range(5):
         rng = random.Random(6)
         X = rand_mat(K, 2, 2, rng)
@@ -187,11 +187,11 @@ def test_matrix_text_round_trip():
 
 
 def test_det_inv():
-    M = Mat.from_int_rows(QQ, [[2, 1], [1, 1]])
+    M = from_int_rows(QQ, [[2, 1], [1, 1]])
     assert M.det() == Fraction(1)
     assert M @ M.inv() == Mat.identity(QQ, 2)
     K = GF(7)
-    N = Mat.from_int_rows(K, [[3, 1], [5, 2]])
+    N = from_int_rows(K, [[3, 1], [5, 2]])
     assert N @ N.inv() == Mat.identity(K, 2)
 
 

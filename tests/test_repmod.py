@@ -21,12 +21,11 @@ from lieclassical.liealg import (
     skew_adjoint_algebra,
     sl_subspace,
 )
-from lieclassical.linalg import Mat, Subspace, matvec, op_matrix
+from lieclassical.linalg import Mat, Subspace, matvec
 from lieclassical.repmod import (
     LieModule,
     _random_element,
     adjoint_module,
-    block_duality_check,
     certify_irreducible,
     composition_series,
     dual_module,
@@ -48,6 +47,7 @@ from lieclassical.repmod import (
 )
 from echelon_reference import ScalarEchelon
 from line_enumeration import certify_by_enumeration
+from scalar_reference import block_duality_check, op_matrix, unvec
 
 
 def sl2_natural(K):
@@ -293,7 +293,7 @@ def test_tensor_square_equivariance():
             for _ in range(3):
                 t = [K.random(rng) for _ in range(16)]
                 lhs = matvec(ts.gamma, matvec(act, t))
-                gt = Mat.unvec(K, matvec(ts.gamma, t), 4, 4)
+                gt = unvec(K, matvec(ts.gamma, t), 4, 4)
                 rhs = bracket(x, gt).vec()
                 assert lhs == rhs
 
