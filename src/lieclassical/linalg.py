@@ -5,23 +5,26 @@ residues over GF(p); int64 residue pairs A0 + A1 w over GF(p^2) =
 GF(p)[w]/(w^2 - r), the pair on a leading axis of length 2; over Q, integer
 numerators over one positive common denominator, kept in lowest terms (int64
 while every numerator is below 2^63 in absolute value, Python ints
-otherwise).  Arithmetic, products, Kronecker products, submatrices and the
-characteristic polynomial over finite fields are exact array operations;
-structured matrices (identity, unit, diagonal, Kronecker sums) are built
-from arrays and the text format is read off them; `Mat.rows` is a derived,
-read-only list of canonical scalars for det and the scalar algorithms.
+otherwise).  Arithmetic, products, Kronecker products and submatrices are
+exact array operations; structured matrices (identity, unit, diagonal,
+Kronecker sums) are built from arrays and the text format is read off
+them; `Mat.rows` is a derived, read-only list of canonical scalars for det
+and the scalar algorithms.
 
 A `Subspace` holds its canonical RREF basis as one `Mat` next to its pivots,
 and reduces, tests membership, takes coordinates and lifts them with
-products of that basis.  Each field family has one incremental echelon
-basis whose fully reduced rows are the RREF, and rref, kernels, subspaces
-and spins all go through it: `EchelonGFp` on the residue (pair) arrays over
-every finite field, a block of rows at a time, and `Echelon` on primitive
-Python-int rows, fraction-free, over Q, one row at a time.
+products of that basis at its non-pivot columns.  Each field family has one
+incremental echelon basis whose fully reduced rows are the RREF; rref, both
+kernels (`null_spaces`: one elimination of [M | I]), subspaces, spins and
+the Krylov characteristic polynomial go through it: `EchelonGFp` on the
+residue (pair) arrays over every finite field, a block of rows at a time,
+with optional carried columns that hold no pivot, and `Echelon` on
+primitive Python-int rows, fraction-free, over Q, one row at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -90,11 +93,10 @@ class Mat:
     def from_ints(cls, field, a):
         """The matrix over field of an int64 array of integers: residues mod p,
         pairs with a zero w part over GF(p^2), numerators over 1 over Q."""
+        a = _mod(field, a.astype(np.int64))
         if field.degree == 2:
-            pair = np.zeros((2, *a.shape), dtype=np.int64)
-            pair[0] = a % field.char
-            return cls._of(field, pair)
-        return cls._of(field, _mod(field, a))
+            a = np.stack([a, np.zeros_like(a)])
+        return cls._of(field, a)
 
     @classmethod
     def zeros(cls, field, r, c):
@@ -294,8 +296,8 @@ class _ReadOnly(list):
     append = extend = insert = pop = remove = clear = sort = reverse = _refuse
 
 
-def _mod(K, a):
-    return a % K.char if K.char else a
+def _mod(K, a):  # in place over finite fields
+    return _reduce(K.char, a) if K.char else a
 
 
 def _height(a):
@@ -342,11 +344,11 @@ def _times(K, x, y):
     another."""
     p = K.char
     if K.degree == 1:
-        return (x * y) % p
-    t = (x[:, None] * y[None, :]) % p  # t[i, j] = x_i y_j
+        return _reduce(p, x * y)
+    t = _reduce(p, x[:, None] * y[None, :])  # t[i, j] = x_i y_j
     out = t[0] + t[1, ::-1]  # (x0 y0 + x1 y1, x0 y1 + x1 y0)
     out[0] += (K.nonresidue - 1) * t[1, 1]  # x0 y0 + r x1 y1 <= p (p - 1) < 2^63
-    return out % p
+    return _reduce(p, out)
 
 
 def matvec(M: Mat, v):
@@ -408,14 +410,13 @@ def gfp_matmul(a, b, p):
     out = None
     for s in range(0, max(a.shape[-1], 1), k):
         # float64 operand copies are freed once multiplied; the sum is reduced
-        # in int64, where % is about 4x faster than on float64
+        # in int64, where floor division is about 4x faster than on float64
         x, y = a[..., s : s + k], b[..., s : s + k, :]
         t = x.astype(dtype, copy=False) @ y.astype(dtype, copy=False)
         t = t.astype(np.int64, copy=False)
         if out is not None:
             t += out
-        t %= p
-        out = t
+        out = _reduce(p, t)
     return out
 
 
@@ -443,8 +444,8 @@ def gfp2_matmul(a, b, p, r):
     (a0, a1), (b0, b1) = a, b
     t0 = gfp_matmul(a0, b0, p)
     t1 = gfp_matmul(a1, b1, p)
-    s = gfp_matmul((a0 + a1) % p, (b0 + b1) % p, p)
-    return (t0 + r * t1) % p, (s - t0 - t1) % p
+    s = gfp_matmul(_reduce(p, a0 + a1), _reduce(p, b0 + b1), p)
+    return _reduce(p, t0 + r * t1), _reduce(p, s - t0 - t1)
 
 
 def _dot(K, a, b):
@@ -487,10 +488,26 @@ def solve_many(A: Mat, bs):
 
 
 def kernel(M: Mat) -> "Subspace":
-    """Right kernel {v : M v = 0} as a canonical subspace: one vector
-    e_f - sum_i R[i][f] e_(pivot i) per free column f of the RREF R."""
-    K, n = M.field, M.ncols
-    R = Subspace.span(M)
+    """Right kernel {v : M v = 0} as a canonical subspace."""
+    return _kernel_of_rref(Subspace.span(M))
+
+
+def null_spaces(M: Mat):
+    """The right and left kernels {v : M v = 0} and {w : w M = 0} from one
+    elimination of [M | I]: its rows with pivots among M's columns are the
+    RREF of M, and the others, cut to the I columns, the canonical basis of
+    the left kernel."""
+    n = M.ncols
+    S = Subspace.span(Mat.from_blocks([[M, Mat.identity(M.field, M.nrows)]]))
+    k = sum(j < n for j in S.pivots)
+    return (_kernel_of_rref(Subspace(S.basis[:k, :n], S.pivots[:k])),
+            Subspace(S.basis[k:, n:], tuple(j - n for j in S.pivots[k:])))
+
+
+def _kernel_of_rref(R: "Subspace") -> "Subspace":
+    """{v : R v = 0} for the canonical basis R: one vector
+    e_f - sum_i R[i][f] e_(pivot i) per free column f."""
+    K, n = R.field, R.ambient
     free = R.nonpivots()
     if not free:
         return Subspace.zero(K, n)
@@ -506,43 +523,36 @@ def kernel(M: Mat) -> "Subspace":
 
 
 def charpoly(A: Mat):
-    """det(xI - A) over a finite field: a similarity to upper Hessenberg form
-    and the recurrence on its leading minors (Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 2.2.9) in whole-row array operations, which
-    reduce each product of residues before adding it (exact for every GF)."""
+    """det(xI - A) over a finite field: the product of the minimal polynomials
+    of Krylov blocks, each relative to the span of the blocks before it
+    (Dumas, Pernet and Wan, ISSAC 2005).  A block spins e_s, s the first
+    column outside that span, by doubling: rows 2^j .. 2^(j+1) - 1 of e_s,
+    e_s A', e_s A'^2, ... are rows 0 .. 2^j - 1 times A'^(2^j).  The rows go
+    into one echelon beside an identity, so each basis row carries its
+    combination of Krylov rows; the first row that enlarges no span is its
+    entries at the pivots times those combinations, one product."""
     K, n = A.field, A.nrows
     if not K.char:
         raise ValueError("charpoly needs a finite field")
-    p, pair = K.char, K.degree == 2
-    H = A.a.copy()
-    one = np.reshape(K.one(), H.shape[:-2] + (1,))
-    for c in range(n - 2):
-        nz = np.flatnonzero(H[..., c + 1 :, c].reshape(-1, n - c - 1).any(axis=0))
-        if not nz.size:
-            continue
-        swap = [c + 1, c + 1 + int(nz[0])]
-        H[..., swap, :] = H[..., swap[::-1], :]
-        H[..., swap] = H[..., swap[::-1]]
-        h = H[..., c + 1, c].tolist()
-        # conjugate by I - u e_(c+1)', u = H[c+2:, c] / H[c+1, c]: rows c+2..
-        # minus u times row c+1, then column c+1 plus columns c+2.. times u
-        u = _times(K, H[..., c + 2 :, c], np.reshape(K.inv(tuple(h) if pair else h), one.shape))
-        H[..., c + 2 :, c:] -= _times(K, u[..., None], H[..., c + 1 : c + 2, c:])
-        H[..., c + 2 :, c:] %= p
-        H[..., c + 1] += _dot(K, H[..., c + 2 :], u[..., None])[..., 0]
-        H[..., c + 1] %= p
-    # row k of P: p_k = x p_(k-1) - sum_(r<=k) w_r h_(r-1,k-1) p_(r-1), w_r the
-    # subdiagonal product h_(r,r-1) ... h_(k-1,k-2) (w_k = 1; a zero ends it)
-    P = np.zeros(H.shape[:-2] + (n + 1, n + 1), dtype=np.int64)
-    P[..., 0, :1] = one
-    for k in range(1, n + 1):
-        w = np.concatenate([_times(K, w, H[..., k - 1 : k, k - 2]), one], axis=-1) if k > 1 else one
-        P[..., k, 1 : k + 1] = P[..., k - 1, :k]
-        coef = _times(K, w[..., None, :], H[..., None, :k, k - 1])
-        P[..., k, : k + 1] -= _dot(K, coef, P[..., :k, : k + 1])[..., 0, :]
-        P[..., k, : k + 1] %= p
-    f = P[..., n, :].tolist()
-    return list(zip(*f)) if pair else f
+    eye = Mat.identity(K, n).a
+    ech = EchelonGFp(K, n, carry=n)
+    powers = [np.swapaxes(A.a, -1, -2)]  # powers[j] = A'^(2^j)
+    blocks = []
+    while ech.dim < n:
+        base, s = ech.dim, min(set(range(n)).difference(ech.pivots))
+        rows = new = np.concatenate([eye[..., s : s + 1, :], powers[0][..., s : s + 1, :]], axis=-2)
+        for j in itertools.count(1):
+            dim, k = ech.dim, min(new.shape[-2], n - ech.dim)
+            kept = len(ech.add(np.concatenate([new[..., :k, :], eye[..., dim : dim + k, :]], axis=-1)))
+            if kept < new.shape[-2]:
+                break
+            if j == len(powers):
+                powers.append(_dot(K, powers[-1], powers[-1]))
+            new = _dot(K, rows[..., : n - ech.dim + 1, :], powers[j])
+            rows = np.concatenate([rows, new], axis=-2)
+        c = _dot(K, new[..., kept : kept + 1, :][..., ech.pivots], ech.mat[..., n + base : n + ech.dim])
+        blocks.append(Mat._of(K, _mod(K, -c)).vec() + [K.one()])
+    return functools.reduce(functools.partial(_pmul, K), blocks) if blocks else [K.one()]
 
 
 def poly_at(f, A: Mat) -> Mat:
@@ -580,13 +590,17 @@ def _psub(K, a, b):
     return _ptrim(K, [K.sub(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=z)])
 
 
-def _pmulmod(K, a, b, f):
+def _pmul(K, a, b):
     prod = [K.zero()] * (len(a) + len(b))
     for i, x in enumerate(a):
         if not K.is_zero(x):
             for j, y in enumerate(b):
                 prod[i + j] = K.add(prod[i + j], K.mul(x, y))
-    return _pdivmod(K, _ptrim(K, prod), f)[1]
+    return _ptrim(K, prod)
+
+
+def _pmulmod(K, a, b, f):
+    return _pdivmod(K, _pmul(K, a, b), f)[1]
 
 
 def _ppowmod(K, a, e, f):
@@ -716,17 +730,22 @@ class Subspace:
         return [stack[i * r : (i + 1) * r, :] for i in range(self.dim)]
 
     def residuals(self, X: Mat) -> Mat:
-        """The residuals of X's rows: the basis rows are zero at each other's
-        pivots, so eliminating the pivot coordinates is X - X[:, pivots] B."""
-        return X - X[:, list(self.pivots)] @ self.basis if self.pivots else X
+        """The residuals of X's rows, X - X[:, pivots] B, at the non-pivot
+        columns: the basis rows are 1 at their own pivot and 0 at the others,
+        so the residuals are zero at the pivots."""
+        if not self.pivots:
+            return X
+        free = self.nonpivots()
+        eliminated = X[:, list(self.pivots)] @ self.basis[:, free]  # before X[:, free]: lower peak
+        return X[:, free] - eliminated
 
     def reduce(self, v):
         """Residual of the vector v after eliminating the pivot coordinates."""
-        return self.residuals(Mat(self.field, [v])).vec()
+        free = dict(zip(self.nonpivots(), self.residuals(Mat(self.field, [v])).vec()))
+        return [free.get(j, self.field.zero()) for j in range(self.ambient)]
 
     def contains_vector(self, v) -> bool:
-        K = self.field
-        return all(K.is_zero(a) for a in self.reduce(v))
+        return self.residuals(Mat(self.field, [v])).is_zero()
 
     def coords_of(self, X: Mat) -> Mat:
         """The coordinates of X's rows relative to the canonical basis, their
@@ -766,9 +785,9 @@ class Subspace:
 
 # ---------------------------------------------------------------------------
 # Incremental echelon bases, one per field family: the elimination behind
-# rref, subspaces and the spinning closure.  Rows are kept fully reduced (zero
-# in every other pivot column), so sorted by pivot and normalized they are the
-# RREF basis.  `add_rows` hands a Mat's rows to `add`, in one block over GF(q).
+# rref, subspaces, the spinning closure and charpoly.  Rows are kept fully
+# reduced (zero in every other pivot column), so sorted by pivot and normalized
+# they are the RREF basis.  `add_rows` hands a Mat's rows to `add`, one block.
 
 
 def echelon(field, ambient):
@@ -837,13 +856,14 @@ def _primitive(v):
 class EchelonGFp:
     """Growing echelon basis over GF(p) or GF(p^2) as one array in the
     field's format: its rows are zero at every other pivot, so rows X reduce
-    in one product, X - X[:, pivots] basis."""
+    in one product, X - X[:, pivots] basis.  Rows may carry `carry` more
+    columns, which take part in every row operation but hold no pivot."""
 
-    def __init__(self, field, ambient):
+    def __init__(self, field, ambient, carry=0):
         self.field = field
         self.ambient = ambient
         self.pair = field.degree == 2
-        self.mat = Mat.zeros(field, 0, ambient).a
+        self.mat = Mat.zeros(field, 0, ambient + carry).a
         self.pivots = []
 
     @property
@@ -851,9 +871,9 @@ class EchelonGFp:
         return self.mat.shape[-2]
 
     def add(self, X) -> list:
-        """Insert the rows of X, canonical residues of shape (k, ambient) (a
-        pair of such arrays over GF(p^2)), in order until the basis fills;
-        returns the indices of the rows that enlarged the span.  Block
+        """Insert the rows of X, canonical residues of shape (k, ambient +
+        carry) (a pair of such arrays over GF(p^2)), in order until the basis
+        fills; returns the indices of the rows that enlarged the span.  Block
         elimination (Dumas, Giorgi and Pernet, ACM TOMS 2008) in panels of at
         most `ambient` rows: one product reduces a panel against the basis,
         Gauss-Jordan runs on the panel, and one product clears its new pivots
@@ -864,12 +884,12 @@ class EchelonGFp:
             if self.dim == n:
                 break
             W = X[..., s : s + n, :]
-            W = _sub(p, W, _dot(K, W[..., self.pivots], self.mat)) if self.pivots else W.copy()
+            W = _reduce(p, W - _dot(K, W[..., self.pivots], self.mat)) if self.pivots else W.copy()
             rows, pivs = self._eliminate(W)
             if rows:
                 V = W[..., rows, :]
                 if self.pivots:
-                    self.mat = _sub(p, self.mat, _dot(K, self.mat[..., pivs], V))
+                    self.mat = _reduce(p, self.mat - _dot(K, self.mat[..., pivs], V))
                 self.mat = np.concatenate([self.mat, V], axis=-2)
                 self.pivots += pivs
                 kept += [s + r for r in rows]
@@ -877,27 +897,49 @@ class EchelonGFp:
 
     def _eliminate(self, W):
         """Gauss-Jordan in place on the reduced panel W until the basis would
-        fill, pivoting in the first nonzero row left (so it keeps the rows a
-        row-by-row insertion keeps); returns (rows, pivots)."""
+        fill, pivoting in the first row left that is nonzero in the first
+        `ambient` columns (so it keeps the rows a row-by-row insertion keeps);
+        returns (rows, pivots).  Over odd p each update subtracts at most
+        (p-1)^2 from an entry, so the panel is reduced only after `cap` of
+        them and at the end; in between, only the rows and columns a pivot
+        reads are (over GF(2) the updates are XORs of reduced entries)."""
         K, p, n = self.field, self.field.char, self.ambient
+        cap, lazy = (2**63 - p) // (p - 1) ** 2, 0
         rows, pivs, r = [], [], -1
         while len(pivs) < n - self.dim and r + 1 < W.shape[-2]:
-            nz = (W[:, r + 1 :] != 0).any(axis=0) if self.pair else W[r + 1 :] != 0
+            if lazy:  # the next row; the whole panel once a row has no pivot
+                _reduce(p, W[..., r + 1, :])
+            rest = W[..., r + 1 : r + 2 if lazy else None, :n]
+            nz = (rest != 0).any(axis=0) if self.pair else rest != 0
             i, piv = divmod(int(nz.argmax()), n)
             if not nz[i, piv]:
-                break
+                if not lazy:
+                    break
+                _reduce(p, W)
+                lazy = 0
+                continue
             r += 1 + i
+            # subtract column piv times the normalized pivot row v from every
+            # row, then set row r to v, which is zero left of piv
+            v = W[..., r, None, piv:].copy()
             if p > 2:
                 h = W[..., r, piv].tolist()
-                c = np.array(K.inv(tuple(h)))[:, None] if self.pair else K.inv(h)
-                W[..., r, :] = _times(K, W[..., r, :], c)
-            # subtract column piv times the pivot row v, which is zero left of piv
-            v = W[..., r, None, piv:].copy()
-            cv = _times(K, W[..., piv, None], v) if self.pair else W[..., piv, None] * v
-            W[..., piv:] = _sub(p, W[..., piv:], cv)
+                v = _times(K, v, np.array(K.inv(tuple(h)))[:, None, None] if self.pair else K.inv(h))
+            col = _reduce(p, W[..., piv, None]) if lazy else W[..., piv, None]
+            cv = _times(K, col, v) if self.pair else col * v
+            if p == 2:
+                W[..., piv:] ^= cv
+            else:
+                W[..., piv:] -= cv
+                lazy += 1
             W[..., r, None, piv:] = v
             rows.append(r)
             pivs.append(piv)
+            if lazy == cap:
+                _reduce(p, W)
+                lazy = 0
+        if lazy:
+            _reduce(p, W)
         return rows, pivs
 
     def add_rows(self, M: Mat) -> Mat:
@@ -909,11 +951,14 @@ class EchelonGFp:
                         tuple(self.pivots[i] for i in order))
 
 
-def _sub(p, a, b):
-    """a - b mod p for int64 arrays, a of residues and 0 <= b <= (p-1)^2 (so
-    a - b fits int64 for every GF); floor division is faster than %."""
+def _reduce(p, t):
+    """The int64 array t mod p, in place: a mask for p = 2, else numpy's %
+    below a thousand entries (one call) and its floor division by a scalar
+    above (three calls, several times faster per entry; CHANGES.md)."""
     if p == 2:
-        return a ^ b
-    t = a - b
-    t -= t // p * p
+        t &= 1
+    elif t.size < 1024:
+        t %= p
+    else:
+        t -= t // p * p
     return t

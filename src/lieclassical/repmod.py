@@ -36,6 +36,7 @@ from .linalg import (
     kernel,
     kron,
     kron_sum_stack,
+    null_spaces,
     poly_at,
     roots,
 )
@@ -191,20 +192,19 @@ def certify_irreducible(M: LieModule, budget: int | None = None, seed: int = 0) 
         used += 1
         lowest = None
         for d, g in distinct_degree_parts(K, charpoly(theta)):
-            f_theta = poly_at(irreducible_factor(K, g, d, rng), theta)
-            null = kernel(f_theta)
+            null, conull = null_spaces(poly_at(irreducible_factor(K, g, d, rng), theta))
             if null.dim == d:
                 break
-            lowest = lowest or (f_theta, null, d)
+            lowest = lowest or (null, conull, d)
         else:
-            f_theta, null, d = lowest
+            null, conull, d = lowest
         closure = spin(M, [_random_vector(null, rng)])
         if closure.dim < M.dim:
             return IrredResult("reducible", closure, "kernel vector spin")
         if null.dim > d or used == budget:
             continue
         used += 1
-        dual = spin(M, [_random_vector(kernel(f_theta.transpose()), rng)], transposed=True)
+        dual = spin(M, [_random_vector(conull, rng)], transposed=True)
         if dual.dim == M.dim:
             return IrredResult("irreducible", None, "kernel/dual spin")
         return IrredResult("reducible", kernel(dual.basis), "dual spin annihilator")
@@ -246,28 +246,23 @@ def restrict_module(M: LieModule, U: Subspace) -> LieModule:
 def _image_coords(U: Subspace, S: Mat) -> Mat | None:
     """The U-coordinates of the images A_i u_j of U's basis under the blocks
     of the stack S (rows as in `_images`), or None unless every A_i maps U
-    into U.
-
-    A u_j has U-coordinates its entries C at U's pivots if it lies in U, and
-    lies in U iff it equals C B for the basis matrix B.
-    """
-    B = U.basis
-    images = _images(S, B)
-    coords = images[:, list(U.pivots)]
-    return coords if coords @ B == images else None
+    into U: A u_j lies in U iff its residual is zero, and then its
+    U-coordinates are its entries at U's pivots."""
+    images = _images(S, U.basis)
+    return images[:, list(U.pivots)] if U.residuals(images).is_zero() else None
 
 
 def quotient_module(M: LieModule, U: Subspace) -> LieModule:
     """Actions on M/U in the coordinates of the non-pivot positions of U.
 
     The images A_i e_j of the free unit vectors are columns of the
-    generators; reduced against U, their free entries are the quotient
-    action.
+    generators; their residuals against U, which sit at the free positions,
+    are the quotient action.
     """
     S, g = M.stack, len(M.labels())
     free = U.nonpivots()
     images = S.transpose()[free, :].reshape(len(free) * g, M.dim)
-    return M.on_stack(U.residuals(images)[:, free])
+    return M.on_stack(U.residuals(images))
 
 
 def quotient_lift(U: Subspace, C: Mat) -> Mat:

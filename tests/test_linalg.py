@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,8 @@ from lieclassical.linalg import (
     charpoly,
     distinct_degree_parts,
     _chunking,
+    _reduce,
+    _times,
     echelon,
     gfp2_matmul,
     gfp_matmul,
@@ -30,6 +33,7 @@ from lieclassical.linalg import (
     kernel,
     kron,
     matvec,
+    null_spaces,
     poly_at,
     rref,
     solve,
@@ -238,6 +242,9 @@ PRODUCT_EDGES = [
     (1000003, 16, 16, 16, np.float64),
     (3037000493, 16, 16, 16, np.int64),  # P_MAX, chunks of one term
     (3037000493, 2, 3, 2, np.int64),
+    # 1024 entries in the product: its reduction takes the floor-division path
+    (3037000493, 32, 3, 32, np.int64),
+    (P_F64_TOP, 32, 16, 32, np.float64),
 ]
 
 
@@ -306,6 +313,47 @@ P31, P_MAX = 2**31 - 1, 3037000493  # P_MAX: the largest prime GF accepts
 # nonresidue mod P_MAX, -1 a square) make r (a1 b1) as large as it can be
 GF2_FIELDS = [GF(3, 2), GF(5, 2), GF(7, 2), GF(P31, 2), GF(P_MAX, 2),
               GF(P31, 2, nonresidue=P31 - 1), GF(P_MAX, 2, nonresidue=P_MAX - 2)]
+
+
+REDUCE_PRIMES = [2, 3, 5, P_F64_TOP, P31, P_MAX]
+
+
+@pytest.mark.parametrize("p", REDUCE_PRIMES)
+def test_reduction_matches_python_mod_at_the_int64_edges(p):
+    # the extremes a reduction meets: a product chunk of k terms sums to at
+    # most k (p-1)^2 + p - 1, a panel after `cap` updates to at least
+    # -cap (p-1)^2, one update to -(p-1)^2; small and large arrays take the
+    # % and the floor-division paths
+    cap = k = (2**63 - p) // (p - 1) ** 2
+    top = (p - 1) ** 2
+    edges = [-cap * top, -cap * top + 1, -top, -top + 1, -p, -1, 0, 1, p - 1, p, top,
+             k * top + p - 1, k * top + p - 2]
+    assert min(edges) >= -(2**63) and max(edges) < 2**63
+    for size in (len(edges), 1024, 3000):
+        values = np.resize(np.array(edges, dtype=np.int64), size)
+        assert _reduce(p, values.copy()).tolist() == [x % p for x in values.tolist()]
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(3), GF(P31), GF(P_MAX), GF(3, 2), *GF2_FIELDS[-2:]],
+                         ids=str)
+def test_entrywise_products_match_python_ints(K):
+    # every pair of elements with coordinates in {0, 1, 2, p - 2, p - 1}, in
+    # a short array and repeated past a thousand entries
+    p = K.char
+
+    def product(a, b):
+        if K.degree == 1:
+            return a * b % p
+        (a0, a1), (b0, b1) = a, b
+        return (a0 * b0 + K.nonresidue * a1 * b1) % p, (a0 * b1 + a1 * b0) % p
+
+    coords = sorted({0, 1, 2 % p, p - 2, p - 1})
+    elems = coords if K.degree == 1 else list(itertools.product(coords, coords))
+    xs, ys = zip(*itertools.product(elems, elems))
+    want = list(map(product, xs, ys))
+    for reps in (1, 1100 // len(xs) + 1):
+        x, y = Mat(K, [list(xs) * reps]).a, Mat(K, [list(ys) * reps]).a
+        assert np.array_equal(_times(K, x, y), Mat(K, [want * reps]).a)
 
 
 @st.composite
@@ -550,7 +598,8 @@ X = sympy.Symbol("x")
 
 def _shaped_matrices(K, rng, n):
     """Dense, sparse, nilpotent, scalar and block-diagonal n x n matrices: the
-    shapes that need a row swap or leave a zero under the Hessenberg diagonal."""
+    shapes that end a Krylov block early, so that several blocks make up the
+    characteristic polynomial."""
     z = K.zero()
     yield rand_mat(K, n, n, rng)
     yield Mat(K, [[K.random(rng) if rng.random() < 0.25 else z for _ in range(n)]
@@ -614,6 +663,74 @@ def test_charpoly_matches_scalar_reference(K):
             assert charpoly(A) == charpoly_by_scalars(A)
 
 
+def _field_entries(K):
+    """Entries of K, favouring 0, 1 and p - 1 (pairs of them over GF(p^2))."""
+    p = K.char
+    coord = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
+    return coord if K.degree == 1 else st.tuples(coord, coord)
+
+
+@st.composite
+def derogatory_matrices(draw, K):
+    """n x n matrices, n <= 8, whose minimal polynomial is usually a proper
+    factor of the characteristic one, so their Krylov blocks end early: zero,
+    scalar, repeated diagonal blocks, nilpotent, and block sums whose blocks
+    share an eigenvalue; optionally conjugated by a random unitriangular
+    product, so that no unit vector is an eigenvector by construction."""
+    entry = _field_entries(K)
+    n = draw(st.integers(0, 8), label="n")
+    kind = draw(st.sampled_from(["zero", "scalar", "repeated", "nilpotent", "shared"]))
+    z = K.zero()
+    if kind == "zero":
+        A = Mat.zeros(K, n, n)
+    elif kind == "scalar":
+        A = Mat.identity(K, n).scale(draw(entry))
+    elif kind == "repeated":
+        k = draw(st.sampled_from([k for k in (1, 2, 3, 4) if n % k == 0]))
+        B = Mat(K, [[draw(entry) for _ in range(k)] for _ in range(k)])
+        A = kron(Mat.identity(K, n // k), B)
+    elif kind == "nilpotent":
+        A = Mat(K, [[draw(entry) if j > i else z for j in range(n)] for i in range(n)])
+    else:
+        # c on the diagonal of an upper triangular first block, and c in the
+        # corner of an upper block triangular second one
+        c, h = draw(entry), draw(st.integers(0, n))
+        rows = [[c if j == i else draw(entry) if j > i else z for j in range(h)] + [z] * (n - h)
+                for i in range(h)]
+        rows += [[z] * h + [c if (i, j) == (h, h) else z if j == h else draw(entry)
+                            for j in range(h, n)] for i in range(h, n)]
+        A = Mat(K, rows)
+    if n and draw(st.booleans(), label="conjugate"):
+        lower = Mat(K, [[K.one() if i == j else draw(entry) if j < i else z for j in range(n)]
+                        for i in range(n)])
+        P = lower @ lower.transpose()  # unit lower times unit upper: invertible
+        A = P @ A @ P.inv()
+    return A
+
+
+# the finite fields at both ends of every bound: GF(2), small odd p, 2^31 - 1
+# (lazy cap 2), P_MAX (cap 1), GF(9) and GF(P_MAX^2)
+ECHELON_FIELDS = [GF(2), GF(3), GF(P31), GF(P_MAX), GF(3, 2), GF(P_MAX, 2)]
+
+
+@pytest.mark.parametrize("K", ECHELON_FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_krylov_charpoly_of_derogatory_matrices(K, data):
+    A = data.draw(derogatory_matrices(K))
+    f = charpoly(A)
+    assert f == charpoly_by_scalars(A)
+    assert len(f) == A.nrows + 1 and f[-1] == K.one()
+
+
+@pytest.mark.parametrize("K", ECHELON_FIELDS, ids=str)
+def test_krylov_charpoly_of_empty_and_one_by_one(K):
+    one = K.one()
+    assert charpoly(Mat.zeros(K, 0, 0)) == [one]
+    for a in (K.zero(), one, K.neg(one)):
+        assert charpoly(Mat(K, [[a]])) == [K.neg(a), one]
+
+
 def test_charpoly_refuses_the_rationals():
     with pytest.raises(ValueError, match="finite field"):
         charpoly(Mat.identity(QQ, 3))
@@ -663,9 +780,6 @@ def test_gf9_echelon_makes_no_per_entry_field_calls(monkeypatch):
     S, calls = _count_field_calls(monkeypatch, K, lambda: spin(M, [seed]))
     assert calls["mul"] + calls["sub"] + calls["add"] <= 2 * n
     assert S.dim == n
-
-
-ECHELON_FIELDS = [GF(2), GF(3), GF(P31), GF(P_MAX), GF(3, 2), GF(P_MAX, 2)]
 
 
 def _assert_blocks_insert_like_scalar(K, n, blocks):
@@ -740,6 +854,22 @@ def test_echelon_gfp_block_edge_cases(K):
     # after a seeded basis; then a block that fills the basis at its 2nd row
     late = [[z] * n] * (2 * n) + [e[0], e[0], [z] * n, e[3]] + [e[0]] * n
     _assert_blocks_insert_like_scalar(K, n, [[e[1]], late, [e[0], e[2], e[3], e[2]]])
+
+
+@pytest.mark.parametrize("K", ECHELON_FIELDS, ids=str)
+def test_echelon_gfp_carried_columns_follow_the_rows(K):
+    # rows [x_i | e_i]: the carried columns hold no pivot, the same rows are
+    # kept as without them, and each basis row [b | t] has b = t X
+    rng = random.Random(f"carried columns {K.char} {K.degree}")
+    for _ in range(15):
+        n = rng.randrange(1, 7)
+        rows = _block_rows(K, n, rng.randrange(2 * n + 3), rng)
+        X = Mat(K, rows) if rows else Mat.zeros(K, 0, n)
+        plain, carried = EchelonGFp(K, n), EchelonGFp(K, n, carry=X.nrows)
+        assert carried.add(Mat.from_blocks([[X, Mat.identity(K, X.nrows)]]).a) == plain.add(X.a)
+        S, ref = carried.subspace(), plain.subspace()
+        assert S.pivots == ref.pivots and S.basis[:, :n] == ref.basis
+        assert S.basis[:, :n] == S.basis[:, n:] @ X
 
 
 def test_span_reduces_each_panel_with_one_product(monkeypatch):
@@ -837,6 +967,34 @@ def test_kernel_matches_sympy_nullspace(K):
                 red, pivots = null.rref()
                 assert ker.basis.rows == _from_sympy(K, red.to_list())
                 assert ker.pivots == tuple(pivots)
+
+
+NULL_FIELDS = [GF(2), GF(5), GF(P31), GF(P_MAX), GF(3, 2), GF(P_MAX, 2), QQ]
+
+
+def _null_space_cases(K, rng):
+    """Random, singular, zero, invertible and non-square matrices, with the
+    empty shapes."""
+    for r, c in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 7), (7, 6)):
+        yield rand_mat(K, r, c, rng)
+        yield Mat.zeros(K, r, c)
+        for rank in range(1, min(r, c)):
+            yield _low_rank(K, r, c, rank, rng)
+    for n in (1, 3, 6):
+        lower = Mat(K, [[K.one() if i == j else K.random(rng) if j < i else K.zero()
+                         for j in range(n)] for i in range(n)])
+        yield lower @ lower.transpose()
+        yield Mat.identity(K, n)
+
+
+@pytest.mark.parametrize("K", NULL_FIELDS, ids=str)
+def test_null_spaces_match_both_kernels(K):
+    rng = random.Random(f"null spaces {K}")
+    for M in _null_space_cases(K, rng):
+        right, left = null_spaces(M)
+        assert right == kernel(M)
+        assert left == kernel(M.transpose())
+        assert (M @ right.basis.transpose()).is_zero() and (left.basis @ M).is_zero()
 
 
 @pytest.mark.parametrize("K", DIFF_FIELDS, ids=repr)

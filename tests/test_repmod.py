@@ -6,6 +6,7 @@ import functools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lieclassical.fields import GF, QQ
@@ -149,6 +150,40 @@ def test_certify_irreducible_not_absolutely_irreducible(M):
     for seed in range(5):
         res = certify_irreducible(M, seed=seed)
         assert (res.status, res.method) == ("irreducible", "kernel/dual spin")
+
+
+def _sp4_adjoint_gf3():
+    """sp(4) over GF(3), simple, as its own adjoint module (dimension 10)."""
+    L = skew_adjoint_algebra(standard_symplectic_gram(GF(3), 4))
+    return adjoint_module(L, L.space)
+
+
+@pytest.mark.parametrize("make", [lambda: _so4_nonsquare_mod(5), _sp4_adjoint_gf3],
+                         ids=["so4-mod5", "sp4-gf3"])
+def test_certify_eliminates_each_f_theta_once(monkeypatch, make):
+    # both null spaces of f(theta) come from one elimination of [f(theta) | I]:
+    # no kernel call, and neither f(theta) nor its transpose is eliminated alone
+    from lieclassical import linalg, repmod
+
+    M = make()
+    f_thetas, inserted, kernels = [], [], []
+    poly_at, add, kernel = repmod.poly_at, linalg.EchelonGFp.add, linalg.kernel
+    monkeypatch.setattr(repmod, "poly_at", lambda f, A: f_thetas.append(poly_at(f, A)) or f_thetas[-1])
+    monkeypatch.setattr(linalg.EchelonGFp, "add", lambda self, X: inserted.append(X) or add(self, X))
+    monkeypatch.setattr(linalg, "kernel", lambda A: kernels.append(A) or kernel(A))
+    monkeypatch.setattr(repmod, "kernel", linalg.kernel)
+    for seed in range(3):
+        f_thetas.clear(), inserted.clear(), kernels.clear()
+        assert certify_irreducible(M, seed=seed).status == "irreducible"
+        n = M.dim
+        eye = Mat.identity(M.field, n).a
+        for F in f_thetas:
+            augmented = [X for X in inserted if X.shape[-1] == 2 * n
+                         and np.array_equal(X[..., :n], F.a) and np.array_equal(X[..., n:], eye)]
+            assert len(augmented) == 1
+            assert not any(np.array_equal(X, F.a) or np.array_equal(X, F.transpose().a)
+                           for X in inserted)
+        assert f_thetas and not kernels
 
 
 def test_certify_budget_counts_draws_and_spins():
