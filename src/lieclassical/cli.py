@@ -107,33 +107,33 @@ def main(argv=None) -> int:
 
 
 def run_command(args):
-    """Returns (output text, all claims passed)."""
+    """Returns (output text, all claims passed).  A --budget or LIECOMP_BUDGET
+    holds for this command only."""
     budget = args.budget
     if budget is None and os.environ.get("LIECOMP_BUDGET"):
         try:
             budget = int(os.environ["LIECOMP_BUDGET"])
         except ValueError:
             raise CliError("LIECOMP_BUDGET must be an integer")
-    if budget is not None:
-        if budget <= 0:
-            raise CliError("budget must be positive")
-        repmod.DEFAULT_BUDGET = budget
+    if budget is not None and budget <= 0:
+        raise CliError("budget must be positive")
     try:
         K = field_from_token(args.field)
     except ValueError as exc:
         raise CliError(str(exc))
     cmd = args.command
-    if cmd.startswith("verify:"):
+    runners = {"algebra": _run_algebra, "series": _run_series,
+               "weights": _run_weights, "hom": _run_hom}
+    if cmd not in runners and not cmd.startswith("verify:"):
+        raise CliError(f"unknown command {cmd!r}")
+    saved = repmod.DEFAULT_BUDGET
+    repmod.DEFAULT_BUDGET = budget or saved
+    try:
+        if cmd in runners:
+            return runners[cmd](K, args)
         return _run_verify(cmd[len("verify:"):], K, args)
-    if cmd == "algebra":
-        return _run_algebra(K, args)
-    if cmd == "series":
-        return _run_series(K, args)
-    if cmd == "weights":
-        return _run_weights(K, args)
-    if cmd == "hom":
-        return _run_hom(K, args)
-    raise CliError(f"unknown command {cmd!r}")
+    finally:
+        repmod.DEFAULT_BUDGET = saved
 
 
 # ---------------------------------------------------------------------------

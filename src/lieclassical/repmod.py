@@ -548,8 +548,10 @@ def star_map(s: Mat) -> Mat:
 
 def conjugation_modules(n, K):
     """The gl(n) modules Z (a.s = as + sa') and A (a.t = -a't - ta) on n x n
-    matrices, generated by the units a = e_ij."""
-    labels = [f"a{i}{j}" for i in range(n) for j in range(n)]
+    matrices, generated by the units a = e_ij (generator i n + j, labelled
+    a{i}{j}, with a comma between two-digit indices)."""
+    sep = "," if n > 10 else ""
+    labels = [f"a{i}{sep}{j}" for i in range(n) for j in range(n)]
     E = Mat.identity(K, n * n)  # rows vec(e_ij)
     Et = E[:, transposed_positions(n)]  # rows vec(e_ij')
     return (LieModule._of_stack(K, labels, kron_sum_stack(E, E, 1)),
@@ -572,17 +574,13 @@ def sym_alt_subspaces(n, K):
 
 
 def restrict_to_sl(module: LieModule, n, K) -> LieModule:
-    """Keep only the generators spanning sl(n) from an e_ij-indexed family."""
-    gens = []
-    for lbl, a in module.generators:
-        i, j = int(lbl[1]), int(lbl[2])
-        if i != j:
-            gens.append((lbl, a))
-    # traceless diagonal part: e_ii - e_nn combinations
-    by_label = {lbl: a for lbl, a in module.generators}
-    for i in range(n - 1):
-        gens.append((f"h{i}", by_label[f"a{i}{i}"] - by_label[f"a{n-1}{n-1}"]))
-    return LieModule(K, module.dim, gens)
+    """The generators spanning sl(n) from a family whose generator i n + j
+    is e_ij: the e_ij with i != j, then h_i = e_ii - e_nn."""
+    gens = module.generators
+    off = [g for k, g in enumerate(gens) if k // n != k % n]
+    last = gens[n * n - 1][1]
+    return LieModule(K, module.dim,
+                     off + [(f"h{i}", gens[i * (n + 1)][1] - last) for i in range(n - 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .liealg import (
     sl_subspace,
     trace_orthogonal_complement,
     trace_pairing,
+    transposed_positions,
 )
 from .linalg import Mat, Subspace, echelon, irreducible_factor, kernel, solve
 from .repmod import (
@@ -47,7 +48,6 @@ from .repmod import (
     gamma_image,
     heisenberg_poly_module,
     heisenberg_poly_module_on_basis,
-    hom_members,
     hom_space,
     invariant_under,
     line_reps,
@@ -196,8 +196,8 @@ def _is_simple_certified(L: MatLieAlg, primes):
     """(simple?, method) with characteristic 0 handled by reduction mod primes.
 
     Over Q one prime with an irreducible reduction of the adjoint module
-    proves simplicity.  "Not simple" needs a witness over Q: for m = 4 the
-    so(4) ideal, checked ad-invariant; anything else is refused."""
+    proves simplicity.  "Not simple" needs a witness over Q, so this raises
+    instead (`run_thm_1_4` exhibits the so(4) ideal)."""
     K = L.field
     if K.order() is not None:
         return is_simple(L), "spin certification"
@@ -205,11 +205,6 @@ def _is_simple_certified(L: MatLieAlg, primes):
         return False, "dimension"
     if modp_irreducible(adjoint_module(L, L.space), primes):
         return True, "mod-p"
-    if L.m == 4:
-        ideal = _so4_ideal(L)
-        adjoint_module(L, ideal)  # raises unless [L, ideal] lies in the ideal
-        if 0 < ideal.dim < L.dim:
-            return False, "so(4) ideal"
     raise ValueError("mod-p certification failed for the adjoint module")
 
 
@@ -362,12 +357,11 @@ def run_thm_1_2(m, diag=None, p=2) -> Report:
     if m == 3 or m >= 5:
         rep.check("L^(1) simple", "Thm 8.1", True, is_simple(L1), "spin certification")
         rep.check("dim L^(1)", "Thm 8.1", m * (m - 1) // 2, L1.dim)
-    # gl/L = L^(1) as L-modules, witnessed by an invertible intertwiner
+    # gl/L = L^(1) as L-modules, witnessed by phi(X) = X + X'
     quo = quotient_module(module, L.space)
     sub = restrict_module(module, L1.space)
-    H = hom_space(quo, sub)
-    inv = _invertible_member(H, sub.dim, quo.dim)
-    rep.check("gl/L = L^(1) (hom witness)", "Thm 1.2(4)", True, inv is not None)
+    rep.check("gl/L = L^(1) (hom witness)", "Thm 1.2(4)", True,
+              _intertwines(_symmetrizer(L.space, L1.space), quo, sub))
     # m-1 free insertions between L^(1) and L: trivial action on L/L^(1)
     between = restrict_module(module, L.space)
     l1_in = Subspace.span(L.space.coords_of(L1.space.basis))
@@ -412,24 +406,21 @@ def _diag_form_space(K, m, diag, derived_part):
     return Subspace.from_rows(K, m * m, rows)
 
 
-def _invertible_member(H: Subspace, r, c):
-    """An invertible r x c matrix in the span H of vectorized intertwiners."""
-    if r != c or H.dim == 0:
-        return None
-    K = H.field
-    mats = H.matrices(r, c)
-    for T in mats:
-        if not K.is_zero(T.det()):
-            return T
-    rng = random.Random(3)
-    for _ in range(50):
-        T = Mat.zeros(K, r, c)
-        for x in mats:
-            cf = K.random(rng)
-            T = T + x.scale(cf)
-        if not K.is_zero(T.det()):
-            return T
-    return None
+def _symmetrizer(Lspace: Subspace, L1space: Subspace) -> Mat:
+    """Matrix of gl/L -> L^(1), X + L -> X + X', on the cosets of e_j, j not a
+    pivot of L (`quotient_module`'s representatives).  Over GF(2), A = I and L
+    is the symmetric matrices: X + X' vanishes on L, is symmetric with zero
+    diagonal, commutes with ad y as y' = y, and dim gl/L = m(m-1)/2 = dim L^(1)."""
+    m = math.isqrt(Lspace.ambient)
+    E = Mat.identity(Lspace.field, m * m)[Lspace.nonpivots(), :]
+    return L1space.coords_of(E + E[:, transposed_positions(m)]).transpose()
+
+
+def _intertwines(T: Mat, quo: LieModule, sub: LieModule) -> bool:
+    """T is invertible and T a = b T for every pair of generators a of quo
+    and b of sub: an isomorphism quo -> sub."""
+    return (T.nrows == T.ncols and not T.field.is_zero(T.det())
+            and all(T @ a == b @ T for a, b in zip(quo.action_mats(), sub.action_mats())))
 
 
 def _check_prop_10_2(rep: Report, K, L1: MatLieAlg):
@@ -530,7 +521,14 @@ def run_thm_1_4(m, K, diag=None) -> Report:
     if m == 4:
         square = discriminant_is_square(classify(A))
         L = skew_adjoint_algebra(A)
-        simple, method = _is_simple_certified(L, _good_primes(A))
+        try:
+            simple, method = _is_simple_certified(L, _good_primes(A))
+        except ValueError:
+            if K.order() is not None:
+                raise
+            # over Q "not simple" rests on a proper ideal
+            _so4_ideal(L, A)
+            simple, method = False, "so(4) ideal"
         rep.check("m=4 dichotomy", "Note 9.1", not square, simple, method)
     return rep
 
@@ -591,7 +589,7 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
     if orth_m4_split:
         # square discriminant: so(4) is a sum of two 3-dimensional ideals,
         # so the top factor gl/M = L refines into two 3-dimensional pieces
-        ideal = _so4_ideal(L)
+        ideal = _so4_ideal(L, A)
         rep.check("gl/M splits (m=4, square discriminant)", "Note 9.1",
                   3, ideal.dim)
         expected_chain = expected_chain + [M + ideal]
@@ -613,12 +611,8 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
     # M is an explicit intertwiner (cheaper than solving the full Hom system)
     quo = quotient_module(module, M)
     adL = restrict_module(module, L.space)
-    T = _projection_intertwiner(L.space, M)
-    ok = not K.is_zero(T.det()) and all(
-        T @ aq == al @ T
-        for (_, aq), (_, al) in zip(quo.generators, adL.generators)
-    )
-    rep.check("gl/M = L (hom witness)", ref, True, ok)
+    rep.check("gl/M = L (hom witness)", ref, True,
+              _intertwines(_projection_intertwiner(L.space, M), quo, adL))
     # simplicity of L
     if symplectic or m == 3 or m >= 5:
         simple, smethod = _is_simple_certified(L, primes)
@@ -635,31 +629,26 @@ def _projection_intertwiner(Lspace: Subspace, M: Subspace) -> Mat:
     return B.transpose().inv()[: Lspace.dim, M.nonpivots()]
 
 
-def _so4_ideal(L: MatLieAlg) -> Subspace:
-    """A proper nonzero ideal of so(4) with square discriminant."""
-    K = L.field
-    ad = adjoint_module(L, L.space)
-    if K.order() is not None:
-        res = certify_irreducible(ad)
-        if res.status != "reducible":
-            raise ValueError("expected a reducible adjoint module")
-        W = res.witness
-    else:
-        # so(4) = I1 + I2, so its centroid End_L(ad) is Q x Q: a non-scalar T
-        # in it acts as alpha on I1 and beta on I2, satisfies T^2 = aT + bI
-        # with roots alpha, beta of x^2 - ax - b, and ker(T - alpha I) = I1
-        eye = Mat.identity(K, L.dim)
-        T = next((t for t in hom_members(ad, ad, hom_space(ad, ad))
-                  if not (t - eye.scale(t.rows[0][0])).is_zero()), None)
-        if T is None:
-            raise ValueError("no proper ideal found")
-        coeffs = Mat(K, [list(c) for c in zip(T.vec(), eye.vec())])
-        a, b = solve(coeffs, (T @ T).vec())
-        root = _field_sqrt(K, a * a + 4 * b)
-        if root is None:
-            raise ValueError("no proper ideal found")
-        W = kernel(T - eye.scale((a + root) / 2))
-    return Subspace.span(W.basis @ L.space.basis)
+def _so4_ideal(L: MatLieAlg, A: Mat) -> Subspace:
+    """The proper ideal {X + tau(X)} of L = so(4, A) for a Gram matrix A of
+    square determinant, checked ad-invariant.
+
+    tau(X) = delta A^-1 *(X A^-1), with delta^2 = det A and * the star map:
+    X -> X A^-1 is onto the alternating matrices, where ad y acts as
+    S -> y S + S y' and * turns that into S -> -y' S - S y, so tau commutes
+    with ad; and *(A^-1 S A^-1) = A *S A / det A gives tau^2 = 1.  Its
+    1-eigenspace is an ideal."""
+    delta = _field_sqrt(L.field, A.det())
+    if delta is None:
+        raise ValueError("no proper ideal found")
+    Ainv = A.inv()
+    ideal = Subspace.span(Mat.from_blocks(
+        [[(X + Ainv @ star_map(X @ Ainv).scale(delta)).reshape(1, 16)]
+         for X in L.basis_mats()]))
+    adjoint_module(L, ideal)  # raises unless [L, ideal] lies in the ideal
+    if not 0 < ideal.dim < L.dim:
+        raise ValueError("no proper ideal found")
+    return ideal
 
 
 def _m_of_j_space(K, m):
@@ -695,7 +684,7 @@ def run_note_9_2() -> Report:
     eye = Mat.identity(K, 3)
 
     def mk(rows):
-        return Mat(K, [[_gf9(K, x, i) for x in row] for row in rows])
+        return Mat(K, [[i if x == "i" else K.of(x) for x in row] for row in rows])
 
     x1 = mk([[0, 0, 0], [0, 1, "i"], [0, "i", -1]])
     x2 = mk([[0, "i", -1], ["i", 0, 0], [-1, 0, 0]])
@@ -724,12 +713,6 @@ def run_note_9_2() -> Report:
     Yq = factor_module(big, s, in_gl(Y))
     rep.check("X/s isomorphic to Y/s", "Note 9.2", 1, hom_space(Xq, Yq).dim)
     return rep
-
-
-def _gf9(K, x, i):
-    if x == "i":
-        return i
-    return K.of(x)
 
 
 def span_in(amb: Subspace, mats):
@@ -790,17 +773,12 @@ def run_sl_series(m, K) -> Report:
         rep.check("sl simple", "Thm 4.1", True, simple, smethod)
     rep.check("factor dims", "Thm 4.1", expected_dims, cs.factor_dims, method)
     # forced terms: the fixed vectors are exactly s, and s sits in sl iff l | m
-    fixed = _fixed_vectors(module)
-    rep.check("fixed vectors = s", "Thm 4.1", s, fixed)
+    rep.check("fixed vectors = s", "Thm 4.1", s, kernel(module.stack))
     rep.check("s in sl iff l|m", "Thm 4.1", div, sl.contains(s))
     if not div:
         rep.check("gl = s + sl", "Thm 4.1", (m * m, 0),
                   ((s + sl).dim, s.intersect(sl).dim))
     return rep
-
-
-def _fixed_vectors(module: LieModule) -> Subspace:
-    return kernel(module.stack)
 
 
 # ---------------------------------------------------------------------------
@@ -824,9 +802,7 @@ def run_sp_so_embedding(n, K) -> Report:
     rep.check("dim M cap sl", "Thm 3.1", d, W.dim)
     # orthogonal decomposition gl = L perp (M cap sl) perp s
     pieces = [L.space, W, s]
-    total = pieces[0]
-    for x in pieces[1:]:
-        total = total + x
+    total = L.space + W + s
     orth = all(
         K.is_zero(trace_pairing(xm, ym))
         for a in range(3)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -218,7 +219,22 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["pass"] is True
 
 
-def test_budget_flag_sets_cap(capsys):
+def budgets_seen(monkeypatch):
+    """Record the budget of every certification that repmod runs."""
+    seen = []
+    certify = repmod.certify_irreducible
+
+    def recording(M, budget=None, seed=0):
+        seen.append(repmod.DEFAULT_BUDGET if budget is None else budget)
+        return certify(M, budget, seed)
+
+    monkeypatch.setattr(repmod, "certify_irreducible", recording)
+    return seen
+
+
+def test_budget_flag_sets_cap(capsys, monkeypatch):
+    seen = budgets_seen(monkeypatch)
+    default = repmod.DEFAULT_BUDGET
     code, _, _ = run(
         capsys,
         "verify:sl-series",
@@ -230,14 +246,27 @@ def test_budget_flag_sets_cap(capsys):
         "500000",
     )
     assert code == 0
-    assert repmod.DEFAULT_BUDGET == 500000
+    assert seen and set(seen) == {500000}
+    assert repmod.DEFAULT_BUDGET == default
 
 
 def test_budget_env_override(capsys, monkeypatch):
+    seen = budgets_seen(monkeypatch)
+    default = repmod.DEFAULT_BUDGET
     monkeypatch.setenv("LIECOMP_BUDGET", "123456")
     code, _, _ = run(capsys, "verify:sl-series", "--field", "3", "--m", "2")
     assert code == 0
-    assert repmod.DEFAULT_BUDGET == 123456
+    assert seen and set(seen) == {123456}
+    assert repmod.DEFAULT_BUDGET == default
+
+
+def test_budget_holds_for_one_command(capsys):
+    # both calls in one test: the autouse fixture restores the budget only
+    # between tests
+    code, _, err = run(capsys, "series", "--field", "5", "--m", "4", "--budget", "2")
+    assert code == 2 and "budget exceeded" in err
+    code, _, err = run(capsys, "series", "--field", "5", "--m", "4")
+    assert code == 0, err
 
 
 def test_budget_env_invalid(capsys, monkeypatch):
@@ -359,3 +388,19 @@ def test_verify_all_json_is_byte_identical():
     proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_JSON_SHA256
+
+
+def test_thm12_m12_runs_under_1gib_address_space():
+    # the gl/L = L^(1) witness is the explicit map X -> X + X', not a solved
+    # Kronecker system of 78 * 66^2 equations in 66^2 unknowns
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lieclassical.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "lieclassical.cli", "verify:thm1.2", "--field", "2",
+            "--m", "12", "--output", "json"]
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=120, preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr.decode()
+    report = json.loads(proc.stdout)
+    assert report["claims"] and all(c["pass"] for c in report["claims"])

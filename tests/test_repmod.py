@@ -22,13 +22,14 @@ from lieclassical.liealg import (
     skew_adjoint_algebra,
     sl_subspace,
 )
-from lieclassical.linalg import Mat, Subspace, matvec
+from lieclassical.linalg import Mat, Subspace, kron_sum_stack, matvec
 from lieclassical.repmod import (
     LieModule,
     _random_element,
     adjoint_module,
     certify_irreducible,
     composition_series,
+    conjugation_modules,
     dual_module,
     gamma_image,
     heisenberg_poly_module,
@@ -41,6 +42,7 @@ from lieclassical.repmod import (
     representation_kernel,
     respects_brackets,
     restrict_module,
+    restrict_to_sl,
     spin,
     star_map,
     tensor_square,
@@ -532,3 +534,23 @@ def test_generator_free_module(K):
     assert certify_irreducible(M).status == "reducible"
     cs = composition_series(M)
     assert (cs.factor_dims, cs.factor_trivial) == ([1, 1], [True, True])
+
+
+@pytest.mark.parametrize("n", [4, 11, 12])
+def test_restrict_to_sl_selects_by_position(n):
+    # with two-digit indices the label a{i}{j} cannot be read back: at n = 12
+    # "a111" would be both e_1,11 and e_11,1
+    K = GF(3)
+    Zsl = restrict_to_sl(conjugation_modules(n, K)[0], n, K)
+    labels = Zsl.labels()
+    assert len(labels) == len(set(labels)) == n * n - 1
+    if n <= 10:
+        assert labels == ([f"a{i}{j}" for i in range(n) for j in range(n) if i != j]
+                          + [f"h{i}" for i in range(n - 1)])
+    # the generators act as e_ij (i != j), then e_ii - e_nn, on s -> x s + s x'
+    eye = Mat.identity(K, n * n)
+    off = eye[[k for k in range(n * n) if k // n != k % n], :]
+    h = eye[[i * (n + 1) for i in range(n - 1)], :] - eye[[n * n - 1] * (n - 1), :]
+    X = Mat.from_blocks([[off], [h]])
+    assert Subspace.span(X) == sl_subspace(K, n)
+    assert Zsl.stack == kron_sum_stack(X, X, 1)

@@ -12,8 +12,15 @@ from hypothesis import given, settings, strategies as st
 from lieclassical import repmod, verify
 from lieclassical.cli import main
 from lieclassical.fields import GF, QQ
-from lieclassical.liealg import self_adjoint_module, skew_adjoint_algebra, sl_subspace
+from lieclassical.liealg import (
+    derived_series,
+    gl_subspace,
+    self_adjoint_module,
+    skew_adjoint_algebra,
+    sl_subspace,
+)
 from lieclassical.linalg import Mat
+from lieclassical.repmod import adjoint_module, quotient_module, restrict_module
 from line_enumeration import all_submodules_by_enumeration
 
 
@@ -78,7 +85,7 @@ def test_thm_1_4_m4_square_disc_splits():
 
 
 def test_thm_1_4_m4_square_disc_splits_over_q():
-    # discriminant 4, a square: over Q the ideals of so(4) come from its centroid
+    # discriminant 4, a square: over Q the ideals of so(4) come from the star map
     rep = verify.run_thm_1_4(4, QQ, [Fraction(d) for d in (1, 1, 2, 2)])
     assert failing(rep) == []
     split = [c for c in rep.claims if c.label == "gl/M splits (m=4, square discriminant)"]
@@ -98,6 +105,57 @@ def test_simplicity_over_q_refused_without_witness():
     with pytest.raises(ValueError):
         verify._is_simple_certified(L, [7, 17])
     assert verify._is_simple_certified(L, [3, 7]) == (True, "mod-p")
+
+
+def _thm_1_2_pieces(m):
+    K = GF(2)
+    L = skew_adjoint_algebra(Mat.identity(K, m))
+    L1 = derived_series(L)[1]
+    module = adjoint_module(L, gl_subspace(K, m))
+    return L, L1, quotient_module(module, L.space), restrict_module(module, L1.space)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_thm_1_2_symmetrizer_is_an_isomorphism(m):
+    # X -> X + X' maps gl/L onto L^(1) and commutes with ad L
+    L, L1, quo, sub = _thm_1_2_pieces(m)
+    T = verify._symmetrizer(L.space, L1.space)
+    assert (T.nrows, T.ncols) == (m * (m - 1) // 2, quo.dim)
+    assert verify._intertwines(T, quo, sub)
+
+
+def test_intertwines_rejects_singular_and_non_equivariant_maps():
+    L, L1, quo, sub = _thm_1_2_pieces(5)
+    T = verify._symmetrizer(L.space, L1.space)
+    assert not verify._intertwines(Mat.zeros(GF(2), T.nrows, T.ncols), quo, sub)
+    # L^(1) is simple for m = 5, so a row swap of T is invertible but no
+    # longer intertwines
+    swapped = T[[1, 0] + list(range(2, T.nrows)), :]
+    assert not verify._intertwines(swapped, quo, sub)
+
+
+SO4_SPLIT_FORMS = [
+    (GF(3), [1, 1, 1, 1]), (GF(5), [1, 1, 1, 1]), (GF(7), [1, 1, 1, 1]),
+    (GF(3, 2), [1, 1, 1, 1]), (GF(5, 2), [1, 1, 1, 1]),
+    (GF(5), [1, 2, 2, 1]), (GF(7), [3, 5, 1, 1]),
+    (QQ, [1, 1, 1, 1]), (QQ, [1, 1, 2, 2]), (QQ, [2, 3, 5, 30]),
+]
+
+
+@pytest.mark.parametrize("K,diag", SO4_SPLIT_FORMS,
+                         ids=[f"{K.token}-{d}" for K, d in SO4_SPLIT_FORMS])
+def test_so4_ideal_for_square_determinant(K, diag):
+    A = Mat.diag(K, [K.of(d) for d in diag])
+    L = skew_adjoint_algebra(A)
+    ideal = verify._so4_ideal(L, A)
+    assert ideal.dim == 3 and L.space.contains(ideal)
+    assert adjoint_module(L, ideal).dim == 3  # [L, ideal] lies in the ideal
+
+
+def test_so4_ideal_refused_for_non_square_determinant():
+    A = Mat.diag(QQ, [Fraction(d) for d in (1, 1, 1, 2)])
+    with pytest.raises(ValueError):
+        verify._so4_ideal(skew_adjoint_algebra(A), A)
 
 
 def test_thm_1_4_m5_simple():
