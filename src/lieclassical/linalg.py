@@ -6,10 +6,10 @@ GF(p)[w]/(w^2 - r), the pair on a leading axis of length 2; over Q, integer
 numerators over one positive common denominator, kept in lowest terms (int64
 while every numerator is below 2^63 in absolute value, Python ints
 otherwise).  Arithmetic, products, Kronecker products and submatrices are
-exact array operations; structured matrices (identity, unit, diagonal,
-Kronecker sums) are built from arrays and the text format is read off
-them; `Mat.rows` is a derived, read-only list of canonical scalars for det
-and the scalar algorithms.
+exact array operations, a GF(p^2) product one GF(p) product of a 2 x 2
+block embedding; structured matrices are built from arrays and the text
+format is read off them; `Mat.rows` is a derived, read-only list of
+canonical scalars for det and the scalar algorithms.
 
 A `Subspace` holds its canonical RREF basis as one `Mat` next to its pivots,
 and reduces, tests membership, takes coordinates and lifts them with
@@ -95,7 +95,9 @@ class Mat:
         pairs with a zero w part over GF(p^2), numerators over 1 over Q."""
         a = _mod(field, a.astype(np.int64))
         if field.degree == 2:
-            a = np.stack([a, np.zeros_like(a)])
+            pair = np.zeros((2, *a.shape), dtype=np.int64)
+            pair[0] = a
+            a = pair
         return cls._of(field, a)
 
     @classmethod
@@ -340,15 +342,24 @@ def _aligned(mats, terms=1):
 def _times(K, x, y):
     """The entrywise product of broadcastable arrays with as many axes, in
     the format of the finite field K (over GF(p^2) the pair on the leading
-    axis); each product of two residues is reduced before it is added to
-    another."""
+    axis), reduced once: x0 y0 + r x1 y1 <= (1 + r)(p-1)^2; where
+    `_lazy_cap` is 0, each product of two residues is reduced first."""
     p = K.char
     if K.degree == 1:
         return _reduce(p, x * y)
-    t = _reduce(p, x[:, None] * y[None, :])  # t[i, j] = x_i y_j
+    t = x[:, None] * y[None, :]  # t[i, j] = x_i y_j
+    t = t if _lazy_cap(K) else _reduce(p, t)
     out = t[0] + t[1, ::-1]  # (x0 y0 + x1 y1, x0 y1 + x1 y0)
-    out[0] += (K.nonresidue - 1) * t[1, 1]  # x0 y0 + r x1 y1 <= p (p - 1) < 2^63
+    out[0] += (K.nonresidue - 1) * t[1, 1]
     return _reduce(p, out)
+
+
+def _lazy_cap(K):
+    """How many unreduced products of residues, each at most (1 + r)(p-1)^2
+    (r = 0 over GF(p)), an int64 residue can take; 0 over GF(p^2) from
+    p = 1753413059 on for r = 2."""
+    r = K.nonresidue if K.degree == 2 else 0
+    return (2**63 - K.char) // ((1 + r) * (K.char - 1) ** 2)
 
 
 def matvec(M: Mat, v):
@@ -432,26 +443,25 @@ def _chunking(muladds, p):
 
 
 def gfp2_matmul(a, b, p, r):
-    """a @ b over GF(p^2) = GF(p)[w]/(w^2 - r) for pairs (a0, a1), (b0, b1)
-    of int64 arrays of residues, a = a0 + a1 w; returns the pair of a @ b.
+    """a @ b over GF(p^2) = GF(p)[w]/(w^2 - r) for int64 pair arrays of
+    residues a = a0 + a1 w and b, of shapes (2, m, k) and (2, k, n).
 
-    Karatsuba: c0 = a0 b0 + r a1 b1, c1 = (a0 + a1)(b0 + b1) - a0 b0 - a1 b1,
-    three gfp_matmul products, so GF(p^2) takes the same float64 or int64
-    path.  Exact for every prime GF accepts: a0 + a1 and b0 + b1 are reduced
-    first, so gfp_matmul sees residues only, and with t0 = a0 b0, t1 = a1 b1
-    reduced, t0 + r t1 <= p (p-1) < 2^63 (p <= 3037000493).
+    One gfp_matmul product (4 m k n multiply-adds, float64 or int64 as for
+    GF(p)) of a's 2 x 2 block embedding by the stacked b:
+    [[a0, r a1], [a1, a0]] @ [b0; b1] = [a0 b0 + r a1 b1; a1 b0 + a0 b1].
+    r a1 is reduced first, so it is exact for every prime GF accepts.
     """
-    (a0, a1), (b0, b1) = a, b
-    t0 = gfp_matmul(a0, b0, p)
-    t1 = gfp_matmul(a1, b1, p)
-    s = gfp_matmul(_reduce(p, a0 + a1), _reduce(p, b0 + b1), p)
-    return _reduce(p, t0 + r * t1), _reduce(p, s - t0 - t1)
+    m, k, n = *a.shape[1:], b.shape[-1]
+    left = np.concatenate([a, a[::-1]], axis=-1)  # rows [a0, a1] over [a1, a0]
+    left[0, :, k:] *= r
+    _reduce(p, left[0, :, k:])
+    return gfp_matmul(left.reshape(2 * m, 2 * k), b.reshape(2 * k, n), p).reshape(2, m, n)
 
 
 def _dot(K, a, b):
     """a @ b for arrays in the format of the finite field K."""
     if K.degree == 2:
-        return np.array(gfp2_matmul(a, b, K.char, K.nonresidue))
+        return gfp2_matmul(a, b, K.char, K.nonresidue)
     return gfp_matmul(a, b, K.char)
 
 
@@ -899,18 +909,21 @@ class EchelonGFp:
         """Gauss-Jordan in place on the reduced panel W until the basis would
         fill, pivoting in the first row left that is nonzero in the first
         `ambient` columns (so it keeps the rows a row-by-row insertion keeps);
-        returns (rows, pivots).  Over odd p each update subtracts at most
-        (p-1)^2 from an entry, so the panel is reduced only after `cap` of
-        them and at the end; in between, only the rows and columns a pivot
-        reads are (over GF(2) the updates are XORs of reduced entries)."""
+        returns (rows, pivots).  Over odd p each update is subtracted
+        unreduced, so the panel is reduced only after `_lazy_cap` of them and
+        at the end; in between, only the rows and columns a pivot reads are
+        (over GF(2) the updates are XORs of reduced entries).  Over GF(p^2) a
+        pivot takes two GF(p) products, each update entry below 2 (p-1)^2,
+        whose products are reduced first where the cap is 0."""
         K, p, n = self.field, self.field.char, self.ambient
-        cap, lazy = (2**63 - p) // (p - 1) ** 2, 0
+        cap, lazy = _lazy_cap(K), 0
+        times = np.matmul if cap else functools.partial(gfp_matmul, p=p)
         rows, pivs, r = [], [], -1
         while len(pivs) < n - self.dim and r + 1 < W.shape[-2]:
             if lazy:  # the next row; the whole panel once a row has no pivot
                 _reduce(p, W[..., r + 1, :])
             rest = W[..., r + 1 : r + 2 if lazy else None, :n]
-            nz = (rest != 0).any(axis=0) if self.pair else rest != 0
+            nz = np.logical_or(*rest) if self.pair else rest != 0
             i, piv = divmod(int(nz.argmax()), n)
             if not nz[i, piv]:
                 if not lazy:
@@ -921,21 +934,27 @@ class EchelonGFp:
             r += 1 + i
             # subtract column piv times the normalized pivot row v from every
             # row, then set row r to v, which is zero left of piv
-            v = W[..., r, None, piv:].copy()
-            if p > 2:
-                h = W[..., r, piv].tolist()
-                v = _times(K, v, np.array(K.inv(tuple(h)))[:, None, None] if self.pair else K.inv(h))
-            col = _reduce(p, W[..., piv, None]) if lazy else W[..., piv, None]
-            cv = _times(K, col, v) if self.pair else col * v
+            col = _reduce(p, W[..., piv]) if lazy else W[..., piv]
             if p == 2:
-                W[..., piv:] ^= cv
+                v = W[r, None, piv:].copy()
+                W[:, piv:] ^= col[:, None] * v
+            elif self.pair:
+                # E = ([v0; r v1], [v1; v0]) for v the pivot row times the
+                # pivot's inverse: the rows (c0, c1) times E are c v
+                i0, i1 = K.inv(tuple(W[:, r, piv].tolist()))
+                ri0, ri1 = K.nonresidue * i0 % p, K.nonresidue * i1 % p
+                N = np.array([[i0, ri1], [ri1, ri0], [i1, i0], [i0, ri1]])
+                E = _reduce(p, times(N, W[:, r, piv:])).reshape(2, 2, -1)
+                W[..., piv:] -= times(col.T, E)
+                v = E[:, :1]
             else:
-                W[..., piv:] -= cv
-                lazy += 1
+                v = _times(K, W[r, None, piv:], K.inv(int(W[r, piv])))
+                W[:, piv:] -= col[:, None] * v
+            lazy += p > 2
             W[..., r, None, piv:] = v
             rows.append(r)
             pivs.append(piv)
-            if lazy == cap:
+            if lazy >= cap:
                 _reduce(p, W)
                 lazy = 0
         if lazy:

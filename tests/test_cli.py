@@ -379,15 +379,39 @@ def test_out_of_memory_exits_2_without_traceback(capsys, monkeypatch):
 VERIFY_ALL_JSON_SHA256 = "2b7e61326f659cd24d5fc9160609a2facfd61f34da10d52f1f2dc47adef38b0b"
 
 
-def test_verify_all_json_is_byte_identical():
-    # a fresh process: the budget is module state that other tests set
+def _json_stdout_sha256(args):
+    """The sha256 of the stdout of `lieclassical.cli args --output json` in a
+    fresh process: the budget is module state that other tests set."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lieclassical.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("LIECOMP_BUDGET", None)
-    argv = [sys.executable, "-m", "lieclassical.cli", "verify:all", "--output", "json"]
+    argv = [sys.executable, "-m", "lieclassical.cli", *args, "--output", "json"]
     proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_ALL_JSON_SHA256
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+def test_verify_all_json_is_byte_identical():
+    assert _json_stdout_sha256(["verify:all"]) == VERIFY_ALL_JSON_SHA256
+
+
+# verify:all reaches GF(p^2) only through Note 9.2; these follow every GF(9)
+# and GF(25) pivot and product of two theorems, and `series` every random
+# draw of its free chain search; recorded before the GF(p^2) arithmetic
+# became one GF(p) product per pair product
+GF2_JSON_SHA256 = {
+    "verify:thm1.3 --field 3^2 --m 6":
+        "9b583b974379202e2529a04031cfd06ea8d54f08eebeecff1a414c90ebe9dad0",
+    "verify:thm1.4 --field 5^2 --m 4 --form diag:1,1,1,1":
+        "7afbc803280c2954926c405ca8c39d557c23d02ed44d941b208c8293aee44dde",
+    "series --field 3^2 --m 6":
+        "6ad63abde15f6a25fe1ad087cb3dca22e6ca317a9c20b0c3c37756883cd81cb3",
+}
+
+
+@pytest.mark.parametrize("command", GF2_JSON_SHA256)
+def test_gf2_json_is_byte_identical(command):
+    assert _json_stdout_sha256(command.split()) == GF2_JSON_SHA256[command]
 
 
 def test_thm12_m12_runs_under_1gib_address_space():

@@ -24,6 +24,7 @@ from lieclassical.linalg import (
     charpoly,
     distinct_degree_parts,
     _chunking,
+    _lazy_cap,
     _reduce,
     _times,
     echelon,
@@ -273,12 +274,22 @@ def test_gfp_product_exact_on_both_paths(p, m, k, n, dtype):
 
 
 @pytest.mark.parametrize("p, m, k, n, dtype", PRODUCT_EDGES)
-def test_gfp2_product_exact_on_both_paths(p, m, k, n, dtype):
-    # its three Karatsuba products have the shape of a0 @ b0, so one path
-    assert _chunking(m * k * n, p)[0] is dtype
+def test_gfp2_product_exact_on_both_paths(p, m, k, n, dtype, monkeypatch):
+    # one product, [[a0, r a1], [a1, a0]] @ [b0; b1], 4 m k n multiply-adds:
+    # the path of the GF(p) product a0 @ b0 at every edge but 15 x 16 x 17,
+    # where 4 m k n is past the float64 crossover and m k n is not
+    import lieclassical.linalg as linalg
+
+    pair_dtype = np.float64 if (m, k, n) == (15, 16, 17) else dtype
+    assert _chunking(4 * m * k * n, p)[0] is pair_dtype
+    shapes, matmul = [], linalg.gfp_matmul
+    monkeypatch.setattr(linalg, "gfp_matmul",
+                        lambda a, b, p: shapes.append((a.shape, b.shape)) or matmul(a, b, p))
     r = GF(p, 2).nonresidue
     (a1, b1), (a0, b0) = _edge_operands(p, m, k, n)
-    c0, c1 = gfp2_matmul((a0, a1), (b0, b1), p, r)
+    a1 = a1 * pow(r, -1, p) % p  # r a1 = p - 1: the top block row all p - 1
+    c0, c1 = gfp2_matmul(np.array([a0, a1]), np.array([b0, b1]), p, r)
+    assert shapes == [((2 * m, 2 * k), (2 * k, n))]
     x0, x1, y0, y1 = (z.astype(object) for z in (a0, a1, b0, b1))
     assert np.array_equal(c0, (x0 @ y0 + r * (x1 @ y1)) % p)
     assert np.array_equal(c1, (x0 @ y1 + x1 @ y0) % p)
@@ -313,6 +324,17 @@ P31, P_MAX = 2**31 - 1, 3037000493  # P_MAX: the largest prime GF accepts
 # nonresidue mod P_MAX, -1 a square) make r (a1 b1) as large as it can be
 GF2_FIELDS = [GF(3, 2), GF(5, 2), GF(7, 2), GF(P31, 2), GF(P_MAX, 2),
               GF(P31, 2, nonresidue=P31 - 1), GF(P_MAX, 2, nonresidue=P_MAX - 2)]
+# GF(p^2) about the pair cap (2^63 - p) // ((1 + r)(p-1)^2), r the default
+# nonresidue: r = 3; r = 31 (cap 128); r = 2 with caps 1 and 0, the second
+# past the bound, where products are reduced before they are added
+PAIR_CAP_FIELDS = [GF(7, 2), GF(47453111, 2), GF(1753413037, 2), GF(1753413059, 2)]
+
+
+def test_pair_cap_fields_sit_at_the_cap_edges():
+    assert [(K.nonresidue, _lazy_cap(K)) for K in PAIR_CAP_FIELDS[1:]] == [(31, 128), (2, 1), (2, 0)]
+    assert PAIR_CAP_FIELDS[0].nonresidue == 3
+    # the GF(p) cap is the one with r = 0
+    assert [_lazy_cap(GF(p)) for p in (P31, P_MAX)] == [2, 1]
 
 
 REDUCE_PRIMES = [2, 3, 5, P_F64_TOP, P31, P_MAX]
@@ -334,8 +356,8 @@ def test_reduction_matches_python_mod_at_the_int64_edges(p):
         assert _reduce(p, values.copy()).tolist() == [x % p for x in values.tolist()]
 
 
-@pytest.mark.parametrize("K", [GF(2), GF(3), GF(P31), GF(P_MAX), GF(3, 2), *GF2_FIELDS[-2:]],
-                         ids=str)
+@pytest.mark.parametrize("K", [GF(2), GF(3), GF(P31), GF(P_MAX), GF(3, 2), *GF2_FIELDS[-2:],
+                               *PAIR_CAP_FIELDS], ids=str)
 def test_entrywise_products_match_python_ints(K):
     # every pair of elements with coordinates in {0, 1, 2, p - 2, p - 1}, in
     # a short array and repeated past a thousand entries
@@ -383,7 +405,8 @@ def test_gf2_product_matches_schoolbook(K, data):
     assert all(type(x) is tuple for r in prod.rows for x in r)
 
 
-@pytest.mark.parametrize("K", GF2_FIELDS[-2:], ids=["p31", "pmax"])
+@pytest.mark.parametrize("K", GF2_FIELDS[-2:] + PAIR_CAP_FIELDS,
+                         ids=["p31", "pmax", *map(str, PAIR_CAP_FIELDS)])
 def test_gf2_product_with_largest_residues(K):
     top = (K.char - 1, K.char - 1)
     for n, k, m in ((1, 6, 1), (6, 1, 6), (4, 4, 4)):
@@ -645,7 +668,7 @@ def test_charpoly_gf9_matches_determinants():
                 assert value == (Mat.identity(K, n).scale(t) - A).det()
 
 
-CHARPOLY_FIELDS = [GF(2), GF(5), GF(P_MAX), GF(3, 2), *GF2_FIELDS[-2:]]
+CHARPOLY_FIELDS = [GF(2), GF(5), GF(P_MAX), GF(3, 2), *GF2_FIELDS[-2:], *PAIR_CAP_FIELDS]
 
 
 def _top_matrix(K, n):
@@ -709,8 +732,8 @@ def derogatory_matrices(draw, K):
 
 
 # the finite fields at both ends of every bound: GF(2), small odd p, 2^31 - 1
-# (lazy cap 2), P_MAX (cap 1), GF(9) and GF(P_MAX^2)
-ECHELON_FIELDS = [GF(2), GF(3), GF(P31), GF(P_MAX), GF(3, 2), GF(P_MAX, 2)]
+# (lazy cap 2), P_MAX (cap 1), GF(9), GF(P_MAX^2) and the pair cap's edges
+ECHELON_FIELDS = [GF(2), GF(3), GF(P31), GF(P_MAX), GF(3, 2), GF(P_MAX, 2), *PAIR_CAP_FIELDS]
 
 
 @pytest.mark.parametrize("K", ECHELON_FIELDS, ids=str)
@@ -872,6 +895,18 @@ def test_echelon_gfp_carried_columns_follow_the_rows(K):
         assert S.basis[:, :n] == S.basis[:, n:] @ X
 
 
+def test_pair_panel_past_its_cap_inverts():
+    # [M | I] in one panel of 130 pivots over GF(47453111^2), whose panel is
+    # reduced after 128 updates; M is p - 1 (both residues) but for 1 on its
+    # diagonal, so the inverse read off the carried columns is checked by an
+    # independent product
+    K, n = GF(47453111, 2), 130
+    assert _lazy_cap(K) < n
+    top = (K.char - 1, K.char - 1)
+    M = Mat(K, [[K.one() if i == j else top for j in range(n)] for i in range(n)])
+    assert M.inv() @ M == Mat.identity(K, n)
+
+
 def test_span_reduces_each_panel_with_one_product(monkeypatch):
     # a block goes in panels of `ambient` rows: one product reduces each
     # panel, and only panels with new pivots take a second one
@@ -969,7 +1004,7 @@ def test_kernel_matches_sympy_nullspace(K):
                 assert ker.pivots == tuple(pivots)
 
 
-NULL_FIELDS = [GF(2), GF(5), GF(P31), GF(P_MAX), GF(3, 2), GF(P_MAX, 2), QQ]
+NULL_FIELDS = [GF(2), GF(5), GF(P31), GF(P_MAX), GF(3, 2), GF(P_MAX, 2), *PAIR_CAP_FIELDS, QQ]
 
 
 def _null_space_cases(K, rng):
