@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import Field
-from .linalg import Mat, Subspace, kernel, kron, kron_sum_stack, solve_many
+from .linalg import Mat, Subspace, kernel, kron, kron_sum_stack
 
 
 def bracket(X: Mat, Y: Mat) -> Mat:
@@ -146,35 +146,24 @@ def trace_orthogonal_complement(U: Subspace, within: Subspace) -> Subspace:
 
 
 class StructureConstants:
-    """Abstract Lie algebra on a named basis with an explicit bracket table."""
+    """Abstract Lie algebra on a named basis e_0 .. e_(q-1), held as its
+    q^2 x q structure constants `table`: row i q + j holds the coordinates
+    of [e_i, e_j]."""
 
-    def __init__(self, field: Field, labels, table):
+    def __init__(self, field: Field, labels, table: Mat):
         self.field = field
         self.labels = list(labels)
-        self.table = table  # table[i][j] = coefficient vector of [e_i, e_j]
+        self.table = table
 
     @property
     def dim(self):
         return len(self.labels)
 
-    def bracket_coeffs(self, x, y):
-        K = self.field
-        out = [K.zero()] * self.dim
-        for i, a in enumerate(x):
-            if K.is_zero(a):
-                continue
-            for j, b in enumerate(y):
-                if K.is_zero(b):
-                    continue
-                c = K.mul(a, b)
-                for k, t in enumerate(self.table[i][j]):
-                    if not K.is_zero(t):
-                        out[k] = K.add(out[k], K.mul(c, t))
-        return out
-
     def adjoint_matrices(self):
-        """ad(e_i) as dim x dim matrices (columns indexed by e_j)."""
-        return [Mat(self.field, self.table[i]).transpose() for i in range(self.dim)]
+        """ad(e_i) as dim x dim matrices (columns indexed by e_j): the
+        transposes of the row blocks of the table."""
+        q = self.dim
+        return [self.table[i * q : (i + 1) * q, :].transpose() for i in range(q)]
 
 
 def heisenberg(K: Field, n: int) -> StructureConstants:
@@ -183,11 +172,11 @@ def heisenberg(K: Field, n: int) -> StructureConstants:
         raise ValueError("need n >= 1")
     d = 2 * n + 1
     labels = [f"u{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)] + ["z"]
-    table = [[[K.zero()] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        table[i][n + i] = [K.zero()] * (d - 1) + [K.one()]
-        table[n + i][i] = [K.zero()] * (d - 1) + [K.neg(K.one())]
-    return StructureConstants(K, labels, table)
+    table = np.zeros((d * d, d), dtype=np.int64)
+    u = np.arange(n)
+    table[u * d + n + u, d - 1] = 1
+    table[(n + u) * d + u, d - 1] = -1
+    return StructureConstants(K, labels, Mat.from_ints(K, table))
 
 
 def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
@@ -195,6 +184,10 @@ def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
 
     Returns (StructureConstants, reps) where reps are matrices in L whose
     cosets form the chosen basis.  Raises if `ideal` is not an ideal of L.
+    With R the q x q matrix of the representatives' coordinates modulo the
+    ideal, the table is the brackets' coordinates modulo the ideal times
+    R^-1: the representatives are a basis of L/ideal, so R is invertible
+    and the constants are unique.
     """
     K = L.field
     if not L.space.contains(ideal):
@@ -211,7 +204,7 @@ def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
     if len(reps) != q:
         raise ValueError(f"need {q} coset representatives, got {len(reps)}")
     if not q:
-        return StructureConstants(K, [], []), reps
+        return StructureConstants(K, [], Mat.zeros(K, 0, 0)), reps
 
     def reduced(X):
         return coords_I.residuals(L.space.coords_of(X))
@@ -219,14 +212,8 @@ def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
     red_reps = reduced(Mat.from_blocks([[X.reshape(1, L.m * L.m)] for X in reps]))
     if Subspace.span(red_reps).dim != q:
         raise ValueError("representatives are dependent modulo the ideal")
-
-    brackets = reduced(bracket_rows(K, L.m, reps, reps))
-    coords = solve_many(red_reps.transpose(), brackets.rows)
-    if coords is None:
-        raise AssertionError("bracket left the span of the representatives")
-    table = [coords[i * q : (i + 1) * q] for i in range(q)]
-    labels = [f"r{i}" for i in range(q)]
-    return StructureConstants(K, labels, table), reps
+    table = reduced(bracket_rows(K, L.m, reps, reps)) @ red_reps.inv()
+    return StructureConstants(K, [f"r{i}" for i in range(q)], table), reps
 
 
 def bracket_rows(K: Field, m: int, xs, ys) -> Mat:
@@ -253,12 +240,7 @@ def lie_isomorphic_by_structure(Q: StructureConstants, H: StructureConstants, M:
     # all brackets at once: M [e_i, e_j] is row (i, j) of T_Q M', and
     # [M e_i, M e_j] = sum_ab M_ai M_bj [f_a, f_b] is row (i, j) of kron(M', M') T_H
     Mt = M.transpose()
-    return _table(Q) @ Mt == kron(Mt, Mt) @ _table(H)
-
-
-def _table(A: StructureConstants) -> Mat:
-    """The q^2 x q matrix T whose row (i, j) holds the coordinates of [e_i, e_j]."""
-    return Mat(A.field, [row for rows in A.table for row in rows])
+    return Q.table @ Mt == kron(Mt, Mt) @ H.table
 
 
 def is_simple(alg, budget: int | None = None) -> bool:

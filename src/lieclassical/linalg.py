@@ -477,26 +477,6 @@ def rref(M: Mat):
     return red, S.dim, S.pivots
 
 
-def solve(A: Mat, b):
-    """One solution of A x = b, or None if inconsistent."""
-    sols = solve_many(A, [b])
-    return None if sols is None else sols[0]
-
-
-def solve_many(A: Mat, bs):
-    """One solution of A x = b for each of the nonempty list bs, from one rref
-    of [A | b_1 ... b_k]; None unless every system is consistent."""
-    K, n = A.field, A.ncols
-    red, rank, pivots = rref(Mat.from_blocks([[A, Mat(K, bs).transpose()]]))
-    if pivots and pivots[-1] >= n:
-        return None
-    sols = [[K.zero()] * n for _ in bs]
-    for col, row in zip(pivots, red[:rank, n:].rows):
-        for x, c in zip(sols, row):
-            x[col] = c
-    return sols
-
-
 def kernel(M: Mat) -> "Subspace":
     """Right kernel {v : M v = 0} as a canonical subspace."""
     return _kernel_of_rref(Subspace.span(M))

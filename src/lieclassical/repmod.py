@@ -22,7 +22,7 @@ from .liealg import (
     MatLieAlg,
     StructureConstants,
     ad_stack,
-    bracket,
+    bracket_rows,
     transpose_product,
     transposed_positions,
 )
@@ -91,18 +91,11 @@ def trivial_actions(M: LieModule) -> bool:
 
 
 def respects_brackets(M: LieModule, struct: StructureConstants) -> bool:
-    """action([x_i, x_j]) = [action(x_i), action(x_j)] for all generator pairs."""
-    K = M.field
+    """action([x_i, x_j]) = [action(x_i), action(x_j)] for all generator
+    pairs: row i g + j of the table times the stacked vec(action(x_k))."""
+    g, n = len(M.labels()), M.dim
     mats = M.action_mats()
-    for i in range(len(mats)):
-        for j in range(len(mats)):
-            expect = Mat.zeros(K, M.dim, M.dim)
-            for k, c in enumerate(struct.table[i][j]):
-                if not K.is_zero(c):
-                    expect = expect + mats[k].scale(c)
-            if bracket(mats[i], mats[j]) != expect:
-                return False
-    return True
+    return bracket_rows(M.field, n, mats, mats) == struct.table @ M.stack.reshape(g, n * n)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .liealg import (
     trace_pairing,
     transposed_positions,
 )
-from .linalg import Mat, Subspace, echelon, irreducible_factor, kernel, solve
+from .linalg import Mat, Subspace, echelon, irreducible_factor, kernel
 from .repmod import (
     LieModule,
     adjoint_module,
@@ -991,8 +991,9 @@ def _check_prop_12_2(rep: Report):
     gram = Mat(K, gram)
     rep.check("Gram of g on U is J", "Prop 12.2", standard_symplectic_gram(K, 4), gram)
     # the representation R of L on U; kernel L^(2), image 5-dimensional in L(g)
-    u_in_l2 = Subspace.from_rows(K, 16, [v.vec() for v in ubasis] + [eye.vec()])
-    coords = _coset_coords_factory(u_in_l2, ubasis, eye)
+    uvecs = Mat(K, [v.vec() for v in ubasis + [eye]])
+    u_in_l2 = Subspace.span(uvecs)
+    to_ubasis = u_in_l2.coords_of(uvecs).inv()  # canonical coordinates to e, x, f, y, I
     a = Mat.from_blocks([[Mat.unit(K, 2, 2, 0, 0), z2], [z2, Mat.unit(K, 2, 2, 0, 0)]])
     b1 = Mat.from_blocks([[z2, Mat.unit(K, 2, 2, 0, 0)], [z2, z2]])
     b2 = Mat.from_blocks([[z2, Mat.unit(K, 2, 2, 1, 1)], [z2, z2]])
@@ -1000,8 +1001,9 @@ def _check_prop_12_2(rep: Report):
     c2 = Mat.from_blocks([[z2, z2], [Mat.unit(K, 2, 2, 1, 1), z2]])
 
     def R(zmat):
-        cols = [coords(bracket(zmat, u)) for u in ubasis]
-        return Mat(K, [[cols[j][i] for j in range(4)] for i in range(4)])
+        # column j holds the coordinates of [z, u_j] on e, x, f, y modulo s
+        brackets = u_in_l2.coords_of(bracket_rows(K, 4, [zmat], ubasis))
+        return (brackets @ to_ubasis)[:, :4].transpose()
 
     poly = heisenberg_poly_module_on_basis(
         K, n, K.one(), [(0, 1), (0, 0), (1, 0), (1, 1)]
@@ -1025,19 +1027,6 @@ def _check_prop_12_2(rep: Report):
     Umod = quotient_module(mod5, s_in)
     res = certify_irreducible(Umod)
     rep.check("U irreducible", "Prop 12.2", "irreducible", res.status, res.method)
-
-
-def _coset_coords_factory(span: Subspace, ubasis, eye):
-    K = span.field
-    B = Mat(K, [v.vec() for v in ubasis] + [eye.vec()]).transpose()
-
-    def coords(mat):
-        c = solve(B, mat.vec())
-        if c is None:
-            raise AssertionError("value left the span of U and s")
-        return c[:4]
-
-    return coords
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ unit and diagonal matrices, the text format, the sym/alt split, the
 tensor-square maps Gamma, Omega and Delta, and ad x as a difference of two
 Kronecker products.  The second part holds helpers that only the tests
 call: operator matrices of vector functions, integer matrices, vecs read
-back as matrices, symplectic bases, the Jacobi identity, the f-adjoint, and
-the block modules of gl(r) + gl(n) with their duality check.
+back as matrices, symplectic bases, brackets read off a structure-constant
+table, the Jacobi identity, the f-adjoint, and the block modules of
+gl(r) + gl(n) with their duality check.
 """
 
 from __future__ import annotations
@@ -154,20 +155,26 @@ def symplectic_basis(A: Mat) -> CongruenceResult:
     return CongruenceResult(S, J)
 
 
+def table_bracket(S, x: Mat, y: Mat) -> Mat:
+    """[x, y] in the StructureConstants S for 1 x dim coordinate rows x and
+    y: kron(x, y) holds the products x_i y_j at i * dim + j, the table's row
+    of [e_i, e_j]."""
+    return kron(x, y) @ S.table
+
+
 def check_jacobi(S) -> bool:
     """The Jacobi identity on every triple of basis elements of the
     StructureConstants S."""
-    K = S.field
     d = S.dim
-    unit = [unit_vector(K, d, i) for i in range(d)]
+    eye = Mat.identity(S.field, d)
+    unit = [eye[i : i + 1, :] for i in range(d)]
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                a = S.bracket_coeffs(unit[i], S.table[j][k])
-                b = S.bracket_coeffs(unit[j], S.table[k][i])
-                c = S.bracket_coeffs(unit[k], S.table[i][j])
-                s = [K.add(K.add(x, y), z) for x, y, z in zip(a, b, c)]
-                if any(not K.is_zero(x) for x in s):
+                s = (table_bracket(S, unit[i], table_bracket(S, unit[j], unit[k]))
+                     + table_bracket(S, unit[j], table_bracket(S, unit[k], unit[i]))
+                     + table_bracket(S, unit[k], table_bracket(S, unit[i], unit[j])))
+                if not s.is_zero():
                     return False
     return True
 

@@ -17,6 +17,7 @@ from lieclassical.liealg import (
     derived_series,
     gl_subspace,
     heisenberg,
+    is_simple,
     lie_isomorphic_by_structure,
     quotient_algebra,
     scalars_subspace,
@@ -26,7 +27,14 @@ from lieclassical.liealg import (
     trace_orthogonal_complement,
 )
 from lieclassical.linalg import Mat, Subspace, kernel
-from scalar_reference import adjoint_star, check_jacobi, from_int_rows, op_matrix, unvec
+from scalar_reference import (
+    adjoint_star,
+    check_jacobi,
+    from_int_rows,
+    op_matrix,
+    table_bracket,
+    unvec,
+)
 
 
 def test_bracket_sl2():
@@ -117,16 +125,16 @@ def test_l_m_bracket_rules():
 def test_heisenberg_structure():
     h = heisenberg(QQ, 2)
     assert h.dim == 5
+    assert (h.table.nrows, h.table.ncols) == (25, 5)
     assert check_jacobi(h)
-    u1 = [QQ.one()] + [QQ.zero()] * 4
-    v1 = [QQ.zero()] * 2 + [QQ.one()] + [QQ.zero()] * 2
-    z = h.bracket_coeffs(u1, v1)
-    assert z == [QQ.zero()] * 4 + [QQ.one()]
+    unit = Mat.identity(QQ, 5)
+    u1, v1 = unit[0:1, :], unit[2:3, :]
+    z = table_bracket(h, u1, v1)
+    assert z == unit[4:5, :]
+    assert table_bracket(h, v1, u1) == -z
     # z is central
     for i in range(5):
-        e = [QQ.zero()] * 5
-        e[i] = QQ.one()
-        assert all(QQ.is_zero(c) for c in h.bracket_coeffs(z, e))
+        assert table_bracket(h, z, unit[i : i + 1, :]).is_zero()
 
 
 def _random_mat(K, m, rng):
@@ -168,6 +176,43 @@ def test_quotient_gl2_by_scalars():
     assert check_jacobi(Q)
 
 
+def _assert_table_defines_brackets(ideal, Q, reps):
+    """[r_i, r_j] - sum_k T[i q + j, k] r_k lies in the ideal for all i, j."""
+    q, T = Q.dim, Q.table.rows
+    for i in range(q):
+        for j in range(q):
+            rest = bracket(reps[i], reps[j])
+            for k in range(q):
+                rest = rest - reps[k].scale(T[i * q + j][k])
+            assert ideal.contains_vector(rest.vec()), (i, j)
+
+
+@pytest.mark.parametrize("K", [GF(5), GF(3, 2), QQ], ids=lambda K: K.token)
+def test_quotient_table_on_default_and_shifted_representatives(K):
+    # gl(3)/s: representatives that differ by scalars are the same cosets,
+    # so they give the same table
+    L, s = MatLieAlg(3, gl_subspace(K, 3)), scalars_subspace(K, 3)
+    Q, reps = quotient_algebra(L, s)
+    assert Q.dim == 8 and (Q.table.nrows, Q.table.ncols) == (64, 8)
+    _assert_table_defines_brackets(s, Q, reps)
+    rng = random.Random(23)
+    eye = Mat.identity(K, 3)
+    shifted = [r + eye.scale(K.random(rng)) for r in reps]
+    Q2, reps2 = quotient_algebra(L, s, reps=shifted)
+    assert reps2 == shifted and reps2 != reps
+    _assert_table_defines_brackets(s, Q2, reps2)
+    assert Q2.table == Q.table
+
+
+@pytest.mark.parametrize("K", [GF(5), GF(3, 2), QQ], ids=lambda K: K.token)
+def test_quotient_by_the_whole_algebra_is_zero(K):
+    L = MatLieAlg(2, sl_subspace(K, 2))
+    Q, reps = quotient_algebra(L, L.space)
+    assert Q.dim == 0 and reps == []
+    assert (Q.table.nrows, Q.table.ncols) == (0, 0)
+    assert not is_simple(Q)
+
+
 def test_quotient_rejects_non_ideal():
     K = QQ
     L = MatLieAlg(2, gl_subspace(K, 2))
@@ -202,9 +247,10 @@ def test_quotient_rejects_a_bracket_outside_the_algebra():
 
 
 def _nonzero_constants(Q):
-    """(i, j, k) for every nonzero coefficient of e_k in [e_i, e_j]."""
-    return [(i, j, k) for i in range(Q.dim) for j in range(Q.dim)
-            for k, c in enumerate(Q.table[i][j]) if not Q.field.is_zero(c)]
+    """(i, j, k) for every nonzero coefficient of e_k in [e_i, e_j], the
+    entry of the table in row i * dim + j and column k."""
+    return [(r // Q.dim, r % Q.dim, k) for r, row in enumerate(Q.table.rows)
+            for k, c in enumerate(row) if not Q.field.is_zero(c)]
 
 
 def _lift_block(K, n, piece, where):
@@ -253,10 +299,10 @@ def test_quotient_of_second_derived_by_scalars_is_unchanged():
 
 def _brackets_preserved_pairwise(Q, H, M):
     """Reference: M [e_i, e_j] against [M e_i, M e_j], one pair at a time."""
-    images = M.transpose().rows
-    return all((M @ Mat(Q.field, [Q.table[i][j]]).transpose()).vec()
-               == H.bracket_coeffs(images[i], images[j])
-               for i in range(Q.dim) for j in range(Q.dim))
+    q, images = Q.dim, M.transpose()
+    return all((M @ Q.table[i * q + j : i * q + j + 1, :].transpose()).transpose()
+               == table_bracket(H, images[i : i + 1, :], images[j : j + 1, :])
+               for i in range(q) for j in range(q))
 
 
 @pytest.mark.parametrize("K", [GF(5), GF(3, 2), QQ], ids=lambda K: K.token)

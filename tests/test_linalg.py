@@ -37,8 +37,6 @@ from lieclassical.linalg import (
     null_spaces,
     poly_at,
     rref,
-    solve,
-    solve_many,
 )
 from charpoly_reference import charpoly_by_scalars
 from echelon_reference import ScalarEchelon
@@ -150,27 +148,6 @@ def test_subspace_coords_lift_round_trip():
         v = U.lift(coeffs)
         assert U.contains_vector(v)
         assert U.lift(U.coords(v)) == v
-
-
-def test_solve_consistent_and_inconsistent():
-    A = from_int_rows(QQ, [[1, 2], [2, 4]])
-    x = solve(A, [Fraction(3), Fraction(6)])
-    assert x is not None and matvec(A, x) == [Fraction(3), Fraction(6)]
-    assert solve(A, [Fraction(1), Fraction(0)]) is None
-
-
-def test_solve_many_matches_solve():
-    rng = random.Random(15)
-    for K in (QQ, GF(5), GF(3, 2)):
-        A = rand_mat(K, 6, 4, rng) @ Mat.diag(K, [K.one()] * 3 + [K.zero()])  # rank <= 3
-        bs = [matvec(A, [K.random(rng) for _ in range(4)]) for _ in range(5)]
-        sols = solve_many(A, bs)
-        assert sols == [solve(A, b) for b in bs]
-        assert [matvec(A, x) for x in sols] == bs
-        bad = next(b for b in ([K.random(rng) for _ in range(6)] for _ in range(20))
-                   if solve(A, b) is None)
-        assert solve_many(A, bs + [bad]) is None
-        assert solve_many(A, [bad] + bs) is None
 
 
 def test_op_matrix_transpose_operator():

@@ -235,14 +235,36 @@ def test_restrict_quotient_dims_and_brackets():
     sub = restrict_module(M, U)
     quo = quotient_module(M, U)
     assert sub.dim == 3 and quo.dim == 1
-    table = [
-        [L.space.coords(bracket(x, y).vec()) for y in L.basis_mats()]
-        for x in L.basis_mats()
-    ]
-    struct = StructureConstants(K, [f"x{i}" for i in range(3)], table)
+    struct = _sl2_structure(L)
     assert respects_brackets(M, struct)
     assert respects_brackets(sub, struct)
     assert respects_brackets(quo, struct)
+
+
+def _sl2_structure(L):
+    """The structure constants of L on its canonical basis, one bracket at a
+    time."""
+    mats = L.basis_mats()
+    table = Mat(L.field, [L.space.coords(bracket(x, y).vec()) for x in mats for y in mats])
+    return StructureConstants(L.field, [f"x{i}" for i in range(len(mats))], table)
+
+
+@pytest.mark.parametrize("K", [GF(5), GF(3, 2), QQ], ids=lambda K: K.token)
+def test_respects_brackets_refuses_a_wrong_table_or_generator(K):
+    # h(1) on its truncated polynomial module, or over Q sl(2) on gl(2)
+    if K.char:
+        struct, V = heisenberg(K, 1), heisenberg_poly_module(K, 1, K.one())
+    else:
+        L = MatLieAlg(2, sl_subspace(K, 2))
+        struct, V = _sl2_structure(L), adjoint_module(L, gl_subspace(K, 2))
+    assert respects_brackets(V, struct)
+    # one more e_0 in [e_0, e_1]
+    q, T = struct.dim, struct.table
+    wrong = StructureConstants(K, struct.labels, T + Mat.unit(K, q * q, q, 1, 0))
+    assert not respects_brackets(V, wrong)
+    # the first generator doubled: [2 e_0, e_1] has twice the table's value
+    gens = [(lbl, a.scale(K.of(2)) if i == 0 else a) for i, (lbl, a) in enumerate(V.generators)]
+    assert not respects_brackets(LieModule(K, V.dim, gens), struct)
 
 
 def test_is_simple_examples():
