@@ -243,13 +243,14 @@ def lie_isomorphic_by_structure(Q: StructureConstants, H: StructureConstants, M:
     return Q.table @ Mt == kron(Mt, Mt) @ H.table
 
 
-def is_simple(alg, budget: int | None = None) -> bool:
-    """Simplicity via irreducibility of the adjoint module.
+def is_simple(alg, primes=None) -> bool:
+    """Simplicity via irreducibility of the adjoint module (over Q at the
+    given primes, see `repmod.irreducible`).
 
     Ideals of a Lie algebra are exactly the submodules of its adjoint
     module, so dim > 1 plus an irreducible adjoint module is simplicity.
     """
-    from .repmod import LieModule, adjoint_module, certify_irreducible
+    from .repmod import LieModule, adjoint_module, irreducible
 
     if alg.dim <= 1:
         return False
@@ -258,7 +259,4 @@ def is_simple(alg, budget: int | None = None) -> bool:
         module = LieModule(alg.field, alg.dim, [(f"ad{i}", a) for i, a in enumerate(mats)])
     else:
         module = adjoint_module(alg, alg.space)
-    res = certify_irreducible(module, budget=budget)
-    if res.status == "budget-exceeded":
-        raise ValueError("irreducibility budget exceeded")
-    return res.status == "irreducible"
+    return irreducible(module, primes)[0]

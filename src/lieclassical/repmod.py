@@ -1,10 +1,14 @@
 """Representation engine: spinning, irreducibility certification, composition
 series, weights, Hom spaces and the tensor-square constructions.
 
-Irreducibility over a finite field is certified by the Holt-Rees test
-(`certify_irreducible`): a kernel-and-dual spin at an irreducible factor of
-the characteristic polynomial of a random element of the enveloping
-algebra.  It is exact and conclusive, or reports that its budget ran out.
+`irreducible` is the one irreducibility verdict, for every field.  Over a
+finite field it is the Holt-Rees test (`certify_irreducible`): a
+kernel-and-dual spin at an irreducible factor of the characteristic
+polynomial of a random element of the enveloping algebra, exact and
+conclusive.  Over Q it is the reduction mod the first given prime that
+certifies irreducible; a reducible reduction proves nothing, so no such
+prime is an error, not "reducible".  A spent budget raises `BudgetExceeded`
+wherever a verdict is asked for: it is never read as reducible.
 """
 
 from __future__ import annotations
@@ -204,6 +208,32 @@ def certify_irreducible(M: LieModule, budget: int | None = None, seed: int = 0) 
     return IrredResult("budget-exceeded", None, "budget exceeded")
 
 
+class BudgetExceeded(ValueError):
+    """Certification ran out of its budget: no verdict either way."""
+
+
+def _certify(M: LieModule) -> IrredResult:
+    """`certify_irreducible` at the run's budget; raises when it is spent."""
+    res = certify_irreducible(M)
+    if res.status == "budget-exceeded":
+        raise BudgetExceeded(f"irreducibility budget exceeded on a {M.dim}-dimensional module")
+    return res
+
+
+def irreducible(M: LieModule, primes=None) -> tuple[bool, str]:
+    """(irreducible?, method).  Over Q one prime with an irreducible reduction
+    is enough, since a proper rational submodule reduces to a proper submodule
+    at every prime; a reducible reduction proves nothing, so when no prime
+    certifies this raises instead of answering False."""
+    if M.field.order() is not None:
+        return _certify(M).status == "irreducible", "spin certification"
+    if primes is None:
+        raise ValueError("irreducibility over Q needs primes to reduce modulo")
+    if any(_certify(reduce_module_mod_p(M, p)).status == "irreducible" for p in primes):
+        return True, "mod-p"
+    raise ValueError(f"mod-p certification failed for a {M.dim}-dimensional module")
+
+
 def _random_element(M: LieModule, rng) -> Mat:
     """x y + z for random linear combinations x, y, z of the generators."""
     K, n, g = M.field, M.dim, len(M.labels())
@@ -285,27 +315,20 @@ class CompSeries:
         return len(self.factor_dims)
 
 
-def composition_series(
-    M: LieModule,
-    candidate_chain=None,
-    mod_p_primes=None,
-    budget: int | None = None,
-) -> CompSeries:
-    if budget is None:
-        budget = DEFAULT_BUDGET
+def composition_series(M: LieModule, candidate_chain=None, mod_p_primes=None) -> CompSeries:
+    """A certified composition series of M.  A candidate chain is checked
+    term by term (each term invariant, each factor `irreducible`, over Q at
+    the primes `mod_p_primes`); without one, over a finite field only, the
+    chain is found by splitting M at the submodules certification finds.
+    Raises ValueError when the chain is no composition series, and
+    `BudgetExceeded` when certification runs out of budget."""
     K = M.field
     if candidate_chain is not None:
         chain = _normalize_chain(M, candidate_chain)
-        if K.order() is not None:
-            return _series(M, chain, lambda factor: _certified(factor, budget))
-        return _series(M, chain, lambda factor: _certified_mod_p(factor, mod_p_primes))
+        return _series(M, chain, lambda factor: irreducible(factor, mod_p_primes)[0])
     if K.order() is None:
         raise ValueError("characteristic 0 needs a candidate chain")
-    chain = (
-        [Subspace.zero(K, M.dim)]
-        + _max_chain(M, budget)
-        + [Subspace.full(K, M.dim)]
-    )
+    chain = [Subspace.zero(K, M.dim)] + _max_chain(M) + [Subspace.full(K, M.dim)]
     return _series(M, chain)
 
 
@@ -319,10 +342,10 @@ def _normalize_chain(M, candidate_chain):
     return chain
 
 
-def _series(M, chain, certify=lambda factor: None):
-    """The factors of an ascending chain; certify(factor) raises unless the
-    factor is irreducible.  Restricting M to each proper term hi is the one
-    invariance check of the chain (0 and the full space are invariant)."""
+def _series(M, chain, is_irreducible=lambda factor: True):
+    """The factors of an ascending chain, each required to be irreducible.
+    Restricting M to each proper term hi is the one invariance check of the
+    chain (0 and the full space are invariant)."""
     dims, trivial = [], []
     for lo, hi in zip(chain, chain[1:]):
         if not hi.contains(lo) or hi.dim <= lo.dim:
@@ -333,39 +356,23 @@ def _series(M, chain, certify=lambda factor: None):
             raise ValueError("candidate chain term is not invariant") from None
         dims.append(factor.dim)
         trivial.append(trivial_actions(factor))
-        certify(factor)
+        if not is_irreducible(factor):
+            raise ValueError("candidate chain factor is not irreducible")
     return CompSeries(chain, dims, trivial)
 
 
-def _certified(factor, budget):
-    res = certify_irreducible(factor, budget=budget)
-    if res.status == "budget-exceeded":
-        raise ValueError(
-            f"irreducibility budget exceeded on a {factor.dim}-dimensional chain factor"
-        )
-    if res.status != "irreducible":
-        raise ValueError("candidate chain factor is not irreducible")
-
-
-def _certified_mod_p(factor, primes):
-    if factor.dim > 1 and not modp_irreducible(factor, primes):
-        raise ValueError("mod-p certification failed for a factor")
-
-
-def _max_chain(M: LieModule, budget):
+def _max_chain(M: LieModule):
     """Interior terms of a maximal submodule chain, in M's own coordinates."""
     if M.dim == 0:
         return []
-    res = certify_irreducible(M, budget=budget)
-    if res.status == "budget-exceeded":
-        raise ValueError("irreducibility budget exceeded in composition series")
+    res = _certify(M)
     if res.status == "irreducible":
         return []
     W = res.witness
     sub = restrict_module(M, W)
     quot = quotient_module(M, W)
-    lower = _max_chain(sub, budget)
-    upper = _max_chain(quot, budget)
+    lower = _max_chain(sub)
+    upper = _max_chain(quot)
     chain = [Subspace.span(c.basis @ W.basis) for c in lower]
     chain.append(W)
     for c in upper:
@@ -399,17 +406,6 @@ def reduce_module_mod_p(M: LieModule, p: int) -> LieModule:
     """
     gens = [(lbl, A.cleared_mod(p)) for lbl, A in M.generators]
     return LieModule(GF(p), M.dim, gens)
-
-
-def modp_irreducible(factor: LieModule, primes) -> bool:
-    """One prime with an irreducible reduction is enough: a proper rational
-    submodule would reduce to a proper submodule at every prime."""
-    if primes is None:
-        primes = first_primes_coprime_to(2, count=2)
-    return any(
-        certify_irreducible(reduce_module_mod_p(factor, p)).status == "irreducible"
-        for p in primes
-    )
 
 
 # ---------------------------------------------------------------------------

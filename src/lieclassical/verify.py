@@ -37,6 +37,7 @@ from .liealg import (
 )
 from .linalg import Mat, Subspace, echelon, irreducible_factor, kernel
 from .repmod import (
+    BudgetExceeded,
     LieModule,
     adjoint_module,
     certify_irreducible,
@@ -51,7 +52,6 @@ from .repmod import (
     hom_space,
     invariant_under,
     line_reps,
-    modp_irreducible,
     quotient_module,
     representation_kernel,
     respects_brackets,
@@ -192,20 +192,18 @@ def _good_primes(gram: Mat):
     return first_primes_coprime_to(2 * gram.nrows * bad, count=2)
 
 
-def _is_simple_certified(L: MatLieAlg, primes):
-    """(simple?, method) with characteristic 0 handled by reduction mod primes.
-
-    Over Q one prime with an irreducible reduction of the adjoint module
-    proves simplicity.  "Not simple" needs a witness over Q, so this raises
-    instead (`run_thm_1_4` exhibits the so(4) ideal)."""
-    K = L.field
-    if K.order() is not None:
-        return is_simple(L), "spin certification"
-    if L.dim <= 1:
-        return False, "dimension"
-    if modp_irreducible(adjoint_module(L, L.space), primes):
-        return True, "mod-p"
-    raise ValueError("mod-p certification failed for the adjoint module")
+def _canonical_series(rep: Report, ref, module: LieModule, chain):
+    """The composition series the paper's chain gives, or None, recording
+    whether it is one; a spent budget is no verdict and propagates."""
+    try:
+        cs = composition_series(module, candidate_chain=chain)
+    except BudgetExceeded:
+        raise
+    except ValueError:
+        cs = None
+    rep.check("canonical chain is a composition series", ref, True, cs is not None,
+              "spin certification")
+    return cs
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +239,8 @@ def run_thm_1_1(m, p=2) -> Report:
     if four:
         canonical.append(U)
     canonical.append(sl)
-    try:
-        cs = composition_series(module, candidate_chain=canonical)
-        ok = True
-    except ValueError:
-        ok = False
-    rep.check("canonical chain is a composition series", "Thm 1.1", True, ok,
-              "spin certification")
-    if not ok:
+    cs = _canonical_series(rep, "Thm 1.1", module, canonical)
+    if cs is None:
         return rep
     rep.check("factor count", "Thm 1.1", m + 6 if four else m + 4, cs.n_factors,
               "spin certification")
@@ -342,14 +334,8 @@ def run_thm_1_2(m, diag=None, p=2) -> Report:
     gl = gl_subspace(K, m)
     module = adjoint_module(L, gl)
     canonical = [L1.space] + _fill_between(L1.space, L.space) + [L.space]
-    try:
-        cs = composition_series(module, candidate_chain=canonical)
-        ok = True
-    except ValueError:
-        ok = False
-    rep.check("canonical chain is a composition series", "Thm 1.2", True, ok,
-              "spin certification")
-    if not ok:
+    cs = _canonical_series(rep, "Thm 1.2", module, canonical)
+    if cs is None:
         return rep
     rep.check("factor count", "Thm 1.2", m + 2, cs.n_factors, "spin certification")
     rep.check("L matrix form", "Thm 1.2", _diag_form_space(K, m, diag, False), L.space)
@@ -521,14 +507,14 @@ def run_thm_1_4(m, K, diag=None) -> Report:
     if m == 4:
         square = discriminant_is_square(classify(A))
         L = skew_adjoint_algebra(A)
-        try:
-            simple, method = _is_simple_certified(L, _good_primes(A))
-        except ValueError:
-            if K.order() is not None:
-                raise
-            # over Q "not simple" rests on a proper ideal
+        primes = _good_primes(A)
+        if square and primes:
+            # over Q "not simple" rests on a proper ideal (so(4) splits at
+            # every good prime, so no reduction could decide it)
             _so4_ideal(L, A)
             simple, method = False, "so(4) ideal"
+        else:
+            simple, method = is_simple(L, primes), "mod-p" if primes else "spin certification"
         rep.check("m=4 dichotomy", "Note 9.1", not square, simple, method)
     return rep
 
@@ -539,6 +525,7 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
     A = form.gram
     ref = "Thm 1.3" if symplectic else "Thm 1.4"
     primes = _good_primes(A)
+    method = "mod-p" if primes else "spin certification"
     L = skew_adjoint_algebra(A, "L")
     M = self_adjoint_module(A)
     gl = gl_subspace(K, m)
@@ -571,8 +558,7 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
     module = adjoint_module(L, gl)
     if skip_series:
         if m == 3 or m >= 5:
-            simple, smethod = _is_simple_certified(L, primes)
-            rep.check("L simple", "Prop 9.1", True, simple, smethod)
+            rep.check("L simple", "Prop 9.1", True, is_simple(L, primes), method)
         return
     orth_m4_split = (not symplectic and m == 4
                      and discriminant_is_square(form))
@@ -594,15 +580,11 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
                   3, ideal.dim)
         expected_chain = expected_chain + [M + ideal]
         expected_dims = expected_dims[:-1] + [3, 3]
-    if K.order() is not None:
-        cs = composition_series(module, candidate_chain=expected_chain)
-        method = "spin certification"
+    cs = composition_series(module, candidate_chain=expected_chain, mod_p_primes=primes)
+    if not primes:
         free = composition_series(module)
         rep.check("Jordan-Holder factor multiset", ref, sorted(expected_dims),
                   sorted(free.factor_dims), method)
-    else:
-        cs = composition_series(module, candidate_chain=expected_chain, mod_p_primes=primes)
-        method = "mod-p"
     rep.check("factor dims", ref, expected_dims, cs.factor_dims, method)
     if not (symplectic and m == 2):
         rep.check("M/(M cap sl) trivial", ref, True,
@@ -615,9 +597,8 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
               _intertwines(_projection_intertwiner(L.space, M), quo, adL))
     # simplicity of L
     if symplectic or m == 3 or m >= 5:
-        simple, smethod = _is_simple_certified(L, primes)
         rep.check("L simple", "Thm 11.1" if symplectic else "Prop 9.1", True,
-                  simple, smethod)
+                  is_simple(L, primes), method)
 
 
 def _projection_intertwiner(Lspace: Subspace, M: Subspace) -> Mat:
@@ -759,18 +740,15 @@ def run_sl_series(m, K) -> Report:
     div = K.char != 0 and m % K.char == 0
     expected_chain = [s, sl] if div else [sl]
     expected_dims = [1, m * m - 2, 1] if div else [m * m - 1, 1]
-    if K.order() is not None:
-        cs = composition_series(module, candidate_chain=expected_chain)
-        method = "spin certification"
+    primes = None if K.order() is not None else first_primes_coprime_to(2 * m, count=2)
+    method = "mod-p" if primes else "spin certification"
+    cs = composition_series(module, candidate_chain=expected_chain, mod_p_primes=primes)
+    if primes:
+        rep.check("sl simple", "Thm 4.1", True, is_simple(L, primes), method)
+    else:
         free = composition_series(module)
         rep.check("Jordan-Holder factor multiset", "Thm 4.1", sorted(expected_dims),
                   sorted(free.factor_dims), method)
-    else:
-        primes = first_primes_coprime_to(2 * m, count=2)
-        cs = composition_series(module, candidate_chain=expected_chain, mod_p_primes=primes)
-        method = "mod-p"
-        simple, smethod = _is_simple_certified(L, primes)
-        rep.check("sl simple", "Thm 4.1", True, simple, smethod)
     rep.check("factor dims", "Thm 4.1", expected_dims, cs.factor_dims, method)
     # forced terms: the fixed vectors are exactly s, and s sits in sl iff l | m
     rep.check("fixed vectors = s", "Thm 4.1", s, kernel(module.stack))

@@ -280,6 +280,13 @@ def test_budget_env_invalid(capsys, monkeypatch):
     [
         ("verify:thm1.3", "--field", "1000003", "--m", "4"),
         ("series", "--field", "1000003", "--m", "4"),
+        # a spent budget over Q is no failed reduction, and over GF(2) no
+        # refuted chain claim
+        ("verify:thm1.3", "--field", "Q", "--m", "4"),
+        ("verify:sl-series", "--field", "Q", "--m", "3"),
+        ("verify:thm1.4", "--field", "Q", "--m", "4", "--form", "diag:1,1,1,2"),
+        ("verify:thm1.1", "--field", "2", "--m", "8"),
+        ("verify:thm1.2", "--field", "2", "--m", "5"),
     ],
 )
 def test_budget_exhaustion_exits_2_with_message(capsys, argv):
@@ -395,23 +402,32 @@ def test_verify_all_json_is_byte_identical():
     assert _json_stdout_sha256(["verify:all"]) == VERIFY_ALL_JSON_SHA256
 
 
-# verify:all reaches GF(p^2) only through Note 9.2; these follow every GF(9)
-# and GF(25) pivot and product of two theorems, and `series` every random
-# draw of its free chain search; recorded before the GF(p^2) arithmetic
-# became one GF(p) product per pair product
-GF2_JSON_SHA256 = {
+# commands whose output verify:all does not cover.  GF(p^2): verify:all
+# reaches it only through Note 9.2; these follow every GF(9) and GF(25)
+# pivot and product of two theorems, and `series` every random draw of its
+# free chain search; recorded before the GF(p^2) arithmetic became one GF(p)
+# product per pair product.  Q: the m = 4 dichotomy with a non-square
+# discriminant, Thm 1.4 at good primes that skip 3, and sl(5); recorded
+# before every irreducibility verdict went through `repmod.irreducible`
+PINNED_JSON_SHA256 = {
     "verify:thm1.3 --field 3^2 --m 6":
         "9b583b974379202e2529a04031cfd06ea8d54f08eebeecff1a414c90ebe9dad0",
     "verify:thm1.4 --field 5^2 --m 4 --form diag:1,1,1,1":
         "7afbc803280c2954926c405ca8c39d557c23d02ed44d941b208c8293aee44dde",
     "series --field 3^2 --m 6":
         "6ad63abde15f6a25fe1ad087cb3dca22e6ca317a9c20b0c3c37756883cd81cb3",
+    "verify:thm1.4 --field Q --m 4 --form diag:1,1,1,2":
+        "ee5062e2d0faf9e2d91a7888a598ba692806aeda46cee0901d1cf97df5b5aaa0",
+    "verify:thm1.4 --field Q --m 5 --form diag:1,1,1,1,3":
+        "09ceb7ab7a9276bbe473f13e1a96ef88a98227be5c0ac148a99395a44c163d7c",
+    "verify:sl-series --field Q --m 5":
+        "50cf462349211e87b28eb847db8eabebfb7a46040331550546a35a17d8831f30",
 }
 
 
-@pytest.mark.parametrize("command", GF2_JSON_SHA256)
-def test_gf2_json_is_byte_identical(command):
-    assert _json_stdout_sha256(command.split()) == GF2_JSON_SHA256[command]
+@pytest.mark.parametrize("command", PINNED_JSON_SHA256)
+def test_pinned_json_is_byte_identical(command):
+    assert _json_stdout_sha256(command.split()) == PINNED_JSON_SHA256[command]
 
 
 def test_thm12_m12_runs_under_1gib_address_space():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lieclassical import repmod
 from lieclassical.fields import GF, QQ
 from lieclassical.forms import classify, standard_symplectic_gram
 from lieclassical.liealg import (
@@ -24,6 +25,7 @@ from lieclassical.liealg import (
 )
 from lieclassical.linalg import Mat, Subspace, kron_sum_stack, matvec
 from lieclassical.repmod import (
+    BudgetExceeded,
     LieModule,
     _random_element,
     adjoint_module,
@@ -36,6 +38,7 @@ from lieclassical.repmod import (
     hom_members,
     hom_space,
     invariant_under,
+    irreducible,
     quotient_lift,
     quotient_module,
     reduce_module_mod_p,
@@ -195,6 +198,38 @@ def test_certify_budget_counts_draws_and_spins():
     for budget in (1, 2):
         assert certify_irreducible(M, budget=budget).status == "budget-exceeded"
     assert certify_irreducible(M, budget=10).status == "irreducible"
+
+
+def _so4_diag_1112_adjoint():
+    L = skew_adjoint_algebra(Mat.diag(QQ, [Fraction(d) for d in (1, 1, 1, 2)]))
+    return adjoint_module(L, L.space)
+
+
+def test_irreducible_is_one_verdict_per_field():
+    assert irreducible(sl2_natural(GF(5))) == (True, "spin certification")
+    K = GF(3)
+    gl2 = adjoint_module(MatLieAlg(2, sl_subspace(K, 2)), gl_subspace(K, 2))
+    assert irreducible(gl2)[0] is False
+    sl2 = MatLieAlg(2, sl_subspace(QQ, 2))
+    assert irreducible(adjoint_module(sl2, sl2.space), (3, 5)) == (True, "mod-p")
+
+
+def test_irreducible_over_q_refuses_without_a_certifying_prime():
+    # 2 is a square mod 7 and mod 17, so so(4) of diag(1,1,1,2) splits at
+    # both: a reducible reduction is no verdict over Q
+    with pytest.raises(ValueError, match="mod-p certification failed") as info:
+        irreducible(_so4_diag_1112_adjoint(), [7, 17])
+    assert not isinstance(info.value, BudgetExceeded)
+    with pytest.raises(ValueError, match="needs primes"):
+        irreducible(sl2_natural(QQ))
+
+
+def test_spent_budget_is_no_verdict(monkeypatch):
+    monkeypatch.setattr(repmod, "DEFAULT_BUDGET", 1)
+    with pytest.raises(BudgetExceeded, match="budget exceeded on a 2-dimensional module"):
+        irreducible(sl2_natural(GF(5)))
+    with pytest.raises(BudgetExceeded, match="6-dimensional"):
+        irreducible(_so4_diag_1112_adjoint(), [3, 7])
 
 
 def test_composition_series_gl2_under_sl2():
