@@ -237,10 +237,7 @@ def _verify_reports(vid, K, args):
             m = _need_m(args)
             if K.char != 2 or K.degree != 1:
                 raise CliError("thm1.2 needs --field 2")
-            if args.form == "alternating":
-                diag = [K.one()] * m
-            else:
-                diag = _diag_entries(K, m, args.form)
+            diag = None if args.form == "alternating" else _diag_entries(K, m, args.form)
             return [verify.run_thm_1_2(m, diag)]
         if vid == "thm1.3":
             m = _need_m(args)
@@ -253,10 +250,7 @@ def _verify_reports(vid, K, args):
             m = _need_m(args)
             if K.char == 2:
                 raise CliError("thm1.4 needs characteristic other than 2")
-            if args.form == "alternating":
-                diag = [K.one()] * m
-            else:
-                diag = _diag_entries(K, m, args.form)
+            diag = None if args.form == "alternating" else _diag_entries(K, m, args.form)
             return [verify.run_thm_1_4(m, K, diag)]
         if vid == "sl-series":
             m = _need_m(args)
@@ -295,28 +289,28 @@ def _algebra_of(K, args):
     return A, skew_adjoint_algebra(A, "L")
 
 
+def _emit(K, m, args, data, lines):
+    """The output of a direct command: the field, m and data as JSON, or the
+    text lines."""
+    if args.output == "json":
+        payload = {"field": {"char": K.char, "degree": K.degree}, "m": m, **data}
+        return json.dumps(payload, indent=2) + "\n", True
+    return "\n".join(lines) + "\n", True
+
+
 def _run_algebra(K, args):
     A, L = _algebra_of(K, args)
     M = self_adjoint_module(A)
-    ds = derived_series(L)
-    data = {
-        "field": {"char": K.char, "degree": K.degree},
-        "m": L.m,
-        "dim L": L.dim,
-        "dim M": M.dim,
-        "derived dims": [a.dim for a in ds],
-        "L basis": L.space.basis.to_text(),
-    }
-    if args.output == "json":
-        return json.dumps(data, indent=2) + "\n", True
-    lines = [
+    dims = [a.dim for a in derived_series(L)]
+    basis = L.space.basis.to_text()
+    data = {"dim L": L.dim, "dim M": M.dim, "derived dims": dims, "L basis": basis}
+    return _emit(K, L.m, args, data, [
         f"L(A) inside gl({L.m}) over {K.token}",
         f"dim L = {L.dim}, dim M = {M.dim}",
-        "derived series dims: " + " ".join(str(d) for d in data["derived dims"]),
+        "derived series dims: " + " ".join(str(d) for d in dims),
         "basis of L (rows are vectorized matrices):",
-        data["L basis"].rstrip(),
-    ]
-    return "\n".join(lines) + "\n", True
+        basis.rstrip(),
+    ])
 
 
 def _run_series(K, args):
@@ -329,26 +323,14 @@ def _run_series(K, args):
     except ValueError as exc:
         raise CliError(str(exc))
     dims = [t.dim for t in cs.chain]
-    data = {
-        "field": {"char": K.char, "degree": K.degree},
-        "m": L.m,
-        "chain dims": dims,
-        "factor dims": cs.factor_dims,
-        "factor trivial": cs.factor_trivial,
-    }
-    if args.output == "json":
-        return json.dumps(data, indent=2) + "\n", True
-    ladder = " < ".join(str(d) for d in dims)
-    lines = [
+    data = {"chain dims": dims, "factor dims": cs.factor_dims,
+            "factor trivial": cs.factor_trivial}
+    factors = zip(cs.factor_dims, cs.factor_trivial)
+    return _emit(K, L.m, args, data, [
         f"composition series of gl({L.m}) as an L-module over {K.token}",
-        f"chain dims: {ladder}",
-        "factors: "
-        + ", ".join(
-            f"{d}{' (trivial)' if t else ''}"
-            for d, t in zip(cs.factor_dims, cs.factor_trivial)
-        ),
-    ]
-    return "\n".join(lines) + "\n", True
+        "chain dims: " + " < ".join(str(d) for d in dims),
+        "factors: " + ", ".join(f"{d}{' (trivial)' if t else ''}" for d, t in factors),
+    ])
 
 
 def _run_weights(K, args):
@@ -366,44 +348,26 @@ def _run_weights(K, args):
         ((tuple(K.fmt(w) for w in wt), mult) for wt, mult in table.entries)
     )
     data = {
-        "field": {"char": K.char, "degree": K.degree},
-        "m": m,
         "cartan dims": H_space.dim,
         "weights": [{"weight": list(w), "multiplicity": mult} for w, mult in entries],
     }
-    if args.output == "json":
-        return json.dumps(data, indent=2) + "\n", True
-    lines = [
-        f"weights of gl({m}) for the {H_space.dim} diagonal elements of L",
-    ]
-    for w, mult in entries:
-        lines.append(f"  ({', '.join(w)})  multiplicity {mult}")
-    return "\n".join(lines) + "\n", True
+    lines = [f"weights of gl({m}) for the {H_space.dim} diagonal elements of L"]
+    lines += [f"  ({', '.join(w)})  multiplicity {mult}" for w, mult in entries]
+    return _emit(K, m, args, data, lines)
 
 
 def _run_hom(K, args):
     """Hom from the natural module to its dual; f makes V self-dual."""
     A, L = _algebra_of(K, args)
-    m = L.m
-    V = LieModule(K, m, [(f"x{i}", x) for i, x in enumerate(L.basis_mats())])
+    V = LieModule(K, L.m, [(f"x{i}", x) for i, x in enumerate(L.basis_mats())])
     Vd = dual_module(V)
     H = hom_space(V, Vd)
-    data = {
-        "field": {"char": K.char, "degree": K.degree},
-        "m": m,
-        "dim Hom(V, V*)": H.dim,
-    }
-    witness = None
-    if H.dim:
-        witness = hom_members(V, Vd, H)[0]
-        data["witness"] = witness.to_text()
-    if args.output == "json":
-        return json.dumps(data, indent=2) + "\n", True
+    data = {"dim Hom(V, V*)": H.dim}
     lines = [f"dim Hom_L(V, V*) = {H.dim} over {K.token}"]
-    if witness is not None:
-        lines.append("intertwiner:")
-        lines.append(witness.to_text().rstrip())
-    return "\n".join(lines) + "\n", True
+    if H.dim:
+        data["witness"] = hom_members(V, Vd, H)[0].to_text()
+        lines += ["intertwiner:", data["witness"].rstrip()]
+    return _emit(K, L.m, args, data, lines)
 
 
 if __name__ == "__main__":

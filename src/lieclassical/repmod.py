@@ -134,7 +134,7 @@ def spin(M: LieModule, seeds, transposed=False) -> Subspace:
 
 @dataclass
 class IrredResult:
-    status: str  # "irreducible" | "reducible" | "budget-exceeded"
+    status: str  # "irreducible" | "reducible"
     witness: Subspace | None = None
     method: str = ""
 
@@ -153,6 +153,10 @@ def line_reps(K, n):
 DEFAULT_BUDGET = 10**6
 
 
+class BudgetExceeded(ValueError):
+    """Certification ran out of its budget: no verdict either way."""
+
+
 def certify_irreducible(M: LieModule, budget: int | None = None, seed: int = 0) -> IrredResult:
     """Holt and Rees, "Testing modules for irreducibility" (J. Austral. Math.
     Soc. 1994), with the exceptional case of Ivanyos and Lux (Experiment.
@@ -168,7 +172,8 @@ def certify_irreducible(M: LieModule, budget: int | None = None, seed: int = 0) 
     spin and a full dual spin therefore prove irreducibility, and a proper
     one gives a submodule.  If no factor has dim N = deg f, only a proper
     spin from N of the lowest factor is used, and theta is drawn again.
-    Each draw and each spin costs one unit of the budget.
+    Each draw and each spin costs one unit of the budget (`DEFAULT_BUDGET`
+    unless given); a spent budget raises `BudgetExceeded`.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
@@ -205,19 +210,7 @@ def certify_irreducible(M: LieModule, budget: int | None = None, seed: int = 0) 
         if dual.dim == M.dim:
             return IrredResult("irreducible", None, "kernel/dual spin")
         return IrredResult("reducible", kernel(dual.basis), "dual spin annihilator")
-    return IrredResult("budget-exceeded", None, "budget exceeded")
-
-
-class BudgetExceeded(ValueError):
-    """Certification ran out of its budget: no verdict either way."""
-
-
-def _certify(M: LieModule) -> IrredResult:
-    """`certify_irreducible` at the run's budget; raises when it is spent."""
-    res = certify_irreducible(M)
-    if res.status == "budget-exceeded":
-        raise BudgetExceeded(f"irreducibility budget exceeded on a {M.dim}-dimensional module")
-    return res
+    raise BudgetExceeded(f"irreducibility budget exceeded on a {M.dim}-dimensional module")
 
 
 def irreducible(M: LieModule, primes=None) -> tuple[bool, str]:
@@ -226,10 +219,10 @@ def irreducible(M: LieModule, primes=None) -> tuple[bool, str]:
     at every prime; a reducible reduction proves nothing, so when no prime
     certifies this raises instead of answering False."""
     if M.field.order() is not None:
-        return _certify(M).status == "irreducible", "spin certification"
+        return certify_irreducible(M).status == "irreducible", "spin certification"
     if primes is None:
         raise ValueError("irreducibility over Q needs primes to reduce modulo")
-    if any(_certify(reduce_module_mod_p(M, p)).status == "irreducible" for p in primes):
+    if any(certify_irreducible(reduce_module_mod_p(M, p)).status == "irreducible" for p in primes):
         return True, "mod-p"
     raise ValueError(f"mod-p certification failed for a {M.dim}-dimensional module")
 
@@ -365,7 +358,7 @@ def _max_chain(M: LieModule):
     """Interior terms of a maximal submodule chain, in M's own coordinates."""
     if M.dim == 0:
         return []
-    res = _certify(M)
+    res = certify_irreducible(M)
     if res.status == "irreducible":
         return []
     W = res.witness

@@ -318,6 +318,8 @@ def _run_m2_alternating(rep: Report) -> Report:
 def run_thm_1_2(m, diag=None, p=2) -> Report:
     if p != 2:
         raise ValueError("needs characteristic 2")
+    if m < 2:
+        raise ValueError("needs m >= 2")
     K = GF(2)
     if diag is None:
         diag = [K.one()] * m
@@ -495,31 +497,19 @@ def run_thm_1_3(m, K) -> Report:
 def run_thm_1_4(m, K, diag=None) -> Report:
     if K.char == 2:
         raise ValueError("needs characteristic != 2")
+    if m < 2:
+        raise ValueError("needs m >= 2")
     if diag is None:
         diag = [K.one()] * m
     if len(diag) != m or any(K.is_zero(d) for d in diag):
         raise ValueError("needs m nonzero diagonal entries")
     A = Mat.diag(K, list(diag))
     rep = Report(f"thm1.4 m={m} field={K.token}", K, m)
-    # the series dichotomy needs m >= 4; smaller m have exceptional lattices
-    # covered by the small-case runners
-    _run_char_not2(rep, classify(A), symplectic=False, skip_series=(m < 4))
-    if m == 4:
-        square = discriminant_is_square(classify(A))
-        L = skew_adjoint_algebra(A)
-        primes = _good_primes(A)
-        if square and primes:
-            # over Q "not simple" rests on a proper ideal (so(4) splits at
-            # every good prime, so no reduction could decide it)
-            _so4_ideal(L, A)
-            simple, method = False, "so(4) ideal"
-        else:
-            simple, method = is_simple(L, primes), "mod-p" if primes else "spin certification"
-        rep.check("m=4 dichotomy", "Note 9.1", not square, simple, method)
+    _run_char_not2(rep, classify(A), symplectic=False)
     return rep
 
 
-def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=False):
+def _run_char_not2(rep: Report, form: BilForm, symplectic: bool):
     K = form.field
     m = form.m
     A = form.gram
@@ -553,13 +543,15 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
     ker_omega = contraction_side.intersect(kernel(ts.omega))
     rep.check("Gamma(ker Omega) = M cap sl", "Cor 7.1", Msl,
               gamma_image(ts, ker_omega))
+    # the series dichotomy of Thm 1.4 needs m >= 4; smaller m have
+    # exceptional lattices covered by the small-case runners
+    if not symplectic and m < 4:
+        if m == 3:
+            rep.check("L simple", "Prop 9.1", True, is_simple(L, primes), method)
+        return
     # the composition series, per the l | m dichotomy
     div = K.char != 0 and m % K.char == 0
     module = adjoint_module(L, gl)
-    if skip_series:
-        if m == 3 or m >= 5:
-            rep.check("L simple", "Prop 9.1", True, is_simple(L, primes), method)
-        return
     orth_m4_split = (not symplectic and m == 4
                      and discriminant_is_square(form))
     if symplectic and m == 2:
@@ -596,9 +588,15 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool, skip_series=Fal
     rep.check("gl/M = L (hom witness)", ref, True,
               _intertwines(_projection_intertwiner(L.space, M), quo, adL))
     # simplicity of L
-    if symplectic or m == 3 or m >= 5:
+    if symplectic or m >= 5:
         rep.check("L simple", "Thm 11.1" if symplectic else "Prop 9.1", True,
                   is_simple(L, primes), method)
+        return
+    # orthogonal m = 4: over Q "not simple" rests on the proper ideal (so(4)
+    # splits at every good prime, so no reduction could decide it)
+    simple, how = ((False, "so(4) ideal") if orth_m4_split and primes
+                   else (is_simple(L, primes), method))
+    rep.check("m=4 dichotomy", "Note 9.1", not orth_m4_split, simple, how)
 
 
 def _projection_intertwiner(Lspace: Subspace, M: Subspace) -> Mat:
@@ -729,6 +727,8 @@ def run_note_9_3() -> Report:
 
 
 def run_sl_series(m, K) -> Report:
+    if m < 2:
+        raise ValueError("needs m >= 2")
     if (m, K.char) == (2, 2):
         raise ValueError("the case m=2 in characteristic 2 is excluded")
     rep = Report(f"sl-series m={m} field={K.token}", K, m)
@@ -959,14 +959,7 @@ def _check_prop_12_2(rep: Report):
     rep.check("[x,y] = [e,f] = z", "Prop 12.2", (eye, eye), (bracket(x, y), bracket(e, f)))
     # U = L^(2)/s with basis e, x, f, y; g(u,v) reads the bracket in s
     ubasis = [e, x, f, y]
-    gram = [[K.zero()] * 4 for _ in range(4)]
-    for i2 in range(4):
-        for j2 in range(4):
-            br = bracket(ubasis[i2], ubasis[j2])
-            gram[i2][j2] = K.one() if br == eye else K.zero()
-            if not (br == eye or br.is_zero()):
-                raise AssertionError("bracket left the scalars")
-    gram = Mat(K, gram)
+    gram = scalars_subspace(K, m).coords_of(bracket_rows(K, m, ubasis, ubasis)).reshape(4, 4)
     rep.check("Gram of g on U is J", "Prop 12.2", standard_symplectic_gram(K, 4), gram)
     # the representation R of L on U; kernel L^(2), image 5-dimensional in L(g)
     uvecs = Mat(K, [v.vec() for v in ubasis + [eye]])

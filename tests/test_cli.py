@@ -287,6 +287,9 @@ def test_budget_env_invalid(capsys, monkeypatch):
         ("verify:thm1.4", "--field", "Q", "--m", "4", "--form", "diag:1,1,1,2"),
         ("verify:thm1.1", "--field", "2", "--m", "8"),
         ("verify:thm1.2", "--field", "2", "--m", "5"),
+        # nor in a claim that one module is irreducible
+        ("verify:blocks", "--field", "5", "--m", "4"),
+        ("verify:heisenberg", "--field", "2", "--m", "2"),
     ],
 )
 def test_budget_exhaustion_exits_2_with_message(capsys, argv):
@@ -297,6 +300,21 @@ def test_budget_exhaustion_exits_2_with_message(capsys, argv):
     assert "budget exceeded" in err
     assert "not irreducible" not in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify:sl-series", "--field", "5", "--m", "1"),
+    ("verify:sl-series", "--field", "5", "--m", "0"),
+    ("verify:thm1.2", "--field", "2", "--m", "1"),
+    ("verify:thm1.4", "--field", "5", "--m", "1"),
+])
+def test_m_below_2_is_usage_error(capsys, argv):
+    # the theorems start at m = 2: a smaller m is refused, not checked against
+    # claims that fail or hold vacuously
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: needs m >= 2\n"
+    assert out == ""
 
 
 def test_large_prime_field_certifies(capsys):
@@ -408,7 +426,9 @@ def test_verify_all_json_is_byte_identical():
 # free chain search; recorded before the GF(p^2) arithmetic became one GF(p)
 # product per pair product.  Q: the m = 4 dichotomy with a non-square
 # discriminant, Thm 1.4 at good primes that skip 3, and sl(5); recorded
-# before every irreducibility verdict went through `repmod.irreducible`
+# before every irreducibility verdict went through `repmod.irreducible`.
+# The direct commands `algebra`, `weights`, `hom` and `series` over GF(p)
+# and Q: recorded before they shared one emitter for their output
 PINNED_JSON_SHA256 = {
     "verify:thm1.3 --field 3^2 --m 6":
         "9b583b974379202e2529a04031cfd06ea8d54f08eebeecff1a414c90ebe9dad0",
@@ -422,6 +442,14 @@ PINNED_JSON_SHA256 = {
         "09ceb7ab7a9276bbe473f13e1a96ef88a98227be5c0ac148a99395a44c163d7c",
     "verify:sl-series --field Q --m 5":
         "50cf462349211e87b28eb847db8eabebfb7a46040331550546a35a17d8831f30",
+    "algebra --field Q --m 4 --form diag:1,2,3,5":
+        "56db57742a8c82662142275afc3dc6db914dc3a4cd93dcf345fe483aabaf4f25",
+    "weights --field 7 --m 4":
+        "96e79fed196698869428f6f0d6c5bdf82146ec1db752b710bad3462cfe442368",
+    "hom --field 5 --m 4":
+        "8e554aad3a2e96adde7d2b044c7d6b04b5fb7eb0fb8d5f6406a44822ecd25a48",
+    "series --field 5 --m 6":
+        "b78a4e13aee65bd8a21bc87c91ee5930504f8fc3d1795cdf38641bb6e47b47cf",
 }
 
 

@@ -193,10 +193,11 @@ def test_certify_eliminates_each_f_theta_once(monkeypatch, make):
 
 def test_certify_budget_counts_draws_and_spins():
     # an irreducible module needs a draw, a spin and a dual spin: any smaller
-    # budget runs out and says so, never "reducible"
+    # budget runs out and raises, never answers "reducible"
     M = sl2_natural(GF(5))
     for budget in (1, 2):
-        assert certify_irreducible(M, budget=budget).status == "budget-exceeded"
+        with pytest.raises(BudgetExceeded, match="budget exceeded on a 2-dimensional module"):
+            certify_irreducible(M, budget=budget)
     assert certify_irreducible(M, budget=10).status == "irreducible"
 
 
