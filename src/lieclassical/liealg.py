@@ -141,8 +141,7 @@ def trace_orthogonal_complement(U: Subspace, within: Subspace) -> Subspace:
     # tr(XU) = <vec(X), vec(U')>, so each u contributes one linear constraint
     # vec(u'), the entries of vec(u) at the transposed positions
     C = U.basis[:, transposed_positions(m)]
-    coords_kernel = kernel(C @ within.basis.transpose())
-    return Subspace.span(coords_kernel.basis @ within.basis)
+    return within.lift_subspace(kernel(C @ within.basis.transpose()))
 
 
 class StructureConstants:

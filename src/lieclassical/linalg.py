@@ -13,13 +13,16 @@ canonical scalars for det and the scalar algorithms.
 
 A `Subspace` holds its canonical RREF basis as one `Mat` next to its pivots,
 and reduces, tests membership, takes coordinates and lifts them with
-products of that basis at its non-pivot columns.  Each field family has one
-incremental echelon basis whose fully reduced rows are the RREF; rref, both
-kernels (`null_spaces`: one elimination of [M | I]), subspaces, spins and
-the Krylov characteristic polynomial go through it: `EchelonGFp` on the
-residue (pair) arrays over every finite field, a block of rows at a time,
-with optional carried columns that hold no pivot, and `Echelon` on
-primitive Python-int rows, fraction-free, over Q, one row at a time.
+products of that basis at its non-pivot columns; one whose canonical basis
+is known (an image of coordinates, coordinates in a larger subspace) is
+built without elimination.  Each field family has one incremental echelon
+basis whose fully reduced rows are the RREF; rref, kernels (one elimination
+of M with its columns reversed; `null_spaces`: of [M reversed | I]),
+subspaces, spins and the Krylov characteristic polynomial go through it:
+`EchelonGFp` on the residue (pair) arrays over every finite field, a block
+of rows at a time, with optional carried columns that hold no pivot, and
+`Echelon` on primitive Python-int rows, fraction-free, over Q, one row at a
+time.
 """
 
 from __future__ import annotations
@@ -478,25 +481,28 @@ def rref(M: Mat):
 
 
 def kernel(M: Mat) -> "Subspace":
-    """Right kernel {v : M v = 0} as a canonical subspace."""
-    return _kernel_of_rref(Subspace.span(M))
+    """Right kernel {v : M v = 0} as a canonical subspace, from one
+    elimination of M with its columns reversed."""
+    return _kernel_of_rref(Subspace.span(M[:, ::-1]))
 
 
 def null_spaces(M: Mat):
     """The right and left kernels {v : M v = 0} and {w : w M = 0} from one
-    elimination of [M | I]: its rows with pivots among M's columns are the
-    RREF of M, and the others, cut to the I columns, the canonical basis of
-    the left kernel."""
+    elimination of [M reversed | I]: its rows with pivots among M's columns
+    are the RREF of M with its columns reversed, and the others, cut to the I
+    columns, the canonical basis of the left kernel (w M = 0 does not depend
+    on the order of M's columns)."""
     n = M.ncols
-    S = Subspace.span(Mat.from_blocks([[M, Mat.identity(M.field, M.nrows)]]))
+    S = Subspace.span(Mat.from_blocks([[M[:, ::-1], Mat.identity(M.field, M.nrows)]]))
     k = sum(j < n for j in S.pivots)
     return (_kernel_of_rref(Subspace(S.basis[:k, :n], S.pivots[:k])),
             Subspace(S.basis[k:, n:], tuple(j - n for j in S.pivots[k:])))
 
 
 def _kernel_of_rref(R: "Subspace") -> "Subspace":
-    """{v : R v = 0} for the canonical basis R: one vector
-    e_f - sum_i R[i][f] e_(pivot i) per free column f."""
+    """{v : M v = 0} from the canonical basis R of M with its columns reversed:
+    e_f - sum_i R[i][f] e_(pivot i), per free column f, ends at f, so reversed
+    and in reverse order these vectors are already the canonical basis."""
     K, n = R.field, R.ambient
     free = R.nonpivots()
     if not free:
@@ -504,7 +510,7 @@ def _kernel_of_rref(R: "Subspace") -> "Subspace":
     # the kernel vectors with their coordinates in the order pivots, free
     vecs = Mat.from_blocks([[-R.basis[:, free].transpose(), Mat.identity(K, len(free))]])
     order = sorted(range(n), key=[*R.pivots, *free].__getitem__)
-    return Subspace.span(vecs[:, order])
+    return Subspace(vecs[::-1, order[::-1]], tuple(n - 1 - f for f in reversed(free)))
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +756,18 @@ class Subspace:
     def lift(self, coords):
         return (Mat(self.field, [coords]) @ self.basis).vec()
 
+    def lift_subspace(self, C: "Subspace") -> "Subspace":
+        """The subspace with coordinates C (canonical in F^dim) in this basis:
+        C.basis @ basis is already canonical, its pivots ours at C's."""
+        return Subspace(C.basis @ self.basis, tuple(self.pivots[j] for j in C.pivots))
+
+    def coords_subspace(self, V: "Subspace") -> "Subspace":
+        """V, a subspace of this one, in this basis's coordinates: V's entries
+        at our pivots, already canonical, since V's pivots are some of ours;
+        raises unless V lies in this subspace."""
+        at = {j: k for k, j in enumerate(self.pivots)}
+        return Subspace(self.coords_of(V.basis), tuple(at[j] for j in V.pivots))
+
     def contains(self, other: "Subspace") -> bool:
         return self.residuals(other.basis).is_zero()
 
@@ -761,9 +779,10 @@ class Subspace:
         self._check_compat(other)
         if not self.dim or not other.dim:
             return Subspace.zero(self.field, self.ambient)
-        # x = a·U = b·W  <=>  (a, b) in ker [U' | -W'].
+        # x = a·U = b·W  <=>  (a, b) in ker [U' | -W']; a != 0 on every nonzero
+        # (a, b), so the kernel's pivots are a's and its rows cut to a canonical
         ker = kernel(Mat.from_blocks([[self.basis.transpose(), -other.basis.transpose()]]))
-        return Subspace.span(ker.basis[:, : self.dim] @ self.basis)
+        return self.lift_subspace(Subspace(ker.basis[:, : self.dim], ker.pivots))
 
     def _check_compat(self, other):
         if self.field != other.field or self.ambient != other.ambient:

@@ -85,9 +85,10 @@ class LieModule:
 
 
 def dual_module(M: LieModule) -> LieModule:
-    return LieModule(
-        M.field, M.dim, [(lbl, -a.transpose()) for lbl, a in M.generators]
-    )
+    """The actions -A': the rows vec(A) of the stack read at the transposed positions."""
+    g, n = len(M.labels()), M.dim
+    vecs = M.stack.reshape(g, n * n)[:, transposed_positions(n)]
+    return LieModule._of_stack(M.field, M.labels(), -vecs.reshape(g * n, n))
 
 
 def trivial_actions(M: LieModule) -> bool:
@@ -248,24 +249,28 @@ def _random_vector(U: Subspace, rng):
 
 
 # ---------------------------------------------------------------------------
-# Module surgery: restriction, quotient
+# Module surgery: restriction, factors, quotient
 
 
 def restrict_module(M: LieModule, U: Subspace) -> LieModule:
     """Actions restricted to an invariant subspace, in its RREF coordinates."""
-    coords = _image_coords(U, M.stack)
-    if coords is None:
+    return factor_module(M, Subspace.zero(M.field, M.dim), U)
+
+
+def factor_module(M: LieModule, lo: Subspace, hi: Subspace) -> LieModule:
+    """The action on hi/lo, for lo an invariant subspace of hi: in the
+    coordinates of hi's basis rows at lo's non-pivot positions (lo taken in
+    hi's coordinates), the only rows whose images are computed.  hi is
+    invariant iff those images lie in hi, since lo is; raises ValueError
+    unless they do.  lo's invariance is not checked."""
+    if hi.dim == M.dim:
+        return quotient_module(M, lo)
+    lo_in = hi.coords_subspace(lo) if lo.dim else Subspace.zero(M.field, hi.dim)
+    images = _images(M.stack, hi.basis[lo_in.nonpivots(), :])
+    if not hi.residuals(images).is_zero():
         raise ValueError("subspace is not invariant")
-    return M.on_stack(coords)
-
-
-def _image_coords(U: Subspace, S: Mat) -> Mat | None:
-    """The U-coordinates of the images A_i u_j of U's basis under the blocks
-    of the stack S (rows as in `_images`), or None unless every A_i maps U
-    into U: A u_j lies in U iff its residual is zero, and then its
-    U-coordinates are its entries at U's pivots."""
-    images = _images(S, U.basis)
-    return images[:, list(U.pivots)] if U.residuals(images).is_zero() else None
+    # an image in hi has its hi-coordinates at hi's pivots
+    return M.on_stack(lo_in.residuals(images[:, list(hi.pivots)]))
 
 
 def quotient_module(M: LieModule, U: Subspace) -> LieModule:
@@ -290,7 +295,7 @@ def quotient_lift(U: Subspace, C: Mat) -> Mat:
 def invariant_under(U: Subspace, S: Mat) -> bool:
     """A U contained in U for every block A of the stack S of ambient x
     ambient matrices (one matrix is a stack of one)."""
-    return U.dim in (0, U.ambient) or _image_coords(U, S) is not None
+    return U.dim in (0, U.ambient) or U.residuals(_images(S, U.basis)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +341,15 @@ def _normalize_chain(M, candidate_chain):
 
 
 def _series(M, chain, is_irreducible=lambda factor: True):
-    """The factors of an ascending chain, each required to be irreducible.
-    Restricting M to each proper term hi is the one invariance check of the
-    chain (0 and the full space are invariant)."""
+    """The factors of an ascending chain, bottom-up, each required to be
+    irreducible; each factor is the one invariance check of its upper term."""
     dims, trivial = [], []
     for lo, hi in zip(chain, chain[1:]):
         if not hi.contains(lo) or hi.dim <= lo.dim:
             raise ValueError("chain is not strictly ascending")
         try:
             factor = factor_module(M, lo, hi)
-        except ValueError:  # restrict_module refuses a non-invariant hi
+        except ValueError:  # factor_module refuses a non-invariant hi
             raise ValueError("candidate chain term is not invariant") from None
         dims.append(factor.dim)
         trivial.append(trivial_actions(factor))
@@ -366,19 +370,11 @@ def _max_chain(M: LieModule):
     quot = quotient_module(M, W)
     lower = _max_chain(sub)
     upper = _max_chain(quot)
-    chain = [Subspace.span(c.basis @ W.basis) for c in lower]
+    chain = [W.lift_subspace(c) for c in lower]
     chain.append(W)
     for c in upper:
         chain.append(Subspace.span(Mat.from_blocks([[W.basis], [quotient_lift(W, c.basis)]])))
     return chain
-
-
-def factor_module(M: LieModule, lo: Subspace, hi: Subspace) -> LieModule:
-    sub = restrict_module(M, hi) if hi.dim < M.dim else M
-    if lo.dim == 0:
-        return sub
-    lo_in = Subspace.span(hi.coords_of(lo.basis)) if hi.dim < M.dim else lo
-    return quotient_module(sub, lo_in)
 
 
 def first_primes_coprime_to(n, count=2):

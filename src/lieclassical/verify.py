@@ -9,6 +9,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+import numpy as np
+
 from .fields import GF, QQ, Field
 from .forms import (
     BilForm,
@@ -128,15 +130,17 @@ def _ser(x):
 
 
 def _block_span(K, m, blocks):
-    """Span of m x m matrices assembled from (i, j, mat) block placements."""
-    eye = Mat.identity(K, m)
-    rows = []
-    for placements in blocks:
-        X = Mat.zeros(K, m, m)
-        for i0, j0, piece in placements:
-            X = X + eye[:, i0 : i0 + piece.nrows] @ piece @ eye[j0 : j0 + piece.ncols, :]
-        rows.append(X.vec())
-    return Subspace.from_rows(K, m * m, rows)
+    """Span of m x m matrices assembled from disjoint (i, j, mat) block
+    placements: one gather from the row of every piece's entries and a zero."""
+    pieces = [p for placements in blocks for _, _, p in placements] + [Mat.zeros(K, 1, 1)]
+    flat = Mat.from_blocks([[p.reshape(1, p.nrows * p.ncols) for p in pieces]])
+    at, s = np.full((len(blocks), m, m), flat.ncols - 1), 0
+    for k, placements in enumerate(blocks):
+        for i, j, p in placements:
+            r, c = p.nrows, p.ncols
+            at[k, i : i + r, j : j + c] = np.arange(s, s + r * c).reshape(r, c)
+            s += r * c
+    return Subspace.span(flat[:, at.ravel()].reshape(len(blocks), m * m))
 
 
 def _symplectic_block_space(K, n, b_diag, c_diag, traceless_a):
@@ -257,7 +261,7 @@ def run_thm_1_1(m, p=2) -> Report:
     ts = tensor_square(classify(J), L)
     rep.check("Gamma(S^2) = L", "Thm 7.5", L.space, gamma_image(ts, ts.sym))
     rep.check("Gamma(Lambda^2) = L^(1)", "Thm 7.5", L1.space, gamma_image(ts, ts.alt))
-    ker_delta = ts.alt.intersect(kernel(ts.delta))
+    ker_delta = ts.alt.lift_subspace(kernel(ts.delta @ ts.alt.basis.transpose()))
     rep.check("Gamma(ker Delta) = L^(2)", "Thm 7.5", L2.space,
               gamma_image(ts, ker_delta))
     rep.check("s in L^(2) iff 4|m", "Thm 7.5(6)", four, L2.space.contains(s))
@@ -351,10 +355,8 @@ def run_thm_1_2(m, diag=None, p=2) -> Report:
     rep.check("gl/L = L^(1) (hom witness)", "Thm 1.2(4)", True,
               _intertwines(_symmetrizer(L.space, L1.space), quo, sub))
     # m-1 free insertions between L^(1) and L: trivial action on L/L^(1)
-    between = restrict_module(module, L.space)
-    l1_in = Subspace.span(L.space.coords_of(L1.space.basis))
     rep.check("L/L^(1) trivial action", "Thm 1.2", True,
-              trivial_actions(quotient_module(between, l1_in)))
+              trivial_actions(factor_module(module, L1.space, L.space)))
     rng = random.Random(7)
     extra = L1.space.residuals(L.space.basis).nonzero_rows()
     rng.shuffle(extra)
@@ -432,7 +434,7 @@ def _check_prop_10_2(rep: Report, K, L1: MatLieAlg):
     # the unique proper nonzero L^(1)-submodule of L^(1) is the abelian
     # ideal R (not S: [f1, g2] lands outside S)
     ad = adjoint_module(L1, L1.space)
-    r_in = Subspace.span(L1.space.coords_of(R.basis))
+    r_in = L1.space.coords_subspace(R)
     subs = all_submodules(ad)
     rep.check("R is the only proper nonzero submodule", "Prop 10.2",
               [r_in], [u for u in subs if 0 < u.dim < ad.dim], "maximal-submodule descent")
@@ -472,7 +474,7 @@ def all_submodules(M: LieModule):
             H = hom_space(sub, S)
             for coeffs in line_reps(K, H.dim):
                 null = kernel((Mat(K, [coeffs]) @ H.basis).reshape(S.dim, sub.dim))
-                W = Subspace.span(null.basis @ U.basis)
+                W = U.lift_subspace(null)
                 if W not in found:
                     found.add(W)
                     work.append(W)
@@ -487,7 +489,7 @@ def run_thm_1_3(m, K) -> Report:
     if K.char == 2:
         raise ValueError("needs characteristic != 2")
     if m < 2 or m % 2:
-        raise ValueError("needs even m")
+        raise ValueError("needs even m >= 2")
     J = standard_symplectic_gram(K, m)
     rep = Report(f"thm1.3 m={m} field={K.token}", K, m)
     _run_char_not2(rep, classify(J), symplectic=True)
@@ -540,7 +542,8 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool):
         rep.check("Gamma(Lambda^2) = L", "Prop 7.1", L.space, gamma_alt)
         rep.check("Gamma(S^2) = M", "Prop 7.1", M, gamma_sym)
         contraction_side = ts.sym
-    ker_omega = contraction_side.intersect(kernel(ts.omega))
+    ker_omega = contraction_side.lift_subspace(
+        kernel(ts.omega @ contraction_side.basis.transpose()))
     rep.check("Gamma(ker Omega) = M cap sl", "Cor 7.1", Msl,
               gamma_image(ts, ker_omega))
     # the series dichotomy of Thm 1.4 needs m >= 4; smaller m have
@@ -602,10 +605,10 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool):
 def _projection_intertwiner(Lspace: Subspace, M: Subspace) -> Mat:
     """Matrix of gl/M -> L sending a coset to its L-component along M.
 
-    The coset of e_j, j not a pivot of M, has L-coordinates column j of the
-    top rows of the inverse of [L basis | M basis] (bases as columns)."""
-    B = Mat.from_blocks([[Lspace.basis], [M.basis]])
-    return B.transpose().inv()[: Lspace.dim, M.nonpivots()]
+    The rows of L's basis reduced modulo M, at M's non-pivot positions, are
+    the quotient coordinates of L's basis: the inverse of that q x q matrix,
+    transposed, takes a coset's coordinates to L-coordinates."""
+    return M.residuals(Lspace.basis).inv().transpose()
 
 
 def _so4_ideal(L: MatLieAlg, A: Mat) -> Subspace:
@@ -685,11 +688,8 @@ def run_note_9_2() -> Report:
     big = adjoint_module(L, gl_subspace(K, 3))
     s = scalars_subspace(K, 3)
 
-    def in_gl(inner):
-        return Subspace.span(inner.basis @ Msl.basis)
-
-    Xq = factor_module(big, s, in_gl(X))
-    Yq = factor_module(big, s, in_gl(Y))
+    Xq = factor_module(big, s, Msl.lift_subspace(X))
+    Yq = factor_module(big, s, Msl.lift_subspace(Y))
     rep.check("X/s isomorphic to Y/s", "Note 9.2", 1, hom_space(Xq, Yq).dim)
     return rep
 

@@ -317,6 +317,14 @@ def test_m_below_2_is_usage_error(capsys, argv):
     assert out == ""
 
 
+def test_thm13_m_0_is_refused_as_below_2(capsys):
+    # 0 is even: the refusal names the bound, as thm1.1's does
+    code, out, err = run(capsys, "verify:thm1.3", "--field", "5", "--m", "0")
+    assert code == 2
+    assert err == "error: needs even m >= 2\n"
+    assert out == ""
+
+
 def test_large_prime_field_certifies(capsys):
     # 5 + 1 + 10 for sp(4) over GF(1000003) (Thm 1.3); no line is enumerated
     code, out, err = run(capsys, "verify:thm1.3", "--field", "1000003", "--m", "4",

@@ -101,6 +101,70 @@ def test_kernel_identity_is_zero():
     assert kernel(Mat.identity(QQ, 2)).dim == 0
 
 
+def _old_kernel(M):
+    """The right kernel by the previous path: eliminate M, then eliminate the
+    vectors e_f - sum_i R[i][f] e_(pivot i) once more."""
+    R = Subspace.span(M)
+    free = R.nonpivots()
+    rows = []
+    for f in free:
+        v = [M.field.zero()] * M.ncols
+        v[f] = M.field.one()
+        for i, piv in enumerate(R.pivots):
+            v[piv] = M.field.neg(R.basis.rows[i][f])
+        rows.append(v)
+    return Subspace.from_rows(M.field, M.ncols, rows)
+
+
+def _sparse_mat(K, r, c, rng):
+    """A random r x c matrix with random zero columns, so pivots skip columns."""
+    zero = {j for j in range(c) if rng.random() < 0.3}
+    return Mat(K, [[K.zero() if j in zero else K.random(rng) for j in range(c)] for _ in range(r)])
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(5), GF(3, 2), QQ], ids=lambda K: K.token)
+def test_kernels_from_reversed_columns_match_two_eliminations(K):
+    # one elimination of M with its columns reversed gives the canonical kernel
+    rng = random.Random(11)
+    shapes = [(r, c) for r in (1, 3, 5) for c in (1, 4, 6)]
+    for r, c in shapes * 4:
+        M = _sparse_mat(K, r, c, rng)
+        right, left = null_spaces(M)
+        assert kernel(M) == right == _old_kernel(M)
+        assert left == _old_kernel(M.transpose())
+    assert kernel(Mat.zeros(K, 2, 3)) == Subspace.full(K, 3)
+    assert null_spaces(Mat.identity(K, 3)) == (Subspace.zero(K, 3), Subspace.zero(K, 3))
+
+
+def _subspaces(K, n, rng):
+    """The zero and full subspaces of F^n and random ones between them."""
+    yield Subspace.zero(K, n)
+    yield Subspace.full(K, n)
+    for k in [k for k in (1, 2, n - 1, n) if k]:
+        yield Subspace.span(_sparse_mat(K, k, n, rng))
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(5), GF(3, 2), QQ], ids=lambda K: K.token)
+def test_subspaces_built_from_known_rref_match_span(K):
+    # the image of a canonical C in U's coordinates, and V in U's coordinates,
+    # are already canonical: both equal Subspace.span of the same rows
+    rng = random.Random(12)
+    n = 6
+    for U in _subspaces(K, n, rng):
+        for C in _subspaces(K, U.dim, rng):
+            V = U.lift_subspace(C)
+            assert V == Subspace.span(C.basis @ U.basis)
+            assert U.coords_subspace(V) == C == Subspace.span(U.coords_of(V.basis))
+        # a V of U not built by lift_subspace
+        V = Subspace.span(rand_mat(K, 2, U.dim, rng) @ U.basis) if U.dim else U
+        assert U.coords_subspace(V) == Subspace.span(U.coords_of(V.basis))
+        if U.dim < n:
+            outside = next(v for v in (Mat.identity(K, n)[[j], :] for j in range(n))
+                           if not U.contains_vector(v.vec()))
+            with pytest.raises(ValueError, match="not in subspace"):
+                U.coords_subspace(Subspace.span(Mat.from_blocks([[U.basis], [outside]])))
+
+
 def test_kron_units():
     e11 = Mat.unit(QQ, 2, 2, 0, 0)
     assert kron(e11, Mat.identity(QQ, 2)) == Mat.diag(QQ, [Fraction(1)] * 2 + [Fraction(0)] * 2)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lieclassical import repmod
+from lieclassical import repmod, verify
 from lieclassical.fields import GF, QQ
 from lieclassical.forms import classify, standard_symplectic_gram
 from lieclassical.liealg import (
@@ -19,6 +20,7 @@ from lieclassical.liealg import (
     gl_subspace,
     heisenberg,
     is_simple,
+    scalars_subspace,
     self_adjoint_module,
     skew_adjoint_algebra,
     sl_subspace,
@@ -33,6 +35,7 @@ from lieclassical.repmod import (
     composition_series,
     conjugation_modules,
     dual_module,
+    factor_module,
     gamma_image,
     heisenberg_poly_module,
     hom_members,
@@ -166,8 +169,9 @@ def _sp4_adjoint_gf3():
 @pytest.mark.parametrize("make", [lambda: _so4_nonsquare_mod(5), _sp4_adjoint_gf3],
                          ids=["so4-mod5", "sp4-gf3"])
 def test_certify_eliminates_each_f_theta_once(monkeypatch, make):
-    # both null spaces of f(theta) come from one elimination of [f(theta) | I]:
-    # no kernel call, and neither f(theta) nor its transpose is eliminated alone
+    # both null spaces of f(theta) come from one elimination of
+    # [f(theta) reversed | I], f(theta) with its columns reversed: no kernel
+    # call, and neither f(theta) nor its transpose is eliminated alone
     from lieclassical import linalg, repmod
 
     M = make()
@@ -184,10 +188,11 @@ def test_certify_eliminates_each_f_theta_once(monkeypatch, make):
         eye = Mat.identity(M.field, n).a
         for F in f_thetas:
             augmented = [X for X in inserted if X.shape[-1] == 2 * n
-                         and np.array_equal(X[..., :n], F.a) and np.array_equal(X[..., n:], eye)]
+                         and np.array_equal(X[..., :n], F.a[..., ::-1])
+                         and np.array_equal(X[..., n:], eye)]
             assert len(augmented) == 1
-            assert not any(np.array_equal(X, F.a) or np.array_equal(X, F.transpose().a)
-                           for X in inserted)
+            assert not any(np.array_equal(X, G) for X in inserted
+                           for G in (F.a, F.a[..., ::-1], F.transpose().a))
         assert f_thetas and not kernels
 
 
@@ -502,6 +507,86 @@ def test_non_invariant_subspace_refused():
             restrict_module(M, S)
         with pytest.raises(ValueError, match="candidate chain term is not invariant"):
             composition_series(M, candidate_chain=[S])
+
+
+def _old_factor(M, lo, hi):
+    """hi/lo by the previous path: restrict M to all of hi (the coordinates
+    of the image of every basis row), then take the quotient by lo in hi's
+    coordinates, eliminated once more."""
+    if hi.dim == M.dim:
+        return quotient_module(M, lo)
+    gens = [(lbl, hi.coords_of(hi.basis @ A.transpose()).transpose()) for lbl, A in M.generators]
+    sub = LieModule(M.field, hi.dim, gens)
+    return quotient_module(sub, Subspace.span(hi.coords_of(lo.basis))) if lo.dim else sub
+
+
+@pytest.mark.parametrize("run", [lambda: verify.run_thm_1_1(8),
+                                 lambda: verify.run_thm_1_3(6, GF(5)),
+                                 lambda: verify.run_thm_1_3(4, QQ)],
+                         ids=["thm1.1-gf2-m8", "thm1.3-gf5-m6", "thm1.3-q-m4"])
+def test_factor_module_matches_restrict_then_quotient(monkeypatch, run):
+    # every factor of the canonical chains (and of the free series and the
+    # restrictions) equals the one restricting to all of hi first
+    calls, factor = [], repmod.factor_module
+    for module in (repmod, verify):
+        monkeypatch.setattr(module, "factor_module", lambda M, lo, hi: calls.append(
+            (M, lo, hi, factor(M, lo, hi))) or calls[-1][-1])
+    assert run().passed
+    between = 0
+    for M, lo, hi, F in calls:
+        ref = _old_factor(M, lo, hi)
+        assert (F.dim, F.labels(), F.action_mats()) == (ref.dim, ref.labels(), ref.action_mats())
+        between += 0 < lo.dim and hi.dim < M.dim
+    assert between >= 1 and len(calls) >= 4
+
+
+def test_non_invariant_term_above_an_invariant_one_refused():
+    # lo = s is invariant; hi = s + a random line is not, which the images of
+    # hi's rows above lo alone must show
+    rng = random.Random(43)
+    for M, _ in _gl_modules():
+        K = M.field
+        lo = scalars_subspace(K, math.isqrt(M.dim))
+        while True:
+            hi = lo + Subspace.from_rows(K, M.dim, [[K.random(rng) for _ in range(M.dim)]])
+            if hi.dim == 2 and not invariant_under(hi, M.stack):
+                break
+        with pytest.raises(ValueError, match="subspace is not invariant"):
+            factor_module(M, lo, hi)
+        if K.order() is not None:
+            with pytest.raises(ValueError, match="candidate chain term is not invariant"):
+                composition_series(M, candidate_chain=[lo, hi])
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(5), GF(3, 2), QQ], ids=lambda K: K.token)
+def test_known_rref_constructors_and_factors_eliminate_nothing(monkeypatch, K):
+    from lieclassical import linalg
+
+    L = skew_adjoint_algebra(standard_symplectic_gram(K, 4))
+    M = adjoint_module(L, gl_subspace(K, 4))
+    s = scalars_subspace(K, 4)
+    hi = s + L.space
+    C = Subspace.span(Mat.identity(K, hi.dim)[[0, hi.dim - 1], :])
+
+    def refuse(self, X):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(linalg.EchelonGFp, "add", refuse)
+    monkeypatch.setattr(linalg.Echelon, "add", refuse)
+    assert hi.coords_subspace(hi.lift_subspace(C)) == C
+    assert hi.contains(hi.lift_subspace(C)) and hi.coords_subspace(s).dim == 1
+    assert factor_module(M, s, hi).dim == hi.dim - 1
+    assert factor_module(M, s, gl_subspace(K, 4)).dim == 15
+    assert restrict_module(M, hi).dim == hi.dim
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(5), GF(3, 2), QQ], ids=lambda K: K.token)
+def test_dual_module_negates_each_transpose(K):
+    L = skew_adjoint_algebra(Mat.diag(K, [K.one(), K.one(), K.of(3)]))
+    M = adjoint_module(L, gl_subspace(K, 3))
+    dual = dual_module(M)
+    assert dual.labels() == M.labels()
+    assert dual.action_mats() == [-a.transpose() for a in M.action_mats()]
 
 
 def test_spin_exact_near_int64_limit():
