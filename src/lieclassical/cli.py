@@ -17,7 +17,6 @@ from . import repmod
 from .fields import field_from_token
 from .forms import standard_symplectic_gram
 from .liealg import (
-    MatLieAlg,
     ad_gl,
     derived_series,
     gl_subspace,
@@ -286,7 +285,7 @@ def _verify_reports(vid, K, args):
 def _algebra_of(K, args):
     m = _need_m(args)
     A = load_gram(K, m, args.form)
-    return A, skew_adjoint_algebra(A, "L")
+    return A, skew_adjoint_algebra(A)
 
 
 def _emit(K, m, args, data, lines):
@@ -342,8 +341,7 @@ def _run_weights(K, args):
     if H_space.dim == 0:
         raise CliError("L contains no nonzero diagonal matrices")
     H = [(f"h{i}", ad_gl(h)) for i, h in enumerate(H_space.matrices(m, m))]
-    module = adjoint_module(L, gl_subspace(K, m))
-    table = weights(module, H)
+    table = weights(H)
     entries = sorted(
         ((tuple(K.fmt(w) for w in wt), mult) for wt, mult in table.entries)
     )

@@ -145,7 +145,10 @@ class RationalField(Field):
         return f"{a.numerator}/{a.denominator}"
 
     def parse(self, s):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
 
     @property
     def token(self):

@@ -7,7 +7,7 @@ m*m), so all structural computation reduces to exact subspace operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class MatLieAlg:
 
     m: int
     space: Subspace
-    label: str = dc_field(default="", compare=False)
 
     @property
     def field(self) -> Field:
@@ -74,13 +73,10 @@ class MatLieAlg:
         mats = self.basis_mats()
         return self.space.residuals(bracket_rows(self.field, self.m, mats, mats)).is_zero()
 
-    def with_space(self, space: Subspace, label=""):
-        return MatLieAlg(self.m, space, label or self.label)
 
-
-def skew_adjoint_algebra(A: Mat, label="") -> MatLieAlg:
+def skew_adjoint_algebra(A: Mat) -> MatLieAlg:
     """L(A) = {X : X'A = -AX}, the symplectic/orthogonal algebra of A."""
-    return MatLieAlg(A.nrows, kernel(_adjoint_condition(A, 1)), label or "L(A)")
+    return MatLieAlg(A.nrows, kernel(_adjoint_condition(A, 1)))
 
 
 def self_adjoint_module(A: Mat) -> Subspace:
@@ -110,7 +106,7 @@ def derived_space(m: int, space: Subspace) -> Subspace:
 
 
 def derived(L: MatLieAlg) -> MatLieAlg:
-    return L.with_space(derived_space(L.m, L.space))
+    return MatLieAlg(L.m, derived_space(L.m, L.space))
 
 
 def derived_series(L: MatLieAlg):

@@ -426,29 +426,30 @@ class WeightTable:
     entries: list  # (weight tuple, eigenspace dim)
 
 
-def weights(M: LieModule, H) -> WeightTable:
-    """Simultaneous eigenspaces of the commuting family H = [(label, Mat)]."""
-    K = M.field
+def weights(H) -> WeightTable:
+    """Simultaneous eigenspaces of the nonempty commuting family H = [(label,
+    Mat)] of n x n matrices, over their field."""
+    K, n = H[0][1].field, H[0][1].nrows
     for i in range(len(H)):
         for j in range(i + 1, len(H)):
             if H[i][1] @ H[j][1] != H[j][1] @ H[i][1]:
                 raise ValueError("weight family must commute")
     rng = random.Random(0)
-    spaces = [((), Subspace.full(K, M.dim))]
+    spaces = [((), Subspace.full(K, n))]
     for _, h in H:
         candidates = (roots(K, charpoly(h), rng) if K.order() is not None
                       else [Fraction(t) for t in range(-6, 7)])
         nxt = []
         for tag, S in spaces:
             for lam in candidates:
-                shifted = h - Mat.identity(K, M.dim).scale(lam)
+                shifted = h - Mat.identity(K, n).scale(lam)
                 eig = kernel(shifted)
                 piece = S.intersect(eig)
                 if piece.dim > 0:
                     nxt.append((tag + (lam,), piece))
         spaces = nxt
-    if sum(S.dim for _, S in spaces) != M.dim:
-        raise ValueError(f"weight multiplicities do not sum to dim {M.dim}: eigenvalues missed")
+    if sum(S.dim for _, S in spaces) != n:
+        raise ValueError(f"weight multiplicities do not sum to dim {n}: eigenvalues missed")
     return WeightTable([(tag, S.dim) for tag, S in spaces])
 
 
@@ -470,7 +471,8 @@ def adjoint_module(L: MatLieAlg, ambient: Subspace) -> LieModule:
 
 @dataclass
 class TensorSquare:
-    module: LieModule  # L(f) acting on V (x) V, coordinates T_ij row-major
+    """The maps on V (x) V (coordinates T_ij row-major) that identify the
+    factors of gl(V) as images under Gamma; V (x) V has no L-action here."""
     gamma: Mat  # m^2 x m^2, T -> T' A
     omega: Mat  # 1 x m^2 functional
     sym: Subspace
@@ -478,14 +480,12 @@ class TensorSquare:
     delta: Mat | None  # 1 x m^2 functional on Lambda^2 (char 2, alternating f)
 
 
-def tensor_square(form: BilForm, L: MatLieAlg) -> TensorSquare:
+def tensor_square(form: BilForm) -> TensorSquare:
     if not form.nondegenerate:
         raise ValueError("tensor square needs a nondegenerate form")
     K = form.field
     m = form.m
     A = form.gram
-    X = L.space.basis  # x acts on V (x) V by kron(x, I) + kron(I, x)
-    module = LieModule._of_stack(K, [f"x{i}" for i in range(L.dim)], kron_sum_stack(X, X, 1))
     gamma = transpose_product(A)
     omega = A.reshape(1, m * m)  # tr(T' A) = sum of T_ij A_ij
     sym, alt = sym_alt_subspaces(m, K)
@@ -494,7 +494,7 @@ def tensor_square(form: BilForm, L: MatLieAlg) -> TensorSquare:
         # the entries A_ij, i < j, at their row-major positions, zero elsewhere
         upper = [i * m + j for i in range(m) for j in range(i + 1, m)]
         delta = A.reshape(1, m * m)[:, upper] @ Mat.identity(K, m * m)[upper, :]
-    return TensorSquare(module, gamma, omega, sym, alt, delta)
+    return TensorSquare(gamma, omega, sym, alt, delta)
 
 
 def gamma_image(ts: TensorSquare, U: Subspace) -> Subspace:

@@ -38,7 +38,7 @@ from lieclassical.repmod import (
     tensor_square,
 )
 from line_enumeration import certify_by_enumeration
-from scalar_reference import unvec
+from scalar_reference import tensor_action_by_kron, unvec
 
 
 def report_line(capsys, num, ok, detail=""):
@@ -274,9 +274,9 @@ def test_criterion_09_property_suites(capsys):
         # Gamma / Omega equivariance on the tensor square
         J = standard_symplectic_gram(K, 4)
         L = skew_adjoint_algebra(J)
-        ts = tensor_square(classify(J), L)
-        acts = [a for _, a in ts.module.generators]
+        ts = tensor_square(classify(J))
         mats = L.basis_mats()
+        acts = [tensor_action_by_kron(x) for x in mats]
         for _ in range(TRIALS):
             idx = rng.randrange(len(acts))
             t = [K.random(rng) for _ in range(16)]

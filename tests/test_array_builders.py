@@ -34,7 +34,6 @@ from scalar_reference import (
     identity_by_scalars,
     omega_by_scalars,
     sym_alt_by_scalars,
-    tensor_action_by_kron,
     to_text_by_scalars,
     unit_by_scalars,
 )
@@ -141,8 +140,7 @@ def test_tensor_square_maps(K_m):
     saw_nonsymmetric = False
     for A in _forms(K, m, rng):
         form = classify(A)
-        L = skew_adjoint_algebra(A)
-        ts = tensor_square(form, L)
+        ts = tensor_square(form)
         gamma = gamma_by_scalars(A)
         assert ts.gamma == gamma
         if not form.symmetric:
@@ -155,7 +153,6 @@ def test_tensor_square_maps(K_m):
             assert not ts.delta.is_zero()
         else:
             assert ts.delta is None
-        assert ts.module.action_mats() == [tensor_action_by_kron(x) for x in L.basis_mats()]
     assert saw_nonsymmetric
 
 

@@ -290,6 +290,8 @@ def test_budget_env_invalid(capsys, monkeypatch):
         # nor in a claim that one module is irreducible
         ("verify:blocks", "--field", "5", "--m", "4"),
         ("verify:heisenberg", "--field", "2", "--m", "2"),
+        # nor in the sweep, as a failed "runner completed" claim per runner
+        ("verify:all",),
     ],
 )
 def test_budget_exhaustion_exits_2_with_message(capsys, argv):
@@ -404,6 +406,35 @@ def test_out_of_memory_exits_2_without_traceback(capsys, monkeypatch):
     assert code == 2
     assert err == "error: out of memory in verify:thm1.2\n"
     assert out == ""
+
+
+def test_out_of_memory_in_the_sweep_exits_2(capsys, monkeypatch):
+    # verify:all collects a runner's error as a failed claim, but not this one
+    from lieclassical import verify
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(verify, "run_thm_1_1", exhausted)
+    code, out, err = run(capsys, "verify:all")
+    assert code == 2
+    assert err == "error: out of memory in verify:all\n"
+    assert out == ""
+
+
+def test_zero_denominator_over_q_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "gram.txt"
+    path.write_text("2 2 Q\n1 0\n0 1/0\n")
+    for argv, message in [
+        (("verify:thm1.4", "--field", "Q", "--m", "4", "--form", "diag:1,1,1,1/0"),
+         "error: cannot parse diagonal entries 'diag:1,1,1,1/0'"),
+        (("algebra", "--field", "Q", "--m", "2", "--form", f"file:{path}"),
+         f"error: bad matrix in {path}"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(message) and "Traceback" not in err
+        assert out == ""
 
 
 # sha256 of `lieclassical verify:all --output json`, recorded before the

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from lieclassical import repmod, verify
 from lieclassical.cli import main
 from lieclassical.fields import GF, QQ
+from lieclassical.forms import classify, standard_symplectic_gram
 from lieclassical.liealg import (
     derived_series,
     gl_subspace,
@@ -369,3 +370,68 @@ def test_run_all_collects_errors():
     reports = verify.run_all([(boom, ())])
     assert len(reports) == 1
     assert not reports[0].passed
+
+
+# ---------------------------------------------------------------------------
+# Each module stack is built once, and only where it is read
+
+
+def _stacks_built(monkeypatch):
+    """The block count of every stack repmod builds from a list of elements:
+    the ad stacks and the Kronecker-sum stacks."""
+    built = []
+    for name in ("ad_stack", "kron_sum_stack"):
+        def counting(X, *args, _real=getattr(repmod, name)):
+            built.append(X.nrows)
+            return _real(X, *args)
+
+        monkeypatch.setattr(repmod, name, counting)
+    return built
+
+
+@pytest.mark.parametrize("run, args, gram", [
+    (verify.run_thm_1_1, (8,), standard_symplectic_gram(GF(2), 8)),
+    (verify.run_thm_1_2, (4,), Mat.identity(GF(2), 4)),
+    (verify.run_thm_1_3, (6, GF(5)), standard_symplectic_gram(GF(5), 6)),
+    (verify.run_thm_1_4, (6, QQ), Mat.identity(QQ, 6)),
+    (verify.run_thm_1_4, (4, GF(5)), Mat.identity(GF(5), 4)),
+], ids=["thm1.1-gf2-m8", "thm1.2-gf2-m4", "thm1.3-gf5-m6", "thm1.4-q-m6", "thm1.4-gf5-m4"])
+def test_runner_builds_the_gl_stack_of_L_once(monkeypatch, run, args, gram):
+    # the tensor square, "L simple", the m = 4 dichotomy, the so(4) ideal and
+    # Prop 10.2 read the one stack the runner built
+    L = skew_adjoint_algebra(gram)
+    built = _stacks_built(monkeypatch)
+    assert failing(run(*args)) == []
+    assert built.count(L.dim) == 1
+
+
+def test_sl_series_builds_the_gl_stack_of_sl_once(monkeypatch):
+    built = _stacks_built(monkeypatch)
+    assert failing(verify.run_sl_series(4, QQ)) == []
+    assert built.count(15) == 1
+
+
+def test_tensor_square_builds_no_stack(monkeypatch):
+    built = _stacks_built(monkeypatch)
+    for K in (GF(2), GF(5)):
+        repmod.tensor_square(classify(standard_symplectic_gram(K, 6)))
+    assert built == []
+
+
+def test_weights_command_builds_no_module_stack(monkeypatch, capsys):
+    built = _stacks_built(monkeypatch)
+    assert main(["weights", "--field", "7", "--m", "4"]) == 0
+    capsys.readouterr()
+    assert [n for n in built if n > 1] == []
+
+
+def test_sl4_so6_builds_the_conjugation_modules_once(monkeypatch):
+    calls = []
+
+    def counting(n, K, _real=verify.conjugation_modules):
+        calls.append(n)
+        return _real(n, K)
+
+    monkeypatch.setattr(verify, "conjugation_modules", counting)
+    assert failing(verify.run_sl4_so6(GF(7))) == []
+    assert calls.count(4) == 1
