@@ -322,7 +322,11 @@ def composition_series(M: LieModule, candidate_chain=None, mod_p_primes=None) ->
     `BudgetExceeded` when certification runs out of budget."""
     K = M.field
     if candidate_chain is not None:
-        chain = _normalize_chain(M, candidate_chain)
+        chain = list(candidate_chain)
+        if not chain or chain[0].dim:
+            chain.insert(0, Subspace.zero(K, M.dim))
+        if chain[-1].dim != M.dim:
+            chain.append(Subspace.full(K, M.dim))
         return _series(M, chain, lambda factor: irreducible(factor, mod_p_primes)[0])
     if K.order() is None:
         raise ValueError("characteristic 0 needs a candidate chain")
@@ -330,27 +334,19 @@ def composition_series(M: LieModule, candidate_chain=None, mod_p_primes=None) ->
     return _series(M, chain)
 
 
-def _normalize_chain(M, candidate_chain):
-    K = M.field
-    chain = list(candidate_chain)
-    if not chain or chain[0].dim != 0:
-        chain.insert(0, Subspace.zero(K, M.dim))
-    if chain[-1].dim != M.dim:
-        chain.append(Subspace.full(K, M.dim))
-    return chain
-
-
 def _series(M, chain, is_irreducible=lambda factor: True):
     """The factors of an ascending chain, bottom-up, each required to be
-    irreducible; each factor is the one invariance check of its upper term."""
+    irreducible; building each factor is the one test that lo lies in hi and
+    that hi is invariant."""
     dims, trivial = [], []
     for lo, hi in zip(chain, chain[1:]):
-        if not hi.contains(lo) or hi.dim <= lo.dim:
+        if hi.dim <= lo.dim:
             raise ValueError("chain is not strictly ascending")
         try:
             factor = factor_module(M, lo, hi)
-        except ValueError:  # factor_module refuses a non-invariant hi
-            raise ValueError("candidate chain term is not invariant") from None
+        except ValueError:  # lo outside hi, or hi not invariant
+            raise ValueError("candidate chain term is not invariant" if hi.contains(lo)
+                             else "chain is not strictly ascending") from None
         dims.append(factor.dim)
         trivial.append(trivial_actions(factor))
         if not is_irreducible(factor):
@@ -497,8 +493,12 @@ def tensor_square(form: BilForm) -> TensorSquare:
     return TensorSquare(gamma, omega, sym, alt, delta)
 
 
-def gamma_image(ts: TensorSquare, U: Subspace) -> Subspace:
-    return Subspace.span(U.basis @ ts.gamma.transpose())
+def gamma_image(ts: TensorSquare, U: Subspace, V: Subspace) -> Subspace:
+    """Gamma(U), for comparison with V.  Gamma is invertible, so Gamma(U) = V
+    when dim U = dim V and V holds every row of U Gamma': then V is returned,
+    and U Gamma' is eliminated to its canonical basis only otherwise."""
+    image = U.basis @ ts.gamma.transpose()
+    return V if V.dim == U.dim and V.residuals(image).is_zero() else Subspace.span(image)
 
 
 def star_map(s: Mat) -> Mat:

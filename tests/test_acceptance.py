@@ -13,15 +13,11 @@ import itertools
 import random
 import time
 
-import pytest
-
 from lieclassical import verify
 from lieclassical.fields import GF, QQ
 from lieclassical.forms import classify, standard_symplectic_gram
 from lieclassical.liealg import (
-    MatLieAlg,
     bracket,
-    gl_subspace,
     self_adjoint_module,
     skew_adjoint_algebra,
     sl_subspace,

@@ -404,8 +404,13 @@ def test_tensor_square_gamma_images_skew_odd_char():
     J = standard_symplectic_gram(K, 4)
     L = skew_adjoint_algebra(J)
     ts = tensor_square(classify(J))
-    assert gamma_image(ts, ts.alt) == self_adjoint_module(J)
-    assert gamma_image(ts, ts.sym) == L.space
+    M = self_adjoint_module(J)
+    assert gamma_image(ts, ts.alt, M) == M
+    assert gamma_image(ts, ts.sym, L.space) == L.space
+    # compared with a subspace it is not (of another dimension, or of the
+    # same one), the image is still its own canonical basis
+    assert gamma_image(ts, ts.alt, L.space) == M
+    assert ts.sym != L.space and gamma_image(ts, ts.sym, ts.sym) == L.space
 
 
 def test_tensor_square_delta_char2():
@@ -695,3 +700,23 @@ def test_restrict_to_sl_selects_by_position(n):
     X = Mat.from_blocks([[off], [h]])
     assert Subspace.span(X) == sl_subspace(K, n)
     assert Zsl.stack == kron_sum_stack(X, X, 1)
+
+
+@pytest.mark.parametrize("K", [GF(5), QQ], ids=lambda K: K.token)
+def test_non_nested_chain_refused(K):
+    # s and sl are invariant and rise in dimension, but s is not in sl (3 is
+    # a unit): the chain is not ascending, whatever the terms' invariance
+    M = adjoint_module(MatLieAlg(3, sl_subspace(K, 3)), gl_subspace(K, 3))
+    with pytest.raises(ValueError, match="chain is not strictly ascending"):
+        composition_series(M, candidate_chain=[scalars_subspace(K, 3), sl_subspace(K, 3)],
+                           mod_p_primes=(5, 7))
+
+
+def test_chain_links_are_tested_for_containment_once(monkeypatch):
+    # factor_module's coordinates of lo in hi are each link's one containment
+    # test; Subspace.contains only names the fault of a refused link
+    K = GF(5)
+    M = adjoint_module(MatLieAlg(5, sl_subspace(K, 5)), gl_subspace(K, 5))
+    monkeypatch.setattr(Subspace, "contains", lambda self, other: pytest.fail("tested twice"))
+    cs = composition_series(M, candidate_chain=[scalars_subspace(K, 5), sl_subspace(K, 5)])
+    assert cs.factor_dims == [1, 23, 1]

@@ -435,3 +435,54 @@ def test_sl4_so6_builds_the_conjugation_modules_once(monkeypatch):
     monkeypatch.setattr(verify, "conjugation_modules", counting)
     assert failing(verify.run_sl4_so6(GF(7))) == []
     assert calls.count(4) == 1
+
+
+# ---------------------------------------------------------------------------
+# Simplicity verdicts the certified series already implies are read off it
+
+
+def _irreducible_calls(monkeypatch):
+    """The dimension of every module a runner itself asks `irreducible` about
+    (the series' own factors go through repmod, not through this name)."""
+    calls = []
+
+    def recording(M, primes=None, _real=verify.irreducible):
+        calls.append(M.dim)
+        return _real(M, primes)
+
+    monkeypatch.setattr(verify, "irreducible", recording)
+    return calls
+
+
+@pytest.mark.parametrize("run, args, label", [
+    (verify.run_thm_1_3, (8, GF(5)), "L simple"),
+    (verify.run_thm_1_4, (6, QQ), "L simple"),
+    (verify.run_thm_1_4, (4, QQ, [Fraction(d) for d in (1, 1, 1, 2)]), "m=4 dichotomy"),
+    (verify.run_sl_series, (5, QQ), "sl simple"),
+], ids=["thm1.3-gf5-m8", "thm1.4-q-m6", "thm1.4-q-m4-nonsquare", "sl-q-m5"])
+def test_simplicity_is_read_off_the_certified_series(monkeypatch, run, args, label):
+    calls = _irreducible_calls(monkeypatch)
+    rep = run(*args)
+    assert failing(rep) == []
+    assert [c.computed for c in rep.claims if c.label == label] == [True]
+    assert calls == []
+
+
+def test_split_so4_still_certifies_L_reducible(monkeypatch):
+    # square discriminant: gl/M is no factor of the series, so L's module is
+    # certified, and found reducible
+    calls = _irreducible_calls(monkeypatch)
+    rep = verify.run_thm_1_4(4, GF(5))
+    assert failing(rep) == []
+    (dichotomy,) = [c for c in rep.claims if c.label == "m=4 dichotomy"]
+    assert (dichotomy.computed, calls) == (False, [6])
+
+
+def test_failed_hom_witness_falls_back_to_certifying_L(monkeypatch):
+    calls = _irreducible_calls(monkeypatch)
+    assert failing(verify.run_thm_1_3(6, GF(5))) == [] and calls == []
+    monkeypatch.setattr(verify, "_intertwines", lambda T, quo, sub: False)
+    rep = verify.run_thm_1_3(6, GF(5))
+    assert failing(rep) == [("gl/M = L (hom witness)", True, False)]
+    assert [c.computed for c in rep.claims if c.label == "L simple"] == [True]
+    assert calls == [21]
