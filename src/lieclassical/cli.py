@@ -229,8 +229,6 @@ def _verify_reports(vid, K, args):
                 raise CliError("thm1.1 needs --field 2")
             if args.form != "alternating":
                 raise CliError("thm1.1 needs --form alternating")
-            if m % 2:
-                raise CliError("thm1.1 needs even m")
             return [verify.run_thm_1_1(m)]
         if vid == "thm1.2":
             m = _need_m(args)
@@ -240,15 +238,9 @@ def _verify_reports(vid, K, args):
             return [verify.run_thm_1_2(m, diag)]
         if vid == "thm1.3":
             m = _need_m(args)
-            if K.char == 2:
-                raise CliError("thm1.3 needs characteristic other than 2")
-            if m % 2:
-                raise CliError("thm1.3 needs even m")
             return [verify.run_thm_1_3(m, K)]
         if vid == "thm1.4":
             m = _need_m(args)
-            if K.char == 2:
-                raise CliError("thm1.4 needs characteristic other than 2")
             diag = None if args.form == "alternating" else _diag_entries(K, m, args.form)
             return [verify.run_thm_1_4(m, K, diag)]
         if vid == "sl-series":

@@ -274,22 +274,19 @@ def factor_module(M: LieModule, lo: Subspace, hi: Subspace) -> LieModule:
 
 
 def quotient_module(M: LieModule, U: Subspace) -> LieModule:
-    """Actions on M/U in the coordinates of the non-pivot positions of U.
+    """Actions on M/U in the coordinates of the non-pivot positions of U: M
+    itself, not a copy, when U = 0.
 
     The images A_i e_j of the free unit vectors are columns of the
     generators; their residuals against U, which sit at the free positions,
     are the quotient action.
     """
+    if not U.dim:
+        return M
     S, g = M.stack, len(M.labels())
     free = U.nonpivots()
     images = S.transpose()[free, :].reshape(len(free) * g, M.dim)
     return M.on_stack(U.residuals(images))
-
-
-def quotient_lift(U: Subspace, C: Mat) -> Mat:
-    """Canonical preimages in the ambient of the quotient coordinate rows of
-    C: C's columns at U's non-pivot positions, zero at its pivots."""
-    return C @ Mat.identity(U.field, U.ambient)[U.nonpivots(), :]
 
 
 def invariant_under(U: Subspace, S: Mat) -> bool:
@@ -314,63 +311,52 @@ class CompSeries:
 
 
 def composition_series(M: LieModule, candidate_chain=None, mod_p_primes=None) -> CompSeries:
-    """A certified composition series of M.  A candidate chain is checked
-    term by term (each term invariant, each factor `irreducible`, over Q at
-    the primes `mod_p_primes`); without one, over a finite field only, the
-    chain is found by splitting M at the submodules certification finds.
-    Raises ValueError when the chain is no composition series, and
-    `BudgetExceeded` when certification runs out of budget."""
-    K = M.field
-    if candidate_chain is not None:
-        chain = list(candidate_chain)
-        if not chain or chain[0].dim:
-            chain.insert(0, Subspace.zero(K, M.dim))
-        if chain[-1].dim != M.dim:
-            chain.append(Subspace.full(K, M.dim))
-        return _series(M, chain, lambda factor: irreducible(factor, mod_p_primes)[0])
-    if K.order() is None:
+    """A certified composition series of M, one loop over the links (lo, hi)
+    of a chain: a candidate chain between 0 and M, or without one, over a
+    finite field only, the chain [0, M].  Building each link's factor is the
+    one test that lo lies in hi and that hi is invariant; the factor is
+    certified `irreducible` as it stands (over Q at the primes
+    `mod_p_primes`).  A reducible factor refuses a candidate chain; a free
+    search splits it at the witness into the submodule and the quotient,
+    each built from the factor and carrying its coordinate rows in M, and
+    certifies those in turn, lower first.  Raises ValueError when the chain
+    is no composition series, and `BudgetExceeded` when certification runs
+    out of budget."""
+    K, free = M.field, candidate_chain is None
+    if free and K.order() is None:
         raise ValueError("characteristic 0 needs a candidate chain")
-    chain = [Subspace.zero(K, M.dim)] + _max_chain(M) + [Subspace.full(K, M.dim)]
-    return _series(M, chain)
-
-
-def _series(M, chain, is_irreducible=lambda factor: True):
-    """The factors of an ascending chain, bottom-up, each required to be
-    irreducible; building each factor is the one test that lo lies in hi and
-    that hi is invariant."""
-    dims, trivial = [], []
+    chain = [] if free else list(candidate_chain)
+    if not chain or chain[0].dim:
+        chain.insert(0, Subspace.zero(K, M.dim))
+    if chain[-1].dim != M.dim:
+        chain.append(Subspace.full(K, M.dim))
+    terms, dims, trivial = chain[:1], [], []
     for lo, hi in zip(chain, chain[1:]):
         if hi.dim <= lo.dim:
             raise ValueError("chain is not strictly ascending")
+        # pieces: (module, its coordinate rows in M); hi's rows are the
+        # factor's coordinates in a free search, whose one link is (0, M)
         try:
-            factor = factor_module(M, lo, hi)
+            pieces = [(factor_module(M, lo, hi), hi.basis)]
         except ValueError:  # lo outside hi, or hi not invariant
             raise ValueError("candidate chain term is not invariant" if hi.contains(lo)
                              else "chain is not strictly ascending") from None
-        dims.append(factor.dim)
-        trivial.append(trivial_actions(factor))
-        if not is_irreducible(factor):
-            raise ValueError("candidate chain factor is not irreducible")
-    return CompSeries(chain, dims, trivial)
-
-
-def _max_chain(M: LieModule):
-    """Interior terms of a maximal submodule chain, in M's own coordinates."""
-    if M.dim == 0:
-        return []
-    res = certify_irreducible(M)
-    if res.status == "irreducible":
-        return []
-    W = res.witness
-    sub = restrict_module(M, W)
-    quot = quotient_module(M, W)
-    lower = _max_chain(sub)
-    upper = _max_chain(quot)
-    chain = [W.lift_subspace(c) for c in lower]
-    chain.append(W)
-    for c in upper:
-        chain.append(Subspace.span(Mat.from_blocks([[W.basis], [quotient_lift(W, c.basis)]])))
-    return chain
+        while pieces:
+            F, rows = pieces.pop()
+            if K.order() is None:
+                irreducible(F, mod_p_primes)  # certifies, or raises
+            elif (res := certify_irreducible(F)).status == "reducible":
+                if not free:
+                    raise ValueError("candidate chain factor is not irreducible")
+                X = res.witness
+                pieces += [(quotient_module(F, X), rows[X.nonpivots(), :]),
+                           (restrict_module(F, X), X.basis @ rows)]
+                continue
+            dims.append(F.dim)
+            trivial.append(trivial_actions(F))
+            terms.append(Subspace.span(Mat.from_blocks([[terms[-1].basis], [rows]]))
+                         if pieces else hi)
+    return CompSeries(terms, dims, trivial)
 
 
 def first_primes_coprime_to(n, count=2):
@@ -457,8 +443,6 @@ def adjoint_module(L: MatLieAlg, ambient: Subspace) -> LieModule:
     """ad action of L's basis restricted to an invariant subspace of gl(m)."""
     labels = [f"x{i}" for i in range(L.dim)]
     gl = LieModule._of_stack(L.field, labels, ad_stack(L.space.basis))
-    if ambient.dim == gl.dim:
-        return gl
     try:
         return restrict_module(gl, ambient)
     except ValueError:

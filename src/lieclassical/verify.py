@@ -466,7 +466,7 @@ def all_submodules(M: LieModule):
     work = [full]
     while work:
         U = work.pop()
-        sub = M if U.dim == M.dim else restrict_module(M, U)
+        sub = restrict_module(M, U)
         for S in simples:
             H = hom_space(sub, S)
             for coeffs in line_reps(K, H.dim):
@@ -580,13 +580,11 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool):
     adL = restrict_module(module, L.space)
     hom = _intertwines(_projection_intertwiner(L.space, M), quotient_module(module, M), adL)
     rep.check("gl/M = L (hom witness)", ref, True, hom)
-    # L is simple when the witness holds, as the certified top factor gl/M is
-    # (unless so(4) splits); L is certified itself only when it fails.  Over Q
-    # "not simple" rests on the so(4) ideal: so(4) splits at every good prime
-    if orth_m4_split and primes:
-        simple, how = False, "so(4) ideal"
-    else:
-        simple, how = (hom and not orth_m4_split) or irreducible(adL, primes)[0], method
+    # a split so(4) is not simple: `_so4_ideal` checked its ideal proper and
+    # ad-invariant.  Otherwise L is simple when the witness holds, as the
+    # certified top factor gl/M is; L is certified itself only when it fails
+    simple = not orth_m4_split and (hom or irreducible(adL, primes)[0])
+    how = "so(4) ideal" if orth_m4_split and primes else method
     if symplectic or m >= 5:
         rep.check("L simple", "Thm 11.1" if symplectic else "Prop 9.1", True, simple, how)
     else:

@@ -327,6 +327,27 @@ def test_thm13_m_0_is_refused_as_below_2(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the runners' own checks, made once
+    (("verify:thm1.1", "--field", "2", "--m", "7"), "needs even m >= 2"),
+    (("verify:thm1.3", "--field", "2", "--m", "4"), "needs characteristic != 2"),
+    (("verify:thm1.3", "--field", "5", "--m", "5"), "needs even m >= 2"),
+    (("verify:thm1.4", "--field", "2", "--m", "4"), "needs characteristic != 2"),
+    (("verify:thm1.4", "--field", "2", "--m", "3", "--form", "diag:1,1,1"),
+     "needs characteristic != 2"),
+    # the checks only the command line can make
+    (("verify:thm1.1", "--field", "3", "--m", "4"), "thm1.1 needs --field 2"),
+    (("verify:thm1.1", "--field", "2", "--m", "4", "--form", "diag:1,1,1,1"),
+     "thm1.1 needs --form alternating"),
+    (("verify:sp-so", "--field", "5", "--m", "5"), "sp-so needs even m = 2n"),
+    (("verify:heisenberg", "--field", "3^2", "--m", "1"), "heisenberg needs a prime field"),
+], ids=["thm1.1-odd", "thm1.3-char2", "thm1.3-odd", "thm1.4-char2", "thm1.4-char2-diag",
+        "thm1.1-field", "thm1.1-form", "sp-so-odd", "heisenberg-field"])
+def test_each_refusal_names_its_check_once(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_large_prime_field_certifies(capsys):
     # 5 + 1 + 10 for sp(4) over GF(1000003) (Thm 1.3); no line is enumerated
     code, out, err = run(capsys, "verify:thm1.3", "--field", "1000003", "--m", "4",

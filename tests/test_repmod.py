@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieclassical import repmod, verify
 from lieclassical.fields import GF, QQ
@@ -42,7 +44,6 @@ from lieclassical.repmod import (
     hom_space,
     invariant_under,
     irreducible,
-    quotient_lift,
     quotient_module,
     reduce_module_mod_p,
     representation_kernel,
@@ -268,6 +269,60 @@ def test_composition_series_char0_candidate_chain():
     assert cs.factor_trivial == [False, True]
 
 
+@pytest.mark.parametrize("K", [GF(2), GF(3), GF(3, 2)], ids=["gf2", "gf3", "gf9"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 42))
+def test_free_series_is_a_composition_series(K, seed, index):
+    # one of the 43 modules `_random_modules` draws from the seed
+    M = next(itertools.islice(_random_modules(K, random.Random(seed)), index, None))
+    cs = composition_series(M)
+    chain = cs.chain
+    assert (chain[0].dim, chain[-1].dim) == (0, M.dim)
+    assert all(lo.dim < hi.dim and hi.contains(lo) for lo, hi in zip(chain, chain[1:]))
+    assert all(invariant_under(U, M.stack) for U in chain)
+    factors = [factor_module(M, lo, hi) for lo, hi in zip(chain, chain[1:])]
+    assert all(certify_by_enumeration(F).status == "irreducible" for F in factors)
+    assert cs.factor_dims == [F.dim for F in factors]
+    assert cs.factor_trivial == [F.stack.is_zero() for F in factors]
+    checked = composition_series(M, candidate_chain=chain)
+    assert (checked.factor_dims, checked.factor_trivial) == (cs.factor_dims, cs.factor_trivial)
+
+
+def _recording_certifications(monkeypatch):
+    """The modules `certify_irreducible` and `trivial_actions` receive inside
+    repmod, in order (the objects themselves)."""
+    certified, read = [], []
+    certify, trivial = repmod.certify_irreducible, repmod.trivial_actions
+    monkeypatch.setattr(repmod, "certify_irreducible",
+                        lambda M, *a, **k: certified.append(M) or certify(M, *a, **k))
+    monkeypatch.setattr(repmod, "trivial_actions", lambda M: read.append(M) or trivial(M))
+    return certified, read
+
+
+def _finite_gl_modules():
+    return [M for M, _ in _gl_modules() if M.field.order() is not None]
+
+
+def test_free_series_reports_the_modules_it_certified(monkeypatch):
+    # each factor is read off the very object certified irreducible: no pass
+    # rebuilds the factors of the chain found
+    certified, read = _recording_certifications(monkeypatch)
+    for M in _finite_gl_modules():
+        certified.clear(), read.clear()
+        cs = composition_series(M)
+        assert len(read) == cs.n_factors >= 2
+        assert all(any(F is C for C in certified) for F in read)
+        assert len(certified) == 2 * cs.n_factors - 1  # each split: two pieces
+
+
+def test_free_series_certifies_M_itself_first(monkeypatch):
+    certified, _ = _recording_certifications(monkeypatch)
+    for M in _finite_gl_modules():
+        certified.clear()
+        composition_series(M)
+        assert certified[0] is M
+
+
 def test_restrict_quotient_dims_and_brackets():
     K = GF(5)
     L = MatLieAlg(2, sl_subspace(K, 2))
@@ -454,6 +509,12 @@ def _reference_restrict(M, U):
         op_matrix(M.field, U.dim, U.dim, lambda c, A=A: U.coords(matvec(A, U.lift(c))))
         for A in M.action_mats()
     ]
+
+
+def quotient_lift(U: Subspace, C: Mat) -> Mat:
+    """Canonical preimages in the ambient of the quotient coordinate rows of
+    C: C's columns at U's non-pivot positions, zero at its pivots."""
+    return C @ Mat.identity(U.field, U.ambient)[U.nonpivots(), :]
 
 
 def _reference_quotient(M, U):

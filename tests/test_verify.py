@@ -468,14 +468,14 @@ def test_simplicity_is_read_off_the_certified_series(monkeypatch, run, args, lab
     assert calls == []
 
 
-def test_split_so4_still_certifies_L_reducible(monkeypatch):
-    # square discriminant: gl/M is no factor of the series, so L's module is
-    # certified, and found reducible
+def test_split_so4_is_read_off_its_ideal(monkeypatch):
+    # square discriminant: the checked so(4) ideal is proper, so L is not
+    # simple, and L's module is not certified
     calls = _irreducible_calls(monkeypatch)
     rep = verify.run_thm_1_4(4, GF(5))
     assert failing(rep) == []
     (dichotomy,) = [c for c in rep.claims if c.label == "m=4 dichotomy"]
-    assert (dichotomy.computed, calls) == (False, [6])
+    assert (dichotomy.computed, dichotomy.method, calls) == (False, "spin certification", [])
 
 
 def test_failed_hom_witness_falls_back_to_certifying_L(monkeypatch):
