@@ -333,10 +333,7 @@ def _run_weights(K, args):
     if H_space.dim == 0:
         raise CliError("L contains no nonzero diagonal matrices")
     H = [(f"h{i}", ad_gl(h)) for i, h in enumerate(H_space.matrices(m, m))]
-    table = weights(H)
-    entries = sorted(
-        ((tuple(K.fmt(w) for w in wt), mult) for wt, mult in table.entries)
-    )
+    entries = sorted((tuple(K.fmt(w) for w in wt), mult) for wt, mult in weights(H))
     data = {
         "cartan dims": H_space.dim,
         "weights": [{"weight": list(w), "multiplicity": mult} for w, mult in entries],

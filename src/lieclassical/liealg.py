@@ -245,13 +245,15 @@ def is_simple(alg, primes=None) -> bool:
     Ideals of a Lie algebra are exactly the submodules of its adjoint
     module, so dim > 1 plus an irreducible adjoint module is simplicity.
     """
-    from .repmod import LieModule, adjoint_module, irreducible
+    from .repmod import LieModule, irreducible
 
     if alg.dim <= 1:
         return False
-    if isinstance(alg, StructureConstants):
-        mats = alg.adjoint_matrices()
-        module = LieModule(alg.field, alg.dim, [(f"ad{i}", a) for i, a in enumerate(mats)])
-    else:
-        module = adjoint_module(alg, alg.space)
+    if isinstance(alg, MatLieAlg):
+        # the structure constants of the basis: no gl(m) action is built
+        mats = alg.basis_mats()
+        table = alg.space.coords_of(bracket_rows(alg.field, alg.m, mats, mats))
+        alg = StructureConstants(alg.field, range(alg.dim), table)
+    mats = alg.adjoint_matrices()
+    module = LieModule(alg.field, alg.dim, [(f"ad{i}", a) for i, a in enumerate(mats)])
     return irreducible(module, primes)[0]

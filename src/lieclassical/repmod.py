@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .linalg import (
     kron_sum_stack,
     null_spaces,
     poly_at,
-    roots,
 )
 
 
@@ -403,36 +402,16 @@ def hom_members(M1, M2, H: Subspace):
     return H.matrices(M2.dim, M1.dim)
 
 
-@dataclass
-class WeightTable:
-    entries: list  # (weight tuple, eigenspace dim)
-
-
-def weights(H) -> WeightTable:
-    """Simultaneous eigenspaces of the nonempty commuting family H = [(label,
-    Mat)] of n x n matrices, over their field."""
-    K, n = H[0][1].field, H[0][1].nrows
-    for i in range(len(H)):
-        for j in range(i + 1, len(H)):
-            if H[i][1] @ H[j][1] != H[j][1] @ H[i][1]:
-                raise ValueError("weight family must commute")
-    rng = random.Random(0)
-    spaces = [((), Subspace.full(K, n))]
+def weights(H) -> list:
+    """The weights of the nonempty family H = [(label, Mat)] of diagonal n x n
+    matrices, sorted, each with its multiplicity: coordinate k has the weight
+    (h[k, k] for h in H), exact over every field."""
+    diagonals = []
     for _, h in H:
-        candidates = (roots(K, charpoly(h), rng) if K.order() is not None
-                      else [Fraction(t) for t in range(-6, 7)])
-        nxt = []
-        for tag, S in spaces:
-            for lam in candidates:
-                shifted = h - Mat.identity(K, n).scale(lam)
-                eig = kernel(shifted)
-                piece = S.intersect(eig)
-                if piece.dim > 0:
-                    nxt.append((tag + (lam,), piece))
-        spaces = nxt
-    if sum(S.dim for _, S in spaces) != n:
-        raise ValueError(f"weight multiplicities do not sum to dim {n}: eigenvalues missed")
-    return WeightTable([(tag, S.dim) for tag, S in spaces])
+        diagonals.append(h.diagonal())
+        if h != Mat.diag(h.field, diagonals[-1]):
+            raise ValueError("weight family must be diagonal")
+    return sorted(Counter(zip(*diagonals)).items())
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +566,10 @@ def heisenberg_poly_module_on_basis(K, n: int, alpha, monomials) -> LieModule:
 
 def representation_kernel(module: LieModule, alg) -> Subspace:
     """Kernel of the representation on the module of the algebra alg
-    (StructureConstants or MatLieAlg) whose basis acts by the generators."""
+    (StructureConstants or MatLieAlg) whose basis acts by the generators, one
+    generator per basis element."""
+    n, g = module.dim, len(module.labels())
+    if g != alg.dim:
+        raise ValueError(f"need one generator per basis element: {g} for dim {alg.dim}")
     # x = sum c_i e_i acts by sum c_i a_i; kernel is where that operator is 0
-    n, g = module.dim, min(alg.dim, len(module.labels()))
-    return kernel(module.stack[: g * n, :].reshape(g, n * n).transpose())
+    return kernel(module.stack.reshape(g, n * n).transpose())

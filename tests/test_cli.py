@@ -144,8 +144,8 @@ def test_weights_command(capsys):
 
 
 def test_weights_over_a_large_prime_field(capsys):
-    # the eigenvalues are the roots of the characteristic polynomial, so no
-    # list of the field's million elements is walked
+    # the weights are read off the diagonal of each ad h, so no list of the
+    # field's million elements is walked
     t0 = time.monotonic()
     code, out, err = run(
         capsys, "weights", "--field", "1000003", "--m", "4", "--form", "alternating"

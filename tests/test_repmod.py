@@ -386,32 +386,49 @@ def test_hom_space_schur_and_duality():
 
 def test_weights_sl2_natural():
     h = Mat.diag(QQ, [Fraction(1), Fraction(-1)])
-    table = weights([("h", h)]).entries
+    table = weights([("h", h)])
     assert sorted(table) == [((Fraction(-1),), 1), ((Fraction(1),), 1)]
 
 
-def test_weights_refuse_an_incomplete_table():
-    # 7 is not among the eigenvalues tried over Q
+def test_weights_read_any_rational_entry():
+    # the weights are the diagonal entries, so no window of eigenvalues is tried
     V = LieModule(QQ, 2, [("h", Mat.diag(QQ, [Fraction(7), Fraction(0)]))])
-    with pytest.raises(ValueError, match="do not sum to dim 2"):
-        weights(V.generators)
+    assert weights(V.generators) == [((Fraction(0),), 1), ((Fraction(7),), 1)]
 
 
 @pytest.mark.parametrize("K", [GF(5), GF(7), GF(3, 2)], ids=["gf5", "gf7", "gf9"])
 def test_weights_over_finite_fields_in_element_order(K):
-    # a diagonalisable h = P D P^-1 with repeated eigenvalues: the table lists
-    # each eigenvalue once, in the order of K.elements()
+    # a diagonal h with repeated entries: the table lists each entry once, in
+    # the order of K.elements(); its conjugate P D P^-1, not diagonal for
+    # these seeds, is refused
     rng = random.Random(50 + K.order())
     n = 5
     for _ in range(5):
         diag = [rng.choice(K.elements()[:4]) for _ in range(n)]
+        table = weights([("h", Mat.diag(K, diag))])
+        assert table == [((lam,), diag.count(lam)) for lam in K.elements() if lam in diag]
         while True:
             P = Mat(K, [[K.random(rng) for _ in range(n)] for _ in range(n)])
             if not K.is_zero(P.det()):
                 break
         h = P @ Mat.diag(K, diag) @ P.inv()
-        table = weights([("h", h)]).entries
-        assert table == [((lam,), diag.count(lam)) for lam in K.elements() if lam in diag]
+        with pytest.raises(ValueError, match="weight family must be diagonal"):
+            weights([("h", h)])
+
+
+def test_weights_take_no_charpoly_and_no_kernel(monkeypatch):
+    from lieclassical import linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weights must read the diagonal")
+
+    monkeypatch.setattr(linalg, "charpoly", refuse)
+    monkeypatch.setattr(linalg, "kernel", refuse)
+    monkeypatch.setattr(repmod, "charpoly", refuse)
+    monkeypatch.setattr(repmod, "kernel", refuse)
+    K = GF(7)
+    H = [("h0", Mat.diag(K, [1, 6, 0, 1])), ("h1", Mat.diag(K, [2, 2, 0, 2]))]
+    assert weights(H) == [((0, 0), 1), ((1, 2), 2), ((6, 2), 1)]
 
 
 def test_weights_adjoint_sl2():
@@ -428,7 +445,7 @@ def test_weights_adjoint_sl2():
         h = Mat.diag(K, [Fraction(1), Fraction(-1)])
         cols = [L.space.coords(bracket(h, y).vec()) for y in L.basis_mats()]
         hmat = Mat(K, [[cols[j][i] for j in range(3)] for i in range(3)])
-    table = weights([("h", hmat)]).entries
+    table = weights([("h", hmat)])
     assert sorted(table) == [
         ((Fraction(-2),), 1),
         ((Fraction(0),), 1),
@@ -501,6 +518,17 @@ def test_heisenberg_poly_module():
         assert respects_brackets(V, h)
         assert representation_kernel(V, h).dim == 0  # faithful
         assert certify_irreducible(V).status == "irreducible"
+
+
+def test_representation_kernel_refuses_a_partial_generator_set():
+    # a module on one generator fewer than dim h(1) would check only part of
+    # the algebra, so it is refused rather than read as faithful
+    K = GF(3)
+    h = heisenberg(K, 1)
+    V = heisenberg_poly_module(K, 1, K.one())
+    partial = LieModule(K, V.dim, V.generators[: h.dim - 1])
+    with pytest.raises(ValueError, match="one generator per basis element"):
+        representation_kernel(partial, h)
 
 
 def _reference_restrict(M, U):
