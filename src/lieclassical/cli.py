@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import repmod
@@ -106,14 +105,9 @@ def main(argv=None) -> int:
 
 
 def run_command(args):
-    """Returns (output text, all claims passed).  A --budget or LIECOMP_BUDGET
-    holds for this command only."""
+    """Returns (output text, all claims passed).  A --budget holds for this
+    command only."""
     budget = args.budget
-    if budget is None and os.environ.get("LIECOMP_BUDGET"):
-        try:
-            budget = int(os.environ["LIECOMP_BUDGET"])
-        except ValueError:
-            raise CliError("LIECOMP_BUDGET must be an integer")
     if budget is not None and budget <= 0:
         raise CliError("budget must be positive")
     try:
@@ -220,6 +214,9 @@ def _run_verify(vid, K, args):
 
 
 def _verify_reports(vid, K, args):
+    if (args.form != "alternating" and vid in VERIFY_IDS
+            and vid not in ("thm1.1", "thm1.2", "thm1.4")):
+        raise CliError(f"verify:{vid} takes no --form")
     try:
         if vid == "all":
             return verify.run_all()
@@ -332,7 +329,7 @@ def _run_weights(K, args):
     H_space = L.space.intersect(diag)
     if H_space.dim == 0:
         raise CliError("L contains no nonzero diagonal matrices")
-    H = [(f"h{i}", ad_gl(h)) for i, h in enumerate(H_space.matrices(m, m))]
+    H = [ad_gl(h) for h in H_space.matrices(m, m)]
     entries = sorted((tuple(K.fmt(w) for w in wt), mult) for wt, mult in weights(H))
     data = {
         "cartan dims": H_space.dim,
@@ -346,7 +343,7 @@ def _run_weights(K, args):
 def _run_hom(K, args):
     """Hom from the natural module to its dual; f makes V self-dual."""
     A, L = _algebra_of(K, args)
-    V = LieModule(K, L.m, [(f"x{i}", x) for i, x in enumerate(L.basis_mats())])
+    V = LieModule(K, L.m, L.basis_mats())
     Vd = dual_module(V)
     H = hom_space(V, Vd)
     data = {"dim Hom(V, V*)": H.dim}

@@ -54,9 +54,6 @@ class Field:
     def add(self, a, b):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         raise NotImplementedError
 
@@ -65,12 +62,6 @@ class Field:
 
     def inv(self, a):
         raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero()
 
     def order(self):
         """Number of elements, or None for an infinite field."""

@@ -141,18 +141,17 @@ def trace_orthogonal_complement(U: Subspace, within: Subspace) -> Subspace:
 
 
 class StructureConstants:
-    """Abstract Lie algebra on a named basis e_0 .. e_(q-1), held as its
-    q^2 x q structure constants `table`: row i q + j holds the coordinates
-    of [e_i, e_j]."""
+    """Abstract Lie algebra on a basis e_0 .. e_(q-1), held as its q^2 x q
+    structure constants `table`: row i q + j holds the coordinates of
+    [e_i, e_j]."""
 
-    def __init__(self, field: Field, labels, table: Mat):
+    def __init__(self, field: Field, table: Mat):
         self.field = field
-        self.labels = list(labels)
         self.table = table
 
     @property
     def dim(self):
-        return len(self.labels)
+        return self.table.ncols
 
     def adjoint_matrices(self):
         """ad(e_i) as dim x dim matrices (columns indexed by e_j): the
@@ -166,12 +165,11 @@ def heisenberg(K: Field, n: int) -> StructureConstants:
     if n < 1:
         raise ValueError("need n >= 1")
     d = 2 * n + 1
-    labels = [f"u{i+1}" for i in range(n)] + [f"v{i+1}" for i in range(n)] + ["z"]
     table = np.zeros((d * d, d), dtype=np.int64)
     u = np.arange(n)
     table[u * d + n + u, d - 1] = 1
     table[(n + u) * d + u, d - 1] = -1
-    return StructureConstants(K, labels, Mat.from_ints(K, table))
+    return StructureConstants(K, Mat.from_ints(K, table))
 
 
 def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
@@ -199,7 +197,7 @@ def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
     if len(reps) != q:
         raise ValueError(f"need {q} coset representatives, got {len(reps)}")
     if not q:
-        return StructureConstants(K, [], Mat.zeros(K, 0, 0)), reps
+        return StructureConstants(K, Mat.zeros(K, 0, 0)), reps
 
     def reduced(X):
         return coords_I.residuals(L.space.coords_of(X))
@@ -208,7 +206,7 @@ def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
     if Subspace.span(red_reps).dim != q:
         raise ValueError("representatives are dependent modulo the ideal")
     table = reduced(bracket_rows(K, L.m, reps, reps)) @ red_reps.inv()
-    return StructureConstants(K, [f"r{i}" for i in range(q)], table), reps
+    return StructureConstants(K, table), reps
 
 
 def bracket_rows(K: Field, m: int, xs, ys) -> Mat:
@@ -253,7 +251,5 @@ def is_simple(alg, primes=None) -> bool:
         # the structure constants of the basis: no gl(m) action is built
         mats = alg.basis_mats()
         table = alg.space.coords_of(bracket_rows(alg.field, alg.m, mats, mats))
-        alg = StructureConstants(alg.field, range(alg.dim), table)
-    mats = alg.adjoint_matrices()
-    module = LieModule(alg.field, alg.dim, [(f"ad{i}", a) for i, a in enumerate(mats)])
-    return irreducible(module, primes)[0]
+        alg = StructureConstants(alg.field, table)
+    return irreducible(LieModule(alg.field, alg.dim, alg.adjoint_matrices()), primes)[0]

@@ -46,48 +46,41 @@ from .linalg import (
 
 
 class LieModule:
-    """A module over the Lie algebra spanned by labelled generators, built
-    from (label, dim x dim action) pairs.  The actions are held stacked into
-    one (count * dim) x dim matrix, block i the action of generator i, which
-    the surgery and spins multiply with."""
+    """A module over the Lie algebra spanned by `count` generators, built
+    from their dim x dim actions in order: generator i is known by its
+    position.  The actions are held stacked into one (count * dim) x dim
+    matrix, block i the action of generator i, which the surgery and spins
+    multiply with."""
 
-    def __init__(self, field: Field, dim: int, generators):
-        mats = [a for _, a in generators]
-        self.field, self.dim, self._labels = field, dim, [lbl for lbl, _ in generators]
+    def __init__(self, field: Field, dim: int, mats):
+        self.field, self.dim, self.count = field, dim, len(mats)
         self.stack = Mat.from_blocks([[a] for a in mats]) if mats else Mat.zeros(field, 0, dim)
 
     @classmethod
-    def _of_stack(cls, field, labels, stack: Mat):
+    def _of_stack(cls, field, count, stack: Mat):
         M = cls.__new__(cls)
-        M.field, M.dim, M._labels, M.stack = field, stack.ncols, labels, stack
+        M.field, M.dim, M.count, M.stack = field, stack.ncols, count, stack
         return M
 
-    @property
-    def generators(self):
-        n = self.dim
-        return [(lbl, self.stack[i * n : (i + 1) * n, :]) for i, lbl in enumerate(self._labels)]
-
     def action_mats(self):
-        return [a for _, a in self.generators]
-
-    def labels(self):
-        return list(self._labels)
+        n = self.dim
+        return [self.stack[i * n : (i + 1) * n, :] for i in range(self.count)]
 
     def on_stack(self, X: Mat) -> "LieModule":
-        """The module with these labels whose i-th generator is X[i::count]'
+        """The module with as many generators whose i-th is X[i::count]'
         (X's rows interleave the generators, as `_images` makes them)."""
-        g, r = len(self._labels), X.ncols
-        return LieModule._of_stack(self.field, self._labels, X.reshape(r, g * r).transpose())
+        g, r = self.count, X.ncols
+        return LieModule._of_stack(self.field, g, X.reshape(r, g * r).transpose())
 
     def __repr__(self):
-        return f"LieModule({self.field!r}, dim={self.dim}, {len(self._labels)} generators)"
+        return f"LieModule({self.field!r}, dim={self.dim}, {self.count} generators)"
 
 
 def dual_module(M: LieModule) -> LieModule:
     """The actions -A': the rows vec(A) of the stack read at the transposed positions."""
-    g, n = len(M.labels()), M.dim
+    g, n = M.count, M.dim
     vecs = M.stack.reshape(g, n * n)[:, transposed_positions(n)]
-    return LieModule._of_stack(M.field, M.labels(), -vecs.reshape(g * n, n))
+    return LieModule._of_stack(M.field, g, -vecs.reshape(g * n, n))
 
 
 def trivial_actions(M: LieModule) -> bool:
@@ -97,7 +90,7 @@ def trivial_actions(M: LieModule) -> bool:
 def respects_brackets(M: LieModule, struct: StructureConstants) -> bool:
     """action([x_i, x_j]) = [action(x_i), action(x_j)] for all generator
     pairs: row i g + j of the table times the stacked vec(action(x_k))."""
-    g, n = len(M.labels()), M.dim
+    g, n = M.count, M.dim
     mats = M.action_mats()
     return bracket_rows(M.field, n, mats, mats) == struct.table @ M.stack.reshape(g, n * n)
 
@@ -148,8 +141,8 @@ def line_reps(K, n):
             yield prefix + list(tail)
 
 
-# cap on random elements drawn plus spins per test; the cli lets
-# LIECOMP_BUDGET or --budget override it
+# cap on random elements drawn plus spins per test; the cli's --budget
+# overrides it for one command
 DEFAULT_BUDGET = 10**6
 
 
@@ -229,7 +222,7 @@ def irreducible(M: LieModule, primes=None) -> tuple[bool, str]:
 
 def _random_element(M: LieModule, rng) -> Mat:
     """x y + z for random linear combinations x, y, z of the generators."""
-    K, n, g = M.field, M.dim, len(M.labels())
+    K, n, g = M.field, M.dim, M.count
     if not g:
         return Mat.zeros(K, n, n)
     coeffs = Mat(K, [[K.random(rng) for _ in range(g)] for _ in range(3)])
@@ -282,7 +275,7 @@ def quotient_module(M: LieModule, U: Subspace) -> LieModule:
     """
     if not U.dim:
         return M
-    S, g = M.stack, len(M.labels())
+    S, g = M.stack, M.count
     free = U.nonpivots()
     images = S.transpose()[free, :].reshape(len(free) * g, M.dim)
     return M.on_stack(U.residuals(images))
@@ -374,8 +367,7 @@ def reduce_module_mod_p(M: LieModule, p: int) -> LieModule:
     Scaling a generator by a nonzero rational does not change its invariant
     subspaces, so the reduced module's lattice refines the rational one.
     """
-    gens = [(lbl, A.cleared_mod(p)) for lbl, A in M.generators]
-    return LieModule(GF(p), M.dim, gens)
+    return LieModule(GF(p), M.dim, [A.cleared_mod(p) for A in M.action_mats()])
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +375,16 @@ def reduce_module_mod_p(M: LieModule, p: int) -> LieModule:
 
 
 def hom_space(M1: LieModule, M2: LieModule) -> Subspace:
-    """All T (dim2 x dim1) with T a1(x) = a2(x) T for every generator."""
-    if M1.labels() != M2.labels():
-        raise ValueError("generator labels must match")
+    """All T (dim2 x dim1) with T a1(x) = a2(x) T for every generator x,
+    the generators of M1 and M2 paired by position."""
+    if M1.count != M2.count:
+        raise ValueError("generator counts must match")
     K = M1.field
     n1, n2 = M1.dim, M2.dim
     blocks = []
     eye1 = Mat.identity(K, n1)
     eye2 = Mat.identity(K, n2)
-    for (_, a1), (_, a2) in zip(M1.generators, M2.generators):
+    for a1, a2 in zip(M1.action_mats(), M2.action_mats()):
         blocks.append(kron(eye2, a1.transpose()) - kron(a2, eye1))
     if not blocks:
         return Subspace.full(K, n1 * n2)
@@ -403,11 +396,11 @@ def hom_members(M1, M2, H: Subspace):
 
 
 def weights(H) -> list:
-    """The weights of the nonempty family H = [(label, Mat)] of diagonal n x n
-    matrices, sorted, each with its multiplicity: coordinate k has the weight
+    """The weights of the nonempty family H of diagonal n x n matrices,
+    sorted, each with its multiplicity: coordinate k has the weight
     (h[k, k] for h in H), exact over every field."""
     diagonals = []
-    for _, h in H:
+    for h in H:
         diagonals.append(h.diagonal())
         if h != Mat.diag(h.field, diagonals[-1]):
             raise ValueError("weight family must be diagonal")
@@ -420,8 +413,7 @@ def weights(H) -> list:
 
 def adjoint_module(L: MatLieAlg, ambient: Subspace) -> LieModule:
     """ad action of L's basis restricted to an invariant subspace of gl(m)."""
-    labels = [f"x{i}" for i in range(L.dim)]
-    gl = LieModule._of_stack(L.field, labels, ad_stack(L.space.basis))
+    gl = LieModule._of_stack(L.field, L.dim, ad_stack(L.space.basis))
     try:
         return restrict_module(gl, ambient)
     except ValueError:
@@ -489,14 +481,11 @@ def star_map(s: Mat) -> Mat:
 
 def conjugation_modules(n, K):
     """The gl(n) modules Z (a.s = as + sa') and A (a.t = -a't - ta) on n x n
-    matrices, generated by the units a = e_ij (generator i n + j, labelled
-    a{i}{j}, with a comma between two-digit indices)."""
-    sep = "," if n > 10 else ""
-    labels = [f"a{i}{sep}{j}" for i in range(n) for j in range(n)]
+    matrices, generated by the units a = e_ij (generator i n + j)."""
     E = Mat.identity(K, n * n)  # rows vec(e_ij)
     Et = E[:, transposed_positions(n)]  # rows vec(e_ij')
-    return (LieModule._of_stack(K, labels, kron_sum_stack(E, E, 1)),
-            LieModule._of_stack(K, labels, -kron_sum_stack(Et, Et, 1)))
+    return (LieModule._of_stack(K, n * n, kron_sum_stack(E, E, 1)),
+            LieModule._of_stack(K, n * n, -kron_sum_stack(Et, Et, 1)))
 
 
 def sym_alt_subspaces(n, K):
@@ -517,11 +506,10 @@ def sym_alt_subspaces(n, K):
 def restrict_to_sl(module: LieModule, n, K) -> LieModule:
     """The generators spanning sl(n) from a family whose generator i n + j
     is e_ij: the e_ij with i != j, then h_i = e_ii - e_nn."""
-    gens = module.generators
-    off = [g for k, g in enumerate(gens) if k // n != k % n]
-    last = gens[n * n - 1][1]
-    return LieModule(K, module.dim,
-                     off + [(f"h{i}", gens[i * (n + 1)][1] - last) for i in range(n - 1)])
+    mats = module.action_mats()
+    off = [a for k, a in enumerate(mats) if k // n != k % n]
+    last = mats[n * n - 1]
+    return LieModule(K, module.dim, off + [mats[i * (n + 1)] - last for i in range(n - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +528,9 @@ def heisenberg_poly_module(K, n: int, alpha) -> LieModule:
 
 
 def heisenberg_poly_module_on_basis(K, n: int, alpha, monomials) -> LieModule:
+    """The truncated polynomial module of h(n) on the given monomial basis:
+    its generators are the actions of u_1..u_n, v_1..v_n, z in that order,
+    the order of `liealg.heisenberg`'s basis."""
     p = K.char
     index = {mo: i for i, mo in enumerate(monomials)}
     d = len(monomials)
@@ -551,7 +542,7 @@ def heisenberg_poly_module_on_basis(K, n: int, alpha, monomials) -> LieModule:
                 lower = list(mo)
                 lower[i] -= 1
                 du[index[tuple(lower)]][col] = K.of(mo[i])
-        gens.append((f"u{i+1}", Mat(K, du)))
+        gens.append(Mat(K, du))
     for i in range(n):
         mv = [[K.zero()] * d for _ in range(d)]
         for mo, col in index.items():
@@ -559,8 +550,8 @@ def heisenberg_poly_module_on_basis(K, n: int, alpha, monomials) -> LieModule:
                 upper = list(mo)
                 upper[i] += 1
                 mv[index[tuple(upper)]][col] = alpha
-        gens.append((f"v{i+1}", Mat(K, mv)))
-    gens.append(("z", Mat.identity(K, d).scale(alpha)))
+        gens.append(Mat(K, mv))
+    gens.append(Mat.identity(K, d).scale(alpha))
     return LieModule(K, d, gens)
 
 
@@ -568,7 +559,7 @@ def representation_kernel(module: LieModule, alg) -> Subspace:
     """Kernel of the representation on the module of the algebra alg
     (StructureConstants or MatLieAlg) whose basis acts by the generators, one
     generator per basis element."""
-    n, g = module.dim, len(module.labels())
+    n, g = module.dim, module.count
     if g != alg.dim:
         raise ValueError(f"need one generator per basis element: {g} for dim {alg.dim}")
     # x = sum c_i e_i acts by sum c_i a_i; kernel is where that operator is 0

@@ -310,7 +310,7 @@ def _run_m2_alternating(rep: Report) -> Report:
               lie_isomorphic_by_structure(heisenberg(K, 1), S, Mat.identity(K, 3)))
     poly = heisenberg_poly_module(K, 1, K.one())
     rep.check("natural module is F[X]/(X^2)", "Note 12.5",
-              [a.to_text() for _, a in poly.generators],
+              [a.to_text() for a in poly.action_mats()],
               [a.to_text() for a in (e, f, eye)])
     return rep
 
@@ -519,7 +519,7 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool):
     M = self_adjoint_module(A)
     gl = gl_subspace(K, m)
     s = scalars_subspace(K, m)
-    Msl = _traceless(M)
+    Msl = trace_orthogonal_complement(s, M)
     dim_l = m * (m + 1) // 2 if symplectic else m * (m - 1) // 2
     dim_m = m * (m - 1) // 2 if symplectic else m * (m + 1) // 2
     rep.check("dim L", ref, dim_l, L.dim)
@@ -591,12 +591,6 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool):
         rep.check("m=4 dichotomy", "Note 9.1", not orth_m4_split, simple, how)
 
 
-def _traceless(U: Subspace) -> Subspace:
-    """U cap sl(m), lifted from the kernel of the trace vec(I) on U's basis."""
-    tr = Mat.identity(U.field, math.isqrt(U.ambient)).reshape(1, U.ambient)
-    return U.lift_subspace(kernel(tr @ U.basis.transpose()))
-
-
 def _projection_intertwiner(Lspace: Subspace, M: Subspace) -> Mat:
     """Matrix of gl/M -> L sending a coset to its L-component along M.
 
@@ -655,7 +649,8 @@ def run_note_9_2() -> Report:
     A = Mat.identity(K, 3)
     L = skew_adjoint_algebra(A)
     M = self_adjoint_module(A)
-    Msl = _traceless(M)
+    s = scalars_subspace(K, 3)
+    Msl = trace_orthogonal_complement(s, M)
     rep.check("dim M cap sl", "Note 9.2", 5, Msl.dim)
     big = adjoint_module(L, gl_subspace(K, 3))
     module = restrict_module(big, Msl)
@@ -681,8 +676,6 @@ def run_note_9_2() -> Report:
     # projective line over GF(9) yields an intermediate submodule
     rep.check("11 proper nonzero submodules (s plus 10 graphs)", "Note 9.2",
               [1] + [3] * 10, [u.dim for u in proper], "maximal-submodule descent")
-    s = scalars_subspace(K, 3)
-
     Xq = factor_module(big, s, Msl.lift_subspace(X))
     Yq = factor_module(big, s, Msl.lift_subspace(Y))
     rep.check("X/s isomorphic to Y/s", "Note 9.2", 1, hom_space(Xq, Yq).dim)
@@ -702,7 +695,7 @@ def run_note_9_3() -> Report:
     A = Mat.identity(K, 2)
     L = skew_adjoint_algebra(A)
     M = self_adjoint_module(A)
-    Msl = _traceless(M)
+    Msl = trace_orthogonal_complement(scalars_subspace(K, 2), M)
     rep.check("dim M cap sl", "Note 9.3", 2, Msl.dim)
     module = adjoint_module(L, Msl)
     x = Mat(K, [[1, i], [i, K.neg(1)]])
@@ -770,7 +763,7 @@ def run_sp_so_embedding(n, K) -> Report:
     L = skew_adjoint_algebra(J)
     M = self_adjoint_module(J)
     s = scalars_subspace(K, m)
-    W = _traceless(M)
+    W = trace_orthogonal_complement(s, M)
     d = 2 * n * n - n - 1
     rep.check("dim M cap sl", "Thm 3.1", d, W.dim)
     # orthogonal decomposition gl = L perp (M cap sl) perp s
@@ -794,11 +787,11 @@ def run_sp_so_embedding(n, K) -> Report:
               (True, True, False),
               (gform.symmetric, gform.nondegenerate, gform.alternating))
     LG = skew_adjoint_algebra(G)
-    in_lg = all(LG.contains(a) for _, a in module.generators)
+    in_lg = all(LG.contains(a) for a in module.action_mats())
     rep.check("image inside L(G)", "Thm 3.1", True, in_lg)
     rep.check("dim L(G)", "Thm 3.1", d * (d - 1) // 2, LG.dim)
     if n == 2:
-        image = Subspace.from_rows(K, d * d, [a.vec() for _, a in module.generators])
+        image = Subspace.from_rows(K, d * d, [a.vec() for a in module.action_mats()])
         rep.check("image = L(G)", "Thm 3.1", LG.space, image)
         rep.check("dim sp(4) = dim L(G) = 10", "Thm 3.1", (10, 10), (L.dim, LG.dim))
     _square_upgrade(rep, "Thm 3.1", G)
@@ -850,7 +843,7 @@ def run_sl4_so6(K) -> Report:
     Asl = restrict_to_sl(A, 4, K)
     C = restrict_module(Asl, alt)
     ok = all(Phi @ at == ac @ Phi
-             for (_, at), (_, ac) in zip(T.generators, C.generators))
+             for at, ac in zip(T.action_mats(), C.action_mats()))
     rep.check("star map equivariant T -> C", "Thm 5.3",
               (True, True), (ok, not K.is_zero(Phi.det())))
     G = Mat(K, [[(star_map(x) @ y).trace() for y in tmats] for x in tmats])
@@ -858,11 +851,11 @@ def run_sl4_so6(K) -> Report:
     rep.check("g symmetric nondegenerate", "Thm 5.3", (True, True),
               (gf.symmetric, gf.nondegenerate))
     invariant = all(
-        ((a.transpose() @ G) + (G @ a)).is_zero() for _, a in T.generators
+        ((a.transpose() @ G) + (G @ a)).is_zero() for a in T.action_mats()
     )
     rep.check("g invariant (image in L(G))", "Thm 5.3", True, invariant)
     LG = skew_adjoint_algebra(G)
-    image = Subspace.from_rows(K, 36, [a.vec() for _, a in T.generators])
+    image = Subspace.from_rows(K, 36, [a.vec() for a in T.action_mats()])
     rep.check("dim sl(4) = dim L(G) = 15", "Thm 5.3", (15, 15),
               (image.dim, LG.dim))
     rep.check("image = L(G)", "Thm 5.3", LG.space, image)
@@ -974,13 +967,12 @@ def _check_prop_12_2(rep: Report):
     poly = heisenberg_poly_module_on_basis(
         K, n, K.one(), [(0, 1), (0, 0), (1, 0), (1, 1)]
     )
-    expected = {lbl: mat for lbl, mat in poly.generators}
     rep.check("R matches the polynomial module", "Prop 12.2",
-              [expected[lbl].to_text() for lbl in ("u1", "u2", "v1", "v2", "z")],
+              [a.to_text() for a in poly.action_mats()],  # u1, u2, v1, v2, z
               [R(v).to_text() for v in (b1, b2, c1, c2, a)])
     rmats = [R(v) for v in L.basis_mats()]
-    kdim = kernel(Mat(K, [rm.vec() for rm in rmats]).transpose()).dim
-    rep.check("dim ker R = dim L^(2)", "Prop 12.2", L2.dim, kdim)
+    rep.check("dim ker R = dim L^(2)", "Prop 12.2", L2.dim,
+              representation_kernel(LieModule(K, 4, rmats), L).dim)
     image = Subspace.from_rows(K, 16, [rm.vec() for rm in rmats])
     rep.check("R(L) is 5-dimensional", "Prop 12.2", 5, image.dim)
     Lg = skew_adjoint_algebra(standard_symplectic_gram(K, 4))

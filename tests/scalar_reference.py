@@ -193,13 +193,13 @@ def block_modules(r, n, K):
     for i in range(r):
         for j in range(r):
             a = Mat.unit(K, r, r, i, j)
-            gens_z.append((f"a{i}{j}", kron(a, eye_n)))
-            gens_a.append((f"a{i}{j}", -kron(eye_n, a.transpose())))
+            gens_z.append(kron(a, eye_n))
+            gens_a.append(-kron(eye_n, a.transpose()))
     for i in range(n):
         for j in range(n):
             b = Mat.unit(K, n, n, i, j)
-            gens_z.append((f"b{i}{j}", -kron(eye_r, b.transpose())))
-            gens_a.append((f"b{i}{j}", kron(b, eye_r)))
+            gens_z.append(-kron(eye_r, b.transpose()))
+            gens_a.append(kron(b, eye_r))
     return LieModule(K, r * n, gens_z), LieModule(K, n * r, gens_a)
 
 
@@ -218,7 +218,7 @@ def block_duality_check(r, n, K) -> bool:
     )
     if K.is_zero(phi.det()):
         return False
-    for (_, aA), (_, aZ) in zip(A.generators, Zdual.generators):
+    for aA, aZ in zip(A.action_mats(), Zdual.action_mats()):
         if phi @ aA != aZ @ phi:
             return False
     return True

@@ -299,20 +299,19 @@ def test_criterion_09_property_suites(capsys):
                 break
         # spin idempotence
         for _ in range(TRIALS):
-            mod = LieModule(K, 3, [("a", _rand_mat(K, rng, 3, 3)),
-                                   ("b", _rand_mat(K, rng, 3, 3))])
+            mod = LieModule(K, 3, [_rand_mat(K, rng, 3, 3), _rand_mat(K, rng, 3, 3)])
             S = spin(mod, [[K.random(rng) for _ in range(3)]])
             if spin(mod, S.basis.rows) != S:
                 failures.append(f"spin idempotence over {K.token}")
                 break
         # hom_space members intertwine
         for _ in range(TRIALS):
-            g1 = [("a", _rand_mat(K, rng, 2, 2)), ("b", _rand_mat(K, rng, 2, 2))]
-            g2 = [("a", _rand_mat(K, rng, 2, 2)), ("b", _rand_mat(K, rng, 2, 2))]
+            g1 = [_rand_mat(K, rng, 2, 2), _rand_mat(K, rng, 2, 2)]
+            g2 = [_rand_mat(K, rng, 2, 2), _rand_mat(K, rng, 2, 2)]
             V1, V2 = LieModule(K, 2, g1), LieModule(K, 2, g2)
             H = hom_space(V1, V2)
             for T in hom_members(V1, V2, H):
-                for (_, a1), (_, a2) in zip(g1, g2):
+                for a1, a2 in zip(g1, g2):
                     if T @ a1 != a2 @ T:
                         failures.append(f"hom intertwining over {K.token}")
     report_line(capsys, 9, not failures, "; ".join(sorted(set(failures))))
@@ -341,10 +340,8 @@ def test_criterion_10_oracle_equivalence(capsys):
         for n in dims:
             for _ in range(count):
                 ngens = rng.randrange(1, 4)
-                mod = LieModule(
-                    K, n, [(f"g{i}", _rand_mat(K, rng, n, n)) for i in range(ngens)]
-                )
-                acts = [a for _, a in mod.generators]
+                mod = LieModule(K, n, [_rand_mat(K, rng, n, n) for _ in range(ngens)])
+                acts = mod.action_mats()
                 oracle_reducible = any(
                     0 < U.dim < n and all(invariant_under(U, a) for a in acts)
                     for U in subspace_cache[n]

@@ -250,16 +250,6 @@ def test_budget_flag_sets_cap(capsys, monkeypatch):
     assert repmod.DEFAULT_BUDGET == default
 
 
-def test_budget_env_override(capsys, monkeypatch):
-    seen = budgets_seen(monkeypatch)
-    default = repmod.DEFAULT_BUDGET
-    monkeypatch.setenv("LIECOMP_BUDGET", "123456")
-    code, _, _ = run(capsys, "verify:sl-series", "--field", "3", "--m", "2")
-    assert code == 0
-    assert seen and set(seen) == {123456}
-    assert repmod.DEFAULT_BUDGET == default
-
-
 def test_budget_holds_for_one_command(capsys):
     # both calls in one test: the autouse fixture restores the budget only
     # between tests
@@ -267,12 +257,6 @@ def test_budget_holds_for_one_command(capsys):
     assert code == 2 and "budget exceeded" in err
     code, _, err = run(capsys, "series", "--field", "5", "--m", "4")
     assert code == 0, err
-
-
-def test_budget_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("LIECOMP_BUDGET", "lots")
-    code, _, err = run(capsys, "verify:sl-series", "--field", "3", "--m", "2")
-    assert code == 2
 
 
 @pytest.mark.parametrize(
@@ -346,6 +330,21 @@ def test_thm13_m_0_is_refused_as_below_2(capsys):
 def test_each_refusal_names_its_check_once(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("vid, form", [
+    ("thm1.3", "diag:1,2,3,4"), ("thm1.3", "bogus"), ("sl-series", "diag:1,1,1,1"),
+    ("sp-so", "file:nowhere"), ("note9.2", "diag:1,1,1"), ("all", "bogus"),
+])
+def test_verify_id_refuses_a_form_it_ignores(capsys, vid, form):
+    # a symplectic report for a diagonal --form would answer another question
+    code, out, err = run(capsys, f"verify:{vid}", "--field", "5", "--m", "4", "--form", form)
+    assert (code, out, err) == (2, "", f"error: verify:{vid} takes no --form\n")
+
+
+def test_unknown_verify_id_with_a_form_is_unknown(capsys):
+    code, out, err = run(capsys, "verify:nope", "--field", "5", "--m", "4", "--form", "diag:1,2")
+    assert (code, out) == (2, "") and err.startswith("error: unknown verify id 'nope'")
 
 
 def test_large_prime_field_certifies(capsys):
@@ -469,7 +468,6 @@ def _json_stdout_sha256(args):
     fresh process: the budget is module state that other tests set."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lieclassical.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("LIECOMP_BUDGET", None)
     argv = [sys.executable, "-m", "lieclassical.cli", *args, "--output", "json"]
     proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()

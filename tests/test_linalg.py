@@ -839,7 +839,7 @@ def test_gf9_echelon_makes_no_per_entry_field_calls(monkeypatch):
     for r in A.rows:
         ref.add(r)
     assert S == ref.subspace()
-    M = LieModule(K, n, [("a", rand_mat(K, n, n, rng)), ("b", rand_mat(K, n, n, rng))])
+    M = LieModule(K, n, [rand_mat(K, n, n, rng), rand_mat(K, n, n, rng)])
     seed = [K.random(rng) for _ in range(n)]
     S, calls = _count_field_calls(monkeypatch, K, lambda: spin(M, [seed]))
     assert calls["mul"] + calls["sub"] + calls["add"] <= 2 * n
@@ -970,7 +970,7 @@ def test_spin_inserts_each_round_with_one_echelon_add(monkeypatch):
 
     K, n = GF(5), 10
     shift = Mat(K, [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)])
-    M = repmod.LieModule(K, n, [("s", shift)])
+    M = repmod.LieModule(K, n, [shift])
     adds, rounds = [], []
     add, images = EchelonGFp.add, repmod._images
     monkeypatch.setattr(EchelonGFp, "add", lambda self, X: adds.append(1) or add(self, X))

@@ -64,7 +64,7 @@ def sl2_natural(K):
     e = Mat.unit(K, 2, 2, 0, 1)
     f = Mat.unit(K, 2, 2, 1, 0)
     h = Mat.diag(K, [K.one(), K.neg(K.one())])
-    return LieModule(K, 2, [("e", e), ("f", f), ("h", h)])
+    return LieModule(K, 2, [e, f, h])
 
 
 def test_spin_full_from_any_seed():
@@ -83,12 +83,12 @@ def test_certify_irreducible_natural():
 def test_certify_reducible_with_witness():
     K = GF(3)
     e = Mat.unit(K, 2, 2, 0, 1)
-    M = LieModule(K, 2, [("e", e)])
+    M = LieModule(K, 2, [e])
     res = certify_irreducible(M)
     assert res.status == "reducible"
     W = res.witness
     assert 0 < W.dim < 2
-    for _, a in M.generators:
+    for a in M.action_mats():
         assert invariant_under(W, a)
 
 
@@ -97,10 +97,8 @@ def test_norton_agrees_with_enumeration():
     rng = random.Random(30)
     K = GF(3)
     for _ in range(20):
-        gens = [
-            (f"g{i}", Mat(K, [[K.random(rng) for _ in range(3)] for _ in range(3)]))
-            for i in range(2)
-        ]
+        gens = [Mat(K, [[K.random(rng) for _ in range(3)] for _ in range(3)])
+                for _ in range(2)]
         M = LieModule(K, 3, gens)
         by_enum = certify_by_enumeration(M)
         by_norton = certify_irreducible(M, seed=1)
@@ -115,18 +113,17 @@ def _random_modules(K, rng):
     for n in (2, 3, 4):
         for _ in range(12):
             density = rng.choice([0.3, 0.6, 1.0])
-            gens = [(f"g{i}", Mat(K, [[K.random(rng) if rng.random() < density else z
-                                       for _ in range(n)] for _ in range(n)]))
-                    for i in range(rng.randrange(1, 4))]
+            gens = [Mat(K, [[K.random(rng) if rng.random() < density else z
+                            for _ in range(n)] for _ in range(n)])
+                    for _ in range(rng.randrange(1, 4))]
             yield LieModule(K, n, gens)
-        gens = [(f"g{i}", Mat(K, [[K.random(rng) if j >= r else z for j in range(n)]
-                                  for r in range(n)])) for i in range(2)]
+        gens = [Mat(K, [[K.random(rng) if j >= r else z for j in range(n)] for r in range(n)])
+                for _ in range(2)]
         yield LieModule(K, n, gens)
     for _ in range(4):
         S = [Mat(K, [[K.random(rng) for _ in range(2)] for _ in range(2)]) for _ in range(2)]
-        yield LieModule(K, 4, [(f"g{i}", Mat(K, [r + [z, z] for r in a.rows]
-                                             + [[z, z] + r for r in a.rows]))
-                               for i, a in enumerate(S)])
+        yield LieModule(K, 4, [Mat(K, [r + [z, z] for r in a.rows] + [[z, z] + r for r in a.rows])
+                               for a in S])
 
 
 def _so4_nonsquare_mod(p):
@@ -145,14 +142,14 @@ def test_certify_matches_enumeration_on_random_modules(K):
         if res.status == "reducible":
             W = res.witness
             assert 0 < W.dim < M.dim
-            assert all(invariant_under(W, a) for _, a in M.generators)
+            assert all(invariant_under(W, a) for a in M.action_mats())
 
 
 @pytest.mark.parametrize("M", [
     _so4_nonsquare_mod(3),
     _so4_nonsquare_mod(5),
     # x^2 + 1 is irreducible over GF(3): its companion matrix alone
-    LieModule(GF(3), 2, [("c", Mat(GF(3), [[0, 2], [1, 0]]))]),
+    LieModule(GF(3), 2, [Mat(GF(3), [[0, 2], [1, 0]])]),
 ], ids=["so4-mod3", "so4-mod5", "companion"])
 def test_certify_irreducible_not_absolutely_irreducible(M):
     assert certify_by_enumeration(M).status == "irreducible"
@@ -342,7 +339,7 @@ def _sl2_structure(L):
     time."""
     mats = L.basis_mats()
     table = Mat(L.field, [L.space.coords(bracket(x, y).vec()) for x in mats for y in mats])
-    return StructureConstants(L.field, [f"x{i}" for i in range(len(mats))], table)
+    return StructureConstants(L.field, table)
 
 
 @pytest.mark.parametrize("K", [GF(5), GF(3, 2), QQ], ids=lambda K: K.token)
@@ -356,10 +353,10 @@ def test_respects_brackets_refuses_a_wrong_table_or_generator(K):
     assert respects_brackets(V, struct)
     # one more e_0 in [e_0, e_1]
     q, T = struct.dim, struct.table
-    wrong = StructureConstants(K, struct.labels, T + Mat.unit(K, q * q, q, 1, 0))
+    wrong = StructureConstants(K, T + Mat.unit(K, q * q, q, 1, 0))
     assert not respects_brackets(V, wrong)
     # the first generator doubled: [2 e_0, e_1] has twice the table's value
-    gens = [(lbl, a.scale(K.of(2)) if i == 0 else a) for i, (lbl, a) in enumerate(V.generators)]
+    gens = [a.scale(K.of(2)) if i == 0 else a for i, a in enumerate(V.action_mats())]
     assert not respects_brackets(LieModule(K, V.dim, gens), struct)
 
 
@@ -380,20 +377,29 @@ def test_hom_space_schur_and_duality():
     hv = hom_space(V, dual)
     assert hv.dim == 1  # the 2-dimensional module is self-dual
     T = hom_members(V, dual, hv)[0]
-    for (_, a), (_, ad) in zip(V.generators, dual.generators):
+    for a, ad in zip(V.action_mats(), dual.action_mats()):
         assert T @ a == ad @ T
+
+
+def test_hom_space_refuses_different_generator_counts():
+    # generators are paired by position, so both modules need as many
+    K = GF(5)
+    V = sl2_natural(K)
+    fewer = LieModule(K, 2, V.action_mats()[:2])
+    with pytest.raises(ValueError, match="generator counts must match"):
+        hom_space(V, fewer)
 
 
 def test_weights_sl2_natural():
     h = Mat.diag(QQ, [Fraction(1), Fraction(-1)])
-    table = weights([("h", h)])
+    table = weights([h])
     assert sorted(table) == [((Fraction(-1),), 1), ((Fraction(1),), 1)]
 
 
 def test_weights_read_any_rational_entry():
     # the weights are the diagonal entries, so no window of eigenvalues is tried
-    V = LieModule(QQ, 2, [("h", Mat.diag(QQ, [Fraction(7), Fraction(0)]))])
-    assert weights(V.generators) == [((Fraction(0),), 1), ((Fraction(7),), 1)]
+    V = LieModule(QQ, 2, [Mat.diag(QQ, [Fraction(7), Fraction(0)])])
+    assert weights(V.action_mats()) == [((Fraction(0),), 1), ((Fraction(7),), 1)]
 
 
 @pytest.mark.parametrize("K", [GF(5), GF(7), GF(3, 2)], ids=["gf5", "gf7", "gf9"])
@@ -405,7 +411,7 @@ def test_weights_over_finite_fields_in_element_order(K):
     n = 5
     for _ in range(5):
         diag = [rng.choice(K.elements()[:4]) for _ in range(n)]
-        table = weights([("h", Mat.diag(K, diag))])
+        table = weights([Mat.diag(K, diag)])
         assert table == [((lam,), diag.count(lam)) for lam in K.elements() if lam in diag]
         while True:
             P = Mat(K, [[K.random(rng) for _ in range(n)] for _ in range(n)])
@@ -413,7 +419,7 @@ def test_weights_over_finite_fields_in_element_order(K):
                 break
         h = P @ Mat.diag(K, diag) @ P.inv()
         with pytest.raises(ValueError, match="weight family must be diagonal"):
-            weights([("h", h)])
+            weights([h])
 
 
 def test_weights_take_no_charpoly_and_no_kernel(monkeypatch):
@@ -427,7 +433,7 @@ def test_weights_take_no_charpoly_and_no_kernel(monkeypatch):
     monkeypatch.setattr(repmod, "charpoly", refuse)
     monkeypatch.setattr(repmod, "kernel", refuse)
     K = GF(7)
-    H = [("h0", Mat.diag(K, [1, 6, 0, 1])), ("h1", Mat.diag(K, [2, 2, 0, 2]))]
+    H = [Mat.diag(K, [1, 6, 0, 1]), Mat.diag(K, [2, 2, 0, 2])]
     assert weights(H) == [((0, 0), 1), ((1, 2), 2), ((6, 2), 1)]
 
 
@@ -437,7 +443,7 @@ def test_weights_adjoint_sl2():
     M = adjoint_module(L, L.space)
     # find the coordinate matrix of ad(h) inside the module generators
     hmat = None
-    for (_, a), x in zip(M.generators, L.basis_mats()):
+    for a, x in zip(M.action_mats(), L.basis_mats()):
         if x == Mat.diag(K, [Fraction(1), Fraction(-1)]):
             hmat = a
     # basis of sl(2) from RREF need not contain h exactly; build ad(h) directly
@@ -445,7 +451,7 @@ def test_weights_adjoint_sl2():
         h = Mat.diag(K, [Fraction(1), Fraction(-1)])
         cols = [L.space.coords(bracket(h, y).vec()) for y in L.basis_mats()]
         hmat = Mat(K, [[cols[j][i] for j in range(3)] for i in range(3)])
-    table = weights([("h", hmat)])
+    table = weights([hmat])
     assert sorted(table) == [
         ((Fraction(-2),), 1),
         ((Fraction(0),), 1),
@@ -526,7 +532,7 @@ def test_representation_kernel_refuses_a_partial_generator_set():
     K = GF(3)
     h = heisenberg(K, 1)
     V = heisenberg_poly_module(K, 1, K.one())
-    partial = LieModule(K, V.dim, V.generators[: h.dim - 1])
+    partial = LieModule(K, V.dim, V.action_mats()[: h.dim - 1])
     with pytest.raises(ValueError, match="one generator per basis element"):
         representation_kernel(partial, h)
 
@@ -581,7 +587,7 @@ def test_surgery_matches_reference_on_spun_submodules():
             U = spin(M, seeds)
             proper += 0 < U.dim < M.dim
             sub, quo = restrict_module(M, U), quotient_module(M, U)
-            assert sub.labels() == quo.labels() == M.labels()
+            assert sub.count == quo.count == M.count
             assert sub.action_mats() == _reference_restrict(M, U)
             assert quo.action_mats() == _reference_quotient(M, U)
     assert proper >= 10
@@ -607,7 +613,7 @@ def _old_factor(M, lo, hi):
     coordinates, eliminated once more."""
     if hi.dim == M.dim:
         return quotient_module(M, lo)
-    gens = [(lbl, hi.coords_of(hi.basis @ A.transpose()).transpose()) for lbl, A in M.generators]
+    gens = [hi.coords_of(hi.basis @ A.transpose()).transpose() for A in M.action_mats()]
     sub = LieModule(M.field, hi.dim, gens)
     return quotient_module(sub, Subspace.span(hi.coords_of(lo.basis))) if lo.dim else sub
 
@@ -627,7 +633,7 @@ def test_factor_module_matches_restrict_then_quotient(monkeypatch, run):
     between = 0
     for M, lo, hi, F in calls:
         ref = _old_factor(M, lo, hi)
-        assert (F.dim, F.labels(), F.action_mats()) == (ref.dim, ref.labels(), ref.action_mats())
+        assert (F.dim, F.count, F.action_mats()) == (ref.dim, ref.count, ref.action_mats())
         between += 0 < lo.dim and hi.dim < M.dim
     assert between >= 1 and len(calls) >= 4
 
@@ -677,7 +683,7 @@ def test_dual_module_negates_each_transpose(K):
     L = skew_adjoint_algebra(Mat.diag(K, [K.one(), K.one(), K.of(3)]))
     M = adjoint_module(L, gl_subspace(K, 3))
     dual = dual_module(M)
-    assert dual.labels() == M.labels()
+    assert dual.count == M.count
     assert dual.action_mats() == [-a.transpose() for a in M.action_mats()]
 
 
@@ -698,7 +704,7 @@ def test_spin_exact_near_int64_limit():
         T = Mat(K, [[K.random(rng) if r < 4 or c >= 4 else 0 for c in range(n)]
                     for r in range(n)])
         G = op_matrix(K, n, n, lambda v, T=T: matvec(P, matvec(T, matvec(Pinv, v))))
-        gens.append((f"g{i}", G))
+        gens.append(G)
     M = LieModule(K, n, gens)
     seed = matvec(P, [K.random(rng) for _ in range(4)] + [0] * 4)
     ref = ScalarEchelon(K, n)
@@ -715,7 +721,7 @@ def test_restrict_to_zero_subspace():
         M = adjoint_module(MatLieAlg(2, sl_subspace(K, 2)), gl_subspace(K, 2))
         R = restrict_module(M, Subspace.zero(K, 4))
         assert R.dim == 0
-        assert R.labels() == M.labels()
+        assert R.count == M.count
         assert all(a.rows == [] for a in R.action_mats())
 
 
@@ -757,7 +763,6 @@ def test_adjoint_module_matches_bracket_reference(K):
         for ambient in (gl_subspace(K, m), L.space, M, M.intersect(sl_subspace(K, m))):
             mod = adjoint_module(L, ambient)
             assert mod.dim == ambient.dim
-            assert mod.labels() == [f"x{i}" for i in range(L.dim)]
             assert mod.action_mats() == _reference_adjoint(L, ambient)
 
 
@@ -773,15 +778,9 @@ def test_generator_free_module(K):
 
 @pytest.mark.parametrize("n", [4, 11, 12])
 def test_restrict_to_sl_selects_by_position(n):
-    # with two-digit indices the label a{i}{j} cannot be read back: at n = 12
-    # "a111" would be both e_1,11 and e_11,1
+    # generator i n + j of the family is e_ij, also for two-digit indices
     K = GF(3)
     Zsl = restrict_to_sl(conjugation_modules(n, K)[0], n, K)
-    labels = Zsl.labels()
-    assert len(labels) == len(set(labels)) == n * n - 1
-    if n <= 10:
-        assert labels == ([f"a{i}{j}" for i in range(n) for j in range(n) if i != j]
-                          + [f"h{i}" for i in range(n - 1)])
     # the generators act as e_ij (i != j), then e_ii - e_nn, on s -> x s + s x'
     eye = Mat.identity(K, n * n)
     off = eye[[k for k in range(n * n) if k // n != k % n], :]

@@ -32,7 +32,7 @@ def adds():
 rng = random.Random(0)
 out = {}
 for name, K in (("gf9 spin", GF(3, 2)), ("gf5 spin", GF(5))):
-    gens = [(g, Mat(K, [[K.random(rng) for _ in range(6)] for _ in range(6)])) for g in "ab"]
+    gens = [Mat(K, [[K.random(rng) for _ in range(6)] for _ in range(6)]) for _ in "ab"]
     before = adds()
     repmod.spin(LieModule(K, 6, gens), [[K.random(rng) for _ in range(6)]])
     out[name] = adds() - before

@@ -255,7 +255,7 @@ def small_modules(draw, K, max_dim):
         if kind == "extension":  # the same block A on both diagonal blocks
             for i in range(d):
                 rows[d + i][d:] = rows[i][:d]
-        gens.append((f"g{g}", Mat(K, rows)))
+        gens.append(Mat(K, rows))
     return repmod.LieModule(K, n, gens)
 
 
