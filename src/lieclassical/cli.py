@@ -28,7 +28,6 @@ from .repmod import (
     adjoint_module,
     composition_series,
     dual_module,
-    hom_members,
     hom_space,
     weights,
 )
@@ -37,22 +36,6 @@ from . import verify
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-VERIFY_IDS = (
-    "thm1.1",
-    "thm1.2",
-    "thm1.3",
-    "thm1.4",
-    "sl-series",
-    "note9.2",
-    "note9.3",
-    "sp-so",
-    "sl4-so6",
-    "blocks",
-    "heisenberg",
-    "all",
-)
-
 
 class CliError(Exception):
     """Usage or validation problem; maps to exit code 2."""
@@ -66,9 +49,9 @@ def build_parser():
     p.add_argument(
         "command",
         help="verify:<id> (ids: %s), verify:all, algebra, series, weights, hom"
-        % ", ".join(VERIFY_IDS[:-1]),
+        % ", ".join(v for v in VERIFY if v != "all"),
     )
-    p.add_argument("--field", default="Q", help="Q, a prime p, or p^2")
+    p.add_argument("--field", default=None, help="Q, a prime p, or p^2")
     p.add_argument("--m", type=int, default=None, help="matrix size")
     p.add_argument(
         "--form",
@@ -111,7 +94,7 @@ def run_command(args):
     if budget is not None and budget <= 0:
         raise CliError("budget must be positive")
     try:
-        K = field_from_token(args.field)
+        K = field_from_token("Q" if args.field is None else args.field)
     except ValueError as exc:
         raise CliError(str(exc))
     cmd = args.command
@@ -214,57 +197,70 @@ def _run_verify(vid, K, args):
 
 
 def _verify_reports(vid, K, args):
-    if (args.form != "alternating" and vid in VERIFY_IDS
-            and vid not in ("thm1.1", "thm1.2", "thm1.4")):
-        raise CliError(f"verify:{vid} takes no --form")
+    """The reports of verify:<vid>; an option the id does not read is refused,
+    not ignored."""
+    if vid not in VERIFY:
+        raise CliError(f"unknown verify id {vid!r}; ids: {', '.join(VERIFY)}")
+    reads, runner = VERIFY[vid]
+    for opt, default in (("form", "alternating"), ("field", None), ("m", None)):
+        if opt not in reads and getattr(args, opt) != default:
+            raise CliError(f"verify:{vid} takes no --{opt}")
+    m = _need_m(args) if "m" in reads else None
     try:
-        if vid == "all":
-            return verify.run_all()
-        if vid == "thm1.1":
-            m = _need_m(args)
-            if K.char != 2 or K.degree != 1:
-                raise CliError("thm1.1 needs --field 2")
-            if args.form != "alternating":
-                raise CliError("thm1.1 needs --form alternating")
-            return [verify.run_thm_1_1(m)]
-        if vid == "thm1.2":
-            m = _need_m(args)
-            if K.char != 2 or K.degree != 1:
-                raise CliError("thm1.2 needs --field 2")
-            diag = None if args.form == "alternating" else _diag_entries(K, m, args.form)
-            return [verify.run_thm_1_2(m, diag)]
-        if vid == "thm1.3":
-            m = _need_m(args)
-            return [verify.run_thm_1_3(m, K)]
-        if vid == "thm1.4":
-            m = _need_m(args)
-            diag = None if args.form == "alternating" else _diag_entries(K, m, args.form)
-            return [verify.run_thm_1_4(m, K, diag)]
-        if vid == "sl-series":
-            m = _need_m(args)
-            return [verify.run_sl_series(m, K)]
-        if vid == "note9.2":
-            return [verify.run_note_9_2()]
-        if vid == "note9.3":
-            return [verify.run_note_9_3()]
-        if vid == "sp-so":
-            m = _need_m(args)
-            if m % 2:
-                raise CliError("sp-so needs even m = 2n")
-            return [verify.run_sp_so_embedding(m // 2, K)]
-        if vid == "sl4-so6":
-            return [verify.run_sl4_so6(K)]
-        if vid == "blocks":
-            m = _need_m(args)
-            return [verify.run_block_irreducibles(m, K)]
-        if vid == "heisenberg":
-            m = _need_m(args)
-            if K.char == 0 or K.degree != 1:
-                raise CliError("heisenberg needs a prime field")
-            return [verify.run_heisenberg_cases(m, K.char)]
+        return runner(K, m, args.form)
     except ValueError as exc:
         raise CliError(str(exc))
-    raise CliError(f"unknown verify id {vid!r}; ids: {', '.join(VERIFY_IDS)}")
+
+
+def _needs_gf2(vid, K):
+    if K.char != 2 or K.degree != 1:
+        raise CliError(f"{vid} needs --field 2")
+
+
+def _diag_or_none(K, m, form):
+    return None if form == "alternating" else _diag_entries(K, m, form)
+
+
+def _verify_thm_1_1(K, m, form):
+    _needs_gf2("thm1.1", K)
+    if form != "alternating":
+        raise CliError("thm1.1 needs --form alternating")
+    return [verify.run_thm_1_1(m)]
+
+
+def _verify_thm_1_2(K, m, form):
+    _needs_gf2("thm1.2", K)
+    return [verify.run_thm_1_2(m, _diag_or_none(K, m, form))]
+
+
+def _verify_sp_so(K, m, form):
+    if m % 2:
+        raise CliError("sp-so needs even m = 2n")
+    return [verify.run_sp_so_embedding(m // 2, K)]
+
+
+def _verify_heisenberg(K, m, form):
+    if K.char == 0 or K.degree != 1:
+        raise CliError("heisenberg needs a prime field")
+    return [verify.run_heisenberg_cases(m, K.char)]
+
+
+# verify:<id> -> the options it reads, and its runner (K, m, form) -> reports
+VERIFY = {
+    "thm1.1": (("field", "m", "form"), _verify_thm_1_1),
+    "thm1.2": (("field", "m", "form"), _verify_thm_1_2),
+    "thm1.3": (("field", "m"), lambda K, m, form: [verify.run_thm_1_3(m, K)]),
+    "thm1.4": (("field", "m", "form"),
+               lambda K, m, form: [verify.run_thm_1_4(m, K, _diag_or_none(K, m, form))]),
+    "sl-series": (("field", "m"), lambda K, m, form: [verify.run_sl_series(m, K)]),
+    "note9.2": ((), lambda K, m, form: [verify.run_note_9_2()]),
+    "note9.3": ((), lambda K, m, form: [verify.run_note_9_3()]),
+    "sp-so": (("field", "m"), _verify_sp_so),
+    "sl4-so6": (("field",), lambda K, m, form: [verify.run_sl4_so6(K)]),
+    "blocks": (("field", "m"), lambda K, m, form: [verify.run_block_irreducibles(m, K)]),
+    "heisenberg": (("field", "m"), _verify_heisenberg),
+    "all": ((), lambda K, m, form: verify.run_all()),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +345,7 @@ def _run_hom(K, args):
     data = {"dim Hom(V, V*)": H.dim}
     lines = [f"dim Hom_L(V, V*) = {H.dim} over {K.token}"]
     if H.dim:
-        data["witness"] = hom_members(V, Vd, H)[0].to_text()
+        data["witness"] = H.matrices(Vd.dim, V.dim)[0].to_text()
         lines += ["intertwiner:", data["witness"].rstrip()]
     return _emit(K, L.m, args, data, lines)
 

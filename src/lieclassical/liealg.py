@@ -122,22 +122,16 @@ def derived_series(L: MatLieAlg):
     return series
 
 
-def trace_pairing(x: Mat, y: Mat):
-    return (x @ y).trace()
+def trace_gram(X: Mat, Y: Mat) -> Mat:
+    """The matrix of tr(x y) for the rows vec(x) of X and vec(y) of Y:
+    tr(x y) = <vec(x'), vec(y)>, and vec(x') is vec(x) at the transposed
+    positions."""
+    return X[:, transposed_positions(math.isqrt(X.ncols))] @ Y.transpose()
 
 
 def trace_orthogonal_complement(U: Subspace, within: Subspace) -> Subspace:
     """{x in `within` : tr(x u) = 0 for all u in U}."""
-    m2 = U.ambient
-    m = math.isqrt(m2)
-    if m * m != m2:
-        raise ValueError("ambient dimension is not a square")
-    if not within.dim:
-        return within
-    # tr(XU) = <vec(X), vec(U')>, so each u contributes one linear constraint
-    # vec(u'), the entries of vec(u) at the transposed positions
-    C = U.basis[:, transposed_positions(m)]
-    return within.lift_subspace(kernel(C @ within.basis.transpose()))
+    return within.lift_subspace(kernel(trace_gram(U.basis, within.basis)))
 
 
 class StructureConstants:

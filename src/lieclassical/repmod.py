@@ -391,10 +391,6 @@ def hom_space(M1: LieModule, M2: LieModule) -> Subspace:
     return kernel(Mat.from_blocks([[b] for b in blocks]))
 
 
-def hom_members(M1, M2, H: Subspace):
-    return H.matrices(M2.dim, M1.dim)
-
-
 def weights(H) -> list:
     """The weights of the nonempty family H of diagonal n x n matrices,
     sorted, each with its multiplicity: coordinate k has the weight

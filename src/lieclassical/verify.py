@@ -33,8 +33,8 @@ from .liealg import (
     self_adjoint_module,
     skew_adjoint_algebra,
     sl_subspace,
+    trace_gram,
     trace_orthogonal_complement,
-    trace_pairing,
     transposed_positions,
 )
 from .linalg import Mat, Subspace, echelon, irreducible_factor, kernel
@@ -144,30 +144,21 @@ def _block_span(K, m, blocks):
     return Subspace.span(flat[:, at.ravel()].reshape(len(blocks), m * m))
 
 
-def _symplectic_block_space(K, n, b_diag, c_diag, traceless_a):
-    """span of [[A, B], [C, A']] with B, C symmetric (optionally zero-diagonal)
-    and A optionally traceless; the char-2 symplectic algebra shapes."""
-    m = 2 * n
-    blocks = []
-    for i in range(n):
-        for j in range(n):
-            a = Mat.unit(K, n, n, i, j)
-            if traceless_a and i == j:
-                continue
-            blocks.append([(0, 0, a), (n, n, a.transpose())])
-    if traceless_a:
-        for i in range(n - 1):
-            a = Mat.unit(K, n, n, i, i) + Mat.unit(K, n, n, n - 1, n - 1)
-            blocks.append([(0, 0, a), (n, n, a)])
-    # the symmetric units: e_ii (trace 1) and e_ij + e_ji (trace 0)
-    sym = sym_alt_subspaces(n, K)[0].matrices(n, n)
-    for b in sym:
-        if b_diag or K.is_zero(b.trace()):
-            blocks.append([(0, n, b)])
-    for c in sym:
-        if c_diag or K.is_zero(c.trace()):
-            blocks.append([(n, 0, c)])
-    return _block_span(K, m, blocks)
+def _block_form(K, n, bc, traceless):
+    """The span of [[A, B], [C, A']] with B and C in the n x n subspace bc and
+    A any n x n matrix, or any traceless one (e_ij, i != j, and e_ii - e_nn)."""
+    pieces = bc.matrices(n, n)
+    a_space = sl_subspace(K, n) if traceless else gl_subspace(K, n)
+    blocks = [[(0, 0, a), (n, n, a.transpose())] for a in a_space.matrices(n, n)]
+    blocks += [[(0, n, b)] for b in pieces] + [[(n, 0, c)] for c in pieces]
+    return _block_span(K, 2 * n, blocks)
+
+
+def _sp_block(K, n, a=None, b=None, c=None):
+    """[[a, b], [c, a']], zero where no piece is given."""
+    z = Mat.zeros(K, n, n)
+    a = z if a is None else a
+    return Mat.from_blocks([[a, z if b is None else b], [z if c is None else c, a.transpose()]])
 
 
 def _fill_between(lo: Subspace, hi: Subspace):
@@ -215,9 +206,7 @@ def _canonical_series(rep: Report, ref, module: LieModule, chain):
 # Theorem 1.1: characteristic 2, alternating form
 
 
-def run_thm_1_1(m, p=2) -> Report:
-    if p != 2:
-        raise ValueError("needs characteristic 2")
+def run_thm_1_1(m) -> Report:
     if m < 2 or m % 2:
         raise ValueError("needs even m >= 2")
     K = GF(2)
@@ -251,12 +240,11 @@ def run_thm_1_1(m, p=2) -> Report:
     want = m * (m - 1) // 2 - (2 if four else 1)
     rep.check("nontrivial factor dims", "Thm 1.1", [want, want], nontriv,
               "spin certification")
-    rep.check("L matrix form", "Thm 1.1(3)", _symplectic_block_space(K, n, True, True, False),
-              L.space)
-    rep.check("L^(1) matrix form", "Thm 1.1(4)",
-              _symplectic_block_space(K, n, False, False, False), L1.space)
-    rep.check("L^(2) matrix form", "Thm 1.1(5)",
-              _symplectic_block_space(K, n, False, False, True), L2.space)
+    # over GF(2), alt is the symmetric matrices with zero diagonal
+    sym, alt = sym_alt_subspaces(n, K)
+    rep.check("L matrix form", "Thm 1.1(3)", _block_form(K, n, sym, False), L.space)
+    rep.check("L^(1) matrix form", "Thm 1.1(4)", _block_form(K, n, alt, False), L1.space)
+    rep.check("L^(2) matrix form", "Thm 1.1(5)", _block_form(K, n, alt, True), L2.space)
     ts = tensor_square(classify(J))
     rep.check("Gamma(S^2) = L", "Thm 7.5", L.space, gamma_image(ts, ts.sym, L.space))
     rep.check("Gamma(Lambda^2) = L^(1)", "Thm 7.5", L1.space,
@@ -266,9 +254,9 @@ def run_thm_1_1(m, p=2) -> Report:
               gamma_image(ts, ker_delta, L2.space))
     rep.check("s in L^(2) iff 4|m", "Thm 7.5(6)", four, L2.space.contains(s))
     # h(n) quotient on the canonical representatives
-    a = _lift_block(K, n, Mat.unit(K, n, n, 0, 0), "diag")
-    bs = [_lift_block(K, n, Mat.unit(K, n, n, i, i), "upper") for i in range(n)]
-    cs_reps = [_lift_block(K, n, Mat.unit(K, n, n, i, i), "lower") for i in range(n)]
+    a = _sp_block(K, n, a=Mat.unit(K, n, n, 0, 0))
+    bs = [_sp_block(K, n, b=Mat.unit(K, n, n, i, i)) for i in range(n)]
+    cs_reps = [_sp_block(K, n, c=Mat.unit(K, n, n, i, i)) for i in range(n)]
     Q, _ = quotient_algebra(L, L2.space, reps=bs + cs_reps + [a])
     eye = Mat.identity(K, 2 * n + 1)
     rep.check("L/L^(2) = h(n)", "Thm 1.1(6)", True,
@@ -283,15 +271,6 @@ def run_thm_1_1(m, p=2) -> Report:
         simple = is_simple(L2)
         rep.check("L^(2) simple", "Thm 12.1", True, simple, "spin certification")
     return rep
-
-
-def _lift_block(K, n, piece, where):
-    Z = Mat.zeros(K, n, n)
-    if where == "diag":
-        return Mat.from_blocks([[piece, Z], [Z, piece]])
-    if where == "upper":
-        return Mat.from_blocks([[Z, piece], [Z, Z]])
-    return Mat.from_blocks([[Z, Z], [piece, Z]])
 
 
 def _run_m2_alternating(rep: Report) -> Report:
@@ -319,9 +298,7 @@ def _run_m2_alternating(rep: Report) -> Report:
 # Theorem 1.2: characteristic 2, symmetric non-alternating diagonal form
 
 
-def run_thm_1_2(m, diag=None, p=2) -> Report:
-    if p != 2:
-        raise ValueError("needs characteristic 2")
+def run_thm_1_2(m, diag=None) -> Report:
     if m < 2:
         raise ValueError("needs m >= 2")
     K = GF(2)
@@ -526,7 +503,8 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool):
     rep.check("dim M", ref, dim_m, M.dim)
     rep.check("M = L-perp", ref, M, trace_orthogonal_complement(L.space, gl))
     if symplectic:
-        rep.check("M matrix form", "Thm 1.3", _m_of_j_space(K, m), M)
+        rep.check("M matrix form", "Thm 1.3",
+                  _block_form(K, m // 2, sym_alt_subspaces(m // 2, K)[1], False), M)
     ts = tensor_square(form)
     if symplectic:
         rep.check("Gamma(Lambda^2) = M", "Prop 7.1", M, gamma_image(ts, ts.alt, M))
@@ -622,22 +600,6 @@ def _so4_ideal(L: MatLieAlg, A: Mat) -> Subspace:
     return ideal
 
 
-def _m_of_j_space(K, m):
-    """M(J) = {[[P, Q], [R, P']] : Q, R skew-symmetric}."""
-    n = m // 2
-    blocks = []
-    for i in range(n):
-        for j in range(n):
-            a = Mat.unit(K, n, n, i, j)
-            blocks.append([(0, 0, a), (n, n, a.transpose())])
-    for i in range(n):
-        for j in range(i + 1, n):
-            sk = Mat.unit(K, n, n, i, j) - Mat.unit(K, n, n, j, i)
-            blocks.append([(0, n, sk)])
-            blocks.append([(n, 0, sk)])
-    return _block_span(K, m, blocks)
-
-
 # ---------------------------------------------------------------------------
 # Small-case lattices (Notes 9.2 and 9.3)
 
@@ -728,7 +690,7 @@ def run_sl_series(m, K) -> Report:
     div = K.char != 0 and m % K.char == 0
     expected_chain = [s, sl] if div else [sl]
     expected_dims = [1, m * m - 2, 1] if div else [m * m - 1, 1]
-    primes = None if K.order() is not None else first_primes_coprime_to(2 * m, count=2)
+    primes = _good_primes(Mat.identity(K, m))
     method = "mod-p" if primes else "spin certification"
     cs = composition_series(module, candidate_chain=expected_chain, mod_p_primes=primes)
     if primes:
@@ -768,20 +730,13 @@ def run_sp_so_embedding(n, K) -> Report:
     rep.check("dim M cap sl", "Thm 3.1", d, W.dim)
     # orthogonal decomposition gl = L perp (M cap sl) perp s
     pieces = [L.space, W, s]
-    total = L.space + W + s
-    orth = all(
-        K.is_zero(trace_pairing(xm, ym))
-        for a in range(3)
-        for b in range(a + 1, 3)
-        for xm in pieces[a].matrices(m, m)
-        for ym in pieces[b].matrices(m, m)
-    )
+    orth = all(trace_gram(pieces[a].basis, pieces[b].basis).is_zero()
+               for a, b in ((0, 1), (0, 2), (1, 2)))
     rep.check("gl = L perp (M cap sl) perp s", "Thm 3.1", (m * m, True),
-              (total.dim, orth))
+              ((L.space + W + s).dim, orth))
     module = adjoint_module(L, W)
     rep.check("action faithful", "Thm 3.1", 0, representation_kernel(module, L).dim)
-    wm = W.matrices(m, m)
-    G = Mat(K, [[trace_pairing(x, y) for y in wm] for x in wm])
+    G = trace_gram(W.basis, W.basis)
     gform = classify(G)
     rep.check("G symmetric nondegenerate non-alternating", "Thm 3.1",
               (True, True, False),
@@ -791,7 +746,7 @@ def run_sp_so_embedding(n, K) -> Report:
     rep.check("image inside L(G)", "Thm 3.1", True, in_lg)
     rep.check("dim L(G)", "Thm 3.1", d * (d - 1) // 2, LG.dim)
     if n == 2:
-        image = Subspace.from_rows(K, d * d, [a.vec() for a in module.action_mats()])
+        image = Subspace.span(module.stack.reshape(module.count, d * d))
         rep.check("image = L(G)", "Thm 3.1", LG.space, image)
         rep.check("dim sp(4) = dim L(G) = 10", "Thm 3.1", (10, 10), (L.dim, LG.dim))
     _square_upgrade(rep, "Thm 3.1", G)
@@ -837,16 +792,15 @@ def run_sl4_so6(K) -> Report:
     Zsl = restrict_to_sl(Z, 4, K)
     _, alt = sym_alt_subspaces(4, K)
     T = restrict_module(Zsl, alt)  # dim 6
-    tmats = alt.matrices(4, 4)
-    # the star map in the coordinates of T
-    Phi = alt.coords_of(Mat.from_blocks([[star_map(t).reshape(1, 16)] for t in tmats])).transpose()
+    stars = Mat.from_blocks([[star_map(t).reshape(1, 16)] for t in alt.matrices(4, 4)])
+    Phi = alt.coords_of(stars).transpose()  # the star map in the coordinates of T
     Asl = restrict_to_sl(A, 4, K)
     C = restrict_module(Asl, alt)
     ok = all(Phi @ at == ac @ Phi
              for at, ac in zip(T.action_mats(), C.action_mats()))
     rep.check("star map equivariant T -> C", "Thm 5.3",
               (True, True), (ok, not K.is_zero(Phi.det())))
-    G = Mat(K, [[(star_map(x) @ y).trace() for y in tmats] for x in tmats])
+    G = trace_gram(stars, alt.basis)  # tr(*(x) y)
     gf = classify(G)
     rep.check("g symmetric nondegenerate", "Thm 5.3", (True, True),
               (gf.symmetric, gf.nondegenerate))
@@ -855,7 +809,7 @@ def run_sl4_so6(K) -> Report:
     )
     rep.check("g invariant (image in L(G))", "Thm 5.3", True, invariant)
     LG = skew_adjoint_algebra(G)
-    image = Subspace.from_rows(K, 36, [a.vec() for a in T.action_mats()])
+    image = Subspace.span(T.stack.reshape(T.count, 36))
     rep.check("dim sl(4) = dim L(G) = 15", "Thm 5.3", (15, 15),
               (image.dim, LG.dim))
     rep.check("image = L(G)", "Thm 5.3", LG.space, image)
@@ -905,21 +859,17 @@ def run_block_irreducibles(n, K) -> Report:
 # Heisenberg modules (Props 12.2 and 12.3)
 
 
-def run_heisenberg_cases(n, ell, alpha=None) -> Report:
+def run_heisenberg_cases(n, ell) -> Report:
     K = GF(ell)
-    if alpha is None:
-        alpha = K.one()
-    if K.is_zero(alpha):
-        raise ValueError("alpha must be nonzero")
     rep = Report(f"heisenberg n={n} l={ell}", K, 2 * n + 1)
     h = heisenberg(K, n)
-    V = heisenberg_poly_module(K, n, alpha)
+    V = heisenberg_poly_module(K, n, K.one())
     rep.check("dim = l^n", "Prop 12.3", ell**n, V.dim)
     rep.check("action respects brackets", "Prop 12.3", True, respects_brackets(V, h))
     rep.check("faithful", "Prop 12.3", 0, representation_kernel(V, h).dim)
     res = certify_irreducible(V)
     rep.check("irreducible", "Prop 12.3", "irreducible", res.status, res.method)
-    if (n, ell) == (2, 2) and alpha == K.one():
+    if (n, ell) == (2, 2):
         _check_prop_12_2(rep)
     return rep
 
@@ -933,14 +883,9 @@ def _check_prop_12_2(rep: Report):
     rep.check("derived dims", "Prop 12.2", [10, 6, 5, 1, 0], [a.dim for a in ds])
     L2, L3 = ds[2].space, ds[3].space
     rep.check("L^(3) = s", "Prop 12.2", scalars_subspace(K, m), L3)
-    z2 = Mat.zeros(K, 2, 2)
-    s12 = Mat.unit(K, 2, 2, 0, 1) + Mat.unit(K, 2, 2, 1, 0)
-    x = Mat.from_blocks([[z2, s12], [z2, z2]])
-    y = Mat.from_blocks([[z2, z2], [s12, z2]])
-    e = Mat.from_blocks([[Mat.unit(K, 2, 2, 0, 1), z2], [z2, Mat.unit(K, 2, 2, 1, 0)]])
-    # f has e21 in the top-left block: the diagonal blocks must be mutual
-    # transposes for f to lie in L at all, and then [e, f] = I as required
-    f = Mat.from_blocks([[Mat.unit(K, 2, 2, 1, 0), z2], [z2, Mat.unit(K, 2, 2, 0, 1)]])
+    e11, e12, e21, e22 = (Mat.unit(K, 2, 2, i, j) for i in range(2) for j in range(2))
+    x, y = _sp_block(K, n, b=e12 + e21), _sp_block(K, n, c=e12 + e21)
+    e, f = _sp_block(K, n, a=e12), _sp_block(K, n, a=e21)
     eye = Mat.identity(K, m)
     rep.check("L^(2) basis", "Prop 12.2",
               Subspace.from_rows(K, 16, [v.vec() for v in (x, y, e, f, eye)]), L2)
@@ -953,11 +898,9 @@ def _check_prop_12_2(rep: Report):
     uvecs = Mat(K, [v.vec() for v in ubasis + [eye]])
     u_in_l2 = Subspace.span(uvecs)
     to_ubasis = u_in_l2.coords_of(uvecs).inv()  # canonical coordinates to e, x, f, y, I
-    a = Mat.from_blocks([[Mat.unit(K, 2, 2, 0, 0), z2], [z2, Mat.unit(K, 2, 2, 0, 0)]])
-    b1 = Mat.from_blocks([[z2, Mat.unit(K, 2, 2, 0, 0)], [z2, z2]])
-    b2 = Mat.from_blocks([[z2, Mat.unit(K, 2, 2, 1, 1)], [z2, z2]])
-    c1 = Mat.from_blocks([[z2, z2], [Mat.unit(K, 2, 2, 0, 0), z2]])
-    c2 = Mat.from_blocks([[z2, z2], [Mat.unit(K, 2, 2, 1, 1), z2]])
+    a = _sp_block(K, n, a=e11)
+    b1, b2 = _sp_block(K, n, b=e11), _sp_block(K, n, b=e22)
+    c1, c2 = _sp_block(K, n, c=e11), _sp_block(K, n, c=e22)
 
     def R(zmat):
         # column j holds the coordinates of [z, u_j] on e, x, f, y modulo s
@@ -970,10 +913,9 @@ def _check_prop_12_2(rep: Report):
     rep.check("R matches the polynomial module", "Prop 12.2",
               [a.to_text() for a in poly.action_mats()],  # u1, u2, v1, v2, z
               [R(v).to_text() for v in (b1, b2, c1, c2, a)])
-    rmats = [R(v) for v in L.basis_mats()]
-    rep.check("dim ker R = dim L^(2)", "Prop 12.2", L2.dim,
-              representation_kernel(LieModule(K, 4, rmats), L).dim)
-    image = Subspace.from_rows(K, 16, [rm.vec() for rm in rmats])
+    rmod = LieModule(K, 4, [R(v) for v in L.basis_mats()])
+    rep.check("dim ker R = dim L^(2)", "Prop 12.2", L2.dim, representation_kernel(rmod, L).dim)
+    image = Subspace.span(rmod.stack.reshape(rmod.count, 16))
     rep.check("R(L) is 5-dimensional", "Prop 12.2", 5, image.dim)
     Lg = skew_adjoint_algebra(standard_symplectic_gram(K, 4))
     rep.check("R(L) inside L(g)", "Prop 12.2", True, Lg.space.contains(image))

@@ -27,7 +27,6 @@ from lieclassical.repmod import (
     LieModule,
     adjoint_module,
     certify_irreducible,
-    hom_members,
     hom_space,
     invariant_under,
     spin,
@@ -310,7 +309,7 @@ def test_criterion_09_property_suites(capsys):
             g2 = [_rand_mat(K, rng, 2, 2), _rand_mat(K, rng, 2, 2)]
             V1, V2 = LieModule(K, 2, g1), LieModule(K, 2, g2)
             H = hom_space(V1, V2)
-            for T in hom_members(V1, V2, H):
+            for T in H.matrices(V2.dim, V1.dim):
                 for a1, a2 in zip(g1, g2):
                     if T @ a1 != a2 @ T:
                         failures.append(f"hom intertwining over {K.token}")

@@ -13,7 +13,7 @@ import time
 import pytest
 
 import lieclassical
-from lieclassical import repmod
+from lieclassical import cli, repmod
 from lieclassical.cli import build_parser, main
 from lieclassical.fields import GF
 from lieclassical.linalg import Mat
@@ -340,6 +340,23 @@ def test_verify_id_refuses_a_form_it_ignores(capsys, vid, form):
     # a symplectic report for a diagonal --form would answer another question
     code, out, err = run(capsys, f"verify:{vid}", "--field", "5", "--m", "4", "--form", form)
     assert (code, out, err) == (2, "", f"error: verify:{vid} takes no --form\n")
+
+
+@pytest.mark.parametrize("argv, opt", [
+    (("verify:note9.2", "--field", "7"), "field"), (("verify:note9.3", "--field", "5"), "field"),
+    (("verify:sl4-so6", "--m", "3"), "m"), (("verify:all", "--m", "4"), "m"),
+])
+def test_verify_id_refuses_a_field_or_m_it_ignores(capsys, argv, opt):
+    # the fixed cases run one field and one m: another value would be ignored
+    code, out, err = run(capsys, *argv)
+    vid = argv[0][len("verify:"):]
+    assert (code, out, err) == (2, "", f"error: verify:{vid} takes no --{opt}\n")
+
+
+def test_help_names_every_verify_id(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no id broken across lines
+    text = build_parser().format_help()
+    assert all(vid in text for vid in cli.VERIFY)
 
 
 def test_unknown_verify_id_with_a_form_is_unknown(capsys):

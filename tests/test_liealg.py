@@ -24,6 +24,7 @@ from lieclassical.liealg import (
     self_adjoint_module,
     skew_adjoint_algebra,
     sl_subspace,
+    trace_gram,
     trace_orthogonal_complement,
 )
 from lieclassical.linalg import Mat, Subspace, kernel
@@ -84,6 +85,22 @@ def test_trace_complement_of_scalars_is_sl():
         m = 3
         perp = trace_orthogonal_complement(scalars_subspace(K, m), gl_subspace(K, m))
         assert perp == sl_subspace(K, m)
+
+
+@pytest.mark.parametrize("K", [GF(5), GF(3, 2), QQ], ids=lambda K: K.token)
+@pytest.mark.parametrize("rows", [0, 1, 4])
+def test_trace_gram_is_the_trace_of_each_product(K, rows):
+    # entry (i, j) is tr(x_i y_j) for the rows vec(x_i) of X and vec(y_j) of Y
+    rng, m = random.Random(rows), 3
+    X = Mat(K, [[K.random(rng) for _ in range(m * m)] for _ in range(rows)]) if rows \
+        else Mat.zeros(K, 0, m * m)
+    Y = Mat(K, [[K.random(rng) for _ in range(m * m)] for _ in range(5)])
+    G = trace_gram(X, Y)
+    assert (G.nrows, G.ncols) == (rows, 5)
+    for i in range(rows):
+        for j in range(5):
+            x, y = X[[i], :].reshape(m, m), Y[[j], :].reshape(m, m)
+            assert G.rows[i][j] == (x @ y).trace()
 
 
 def test_adjoint_star_involution_and_antihomomorphism():

@@ -40,7 +40,6 @@ from lieclassical.repmod import (
     factor_module,
     gamma_image,
     heisenberg_poly_module,
-    hom_members,
     hom_space,
     invariant_under,
     irreducible,
@@ -376,7 +375,7 @@ def test_hom_space_schur_and_duality():
     dual = dual_module(V)
     hv = hom_space(V, dual)
     assert hv.dim == 1  # the 2-dimensional module is self-dual
-    T = hom_members(V, dual, hv)[0]
+    T = hv.matrices(dual.dim, V.dim)[0]
     for a, ad in zip(V.action_mats(), dual.action_mats()):
         assert T @ a == ad @ T
 
