@@ -17,6 +17,7 @@ from .fields import field_from_token
 from .forms import standard_symplectic_gram
 from .liealg import (
     ad_gl,
+    basis_mats,
     derived_series,
     gl_subspace,
     skew_adjoint_algebra,
@@ -229,8 +230,11 @@ def _verify_thm_1_1(K, m, form):
 
 
 def _verify_thm_1_2(K, m, form):
+    # over GF(2) every form accepted here is I
     _needs_gf2("thm1.2", K)
-    return [verify.run_thm_1_2(m, _diag_or_none(K, m, form))]
+    if any(K.is_zero(d) for d in _diag_or_none(K, m, form) or ()):
+        raise CliError("needs m nonzero diagonal entries")
+    return [verify.run_thm_1_2(m)]
 
 
 def _verify_sp_so(K, m, form):
@@ -268,9 +272,9 @@ VERIFY = {
 
 
 def _algebra_of(K, args):
-    m = _need_m(args)
-    A = load_gram(K, m, args.form)
-    return A, skew_adjoint_algebra(A)
+    """(m, A, L(A)) for the form --form selects."""
+    A = load_gram(K, _need_m(args), args.form)
+    return A.nrows, A, skew_adjoint_algebra(A)
 
 
 def _emit(K, m, args, data, lines):
@@ -283,13 +287,13 @@ def _emit(K, m, args, data, lines):
 
 
 def _run_algebra(K, args):
-    A, L = _algebra_of(K, args)
+    m, A, L = _algebra_of(K, args)
     M = self_adjoint_module(A)
     dims = [a.dim for a in derived_series(L)]
-    basis = L.space.basis.to_text()
+    basis = L.basis.to_text()
     data = {"dim L": L.dim, "dim M": M.dim, "derived dims": dims, "L basis": basis}
-    return _emit(K, L.m, args, data, [
-        f"L(A) inside gl({L.m}) over {K.token}",
+    return _emit(K, m, args, data, [
+        f"L(A) inside gl({m}) over {K.token}",
         f"dim L = {L.dim}, dim M = {M.dim}",
         "derived series dims: " + " ".join(str(d) for d in dims),
         "basis of L (rows are vectorized matrices):",
@@ -300,8 +304,8 @@ def _run_algebra(K, args):
 def _run_series(K, args):
     if K.order() is None:
         raise CliError("series needs a finite field (use verify:thm1.3/thm1.4 for Q)")
-    A, L = _algebra_of(K, args)
-    module = adjoint_module(L, gl_subspace(K, L.m))
+    m, _, L = _algebra_of(K, args)
+    module = adjoint_module(L, gl_subspace(K, m))
     try:
         cs = composition_series(module)
     except ValueError as exc:
@@ -310,19 +314,18 @@ def _run_series(K, args):
     data = {"chain dims": dims, "factor dims": cs.factor_dims,
             "factor trivial": cs.factor_trivial}
     factors = zip(cs.factor_dims, cs.factor_trivial)
-    return _emit(K, L.m, args, data, [
-        f"composition series of gl({L.m}) as an L-module over {K.token}",
+    return _emit(K, m, args, data, [
+        f"composition series of gl({m}) as an L-module over {K.token}",
         "chain dims: " + " < ".join(str(d) for d in dims),
         "factors: " + ", ".join(f"{d}{' (trivial)' if t else ''}" for d, t in factors),
     ])
 
 
 def _run_weights(K, args):
-    A, L = _algebra_of(K, args)
-    m = L.m
-    diag_rows = [Mat.unit(K, m, m, i, i).vec() for i in range(m)]
-    diag = Subspace.from_rows(K, m * m, diag_rows)
-    H_space = L.space.intersect(diag)
+    m, _, L = _algebra_of(K, args)
+    # the diagonal units e_ii, the identity rows at i (m + 1): a canonical basis
+    at = tuple(i * (m + 1) for i in range(m))
+    H_space = L.intersect(Subspace(Mat.identity(K, m * m)[list(at), :], at))
     if H_space.dim == 0:
         raise CliError("L contains no nonzero diagonal matrices")
     H = [ad_gl(h) for h in H_space.matrices(m, m)]
@@ -338,8 +341,8 @@ def _run_weights(K, args):
 
 def _run_hom(K, args):
     """Hom from the natural module to its dual; f makes V self-dual."""
-    A, L = _algebra_of(K, args)
-    V = LieModule(K, L.m, L.basis_mats())
+    m, _, L = _algebra_of(K, args)
+    V = LieModule(K, m, basis_mats(L))
     Vd = dual_module(V)
     H = hom_space(V, Vd)
     data = {"dim Hom(V, V*)": H.dim}
@@ -347,7 +350,7 @@ def _run_hom(K, args):
     if H.dim:
         data["witness"] = H.matrices(Vd.dim, V.dim)[0].to_text()
         lines += ["intertwiner:", data["witness"].rstrip()]
-    return _emit(K, L.m, args, data, lines)
+    return _emit(K, m, args, data, lines)
 
 
 if __name__ == "__main__":

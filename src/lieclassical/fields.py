@@ -265,20 +265,12 @@ class QuadraticField(Field):
         p = self.char
         return [(a, b) for a in range(p) for b in range(p)]
 
-    def pow(self, a, n: int):
-        result = self.one()
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
     def is_square(self, a):
-        if self.is_zero(a):
-            return True
-        return self.pow(a, (self.order() - 1) // 2) == self.one()
+        """Euler's criterion on the norm: a^((p^2-1)/2) = N(a)^((p-1)/2), as
+        a^(p+1) = N(a) = a0^2 - r a1^2."""
+        p = self.char
+        norm = (a[0] * a[0] - self.nonresidue * a[1] * a[1]) % p
+        return norm == 0 or pow(norm, (p - 1) // 2, p) == 1
 
     def random(self, rng):
         return (rng.randrange(self.char), rng.randrange(self.char))

@@ -1,13 +1,14 @@
 """Matrix Lie algebras inside gl(m) and a few abstract companions.
 
 Elements of algebras and modules are stored vectorized (row-major, length
-m*m), so all structural computation reduces to exact subspace operations.
+m*m): a Lie subalgebra of gl(m) is its `Subspace` of F^(m*m), m the square
+root of its ambient, so all structural computation reduces to exact
+subspace operations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,35 +49,21 @@ def scalars_subspace(K: Field, m: int) -> Subspace:
     return Subspace.span(Mat.identity(K, m).reshape(1, m * m))
 
 
-@dataclass(frozen=True)
-class MatLieAlg:
-    """A Lie subalgebra of gl(m), held as a subspace of F^{m*m}."""
-
-    m: int
-    space: Subspace
-
-    @property
-    def field(self) -> Field:
-        return self.space.field
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def basis_mats(self):
-        return self.space.matrices(self.m, self.m)
-
-    def contains(self, X: Mat) -> bool:
-        return self.space.contains_vector(X.vec())
-
-    def is_bracket_closed(self) -> bool:
-        mats = self.basis_mats()
-        return self.space.residuals(bracket_rows(self.field, self.m, mats, mats)).is_zero()
+def basis_mats(L: Subspace):
+    """The basis of a Lie subalgebra L of gl(m) as m x m matrices."""
+    m = math.isqrt(L.ambient)
+    return L.matrices(m, m)
 
 
-def skew_adjoint_algebra(A: Mat) -> MatLieAlg:
+def is_bracket_closed(L: Subspace) -> bool:
+    """[L, L] in L, from the brackets of every pair of basis matrices."""
+    mats = basis_mats(L)
+    return L.residuals(bracket_rows(L.field, math.isqrt(L.ambient), mats, mats)).is_zero()
+
+
+def skew_adjoint_algebra(A: Mat) -> Subspace:
     """L(A) = {X : X'A = -AX}, the symplectic/orthogonal algebra of A."""
-    return MatLieAlg(A.nrows, kernel(_adjoint_condition(A, 1)))
+    return kernel(_adjoint_condition(A, 1))
 
 
 def self_adjoint_module(A: Mat) -> Subspace:
@@ -98,27 +85,18 @@ def transpose_product(A: Mat) -> Mat:
     return kron(Mat.identity(A.field, m), A.transpose())[:, transposed_positions(m)]
 
 
-def derived_space(m: int, space: Subspace) -> Subspace:
-    K = space.field
-    mats = space.matrices(m, m)
-    pairs = [i * len(mats) + j for i in range(len(mats)) for j in range(i + 1, len(mats))]
-    return Subspace.span(bracket_rows(K, m, mats, mats)[pairs, :])
-
-
-def derived(L: MatLieAlg) -> MatLieAlg:
-    return MatLieAlg(L.m, derived_space(L.m, L.space))
-
-
-def derived_series(L: MatLieAlg):
-    """[L, L^(1), L^(2), ...] iterated until stabilization."""
+def derived_series(L: Subspace):
+    """[L, L^(1), L^(2), ...] iterated until stabilization: L^(k+1) is spanned
+    by the brackets of the pairs i < j of L^(k)'s basis."""
+    m = math.isqrt(L.ambient)
     series = [L]
-    while True:
-        nxt = derived(series[-1])
-        if nxt.space == series[-1].space:
+    while series[-1].dim:
+        mats = basis_mats(series[-1])
+        pairs = [i * len(mats) + j for i in range(len(mats)) for j in range(i + 1, len(mats))]
+        nxt = Subspace.span(bracket_rows(L.field, m, mats, mats)[pairs, :])
+        if nxt == series[-1]:
             break
         series.append(nxt)
-        if nxt.dim == 0:
-            break
     return series
 
 
@@ -166,7 +144,7 @@ def heisenberg(K: Field, n: int) -> StructureConstants:
     return StructureConstants(K, Mat.from_ints(K, table))
 
 
-def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
+def quotient_algebra(L: Subspace, ideal: Subspace, reps=None):
     """Structure constants of L/ideal on coset representatives.
 
     Returns (StructureConstants, reps) where reps are matrices in L whose
@@ -176,15 +154,14 @@ def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
     R^-1: the representatives are a basis of L/ideal, so R is invertible
     and the constants are unique.
     """
-    K = L.field
-    if not L.space.contains(ideal):
+    K, m = L.field, math.isqrt(L.ambient)
+    if not L.contains(ideal):
         raise ValueError("ideal is not contained in the algebra")
-    basis = L.basis_mats()
-    ideal_mats = ideal.matrices(L.m, L.m)
-    if not ideal.residuals(bracket_rows(K, L.m, basis, ideal_mats)).is_zero():
+    basis = basis_mats(L)
+    if not ideal.residuals(bracket_rows(K, m, basis, ideal.matrices(m, m))).is_zero():
         raise ValueError("subspace is not an ideal")
     # coordinates of the ideal inside L
-    coords_I = Subspace.span(ideal.basis[:, list(L.space.pivots)])
+    coords_I = Subspace.span(ideal.basis[:, list(L.pivots)])
     q = L.dim - ideal.dim
     if reps is None:
         reps = [basis[j] for j in coords_I.nonpivots()]
@@ -194,12 +171,12 @@ def quotient_algebra(L: MatLieAlg, ideal: Subspace, reps=None):
         return StructureConstants(K, Mat.zeros(K, 0, 0)), reps
 
     def reduced(X):
-        return coords_I.residuals(L.space.coords_of(X))
+        return coords_I.residuals(L.coords_of(X))
 
-    red_reps = reduced(Mat.from_blocks([[X.reshape(1, L.m * L.m)] for X in reps]))
+    red_reps = reduced(Mat.from_blocks([[X.reshape(1, m * m)] for X in reps]))
     if Subspace.span(red_reps).dim != q:
         raise ValueError("representatives are dependent modulo the ideal")
-    table = reduced(bracket_rows(K, L.m, reps, reps)) @ red_reps.inv()
+    table = reduced(bracket_rows(K, m, reps, reps)) @ red_reps.inv()
     return StructureConstants(K, table), reps
 
 
@@ -231,8 +208,9 @@ def lie_isomorphic_by_structure(Q: StructureConstants, H: StructureConstants, M:
 
 
 def is_simple(alg, primes=None) -> bool:
-    """Simplicity via irreducibility of the adjoint module (over Q at the
-    given primes, see `repmod.irreducible`).
+    """Simplicity of alg, a subalgebra of gl(m) (its `Subspace`) or a
+    `StructureConstants`, via irreducibility of the adjoint module (over Q
+    at the given primes, see `repmod.irreducible`).
 
     Ideals of a Lie algebra are exactly the submodules of its adjoint
     module, so dim > 1 plus an irreducible adjoint module is simplicity.
@@ -241,9 +219,9 @@ def is_simple(alg, primes=None) -> bool:
 
     if alg.dim <= 1:
         return False
-    if isinstance(alg, MatLieAlg):
+    if isinstance(alg, Subspace):
         # the structure constants of the basis: no gl(m) action is built
-        mats = alg.basis_mats()
-        table = alg.space.coords_of(bracket_rows(alg.field, alg.m, mats, mats))
+        mats = basis_mats(alg)
+        table = alg.coords_of(bracket_rows(alg.field, math.isqrt(alg.ambient), mats, mats))
         alg = StructureConstants(alg.field, table)
     return irreducible(LieModule(alg.field, alg.dim, alg.adjoint_matrices()), primes)[0]

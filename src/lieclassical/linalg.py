@@ -728,21 +728,12 @@ class Subspace:
         free = dict(zip(self.nonpivots(), self.residuals(Mat(self.field, [v])).vec()))
         return [free.get(j, self.field.zero()) for j in range(self.ambient)]
 
-    def contains_vector(self, v) -> bool:
-        return self.residuals(Mat(self.field, [v])).is_zero()
-
     def coords_of(self, X: Mat) -> Mat:
         """The coordinates of X's rows relative to the canonical basis, their
         entries at the pivots; raises unless every row lies in the subspace."""
         if not self.residuals(X).is_zero():
             raise ValueError("vector not in subspace")
         return X[:, list(self.pivots)]
-
-    def coords(self, v):
-        return self.coords_of(Mat(self.field, [v])).vec()
-
-    def lift(self, coords):
-        return (Mat(self.field, [coords]) @ self.basis).vec()
 
     def lift_subspace(self, C: "Subspace") -> "Subspace":
         """The subspace with coordinates C (canonical in F^dim) in this basis:

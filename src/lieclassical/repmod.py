@@ -23,7 +23,6 @@ import numpy as np
 from .fields import GF, Field, is_prime
 from .forms import BilForm
 from .liealg import (
-    MatLieAlg,
     StructureConstants,
     ad_stack,
     bracket_rows,
@@ -106,16 +105,16 @@ def _images(S: Mat, X: Mat) -> Mat:
     return (X @ S.transpose()).reshape(X.nrows * S.nrows // n if n else 0, n)
 
 
-def spin(M: LieModule, seeds, transposed=False) -> Subspace:
-    """Smallest subspace containing the seeds and invariant under all actions
-    (under their transposes if `transposed`: a spin in the dual module).
+def spin(M: LieModule, seeds: Mat, transposed=False) -> Subspace:
+    """Smallest subspace containing the rows of seeds and invariant under all
+    actions (under their transposes if `transposed`: a spin in the dual module).
 
     Each round feeds the images of the vectors the last round added, one
     product with the stacked generators, to one echelon basis.
     """
     S = (dual_module(M) if transposed else M).stack
     ech = echelon(M.field, M.dim)
-    frontier = ech.add_rows(Mat(M.field, seeds))
+    frontier = ech.add_rows(seeds)
     while frontier.nrows and ech.dim < M.dim:
         frontier = ech.add_rows(_images(S, frontier))
     return ech.subspace()
@@ -193,13 +192,13 @@ def certify_irreducible(M: LieModule, budget: int | None = None, seed: int = 0) 
             lowest = lowest or (null, conull, d)
         else:
             null, conull, d = lowest
-        closure = spin(M, [_random_vector(null, rng)])
+        closure = spin(M, _random_vector(null, rng))
         if closure.dim < M.dim:
             return IrredResult("reducible", closure, "kernel vector spin")
         if null.dim > d or used == budget:
             continue
         used += 1
-        dual = spin(M, [_random_vector(conull, rng)], transposed=True)
+        dual = spin(M, _random_vector(conull, rng), transposed=True)
         if dual.dim == M.dim:
             return IrredResult("irreducible", None, "kernel/dual spin")
         return IrredResult("reducible", kernel(dual.basis), "dual spin annihilator")
@@ -231,13 +230,13 @@ def _random_element(M: LieModule, rng) -> Mat:
     return x @ y + z
 
 
-def _random_vector(U: Subspace, rng):
-    """A uniformly random nonzero vector of U."""
+def _random_vector(U: Subspace, rng) -> Mat:
+    """A uniformly random nonzero vector of U, as a row."""
     K = U.field
     while True:
         coeffs = [K.random(rng) for _ in range(U.dim)]
         if not all(K.is_zero(c) for c in coeffs):
-            return U.lift(coeffs)
+            return Mat(K, [coeffs]) @ U.basis
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +406,9 @@ def weights(H) -> list:
 # Adjoint modules and tensor squares
 
 
-def adjoint_module(L: MatLieAlg, ambient: Subspace) -> LieModule:
+def adjoint_module(L: Subspace, ambient: Subspace) -> LieModule:
     """ad action of L's basis restricted to an invariant subspace of gl(m)."""
-    gl = LieModule._of_stack(L.field, L.dim, ad_stack(L.space.basis))
+    gl = LieModule._of_stack(L.field, L.dim, ad_stack(L.basis))
     try:
         return restrict_module(gl, ambient)
     except ValueError:
@@ -553,8 +552,8 @@ def heisenberg_poly_module_on_basis(K, n: int, alpha, monomials) -> LieModule:
 
 def representation_kernel(module: LieModule, alg) -> Subspace:
     """Kernel of the representation on the module of the algebra alg
-    (StructureConstants or MatLieAlg) whose basis acts by the generators, one
-    generator per basis element."""
+    (StructureConstants, or the Subspace of a subalgebra of gl(m)) whose
+    basis acts by the generators, one generator per basis element."""
     n, g = module.dim, module.count
     if g != alg.dim:
         raise ValueError(f"need one generator per basis element: {g} for dim {alg.dim}")

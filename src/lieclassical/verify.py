@@ -20,12 +20,13 @@ from .forms import (
     standard_symplectic_gram,
 )
 from .liealg import (
-    MatLieAlg,
+    basis_mats,
     bracket,
     bracket_rows,
     derived_series,
     gl_subspace,
     heisenberg,
+    is_bracket_closed,
     is_simple,
     lie_isomorphic_by_structure,
     quotient_algebra,
@@ -223,11 +224,11 @@ def run_thm_1_1(m) -> Report:
     four = m % 4 == 0
     x = Mat.from_blocks([[Mat.identity(K, n), Mat.zeros(K, n, n)],
                          [Mat.zeros(K, n, n), Mat.zeros(K, n, n)]])
-    U = Subspace.span(Mat.from_blocks([[L.space.basis], [x.reshape(1, m * m)]]))
+    U = Subspace.span(Mat.from_blocks([[L.basis], [x.reshape(1, m * m)]]))
     rep.check("[x, L] in L", "Thm 1.1", True,
-              all(L.contains(bracket(x, y)) for y in L.basis_mats()))
-    canonical = [s, L2.space] if four else [L2.space]
-    canonical += [L1.space] + _fill_between(L1.space, L.space) + [L.space]
+              L.residuals(bracket_rows(K, m, [x], basis_mats(L))).is_zero())
+    canonical = [s, L2] if four else [L2]
+    canonical += [L1] + _fill_between(L1, L) + [L]
     if four:
         canonical.append(U)
     canonical.append(sl)
@@ -242,22 +243,20 @@ def run_thm_1_1(m) -> Report:
               "spin certification")
     # over GF(2), alt is the symmetric matrices with zero diagonal
     sym, alt = sym_alt_subspaces(n, K)
-    rep.check("L matrix form", "Thm 1.1(3)", _block_form(K, n, sym, False), L.space)
-    rep.check("L^(1) matrix form", "Thm 1.1(4)", _block_form(K, n, alt, False), L1.space)
-    rep.check("L^(2) matrix form", "Thm 1.1(5)", _block_form(K, n, alt, True), L2.space)
+    rep.check("L matrix form", "Thm 1.1(3)", _block_form(K, n, sym, False), L)
+    rep.check("L^(1) matrix form", "Thm 1.1(4)", _block_form(K, n, alt, False), L1)
+    rep.check("L^(2) matrix form", "Thm 1.1(5)", _block_form(K, n, alt, True), L2)
     ts = tensor_square(classify(J))
-    rep.check("Gamma(S^2) = L", "Thm 7.5", L.space, gamma_image(ts, ts.sym, L.space))
-    rep.check("Gamma(Lambda^2) = L^(1)", "Thm 7.5", L1.space,
-              gamma_image(ts, ts.alt, L1.space))
+    rep.check("Gamma(S^2) = L", "Thm 7.5", L, gamma_image(ts, ts.sym, L))
+    rep.check("Gamma(Lambda^2) = L^(1)", "Thm 7.5", L1, gamma_image(ts, ts.alt, L1))
     ker_delta = ts.alt.lift_subspace(kernel(ts.delta @ ts.alt.basis.transpose()))
-    rep.check("Gamma(ker Delta) = L^(2)", "Thm 7.5", L2.space,
-              gamma_image(ts, ker_delta, L2.space))
-    rep.check("s in L^(2) iff 4|m", "Thm 7.5(6)", four, L2.space.contains(s))
+    rep.check("Gamma(ker Delta) = L^(2)", "Thm 7.5", L2, gamma_image(ts, ker_delta, L2))
+    rep.check("s in L^(2) iff 4|m", "Thm 7.5(6)", four, L2.contains(s))
     # h(n) quotient on the canonical representatives
     a = _sp_block(K, n, a=Mat.unit(K, n, n, 0, 0))
     bs = [_sp_block(K, n, b=Mat.unit(K, n, n, i, i)) for i in range(n)]
     cs_reps = [_sp_block(K, n, c=Mat.unit(K, n, n, i, i)) for i in range(n)]
-    Q, _ = quotient_algebra(L, L2.space, reps=bs + cs_reps + [a])
+    Q, _ = quotient_algebra(L, L2, reps=bs + cs_reps + [a])
     eye = Mat.identity(K, 2 * n + 1)
     rep.check("L/L^(2) = h(n)", "Thm 1.1(6)", True,
               lie_isomorphic_by_structure(heisenberg(K, n), Q, eye))
@@ -298,78 +297,55 @@ def _run_m2_alternating(rep: Report) -> Report:
 # Theorem 1.2: characteristic 2, symmetric non-alternating diagonal form
 
 
-def run_thm_1_2(m, diag=None) -> Report:
+def run_thm_1_2(m) -> Report:
+    """Over GF(2) every nonzero diagonal is I, so the form is the identity."""
     if m < 2:
         raise ValueError("needs m >= 2")
     K = GF(2)
-    if diag is None:
-        diag = [K.one()] * m
-    if len(diag) != m or any(K.is_zero(d) for d in diag):
-        raise ValueError("needs m nonzero diagonal entries")
-    A = Mat.diag(K, list(diag))
-    form = classify(A)
-    if form.alternating:
-        raise ValueError("form must not be alternating")
     rep = Report(f"thm1.2 m={m}", K, m)
-    L = skew_adjoint_algebra(A)
-    ds = derived_series(L)
-    L1 = ds[1]
-    gl = gl_subspace(K, m)
-    module = adjoint_module(L, gl)
-    canonical = [L1.space] + _fill_between(L1.space, L.space) + [L.space]
-    cs = _canonical_series(rep, "Thm 1.2", module, canonical)
+    L = skew_adjoint_algebra(Mat.identity(K, m))
+    L1 = derived_series(L)[1]
+    module = adjoint_module(L, gl_subspace(K, m))
+    cs = _canonical_series(rep, "Thm 1.2", module, [L1] + _fill_between(L1, L) + [L])
     if cs is None:
         return rep
     rep.check("factor count", "Thm 1.2", m + 2, cs.n_factors, "spin certification")
-    rep.check("L matrix form", "Thm 1.2", _diag_form_space(K, m, diag, False), L.space)
-    rep.check("L^(1) matrix form", "Thm 1.2", _diag_form_space(K, m, diag, True), L1.space)
+    # {A : A_ij = A_ji}, and its zero-diagonal part for the derived algebra
+    sym, alt = sym_alt_subspaces(m, K)
+    rep.check("L matrix form", "Thm 1.2", sym, L)
+    rep.check("L^(1) matrix form", "Thm 1.2", alt, L1)
     if m == 3 or m >= 5:
         rep.check("L^(1) simple", "Thm 8.1", True, is_simple(L1), "spin certification")
         rep.check("dim L^(1)", "Thm 8.1", m * (m - 1) // 2, L1.dim)
     # gl/L = L^(1) as L-modules, witnessed by phi(X) = X + X'
-    quo = quotient_module(module, L.space)
-    sub = restrict_module(module, L1.space)
+    quo = quotient_module(module, L)
+    sub = restrict_module(module, L1)
     rep.check("gl/L = L^(1) (hom witness)", "Thm 1.2(4)", True,
-              _intertwines(_symmetrizer(L.space, L1.space), quo, sub))
+              _intertwines(_symmetrizer(L, L1), quo, sub))
     # m-1 free insertions between L^(1) and L: trivial action on L/L^(1)
     rep.check("L/L^(1) trivial action", "Thm 1.2", True,
-              trivial_actions(factor_module(module, L1.space, L.space)))
+              trivial_actions(factor_module(module, L1, L)))
     rng = random.Random(7)
-    extra = L1.space.residuals(L.space.basis).nonzero_rows()
+    extra = L1.residuals(L.basis).nonzero_rows()
     rng.shuffle(extra)
-    mid = Subspace.span(Mat.from_blocks([[L1.space.basis],
-                                         [L.space.basis[extra[: max(1, len(extra) // 2)], :]]]))
+    mid = Subspace.span(Mat.from_blocks([[L1.basis],
+                                         [L.basis[extra[: max(1, len(extra) // 2)], :]]]))
     rep.check("random insertion invariant", "Thm 1.2", True,
               invariant_under(mid, module.stack))
     if m == 4:
-        square = discriminant_is_square(form)
-        simple = is_simple(L1)
-        rep.check("m=4 dichotomy", "Prop 10.2", not square, simple, "spin certification")
-        if square:
-            _check_prop_10_2(rep, L1, sub)
+        # the discriminant det I = 1 is a square: L^(1) is not simple
+        rep.check("m=4 dichotomy", "Prop 10.2", False, is_simple(L1), "spin certification")
+        _check_prop_10_2(rep, L1, sub)
     if m == 2:
         # the exterior square F T, T = e12 - e21, carries the trace character:
         # x acts on V (x) V by T -> x T + T x', and x T + T x' = tr(x) T (not
         # the zero action: L is solvable of class 2 but not nilpotent)
         T = Mat.unit(K, 2, 2, 0, 1) - Mat.unit(K, 2, 2, 1, 0)
         by_trace = all(x @ T + T @ x.transpose() == T.scale(x.trace())
-                       for x in L.basis_mats())
+                       for x in basis_mats(L))
         rep.check("Lambda^2 action is the trace character (m=2)", "Thm 1.2(4)",
                   True, by_trace)
     return rep
-
-
-def _diag_form_space(K, m, diag, derived_part):
-    """{A : d_i A_ij = d_j A_ji}, with zero diagonal for the derived algebra."""
-    rows = []
-    for i in range(m):
-        if not derived_part:
-            rows.append(Mat.unit(K, m, m, i, i).vec())
-        for j in range(i + 1, m):
-            X = Mat.unit(K, m, m, i, j).scale(K.mul(diag[j], K.inv(diag[i])))
-            X = X + Mat.unit(K, m, m, j, i)
-            rows.append(X.vec())
-    return Subspace.from_rows(K, m * m, rows)
 
 
 def _symmetrizer(Lspace: Subspace, L1space: Subspace) -> Mat:
@@ -389,7 +365,7 @@ def _intertwines(T: Mat, quo: LieModule, sub: LieModule) -> bool:
             and all(T @ a == b @ T for a, b in zip(quo.action_mats(), sub.action_mats())))
 
 
-def _check_prop_10_2(rep: Report, L1: MatLieAlg, sub: LieModule):
+def _check_prop_10_2(rep: Report, L1: Subspace, sub: LieModule):
     """sub is L^(1) as a module for L = L(I), restricted from L's gl(4) stack."""
     K, m = L1.field, 4
     # e_ij + e_ji (e_ii for i = j) under the key (i, j), i <= j: the pivot of its row
@@ -398,20 +374,19 @@ def _check_prop_10_2(rep: Report, L1: MatLieAlg, sub: LieModule):
     f1, f2, f3 = unit[0, 1], unit[1, 2], unit[0, 2]
     h1, h2, h3 = unit[2, 3], unit[0, 3], unit[1, 3]
     gs = [f1 + h1, f2 + h2, f3 + h3]
-    S = Subspace.from_rows(K, 16, [f.vec() for f in (f1, f2, f3)])
-    R = Subspace.from_rows(K, 16, [g.vec() for g in gs])
-    rep.check("L^(1) = S + R", "Prop 10.2", L1.space, S + R)
+    S = Subspace.span(Mat.from_blocks([[f.reshape(1, 16)] for f in (f1, f2, f3)]))
+    R = Subspace.span(Mat.from_blocks([[g.reshape(1, 16)] for g in gs]))
+    rep.check("L^(1) = S + R", "Prop 10.2", L1, S + R)
     rmats = R.matrices(m, m)
     rep.check("R abelian", "Prop 10.2", True, bracket_rows(K, m, rmats, rmats).is_zero())
     rep.check("R ideal of L^(1)", "Prop 10.2", True,
-              R.residuals(bracket_rows(K, m, L1.basis_mats(), rmats)).is_zero())
-    rep.check("S closed under brackets", "Prop 10.2", True, MatLieAlg(m, S).is_bracket_closed())
-    rep.check("S simple", "Prop 10.2", True,
-              is_simple(MatLieAlg(m, S)), "spin certification")
+              R.residuals(bracket_rows(K, m, basis_mats(L1), rmats)).is_zero())
+    rep.check("S closed under brackets", "Prop 10.2", True, is_bracket_closed(S))
+    rep.check("S simple", "Prop 10.2", True, is_simple(S), "spin certification")
     # the unique proper nonzero L^(1)-submodule of L^(1) is the abelian
     # ideal R (not S: [f1, g2] lands outside S)
-    ad = adjoint_module(L1, L1.space)
-    r_in = L1.space.coords_subspace(R)
+    ad = adjoint_module(L1, L1)
+    r_in = L1.coords_subspace(R)
     subs = all_submodules(ad)
     rep.check("R is the only proper nonzero submodule", "Prop 10.2",
               [r_in], [u for u in subs if 0 < u.dim < ad.dim], "maximal-submodule descent")
@@ -420,7 +395,7 @@ def _check_prop_10_2(rep: Report, L1: MatLieAlg, sub: LieModule):
     e11 = Mat.unit(K, m, m, 0, 0)
     rep.check("[e11, g1] = f1 outside R", "Prop 10.2",
               (True, False),
-              (bracket(e11, gs[0]) == f1, R.contains_vector(f1.vec())))
+              (bracket(e11, gs[0]) == f1, R.residuals(f1.reshape(1, 16)).is_zero()))
     res = certify_irreducible(sub)
     rep.check("L^(1) irreducible as L-module", "Prop 10.2", "irreducible",
               res.status, res.method)
@@ -501,17 +476,17 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool):
     dim_m = m * (m - 1) // 2 if symplectic else m * (m + 1) // 2
     rep.check("dim L", ref, dim_l, L.dim)
     rep.check("dim M", ref, dim_m, M.dim)
-    rep.check("M = L-perp", ref, M, trace_orthogonal_complement(L.space, gl))
+    rep.check("M = L-perp", ref, M, trace_orthogonal_complement(L, gl))
     if symplectic:
         rep.check("M matrix form", "Thm 1.3",
                   _block_form(K, m // 2, sym_alt_subspaces(m // 2, K)[1], False), M)
     ts = tensor_square(form)
     if symplectic:
         rep.check("Gamma(Lambda^2) = M", "Prop 7.1", M, gamma_image(ts, ts.alt, M))
-        rep.check("Gamma(S^2) = L", "Prop 7.1", L.space, gamma_image(ts, ts.sym, L.space))
+        rep.check("Gamma(S^2) = L", "Prop 7.1", L, gamma_image(ts, ts.sym, L))
         contraction_side = ts.alt
     else:
-        rep.check("Gamma(Lambda^2) = L", "Prop 7.1", L.space, gamma_image(ts, ts.alt, L.space))
+        rep.check("Gamma(Lambda^2) = L", "Prop 7.1", L, gamma_image(ts, ts.alt, L))
         rep.check("Gamma(S^2) = M", "Prop 7.1", M, gamma_image(ts, ts.sym, M))
         contraction_side = ts.sym
     ker_omega = contraction_side.lift_subspace(
@@ -555,8 +530,8 @@ def _run_char_not2(rep: Report, form: BilForm, symplectic: bool):
                   trivial_actions(factor_module(module, Msl, M)))
     # L = gl/M as L-modules: projecting coset representatives onto L along
     # M is an explicit intertwiner (cheaper than solving the full Hom system)
-    adL = restrict_module(module, L.space)
-    hom = _intertwines(_projection_intertwiner(L.space, M), quotient_module(module, M), adL)
+    adL = restrict_module(module, L)
+    hom = _intertwines(_projection_intertwiner(L, M), quotient_module(module, M), adL)
     rep.check("gl/M = L (hom witness)", ref, True, hom)
     # a split so(4) is not simple: `_so4_ideal` checked its ideal proper and
     # ad-invariant.  Otherwise L is simple when the witness holds, as the
@@ -578,7 +553,7 @@ def _projection_intertwiner(Lspace: Subspace, M: Subspace) -> Mat:
     return M.residuals(Lspace.basis).inv().transpose()
 
 
-def _so4_ideal(L: MatLieAlg, A: Mat) -> Subspace:
+def _so4_ideal(L: Subspace, A: Mat) -> Subspace:
     """The proper ideal {X + tau(X)} of L = so(4, A) for a Gram matrix A of
     square determinant, checked ad-invariant.
 
@@ -590,7 +565,7 @@ def _so4_ideal(L: MatLieAlg, A: Mat) -> Subspace:
     delta = _field_sqrt(L.field, A.det())
     if delta is None:
         raise ValueError("no proper ideal found")
-    Ainv, mats = A.inv(), L.basis_mats()
+    Ainv, mats = A.inv(), basis_mats(L)
     ideal = Subspace.span(Mat.from_blocks(
         [[(X + Ainv @ star_map(X @ Ainv).scale(delta)).reshape(1, 16)] for X in mats]))
     if not ideal.residuals(bracket_rows(L.field, 4, mats, ideal.matrices(4, 4))).is_zero():
@@ -685,8 +660,7 @@ def run_sl_series(m, K) -> Report:
     sl = sl_subspace(K, m)
     s = scalars_subspace(K, m)
     gl = gl_subspace(K, m)
-    L = MatLieAlg(m, sl)
-    module = adjoint_module(L, gl)
+    module = adjoint_module(sl, gl)
     div = K.char != 0 and m % K.char == 0
     expected_chain = [s, sl] if div else [sl]
     expected_dims = [1, m * m - 2, 1] if div else [m * m - 1, 1]
@@ -729,11 +703,11 @@ def run_sp_so_embedding(n, K) -> Report:
     d = 2 * n * n - n - 1
     rep.check("dim M cap sl", "Thm 3.1", d, W.dim)
     # orthogonal decomposition gl = L perp (M cap sl) perp s
-    pieces = [L.space, W, s]
+    pieces = [L, W, s]
     orth = all(trace_gram(pieces[a].basis, pieces[b].basis).is_zero()
                for a, b in ((0, 1), (0, 2), (1, 2)))
     rep.check("gl = L perp (M cap sl) perp s", "Thm 3.1", (m * m, True),
-              ((L.space + W + s).dim, orth))
+              ((L + W + s).dim, orth))
     module = adjoint_module(L, W)
     rep.check("action faithful", "Thm 3.1", 0, representation_kernel(module, L).dim)
     G = trace_gram(W.basis, W.basis)
@@ -742,12 +716,11 @@ def run_sp_so_embedding(n, K) -> Report:
               (True, True, False),
               (gform.symmetric, gform.nondegenerate, gform.alternating))
     LG = skew_adjoint_algebra(G)
-    in_lg = all(LG.contains(a) for a in module.action_mats())
-    rep.check("image inside L(G)", "Thm 3.1", True, in_lg)
+    images = module.stack.reshape(module.count, d * d)
+    rep.check("image inside L(G)", "Thm 3.1", True, LG.residuals(images).is_zero())
     rep.check("dim L(G)", "Thm 3.1", d * (d - 1) // 2, LG.dim)
     if n == 2:
-        image = Subspace.span(module.stack.reshape(module.count, d * d))
-        rep.check("image = L(G)", "Thm 3.1", LG.space, image)
+        rep.check("image = L(G)", "Thm 3.1", LG, Subspace.span(images))
         rep.check("dim sp(4) = dim L(G) = 10", "Thm 3.1", (10, 10), (L.dim, LG.dim))
     _square_upgrade(rep, "Thm 3.1", G)
     return rep
@@ -767,17 +740,53 @@ def _field_sqrt(K, a):
 
 
 def _square_upgrade(rep: Report, ref, G: Mat):
-    """Report congruence of G to the identity when the diagonal is all squares."""
-    K = G.field
+    """Report whether the symmetric G is congruent to the identity, and only
+    what is proved.  Over a finite field of odd order G = I iff det G is a
+    square; over Q a non-square det G or a negative diagonal entry refutes
+    it (Sylvester's law), and the congruence is proved when S' G S = I is
+    built; any other case is undecided."""
+    K, det = G.field, G.det()
     res = diagonalize_symmetric(G)
-    roots = [_field_sqrt(K, d) for d in res.normal_form.diagonal()]
-    all_square = all(r is not None and not K.is_zero(r) for r in roots)
-    if all_square:
-        S = res.transform @ Mat.diag(K, [K.inv(r) for r in roots])
-        rep.check("G congruent to identity", ref, Mat.identity(K, G.nrows),
-                  S.transpose() @ G @ S)
-    else:
-        rep.check("G not congruent to identity over this field", ref, False, all_square)
+    diag = res.normal_form.diagonal()
+    if (K.is_zero(det) or not K.is_square(det)
+            or (K.order() is None and any(d < 0 for d in diag))):
+        rep.check("G not congruent to identity over this field", ref, False, False)
+        return
+    C = _unit_columns(K, diag)
+    S = None if C is None else res.transform @ C
+    rep.check("G congruent to identity", ref, Mat.identity(K, G.nrows),
+              None if S is None else S.transpose() @ G @ S,
+              "undecided" if S is None else "exact")
+
+
+def _unit_columns(K, diag):
+    """C with C' D C = I for D = diag(diag), or None when none is found:
+    column i is e_i / sqrt(d_i) for a square d_i, and a pair (a, b) of
+    non-squares at (i, j) gives the columns x e_i + y e_j and
+    (-b y e_i + a x e_j) / sqrt(ab), so a x^2 + b y^2 = 1, for the first
+    x = s + t a (x = 0, 1, 2, ... first) with (1 - a x^2) / b = y^2 a
+    square: all of GF(p^2), as a non-square a is outside GF(p)."""
+    n = len(diag)
+    C = [[K.zero()] * n for _ in range(n)]
+    unpaired = None
+    for j, b in enumerate(diag):
+        root = _field_sqrt(K, b)
+        if root is not None:
+            C[j][j] = K.inv(root)
+        elif unpaired is None:
+            unpaired = j
+        else:
+            i, a, unpaired = unpaired, diag[unpaired], None
+            xs = (K.add(K.of(s), K.mul(K.of(t), a)) for t in range(K.char) for s in range(K.char))
+            roots = ((x, _field_sqrt(K, K.mul(K.sub(K.one(), K.mul(a, K.mul(x, x))), K.inv(b))))
+                     for x in xs)
+            x, y = next((xy for xy in roots if xy[1] is not None), (None, None))
+            if y is None:
+                return None
+            r = K.inv(_field_sqrt(K, K.mul(a, b)))
+            C[i][i], C[j][i] = x, y
+            C[i][j], C[j][j] = K.neg(K.mul(K.mul(b, y), r)), K.mul(K.mul(a, x), r)
+    return None if unpaired is not None else Mat(K, C)
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +821,7 @@ def run_sl4_so6(K) -> Report:
     image = Subspace.span(T.stack.reshape(T.count, 36))
     rep.check("dim sl(4) = dim L(G) = 15", "Thm 5.3", (15, 15),
               (image.dim, LG.dim))
-    rep.check("image = L(G)", "Thm 5.3", LG.space, image)
+    rep.check("image = L(G)", "Thm 5.3", LG, image)
     _square_upgrade(rep, "Thm 5.3", G)
     # contrast: over sl(3) the exterior square is not self-dual
     Z3sl = restrict_to_sl(conjugation_modules(3, K)[0], 3, K)
@@ -881,22 +890,21 @@ def _check_prop_12_2(rep: Report):
     L = skew_adjoint_algebra(J)
     ds = derived_series(L)
     rep.check("derived dims", "Prop 12.2", [10, 6, 5, 1, 0], [a.dim for a in ds])
-    L2, L3 = ds[2].space, ds[3].space
+    L2, L3 = ds[2], ds[3]
     rep.check("L^(3) = s", "Prop 12.2", scalars_subspace(K, m), L3)
     e11, e12, e21, e22 = (Mat.unit(K, 2, 2, i, j) for i in range(2) for j in range(2))
     x, y = _sp_block(K, n, b=e12 + e21), _sp_block(K, n, c=e12 + e21)
     e, f = _sp_block(K, n, a=e12), _sp_block(K, n, a=e21)
     eye = Mat.identity(K, m)
-    rep.check("L^(2) basis", "Prop 12.2",
-              Subspace.from_rows(K, 16, [v.vec() for v in (x, y, e, f, eye)]), L2)
-    rep.check("[x,y] = [e,f] = z", "Prop 12.2", (eye, eye), (bracket(x, y), bracket(e, f)))
     # U = L^(2)/s with basis e, x, f, y; g(u,v) reads the bracket in s
     ubasis = [e, x, f, y]
+    uvecs = Mat.from_blocks([[v.reshape(1, 16)] for v in ubasis + [eye]])
+    u_in_l2 = Subspace.span(uvecs)
+    rep.check("L^(2) basis", "Prop 12.2", u_in_l2, L2)
+    rep.check("[x,y] = [e,f] = z", "Prop 12.2", (eye, eye), (bracket(x, y), bracket(e, f)))
     gram = scalars_subspace(K, m).coords_of(bracket_rows(K, m, ubasis, ubasis)).reshape(4, 4)
     rep.check("Gram of g on U is J", "Prop 12.2", standard_symplectic_gram(K, 4), gram)
     # the representation R of L on U; kernel L^(2), image 5-dimensional in L(g)
-    uvecs = Mat(K, [v.vec() for v in ubasis + [eye]])
-    u_in_l2 = Subspace.span(uvecs)
     to_ubasis = u_in_l2.coords_of(uvecs).inv()  # canonical coordinates to e, x, f, y, I
     a = _sp_block(K, n, a=e11)
     b1, b2 = _sp_block(K, n, b=e11), _sp_block(K, n, b=e22)
@@ -913,14 +921,13 @@ def _check_prop_12_2(rep: Report):
     rep.check("R matches the polynomial module", "Prop 12.2",
               [a.to_text() for a in poly.action_mats()],  # u1, u2, v1, v2, z
               [R(v).to_text() for v in (b1, b2, c1, c2, a)])
-    rmod = LieModule(K, 4, [R(v) for v in L.basis_mats()])
+    rmod = LieModule(K, 4, [R(v) for v in basis_mats(L)])
     rep.check("dim ker R = dim L^(2)", "Prop 12.2", L2.dim, representation_kernel(rmod, L).dim)
     image = Subspace.span(rmod.stack.reshape(rmod.count, 16))
     rep.check("R(L) is 5-dimensional", "Prop 12.2", 5, image.dim)
     Lg = skew_adjoint_algebra(standard_symplectic_gram(K, 4))
-    rep.check("R(L) inside L(g)", "Prop 12.2", True, Lg.space.contains(image))
-    rep.check("R(L) closed under brackets", "Prop 12.2", True,
-              MatLieAlg(4, image).is_bracket_closed())
+    rep.check("R(L) inside L(g)", "Prop 12.2", True, Lg.contains(image))
+    rep.check("R(L) closed under brackets", "Prop 12.2", True, is_bracket_closed(image))
     # U as a quotient by s: check irreducibility of L^(2)/s under L
     mod5 = adjoint_module(L, u_in_l2)
     s_in = Subspace.span(u_in_l2.coords_of(eye.reshape(1, 16)))

@@ -5,14 +5,14 @@ for irreducibility verdicts and submodule lattices.  It costs one spin per
 line, (q^n - 1)/(q - 1) of them, so it is for small modules only.
 """
 
-from lieclassical.linalg import Subspace
+from lieclassical.linalg import Mat, Subspace
 from lieclassical.repmod import IrredResult, line_reps, spin
 
 
 def certify_by_enumeration(M):
     """Irreducible iff no line spins to a proper submodule."""
     for v in line_reps(M.field, M.dim):
-        closure = spin(M, [v])
+        closure = spin(M, Mat(M.field, [v]))
         if closure.dim < M.dim:
             return IrredResult("reducible", closure, "line enumeration")
     return IrredResult("irreducible", None, "line enumeration")
@@ -24,7 +24,7 @@ def all_submodules_by_enumeration(M):
     K = M.field
     found = {}
     for v in line_reps(K, M.dim):
-        S = spin(M, [v])
+        S = spin(M, Mat(K, [v]))
         found[S] = S
     work = list(found.values())
     while work:

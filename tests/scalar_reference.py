@@ -30,6 +30,16 @@ def op_matrix(field, n_in, n_out, fn) -> Mat:
     return Mat(field, [fn(unit_vector(field, n_in, j)) for j in range(n_in)]).transpose()
 
 
+def coords_by_scalars(U: Subspace, v):
+    """The coordinates of the scalar vector v in U's canonical basis."""
+    return U.coords_of(Mat(U.field, [v])).vec()
+
+
+def lift_by_scalars(U: Subspace, coords):
+    """The scalar vector with the given coordinates in U's canonical basis."""
+    return (Mat(U.field, [coords]) @ U.basis).vec()
+
+
 def from_int_rows(field, rows) -> Mat:
     return Mat(field, [[field.of(x) for x in row] for row in rows])
 

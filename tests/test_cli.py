@@ -392,6 +392,19 @@ def test_square_roots_over_large_prime_fields(capsys, argv):
     assert any("congruent to identity" in c["label"] for c in report["claims"])
 
 
+@pytest.mark.parametrize("p", [3, 7, 11])
+def test_sp_so_congruent_to_identity_when_det_is_a_square(capsys, p):
+    # det G is 1, 1 and 9, a square in each field, so G = I over it
+    code, out, err = run(capsys, "verify:sp-so", "--field", str(p), "--m", "4", "--output", "json")
+    assert code == 0, err
+    claims = {c["label"]: c for c in json.loads(out)["claims"]}
+    assert "G not congruent to identity over this field" not in claims
+    eye = Mat.identity(GF(p), 5).to_text()
+    assert claims["G congruent to identity"] == {
+        "label": "G congruent to identity", "paper_ref": "Thm 3.1", "expected": eye,
+        "computed": eye, "pass": True, "method": "exact"}
+
+
 def test_usage_names_the_installed_command():
     assert build_parser().format_usage().startswith("usage: lieclassical ")
 

@@ -68,6 +68,15 @@ def test_quadratic_field_basics():
             assert K.mul(a, K.inv(a)) == K.one()
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_quadratic_is_square_matches_the_squares(p):
+    # Euler's criterion on the norm against the brute-force squares of GF(p^2)
+    K = GF(p, 2)
+    squares = {K.mul(x, x) for x in K.elements()}
+    assert len(squares) == (p * p + 1) // 2
+    assert all(K.is_square(a) == (a in squares) for a in K.elements())
+
+
 def test_rational_is_square():
     assert QQ.is_square(Fraction(4, 9))
     assert not QQ.is_square(Fraction(2))

@@ -16,8 +16,8 @@ from lieclassical import repmod, verify
 from lieclassical.fields import GF, QQ
 from lieclassical.forms import classify, standard_symplectic_gram
 from lieclassical.liealg import (
-    MatLieAlg,
     StructureConstants,
+    basis_mats,
     bracket,
     gl_subspace,
     heisenberg,
@@ -56,7 +56,14 @@ from lieclassical.repmod import (
 )
 from echelon_reference import ScalarEchelon
 from line_enumeration import certify_by_enumeration
-from scalar_reference import block_duality_check, op_matrix, tensor_action_by_kron, unvec
+from scalar_reference import (
+    block_duality_check,
+    coords_by_scalars,
+    lift_by_scalars,
+    op_matrix,
+    tensor_action_by_kron,
+    unvec,
+)
 
 
 def sl2_natural(K):
@@ -69,8 +76,8 @@ def sl2_natural(K):
 def test_spin_full_from_any_seed():
     K = GF(3)
     M = sl2_natural(K)
-    assert spin(M, [[K.one(), K.zero()]]).dim == 2
-    assert spin(M, [[K.zero(), K.zero()]]).dim == 0
+    assert spin(M, Mat(K, [[K.one(), K.zero()]])).dim == 2
+    assert spin(M, Mat(K, [[K.zero(), K.zero()]])).dim == 0
 
 
 def test_certify_irreducible_natural():
@@ -129,7 +136,7 @@ def _so4_nonsquare_mod(p):
     """so(4) of diag(1,1,1,2) reduced mod p: 2 is not a square mod 3 or 5, so
     the adjoint module is irreducible but not absolutely irreducible."""
     L = skew_adjoint_algebra(Mat.diag(QQ, [Fraction(d) for d in (1, 1, 1, 2)]))
-    return reduce_module_mod_p(adjoint_module(L, L.space), p)
+    return reduce_module_mod_p(adjoint_module(L, L), p)
 
 
 @pytest.mark.parametrize("K", [GF(2), GF(3), GF(3, 2)], ids=["gf2", "gf3", "gf9"])
@@ -160,7 +167,7 @@ def test_certify_irreducible_not_absolutely_irreducible(M):
 def _sp4_adjoint_gf3():
     """sp(4) over GF(3), simple, as its own adjoint module (dimension 10)."""
     L = skew_adjoint_algebra(standard_symplectic_gram(GF(3), 4))
-    return adjoint_module(L, L.space)
+    return adjoint_module(L, L)
 
 
 @pytest.mark.parametrize("make", [lambda: _so4_nonsquare_mod(5), _sp4_adjoint_gf3],
@@ -205,16 +212,16 @@ def test_certify_budget_counts_draws_and_spins():
 
 def _so4_diag_1112_adjoint():
     L = skew_adjoint_algebra(Mat.diag(QQ, [Fraction(d) for d in (1, 1, 1, 2)]))
-    return adjoint_module(L, L.space)
+    return adjoint_module(L, L)
 
 
 def test_irreducible_is_one_verdict_per_field():
     assert irreducible(sl2_natural(GF(5))) == (True, "spin certification")
     K = GF(3)
-    gl2 = adjoint_module(MatLieAlg(2, sl_subspace(K, 2)), gl_subspace(K, 2))
+    gl2 = adjoint_module(sl_subspace(K, 2), gl_subspace(K, 2))
     assert irreducible(gl2)[0] is False
-    sl2 = MatLieAlg(2, sl_subspace(QQ, 2))
-    assert irreducible(adjoint_module(sl2, sl2.space), (3, 5)) == (True, "mod-p")
+    sl2 = sl_subspace(QQ, 2)
+    assert irreducible(adjoint_module(sl2, sl2), (3, 5)) == (True, "mod-p")
 
 
 def test_irreducible_over_q_refuses_without_a_certifying_prime():
@@ -237,7 +244,7 @@ def test_spent_budget_is_no_verdict(monkeypatch):
 
 def test_composition_series_gl2_under_sl2():
     K = GF(3)
-    L = MatLieAlg(2, sl_subspace(K, 2))
+    L = sl_subspace(K, 2)
     M = adjoint_module(L, gl_subspace(K, 2))
     cs = composition_series(M)
     assert sorted(cs.factor_dims) == [1, 3]
@@ -247,7 +254,7 @@ def test_composition_series_gl2_under_sl2():
 def test_composition_series_gl2_char2():
     # scalars sit inside sl(2) in characteristic 2
     K = GF(2)
-    L = MatLieAlg(2, sl_subspace(K, 2))
+    L = sl_subspace(K, 2)
     M = adjoint_module(L, gl_subspace(K, 2))
     cs = composition_series(M)
     # ad is trivial on every factor here: [e, f] = I is scalar, so the
@@ -258,7 +265,7 @@ def test_composition_series_gl2_char2():
 
 def test_composition_series_char0_candidate_chain():
     K = QQ
-    L = MatLieAlg(2, sl_subspace(K, 2))
+    L = sl_subspace(K, 2)
     M = adjoint_module(L, gl_subspace(K, 2))
     cs = composition_series(M, candidate_chain=[sl_subspace(K, 2)], mod_p_primes=(3, 5))
     assert cs.factor_dims == [3, 1]
@@ -321,7 +328,7 @@ def test_free_series_certifies_M_itself_first(monkeypatch):
 
 def test_restrict_quotient_dims_and_brackets():
     K = GF(5)
-    L = MatLieAlg(2, sl_subspace(K, 2))
+    L = sl_subspace(K, 2)
     M = adjoint_module(L, gl_subspace(K, 2))
     U = sl_subspace(K, 2)
     sub = restrict_module(M, U)
@@ -336,8 +343,8 @@ def test_restrict_quotient_dims_and_brackets():
 def _sl2_structure(L):
     """The structure constants of L on its canonical basis, one bracket at a
     time."""
-    mats = L.basis_mats()
-    table = Mat(L.field, [L.space.coords(bracket(x, y).vec()) for x in mats for y in mats])
+    mats = basis_mats(L)
+    table = Mat(L.field, [coords_by_scalars(L, bracket(x, y).vec()) for x in mats for y in mats])
     return StructureConstants(L.field, table)
 
 
@@ -347,7 +354,7 @@ def test_respects_brackets_refuses_a_wrong_table_or_generator(K):
     if K.char:
         struct, V = heisenberg(K, 1), heisenberg_poly_module(K, 1, K.one())
     else:
-        L = MatLieAlg(2, sl_subspace(K, 2))
+        L = sl_subspace(K, 2)
         struct, V = _sl2_structure(L), adjoint_module(L, gl_subspace(K, 2))
     assert respects_brackets(V, struct)
     # one more e_0 in [e_0, e_1]
@@ -360,9 +367,9 @@ def test_respects_brackets_refuses_a_wrong_table_or_generator(K):
 
 
 def test_is_simple_examples():
-    assert is_simple(MatLieAlg(2, sl_subspace(GF(3), 2)))
-    assert not is_simple(MatLieAlg(2, gl_subspace(GF(3), 2)))
-    assert not is_simple(MatLieAlg(2, sl_subspace(GF(2), 2)))
+    assert is_simple(sl_subspace(GF(3), 2))
+    assert not is_simple(gl_subspace(GF(3), 2))
+    assert not is_simple(sl_subspace(GF(2), 2))
     J = standard_symplectic_gram(GF(3), 4)
     assert is_simple(skew_adjoint_algebra(J))
 
@@ -438,17 +445,17 @@ def test_weights_take_no_charpoly_and_no_kernel(monkeypatch):
 
 def test_weights_adjoint_sl2():
     K = QQ
-    L = MatLieAlg(2, sl_subspace(K, 2))
-    M = adjoint_module(L, L.space)
+    L = sl_subspace(K, 2)
+    M = adjoint_module(L, L)
     # find the coordinate matrix of ad(h) inside the module generators
     hmat = None
-    for a, x in zip(M.action_mats(), L.basis_mats()):
+    for a, x in zip(M.action_mats(), basis_mats(L)):
         if x == Mat.diag(K, [Fraction(1), Fraction(-1)]):
             hmat = a
     # basis of sl(2) from RREF need not contain h exactly; build ad(h) directly
     if hmat is None:
         h = Mat.diag(K, [Fraction(1), Fraction(-1)])
-        cols = [L.space.coords(bracket(h, y).vec()) for y in L.basis_mats()]
+        cols = [coords_by_scalars(L, bracket(h, y).vec()) for y in basis_mats(L)]
         hmat = Mat(K, [[cols[j][i] for j in range(3)] for i in range(3)])
     table = weights([hmat])
     assert sorted(table) == [
@@ -464,7 +471,7 @@ def test_tensor_square_equivariance():
         J = standard_symplectic_gram(K, 4)
         L = skew_adjoint_algebra(J)
         ts = tensor_square(classify(J))
-        for x in L.basis_mats():
+        for x in basis_mats(L):
             act = tensor_action_by_kron(x)
             for _ in range(3):
                 t = [K.random(rng) for _ in range(16)]
@@ -483,11 +490,11 @@ def test_tensor_square_gamma_images_skew_odd_char():
     ts = tensor_square(classify(J))
     M = self_adjoint_module(J)
     assert gamma_image(ts, ts.alt, M) == M
-    assert gamma_image(ts, ts.sym, L.space) == L.space
+    assert gamma_image(ts, ts.sym, L) == L
     # compared with a subspace it is not (of another dimension, or of the
     # same one), the image is still its own canonical basis
-    assert gamma_image(ts, ts.alt, L.space) == M
-    assert ts.sym != L.space and gamma_image(ts, ts.sym, ts.sym) == L.space
+    assert gamma_image(ts, ts.alt, L) == M
+    assert ts.sym != L and gamma_image(ts, ts.sym, ts.sym) == L
 
 
 def test_tensor_square_delta_char2():
@@ -539,7 +546,7 @@ def test_representation_kernel_refuses_a_partial_generator_set():
 def _reference_restrict(M, U):
     """Generators on U from coordinates of A u, one basis vector at a time."""
     return [
-        op_matrix(M.field, U.dim, U.dim, lambda c, A=A: U.coords(matvec(A, U.lift(c))))
+        op_matrix(M.field, U.dim, U.dim, lambda c, A=A: coords_by_scalars(U, matvec(A, lift_by_scalars(U, c))))
         for A in M.action_mats()
     ]
 
@@ -571,7 +578,7 @@ def _gl_modules():
         for gram in (standard_symplectic_gram(K, 4), Mat.diag(K, [K.one()] * 3)):
             L = skew_adjoint_algebra(gram)
             M = adjoint_module(L, gl_subspace(K, gram.nrows))
-            yield M, [L.space, self_adjoint_module(gram), gl_subspace(K, gram.nrows)]
+            yield M, [L, self_adjoint_module(gram), gl_subspace(K, gram.nrows)]
 
 
 def test_surgery_matches_reference_on_spun_submodules():
@@ -581,8 +588,8 @@ def test_surgery_matches_reference_on_spun_submodules():
         K = M.field
         for _ in range(6):
             piece = rng.choice(pieces)
-            seeds = [piece.lift([K.random(rng) for _ in range(piece.dim)])
-                     for _ in range(rng.randint(1, 2))]
+            seeds = Mat(K, [[K.random(rng) for _ in range(piece.dim)]
+                            for _ in range(rng.randint(1, 2))]) @ piece.basis
             U = spin(M, seeds)
             proper += 0 < U.dim < M.dim
             sub, quo = restrict_module(M, U), quotient_module(M, U)
@@ -662,7 +669,7 @@ def test_known_rref_constructors_and_factors_eliminate_nothing(monkeypatch, K):
     L = skew_adjoint_algebra(standard_symplectic_gram(K, 4))
     M = adjoint_module(L, gl_subspace(K, 4))
     s = scalars_subspace(K, 4)
-    hi = s + L.space
+    hi = s + L
     C = Subspace.span(Mat.identity(K, hi.dim)[[0, hi.dim - 1], :])
 
     def refuse(self, X):
@@ -712,12 +719,12 @@ def test_spin_exact_near_int64_limit():
         images = [matvec(G, v) for v in frontier for G in M.action_mats()]
         frontier = [w for w in images if ref.add(w)]
     assert 0 < ref.dim <= 4
-    assert spin(M, [seed]) == ref.subspace()
+    assert spin(M, Mat(K, [seed])) == ref.subspace()
 
 
 def test_restrict_to_zero_subspace():
     for K in (QQ, GF(3, 2), GF(5)):
-        M = adjoint_module(MatLieAlg(2, sl_subspace(K, 2)), gl_subspace(K, 2))
+        M = adjoint_module(sl_subspace(K, 2), gl_subspace(K, 2))
         R = restrict_module(M, Subspace.zero(K, 4))
         assert R.dim == 0
         assert R.count == M.count
@@ -726,7 +733,7 @@ def test_restrict_to_zero_subspace():
 
 @pytest.mark.parametrize("K", [GF(3, 2), GF(5, 2), GF(5)], ids=["gf9", "gf25", "gf5"])
 def test_random_element_matches_scalar_combinations(K):
-    M = adjoint_module(MatLieAlg(3, sl_subspace(K, 3)), gl_subspace(K, 3))
+    M = adjoint_module(sl_subspace(K, 3), gl_subspace(K, 3))
     mats = M.action_mats()
     for seed in range(4):
         rng = random.Random(seed)
@@ -737,7 +744,7 @@ def test_random_element_matches_scalar_combinations(K):
 
 def test_adjoint_module_refuses_a_non_invariant_ambient():
     for K in (QQ, GF(3, 2), GF(5)):
-        L = MatLieAlg(2, sl_subspace(K, 2))
+        L = sl_subspace(K, 2)
         # the diagonal matrices: [e, h] is a multiple of e, which leaves them
         diag = Subspace.from_rows(K, 4, [Mat.unit(K, 2, 2, i, i).vec() for i in range(2)])
         with pytest.raises(ValueError, match="ambient subspace is not ad-invariant"):
@@ -747,10 +754,10 @@ def test_adjoint_module_refuses_a_non_invariant_ambient():
 def _reference_adjoint(L, ambient):
     """ad action of L's basis on an ad-invariant subspace of gl(m): one bracket
     per pair of basis element and ambient vector, read off in its coordinates."""
-    K = L.field
-    ws = ambient.matrices(L.m, L.m)
-    return [Mat(K, [ambient.coords(bracket(x, w).vec()) for w in ws]).transpose()
-            for x in L.basis_mats()]
+    K, m = L.field, math.isqrt(L.ambient)
+    ws = ambient.matrices(m, m)
+    return [Mat(K, [coords_by_scalars(ambient, bracket(x, w).vec()) for w in ws]).transpose()
+            for x in basis_mats(L)]
 
 
 @pytest.mark.parametrize("K", [GF(2), GF(3), GF(3, 2), QQ], ids=["gf2", "gf3", "gf9", "q"])
@@ -759,7 +766,7 @@ def test_adjoint_module_matches_bracket_reference(K):
         L = skew_adjoint_algebra(gram)
         M = self_adjoint_module(gram)
         m = gram.nrows
-        for ambient in (gl_subspace(K, m), L.space, M, M.intersect(sl_subspace(K, m))):
+        for ambient in (gl_subspace(K, m), L, M, M.intersect(sl_subspace(K, m))):
             mod = adjoint_module(L, ambient)
             assert mod.dim == ambient.dim
             assert mod.action_mats() == _reference_adjoint(L, ambient)
@@ -793,7 +800,7 @@ def test_restrict_to_sl_selects_by_position(n):
 def test_non_nested_chain_refused(K):
     # s and sl are invariant and rise in dimension, but s is not in sl (3 is
     # a unit): the chain is not ascending, whatever the terms' invariance
-    M = adjoint_module(MatLieAlg(3, sl_subspace(K, 3)), gl_subspace(K, 3))
+    M = adjoint_module(sl_subspace(K, 3), gl_subspace(K, 3))
     with pytest.raises(ValueError, match="chain is not strictly ascending"):
         composition_series(M, candidate_chain=[scalars_subspace(K, 3), sl_subspace(K, 3)],
                            mod_p_primes=(5, 7))
@@ -803,7 +810,7 @@ def test_chain_links_are_tested_for_containment_once(monkeypatch):
     # factor_module's coordinates of lo in hi are each link's one containment
     # test; Subspace.contains only names the fault of a refused link
     K = GF(5)
-    M = adjoint_module(MatLieAlg(5, sl_subspace(K, 5)), gl_subspace(K, 5))
+    M = adjoint_module(sl_subspace(K, 5), gl_subspace(K, 5))
     monkeypatch.setattr(Subspace, "contains", lambda self, other: pytest.fail("tested twice"))
     cs = composition_series(M, candidate_chain=[scalars_subspace(K, 5), sl_subspace(K, 5)])
     assert cs.factor_dims == [1, 23, 1]

@@ -34,7 +34,7 @@ out = {}
 for name, K in (("gf9 spin", GF(3, 2)), ("gf5 spin", GF(5))):
     gens = [Mat(K, [[K.random(rng) for _ in range(6)] for _ in range(6)]) for _ in "ab"]
     before = adds()
-    repmod.spin(LieModule(K, 6, gens), [[K.random(rng) for _ in range(6)]])
+    repmod.spin(LieModule(K, 6, gens), Mat(K, [[K.random(rng) for _ in range(6)]]))
     out[name] = adds() - before
 before = adds()
 Subspace.from_rows(QQ, 4, [[QQ.of(i * j + 1) for j in range(4)] for i in range(3)])

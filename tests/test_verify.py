@@ -114,21 +114,21 @@ def _thm_1_2_pieces(m):
     L = skew_adjoint_algebra(Mat.identity(K, m))
     L1 = derived_series(L)[1]
     module = adjoint_module(L, gl_subspace(K, m))
-    return L, L1, quotient_module(module, L.space), restrict_module(module, L1.space)
+    return L, L1, quotient_module(module, L), restrict_module(module, L1)
 
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_thm_1_2_symmetrizer_is_an_isomorphism(m):
     # X -> X + X' maps gl/L onto L^(1) and commutes with ad L
     L, L1, quo, sub = _thm_1_2_pieces(m)
-    T = verify._symmetrizer(L.space, L1.space)
+    T = verify._symmetrizer(L, L1)
     assert (T.nrows, T.ncols) == (m * (m - 1) // 2, quo.dim)
     assert verify._intertwines(T, quo, sub)
 
 
 def test_intertwines_rejects_singular_and_non_equivariant_maps():
     L, L1, quo, sub = _thm_1_2_pieces(5)
-    T = verify._symmetrizer(L.space, L1.space)
+    T = verify._symmetrizer(L, L1)
     assert not verify._intertwines(Mat.zeros(GF(2), T.nrows, T.ncols), quo, sub)
     # L^(1) is simple for m = 5, so a row swap of T is invertible but no
     # longer intertwines
@@ -150,7 +150,7 @@ def test_so4_ideal_for_square_determinant(K, diag):
     A = Mat.diag(K, [K.of(d) for d in diag])
     L = skew_adjoint_algebra(A)
     ideal = verify._so4_ideal(L, A)
-    assert ideal.dim == 3 and L.space.contains(ideal)
+    assert ideal.dim == 3 and L.contains(ideal)
     assert adjoint_module(L, ideal).dim == 3  # [L, ideal] lies in the ideal
 
 
@@ -319,6 +319,46 @@ def test_field_sqrt_over_large_fields(K):
     assert verify._field_sqrt(K, K.zero()) == K.zero()
     nonsquare = next(a for a in (K.random(rng) for _ in range(100)) if not K.is_square(a))
     assert verify._field_sqrt(K, nonsquare) is None
+
+
+def _congruence_claims(K, diag):
+    rep = verify.Report("congruence", K, len(diag))
+    verify._square_upgrade(rep, "test", Mat.diag(K, [K.of(d) for d in diag]))
+    return [(c.label, c.expected, c.computed, c.passed, c.method) for c in rep.claims]
+
+
+def test_square_upgrade_pairs_non_square_entries():
+    # 3 and 5 are non-squares mod 7, det 15 = 1 is a square: diag(3, 5) = I
+    K = GF(7)
+    eye = Mat.identity(K, 2).to_text()
+    assert _congruence_claims(K, [3, 5]) == [
+        ("G congruent to identity", eye, eye, True, "exact")]
+    assert _congruence_claims(K, [3, 5, 2, 6, 6]) == [
+        ("G congruent to identity", Mat.identity(K, 5).to_text(),
+         Mat.identity(K, 5).to_text(), True, "exact")]
+    # over GF(9) the x of a pair run outside GF(3) too: some pairs need them
+    K = GF(3, 2)
+    nonsquares = [a for a in K.elements() if not K.is_square(a)]
+    for a in nonsquares:
+        for b in nonsquares:
+            rep = verify.Report("congruence", K, 2)
+            verify._square_upgrade(rep, "test", Mat.diag(K, [a, b]))
+            assert [(c.computed, c.method) for c in rep.claims] == [
+                (Mat.identity(K, 2).to_text(), "exact")]
+
+
+@pytest.mark.parametrize("K, diag", [(GF(7), [1, 3]), (GF(11), [2, 1, 1]), (QQ, [1, -1]),
+                                     (QQ, [2, 1])], ids=["gf7", "gf11", "q-negative", "q-det"])
+def test_square_upgrade_refutes_only_what_is_proved(K, diag):
+    # a non-square det, or over Q a negative entry (Sylvester's law)
+    assert _congruence_claims(K, diag) == [
+        ("G not congruent to identity over this field", False, False, True, "exact")]
+
+
+def test_square_upgrade_leaves_the_rational_pair_undecided():
+    # diag(2, 2) over Q: positive, square det, non-square entries
+    assert _congruence_claims(QQ, [2, 2]) == [
+        ("G congruent to identity", Mat.identity(QQ, 2).to_text(), None, False, "undecided")]
 
 
 def test_sp_so_embedding_gf13():
