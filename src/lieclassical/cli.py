@@ -17,7 +17,6 @@ from .fields import field_from_token
 from .forms import standard_symplectic_gram
 from .liealg import (
     ad_gl,
-    basis_mats,
     derived_series,
     gl_subspace,
     skew_adjoint_algebra,
@@ -342,7 +341,7 @@ def _run_weights(K, args):
 def _run_hom(K, args):
     """Hom from the natural module to its dual; f makes V self-dual."""
     m, _, L = _algebra_of(K, args)
-    V = LieModule(K, m, basis_mats(L))
+    V = LieModule.of_stack(K, L.dim, L.basis.reshape(L.dim * m, m))
     Vd = dual_module(V)
     H = hom_space(V, Vd)
     data = {"dim Hom(V, V*)": H.dim}

@@ -49,10 +49,6 @@ def classify(A: Mat) -> BilForm:
     return BilForm(A, symmetric, alternating, nondeg)
 
 
-def _form_value(A: Mat, u, v):
-    return (Mat(A.field, [u]) @ A @ Mat(A.field, [v]).transpose()).rows[0][0]
-
-
 def standard_symplectic_gram(K: Field, m: int) -> Mat:
     if m % 2:
         raise ValueError("symplectic Gram needs even size")
@@ -63,84 +59,59 @@ def standard_symplectic_gram(K: Field, m: int) -> Mat:
 
 
 def diagonalize_symmetric(A: Mat) -> CongruenceResult:
+    """S with S' A S diagonal, for a symmetric A that is not alternating in
+    characteristic 2.  The chosen vectors and a basis R of their complement
+    are Mat rows, and each step reads the Gram matrix R A R' once: the first
+    w with q(w) = f(w, w) != 0 is chosen and one product projects the rest
+    of R away from it, or else the first pair with f(w_i, w_j) != 0 is used."""
     form = classify(A)
     if not form.symmetric:
         raise ValueError("diagonalization needs a symmetric form")
-    K = A.field
-    char2 = K.char == 2
+    K, char2 = A.field, A.field.char == 2
     if char2 and form.alternating and not A.is_zero():
         raise ValueError("alternating form in characteristic 2 has no diagonal Gram")
-    m = A.nrows
-    done = []
-    remaining = list(Mat.identity(K, m).rows)
-    while remaining:
-        # everything orthogonal to `done` lives in span(remaining)
-        vals = [_form_value(A, w, w) for w in remaining]
-        idx = next((i for i, q in enumerate(vals) if not K.is_zero(q)), None)
-        if idx is None:
-            if not char2:
-                # f(w,w)=0 everywhere; if some f(w1,w2)=c != 0 then w1+w2 works
-                pair = _nonzero_pair(A, remaining)
-                if pair is None:
-                    done.extend(remaining)
-                    break
-                i, j, c = pair
-                remaining[i] = [K.add(a, b) for a, b in zip(remaining[i], remaining[j])]
-                continue
-            # char 2: the complement went alternating.  Take a hyperbolic
-            # pair v, w there (f(v, w) = 1) and swap the last chosen vector
-            # u for u + v.  Squares add in characteristic 2, so
-            # q(u + v) = q(u) != 0, and the projection of w into the new
-            # complement has square 1/q(u) != 0, so progress is guaranteed.
-            pair = _nonzero_pair(A, remaining)
-            if pair is None:
-                done.extend(remaining)
-                break
-            if not done:
-                raise ValueError("alternating form in characteristic 2 has no diagonal Gram")
-            i, j, c = pair
-            v = [K.mul(K.inv(c), a) for a in remaining[i]]
-            u = done.pop()
-            u2 = [K.add(a, b) for a, b in zip(u, v)]
-            done.append(u2)
-            projected = _orth_complement(A, remaining + [u], u2)
-            # the projections carry one dependency; rebuild an independent basis
-            remaining = list(Subspace.from_rows(K, m, projected).basis.rows)
+    done, R = Mat.zeros(K, 0, A.nrows), Mat.identity(K, A.nrows)
+    while R.nrows:
+        r = R.nrows
+        G = R @ A @ R.transpose()
+        nonzero = G.reshape(r * r, 1).nonzero_rows()  # row-major positions
+        chosen = [k // (r + 1) for k in nonzero if k % (r + 1) == 0]
+        if chosen:
+            i = chosen[0]
+            rest, u = [k for k in range(r) if k != i], R[[i], :]
+            done = Mat.from_blocks([[done], [u]])
+            P = R[rest, :] - G[rest, [i]].scale(K.inv(G.rows[i][i])) @ u
+            R = P[P.nonzero_rows(), :]
             continue
-        u = remaining.pop(idx)
-        done.append(u)
-        remaining = _orth_complement(A, remaining, u)
-    S = Mat(K, done).transpose()
+        if not nonzero:  # f vanishes on span(R)
+            done = Mat.from_blocks([[done], [R]])
+            break
+        # q vanishes on R and G is symmetric: its first nonzero entry is
+        # f(w_i, w_j) with i < j
+        i, j = divmod(nonzero[0], r)
+        if not char2:  # q(w_i + w_j) = 2 f(w_i, w_j) != 0
+            R = (Mat.identity(K, r) + Mat.unit(K, r, r, i, j)) @ R
+            continue
+        # char 2: the complement went alternating.  Take the hyperbolic pair
+        # v = w_i / f(w_i, w_j), w_j and swap the last chosen vector u for
+        # u + v.  Squares add in characteristic 2, so q(u + v) = q(u) != 0,
+        # and the projection of w_j into the new complement has square
+        # 1/q(u) != 0, so progress is guaranteed.  A vector was chosen
+        # already: on R = I, G = A, whose zero diagonal makes it alternating.
+        u = done[[done.nrows - 1], :]
+        u2 = u + R[[i], :].scale(K.inv(G.rows[i][j]))
+        done = Mat.from_blocks([[done[: done.nrows - 1, :]], [u2]])
+        W = Mat.from_blocks([[R], [u]])
+        q = (u2 @ A @ u2.transpose()).rows[0][0]
+        # the projections carry one dependency: R is a basis of their span
+        R = Subspace.span(W - (W @ A @ u2.transpose()).scale(K.inv(q)) @ u2).basis
+    S = done.transpose()
     D = S.transpose() @ A @ S
     if D != Mat.diag(K, D.diagonal()):
         raise AssertionError("diagonalization failed to reach diagonal form")
     if K.is_zero(S.det()):
         raise AssertionError("diagonalizing transform is singular")
     return CongruenceResult(S, D)
-
-
-def _nonzero_pair(A: Mat, vectors):
-    K = A.field
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            c = _form_value(A, vectors[i], vectors[j])
-            if not K.is_zero(c):
-                return i, j, c
-    return None
-
-
-def _orth_complement(A: Mat, vectors, u):
-    """Replace each vector by its f-projection away from u (q(u) != 0)."""
-    K = A.field
-    q = _form_value(A, u, u)
-    qinv = K.inv(q)
-    out = []
-    for w in vectors:
-        c = K.mul(qinv, _form_value(A, u, w))
-        w2 = [K.sub(a, K.mul(c, b)) for a, b in zip(w, u)]
-        if any(not K.is_zero(a) for a in w2):
-            out.append(w2)
-    return out
 
 
 def discriminant_is_square(form: BilForm) -> bool:

@@ -49,16 +49,9 @@ def scalars_subspace(K: Field, m: int) -> Subspace:
     return Subspace.span(Mat.identity(K, m).reshape(1, m * m))
 
 
-def basis_mats(L: Subspace):
-    """The basis of a Lie subalgebra L of gl(m) as m x m matrices."""
-    m = math.isqrt(L.ambient)
-    return L.matrices(m, m)
-
-
 def is_bracket_closed(L: Subspace) -> bool:
     """[L, L] in L, from the brackets of every pair of basis matrices."""
-    mats = basis_mats(L)
-    return L.residuals(bracket_rows(L.field, math.isqrt(L.ambient), mats, mats)).is_zero()
+    return L.residuals(bracket_rows(L.basis, L.basis)).is_zero()
 
 
 def skew_adjoint_algebra(A: Mat) -> Subspace:
@@ -88,12 +81,11 @@ def transpose_product(A: Mat) -> Mat:
 def derived_series(L: Subspace):
     """[L, L^(1), L^(2), ...] iterated until stabilization: L^(k+1) is spanned
     by the brackets of the pairs i < j of L^(k)'s basis."""
-    m = math.isqrt(L.ambient)
     series = [L]
     while series[-1].dim:
-        mats = basis_mats(series[-1])
-        pairs = [i * len(mats) + j for i in range(len(mats)) for j in range(i + 1, len(mats))]
-        nxt = Subspace.span(bracket_rows(L.field, m, mats, mats)[pairs, :])
+        B, q = series[-1].basis, series[-1].dim
+        pairs = [i * q + j for i in range(q) for j in range(i + 1, q)]
+        nxt = Subspace.span(bracket_rows(B, B)[pairs, :])
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -125,12 +117,6 @@ class StructureConstants:
     def dim(self):
         return self.table.ncols
 
-    def adjoint_matrices(self):
-        """ad(e_i) as dim x dim matrices (columns indexed by e_j): the
-        transposes of the row blocks of the table."""
-        q = self.dim
-        return [self.table[i * q : (i + 1) * q, :].transpose() for i in range(q)]
-
 
 def heisenberg(K: Field, n: int) -> StructureConstants:
     """h(n): basis u_1..u_n, v_1..v_n, z with [u_i, v_i] = z central."""
@@ -144,54 +130,62 @@ def heisenberg(K: Field, n: int) -> StructureConstants:
     return StructureConstants(K, Mat.from_ints(K, table))
 
 
-def quotient_algebra(L: Subspace, ideal: Subspace, reps=None):
+def quotient_algebra(L: Subspace, ideal: Subspace, reps: Mat | None = None):
     """Structure constants of L/ideal on coset representatives.
 
-    Returns (StructureConstants, reps) where reps are matrices in L whose
-    cosets form the chosen basis.  Raises if `ideal` is not an ideal of L.
+    Returns (StructureConstants, reps) where reps has the rows vec(x) of
+    elements x of L whose cosets form the chosen basis.  Raises if `ideal`
+    is not an ideal of L.
     With R the q x q matrix of the representatives' coordinates modulo the
     ideal, the table is the brackets' coordinates modulo the ideal times
     R^-1: the representatives are a basis of L/ideal, so R is invertible
     and the constants are unique.
     """
-    K, m = L.field, math.isqrt(L.ambient)
+    K = L.field
     if not L.contains(ideal):
         raise ValueError("ideal is not contained in the algebra")
-    basis = basis_mats(L)
-    if not ideal.residuals(bracket_rows(K, m, basis, ideal.matrices(m, m))).is_zero():
+    if not ideal.residuals(bracket_rows(L.basis, ideal.basis)).is_zero():
         raise ValueError("subspace is not an ideal")
     # coordinates of the ideal inside L
     coords_I = Subspace.span(ideal.basis[:, list(L.pivots)])
     q = L.dim - ideal.dim
     if reps is None:
-        reps = [basis[j] for j in coords_I.nonpivots()]
-    if len(reps) != q:
-        raise ValueError(f"need {q} coset representatives, got {len(reps)}")
+        reps = L.basis[coords_I.nonpivots(), :]
+    if reps.nrows != q:
+        raise ValueError(f"need {q} coset representatives, got {reps.nrows}")
     if not q:
         return StructureConstants(K, Mat.zeros(K, 0, 0)), reps
 
     def reduced(X):
         return coords_I.residuals(L.coords_of(X))
 
-    red_reps = reduced(Mat.from_blocks([[X.reshape(1, m * m)] for X in reps]))
+    red_reps = reduced(reps)
     if Subspace.span(red_reps).dim != q:
         raise ValueError("representatives are dependent modulo the ideal")
-    table = reduced(bracket_rows(K, m, reps, reps)) @ red_reps.inv()
+    table = reduced(bracket_rows(reps, reps)) @ red_reps.inv()
     return StructureConstants(K, table), reps
 
 
-def bracket_rows(K: Field, m: int, xs, ys) -> Mat:
-    """The matrix whose rows are the vecs of [x, y] for x in xs and y in ys,
-    y running fastest: two products of the stacks, X Y of blocks x_i y_j and
-    Y X of blocks y_j x_i, whose rows are read in the order (i, j, row)."""
-    a, b = len(xs), len(ys)
+def bracket_rows(X: Mat, Y: Mat) -> Mat:
+    """The rows vec([x_i, y_j]) for the rows vec(x_i) of X and vec(y_j) of
+    Y, y running fastest.  Two products: the x_i stacked times the y_j side
+    by side has the blocks x_i y_j, and the y_j stacked times the x_i side
+    by side the blocks y_j x_i; one row gather each puts them in the order
+    (i, j, row)."""
+    K, m, a, b = X.field, math.isqrt(X.ncols), X.nrows, Y.nrows
     if not a * b:
         return Mat.zeros(K, 0, m * m)
-    xy = (Mat.from_blocks([[x] for x in xs]) @ Mat.from_blocks([ys])).reshape(a * m * b, m)
-    yx = (Mat.from_blocks([[y] for y in ys]) @ Mat.from_blocks([xs])).reshape(b * m * a, m)
-    irj, jri = np.arange(a * m * b).reshape(a, m, b), np.arange(b * m * a).reshape(b, m, a)
-    return (xy[irj.transpose(0, 2, 1).ravel(), :]
-            - yx[jri.transpose(2, 0, 1).ravel(), :]).reshape(a * b, m * m)
+
+    def products(P, Q, order):
+        # Q's rows read at the transposed positions are the vecs of the q';
+        # stacked and transposed, they are the q side by side
+        side = Q[:, transposed_positions(m)].reshape(Q.nrows * m, m).transpose()
+        rows = (P.reshape(P.nrows * m, m) @ side).reshape(P.nrows * m * Q.nrows, m)
+        return rows[order.ravel(), :]
+
+    irj = np.arange(a * m * b).reshape(a, m, b).transpose(0, 2, 1)
+    jri = np.arange(b * m * a).reshape(b, m, a).transpose(2, 0, 1)
+    return (products(X, Y, irj) - products(Y, X, jri)).reshape(a * b, m * m)
 
 
 def lie_isomorphic_by_structure(Q: StructureConstants, H: StructureConstants, M: Mat) -> bool:
@@ -221,7 +215,9 @@ def is_simple(alg, primes=None) -> bool:
         return False
     if isinstance(alg, Subspace):
         # the structure constants of the basis: no gl(m) action is built
-        mats = basis_mats(alg)
-        table = alg.coords_of(bracket_rows(alg.field, math.isqrt(alg.ambient), mats, mats))
-        alg = StructureConstants(alg.field, table)
-    return irreducible(LieModule(alg.field, alg.dim, alg.adjoint_matrices()), primes)[0]
+        alg = StructureConstants(alg.field, alg.coords_of(bracket_rows(alg.basis, alg.basis)))
+    # column j of ad(e_i) is table row i q + j, so row r q + i of the table's
+    # transpose, reshaped, is row r of ad(e_i); one gather orders them by i
+    q = alg.dim
+    stack = alg.table.transpose().reshape(q * q, q)[transposed_positions(q), :]
+    return irreducible(LieModule.of_stack(alg.field, q, stack), primes)[0]

@@ -205,8 +205,8 @@ class Mat:
 
     def nonzero_rows(self):
         """The indices of the rows with a nonzero entry."""
-        nonzero = (self.a != 0).any(axis=-1).reshape(-1, self.nrows).any(axis=0)
-        return np.flatnonzero(nonzero).tolist()
+        nonzero = (self.a != 0).any(axis=-1)  # over GF(p^2): in either half
+        return np.flatnonzero(nonzero.any(axis=0) if nonzero.ndim == 2 else nonzero).tolist()
 
     def vec(self):
         """Row-major flattening."""

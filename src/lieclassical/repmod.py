@@ -56,7 +56,9 @@ class LieModule:
         self.stack = Mat.from_blocks([[a] for a in mats]) if mats else Mat.zeros(field, 0, dim)
 
     @classmethod
-    def _of_stack(cls, field, count, stack: Mat):
+    def of_stack(cls, field, count, stack: Mat):
+        """The module of `count` generators whose actions are the row blocks
+        of stack, in order."""
         M = cls.__new__(cls)
         M.field, M.dim, M.count, M.stack = field, stack.ncols, count, stack
         return M
@@ -69,7 +71,7 @@ class LieModule:
         """The module with as many generators whose i-th is X[i::count]'
         (X's rows interleave the generators, as `_images` makes them)."""
         g, r = self.count, X.ncols
-        return LieModule._of_stack(self.field, g, X.reshape(r, g * r).transpose())
+        return LieModule.of_stack(self.field, g, X.reshape(r, g * r).transpose())
 
     def __repr__(self):
         return f"LieModule({self.field!r}, dim={self.dim}, {self.count} generators)"
@@ -79,7 +81,7 @@ def dual_module(M: LieModule) -> LieModule:
     """The actions -A': the rows vec(A) of the stack read at the transposed positions."""
     g, n = M.count, M.dim
     vecs = M.stack.reshape(g, n * n)[:, transposed_positions(n)]
-    return LieModule._of_stack(M.field, g, -vecs.reshape(g * n, n))
+    return LieModule.of_stack(M.field, g, -vecs.reshape(g * n, n))
 
 
 def trivial_actions(M: LieModule) -> bool:
@@ -89,9 +91,8 @@ def trivial_actions(M: LieModule) -> bool:
 def respects_brackets(M: LieModule, struct: StructureConstants) -> bool:
     """action([x_i, x_j]) = [action(x_i), action(x_j)] for all generator
     pairs: row i g + j of the table times the stacked vec(action(x_k))."""
-    g, n = M.count, M.dim
-    mats = M.action_mats()
-    return bracket_rows(M.field, n, mats, mats) == struct.table @ M.stack.reshape(g, n * n)
+    vecs = M.stack.reshape(M.count, M.dim * M.dim)
+    return bracket_rows(vecs, vecs) == struct.table @ vecs
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +391,17 @@ def hom_space(M1: LieModule, M2: LieModule) -> Subspace:
     return kernel(Mat.from_blocks([[b] for b in blocks]))
 
 
+def equivariant(T: Mat, M1: LieModule, M2: LieModule) -> bool:
+    """T a_i = b_i T for every generator a_i of M1 and b_i of M2, paired by
+    position (T is dim2 x dim1): one product per side, each side's blocks
+    laid side by side with column c of block i at column c g + i."""
+    g, n1, n2 = M1.count, M1.dim, M2.dim
+    if M2.count != g:
+        raise ValueError("generator counts must match")
+    side = M1.stack.reshape(g, n1 * n1).transpose().reshape(n1, n1 * g)
+    return T @ side == (M2.stack @ T).reshape(g, n2 * n1).transpose().reshape(n2, n1 * g)
+
+
 def weights(H) -> list:
     """The weights of the nonempty family H of diagonal n x n matrices,
     sorted, each with its multiplicity: coordinate k has the weight
@@ -408,7 +420,7 @@ def weights(H) -> list:
 
 def adjoint_module(L: Subspace, ambient: Subspace) -> LieModule:
     """ad action of L's basis restricted to an invariant subspace of gl(m)."""
-    gl = LieModule._of_stack(L.field, L.dim, ad_stack(L.basis))
+    gl = LieModule.of_stack(L.field, L.dim, ad_stack(L.basis))
     try:
         return restrict_module(gl, ambient)
     except ValueError:
@@ -451,23 +463,23 @@ def gamma_image(ts: TensorSquare, U: Subspace, V: Subspace) -> Subspace:
     return V if V.dim == U.dim and V.residuals(image).is_zero() else Subspace.span(image)
 
 
-def star_map(s: Mat) -> Mat:
-    """The explicit involution on 4x4 alternating matrices."""
-    K = s.field
-    if s.nrows != 4 or s.ncols != 4:
-        raise ValueError("star map needs a 4x4 matrix")
+def star_map(X: Mat) -> Mat:
+    """The explicit involution * on 4x4 alternating matrices, applied to each
+    row vec(s) of X: one product by the signed permutation of the
+    off-diagonal positions that swaps the entries at (i, j) and (k, l), and
+    at (j, i) and (l, k), with the sign of the pair: + for (0, 1) and
+    (2, 3), - for (0, 2) and (1, 3), + for (0, 3) and (1, 2)."""
+    K = X.field
+    if X.ncols != 16:
+        raise ValueError("star map needs rows of 4x4 matrices")
     if K.char == 2:
         raise ValueError("star map needs characteristic != 2")
-    rows = s.rows
-    a, b, c = rows[0][1], rows[0][2], rows[0][3]
-    d, e, f = rows[1][2], rows[1][3], rows[2][3]
-    n = K.neg
-    out = [[K.zero()] * 4 for _ in range(4)]
-    upper = {(0, 1): f, (0, 2): n(e), (0, 3): d, (1, 2): c, (1, 3): n(b), (2, 3): a}
-    for (i, j), val in upper.items():
-        out[i][j] = val
-        out[j][i] = n(val)
-    return Mat(K, out)
+    P = np.zeros((16, 16), dtype=np.int64)
+    for (i, j), (k, l), sign in (((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1),
+                                 ((0, 3), (1, 2), 1)):
+        P[i * 4 + j, k * 4 + l] = P[k * 4 + l, i * 4 + j] = sign
+        P[j * 4 + i, l * 4 + k] = P[l * 4 + k, j * 4 + i] = sign
+    return X @ Mat.from_ints(K, P)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +491,8 @@ def conjugation_modules(n, K):
     matrices, generated by the units a = e_ij (generator i n + j)."""
     E = Mat.identity(K, n * n)  # rows vec(e_ij)
     Et = E[:, transposed_positions(n)]  # rows vec(e_ij')
-    return (LieModule._of_stack(K, n * n, kron_sum_stack(E, E, 1)),
-            LieModule._of_stack(K, n * n, -kron_sum_stack(Et, Et, 1)))
+    return (LieModule.of_stack(K, n * n, kron_sum_stack(E, E, 1)),
+            LieModule.of_stack(K, n * n, -kron_sum_stack(Et, Et, 1)))
 
 
 def sym_alt_subspaces(n, K):
@@ -501,10 +513,11 @@ def sym_alt_subspaces(n, K):
 def restrict_to_sl(module: LieModule, n, K) -> LieModule:
     """The generators spanning sl(n) from a family whose generator i n + j
     is e_ij: the e_ij with i != j, then h_i = e_ii - e_nn."""
-    mats = module.action_mats()
-    off = [a for k, a in enumerate(mats) if k // n != k % n]
-    last = mats[n * n - 1]
-    return LieModule(K, module.dim, off + [mats[i * (n + 1)] - last for i in range(n - 1)])
+    d, g = module.dim, n * n - 1
+    vecs = module.stack.reshape(n * n, d * d)
+    off = vecs[[k for k in range(g) if k // n != k % n], :]
+    h = vecs[[i * (n + 1) for i in range(n - 1)], :] - vecs[[g] * (n - 1), :]
+    return LieModule.of_stack(K, g, Mat.from_blocks([[off], [h]]).reshape(g * d, d))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .forms import (
     standard_symplectic_gram,
 )
 from .liealg import (
-    basis_mats,
     bracket,
     bracket_rows,
     derived_series,
@@ -38,7 +37,7 @@ from .liealg import (
     trace_orthogonal_complement,
     transposed_positions,
 )
-from .linalg import Mat, Subspace, echelon, irreducible_factor, kernel
+from .linalg import Mat, Subspace, echelon, irreducible_factor, kernel, kron
 from .repmod import (
     BudgetExceeded,
     LieModule,
@@ -47,6 +46,7 @@ from .repmod import (
     composition_series,
     conjugation_modules,
     dual_module,
+    equivariant,
     factor_module,
     first_primes_coprime_to,
     gamma_image,
@@ -226,7 +226,7 @@ def run_thm_1_1(m) -> Report:
                          [Mat.zeros(K, n, n), Mat.zeros(K, n, n)]])
     U = Subspace.span(Mat.from_blocks([[L.basis], [x.reshape(1, m * m)]]))
     rep.check("[x, L] in L", "Thm 1.1", True,
-              L.residuals(bracket_rows(K, m, [x], basis_mats(L))).is_zero())
+              L.residuals(bracket_rows(x.reshape(1, m * m), L.basis)).is_zero())
     canonical = [s, L2] if four else [L2]
     canonical += [L1] + _fill_between(L1, L) + [L]
     if four:
@@ -253,10 +253,10 @@ def run_thm_1_1(m) -> Report:
     rep.check("Gamma(ker Delta) = L^(2)", "Thm 7.5", L2, gamma_image(ts, ker_delta, L2))
     rep.check("s in L^(2) iff 4|m", "Thm 7.5(6)", four, L2.contains(s))
     # h(n) quotient on the canonical representatives
-    a = _sp_block(K, n, a=Mat.unit(K, n, n, 0, 0))
-    bs = [_sp_block(K, n, b=Mat.unit(K, n, n, i, i)) for i in range(n)]
-    cs_reps = [_sp_block(K, n, c=Mat.unit(K, n, n, i, i)) for i in range(n)]
-    Q, _ = quotient_algebra(L, L2, reps=bs + cs_reps + [a])
+    units = [Mat.unit(K, n, n, i, i) for i in range(n)]
+    reps = ([_sp_block(K, n, b=u) for u in units] + [_sp_block(K, n, c=u) for u in units]
+            + [_sp_block(K, n, a=units[0])])
+    Q, _ = quotient_algebra(L, L2, reps=Mat.from_blocks([[r.reshape(1, m * m)] for r in reps]))
     eye = Mat.identity(K, 2 * n + 1)
     rep.check("L/L^(2) = h(n)", "Thm 1.1(6)", True,
               lie_isomorphic_by_structure(heisenberg(K, n), Q, eye))
@@ -283,7 +283,7 @@ def _run_m2_alternating(rep: Report) -> Report:
     e = Mat.unit(K, 2, 2, 0, 1)
     f = Mat.unit(K, 2, 2, 1, 0)
     eye = Mat.identity(K, 2)
-    S, _ = quotient_algebra(L, Subspace.zero(K, 4), reps=[e, f, eye])
+    S, _ = quotient_algebra(L, Subspace.zero(K, 4), reps=Mat(K, [x.vec() for x in (e, f, eye)]))
     rep.check("L = h(1)", "Note 12.5", True,
               lie_isomorphic_by_structure(heisenberg(K, 1), S, Mat.identity(K, 3)))
     poly = heisenberg_poly_module(K, 1, K.one())
@@ -342,7 +342,7 @@ def run_thm_1_2(m) -> Report:
         # the zero action: L is solvable of class 2 but not nilpotent)
         T = Mat.unit(K, 2, 2, 0, 1) - Mat.unit(K, 2, 2, 1, 0)
         by_trace = all(x @ T + T @ x.transpose() == T.scale(x.trace())
-                       for x in basis_mats(L))
+                       for x in L.matrices(2, 2))
         rep.check("Lambda^2 action is the trace character (m=2)", "Thm 1.2(4)",
                   True, by_trace)
     return rep
@@ -361,8 +361,7 @@ def _symmetrizer(Lspace: Subspace, L1space: Subspace) -> Mat:
 def _intertwines(T: Mat, quo: LieModule, sub: LieModule) -> bool:
     """T is invertible and T a = b T for every pair of generators a of quo
     and b of sub: an isomorphism quo -> sub."""
-    return (T.nrows == T.ncols and not T.field.is_zero(T.det())
-            and all(T @ a == b @ T for a, b in zip(quo.action_mats(), sub.action_mats())))
+    return T.nrows == T.ncols and not T.field.is_zero(T.det()) and equivariant(T, quo, sub)
 
 
 def _check_prop_10_2(rep: Report, L1: Subspace, sub: LieModule):
@@ -377,10 +376,9 @@ def _check_prop_10_2(rep: Report, L1: Subspace, sub: LieModule):
     S = Subspace.span(Mat.from_blocks([[f.reshape(1, 16)] for f in (f1, f2, f3)]))
     R = Subspace.span(Mat.from_blocks([[g.reshape(1, 16)] for g in gs]))
     rep.check("L^(1) = S + R", "Prop 10.2", L1, S + R)
-    rmats = R.matrices(m, m)
-    rep.check("R abelian", "Prop 10.2", True, bracket_rows(K, m, rmats, rmats).is_zero())
+    rep.check("R abelian", "Prop 10.2", True, bracket_rows(R.basis, R.basis).is_zero())
     rep.check("R ideal of L^(1)", "Prop 10.2", True,
-              R.residuals(bracket_rows(K, m, basis_mats(L1), rmats)).is_zero())
+              R.residuals(bracket_rows(L1.basis, R.basis)).is_zero())
     rep.check("S closed under brackets", "Prop 10.2", True, is_bracket_closed(S))
     rep.check("S simple", "Prop 10.2", True, is_simple(S), "spin certification")
     # the unique proper nonzero L^(1)-submodule of L^(1) is the abelian
@@ -565,10 +563,11 @@ def _so4_ideal(L: Subspace, A: Mat) -> Subspace:
     delta = _field_sqrt(L.field, A.det())
     if delta is None:
         raise ValueError("no proper ideal found")
-    Ainv, mats = A.inv(), basis_mats(L)
-    ideal = Subspace.span(Mat.from_blocks(
-        [[(X + Ainv @ star_map(X @ Ainv).scale(delta)).reshape(1, 16)] for X in mats]))
-    if not ideal.residuals(bracket_rows(L.field, 4, mats, ideal.matrices(4, 4))).is_zero():
+    # vec(X B) is vec(X) kron(I, B) and vec(B X) is vec(X) kron(B', I)
+    Ainv, eye = A.inv(), Mat.identity(L.field, 4)
+    stars = star_map(L.basis @ kron(eye, Ainv)) @ kron(Ainv.transpose(), eye)
+    ideal = Subspace.span(L.basis + stars.scale(delta))
+    if not ideal.residuals(bracket_rows(L.basis, ideal.basis)).is_zero():
         raise ValueError("subspace is not an ideal")  # [L, ideal] leaves the ideal
     if not 0 < ideal.dim < L.dim:
         raise ValueError("no proper ideal found")
@@ -801,24 +800,20 @@ def run_sl4_so6(K) -> Report:
     Zsl = restrict_to_sl(Z, 4, K)
     _, alt = sym_alt_subspaces(4, K)
     T = restrict_module(Zsl, alt)  # dim 6
-    stars = Mat.from_blocks([[star_map(t).reshape(1, 16)] for t in alt.matrices(4, 4)])
+    stars = star_map(alt.basis)
     Phi = alt.coords_of(stars).transpose()  # the star map in the coordinates of T
     Asl = restrict_to_sl(A, 4, K)
     C = restrict_module(Asl, alt)
-    ok = all(Phi @ at == ac @ Phi
-             for at, ac in zip(T.action_mats(), C.action_mats()))
     rep.check("star map equivariant T -> C", "Thm 5.3",
-              (True, True), (ok, not K.is_zero(Phi.det())))
+              (True, True), (equivariant(Phi, T, C), not K.is_zero(Phi.det())))
     G = trace_gram(stars, alt.basis)  # tr(*(x) y)
     gf = classify(G)
     rep.check("g symmetric nondegenerate", "Thm 5.3", (True, True),
               (gf.symmetric, gf.nondegenerate))
-    invariant = all(
-        ((a.transpose() @ G) + (G @ a)).is_zero() for a in T.action_mats()
-    )
-    rep.check("g invariant (image in L(G))", "Thm 5.3", True, invariant)
+    # a' G + G a = 0 for every generator a: its vec lies in L(G)
     LG = skew_adjoint_algebra(G)
     image = Subspace.span(T.stack.reshape(T.count, 36))
+    rep.check("g invariant (image in L(G))", "Thm 5.3", True, LG.contains(image))
     rep.check("dim sl(4) = dim L(G) = 15", "Thm 5.3", (15, 15),
               (image.dim, LG.dim))
     rep.check("image = L(G)", "Thm 5.3", LG, image)
@@ -897,12 +892,12 @@ def _check_prop_12_2(rep: Report):
     e, f = _sp_block(K, n, a=e12), _sp_block(K, n, a=e21)
     eye = Mat.identity(K, m)
     # U = L^(2)/s with basis e, x, f, y; g(u,v) reads the bracket in s
-    ubasis = [e, x, f, y]
-    uvecs = Mat.from_blocks([[v.reshape(1, 16)] for v in ubasis + [eye]])
+    uvecs = Mat.from_blocks([[v.reshape(1, 16)] for v in (e, x, f, y, eye)])
+    U = uvecs[:4, :]
     u_in_l2 = Subspace.span(uvecs)
     rep.check("L^(2) basis", "Prop 12.2", u_in_l2, L2)
     rep.check("[x,y] = [e,f] = z", "Prop 12.2", (eye, eye), (bracket(x, y), bracket(e, f)))
-    gram = scalars_subspace(K, m).coords_of(bracket_rows(K, m, ubasis, ubasis)).reshape(4, 4)
+    gram = scalars_subspace(K, m).coords_of(bracket_rows(U, U)).reshape(4, 4)
     rep.check("Gram of g on U is J", "Prop 12.2", standard_symplectic_gram(K, 4), gram)
     # the representation R of L on U; kernel L^(2), image 5-dimensional in L(g)
     to_ubasis = u_in_l2.coords_of(uvecs).inv()  # canonical coordinates to e, x, f, y, I
@@ -910,18 +905,21 @@ def _check_prop_12_2(rep: Report):
     b1, b2 = _sp_block(K, n, b=e11), _sp_block(K, n, b=e22)
     c1, c2 = _sp_block(K, n, c=e11), _sp_block(K, n, c=e22)
 
-    def R(zmat):
-        # column j holds the coordinates of [z, u_j] on e, x, f, y modulo s
-        brackets = u_in_l2.coords_of(bracket_rows(K, 4, [zmat], ubasis))
-        return (brackets @ to_ubasis)[:, :4].transpose()
+    def R(Z):
+        # the module of the rows vec(z) of Z: row i 4 + j of the coordinates
+        # of [z_i, u_j] on e, x, f, y modulo s is column j of R(z_i)
+        coords = (u_in_l2.coords_of(bracket_rows(Z, U)) @ to_ubasis)[:, :4]
+        vecs = coords.reshape(Z.nrows, 16)[:, transposed_positions(4)]
+        return LieModule.of_stack(K, Z.nrows, vecs.reshape(Z.nrows * 4, 4))
 
     poly = heisenberg_poly_module_on_basis(
         K, n, K.one(), [(0, 1), (0, 0), (1, 0), (1, 1)]
     )
+    gens = Mat.from_blocks([[v.reshape(1, 16)] for v in (b1, b2, c1, c2, a)])
     rep.check("R matches the polynomial module", "Prop 12.2",
               [a.to_text() for a in poly.action_mats()],  # u1, u2, v1, v2, z
-              [R(v).to_text() for v in (b1, b2, c1, c2, a)])
-    rmod = LieModule(K, 4, [R(v) for v in basis_mats(L)])
+              [r.to_text() for r in R(gens).action_mats()])
+    rmod = R(L.basis)
     rep.check("dim ker R = dim L^(2)", "Prop 12.2", L2.dim, representation_kernel(rmod, L).dim)
     image = Subspace.span(rmod.stack.reshape(rmod.count, 16))
     rep.check("R(L) is 5-dimensional", "Prop 12.2", 5, image.dim)

@@ -6,9 +6,11 @@ unit and diagonal matrices, the text format, the sym/alt split, the
 tensor-square maps Gamma, Omega and Delta, and ad x as a difference of two
 Kronecker products.  The second part holds helpers that only the tests
 call: operator matrices of vector functions, integer matrices, vecs read
-back as matrices, symplectic bases, brackets read off a structure-constant
-table, the Jacobi identity, the f-adjoint, and the block modules of
-gl(r) + gl(n) with their duality check.
+back as matrices, symplectic bases, the congruence diagonalization of a
+symmetric form one vector at a time, the star map of 4 x 4 alternating
+matrices one entry at a time, brackets read off a
+structure-constant table, the Jacobi identity, the f-adjoint, and the
+block modules of gl(r) + gl(n) with their duality check.
 """
 
 from __future__ import annotations
@@ -163,6 +165,110 @@ def symplectic_basis(A: Mat) -> CongruenceResult:
     if check != J:
         raise AssertionError("symplectic reduction did not reach J")
     return CongruenceResult(S, J)
+
+
+def diagonalize_by_scalars(A: Mat) -> CongruenceResult:
+    """`forms.diagonalize_symmetric` one scalar at a time: the chosen and
+    remaining vectors are lists, and every form value is its own product."""
+    form = classify(A)
+    if not form.symmetric:
+        raise ValueError("diagonalization needs a symmetric form")
+    K = A.field
+    char2 = K.char == 2
+    if char2 and form.alternating and not A.is_zero():
+        raise ValueError("alternating form in characteristic 2 has no diagonal Gram")
+    m = A.nrows
+    done = []
+    remaining = list(Mat.identity(K, m).rows)
+    while remaining:
+        # everything orthogonal to `done` lives in span(remaining)
+        vals = [_form_value(A, w, w) for w in remaining]
+        idx = next((i for i, q in enumerate(vals) if not K.is_zero(q)), None)
+        if idx is None:
+            if not char2:
+                # f(w,w)=0 everywhere; if some f(w1,w2)=c != 0 then w1+w2 works
+                pair = _nonzero_pair(A, remaining)
+                if pair is None:
+                    done.extend(remaining)
+                    break
+                i, j, c = pair
+                remaining[i] = [K.add(a, b) for a, b in zip(remaining[i], remaining[j])]
+                continue
+            # char 2: the complement went alternating.  Take a hyperbolic
+            # pair v, w there (f(v, w) = 1) and swap the last chosen vector
+            # u for u + v.  Squares add in characteristic 2, so
+            # q(u + v) = q(u) != 0, and the projection of w into the new
+            # complement has square 1/q(u) != 0, so progress is guaranteed.
+            pair = _nonzero_pair(A, remaining)
+            if pair is None:
+                done.extend(remaining)
+                break
+            if not done:
+                raise ValueError("alternating form in characteristic 2 has no diagonal Gram")
+            i, j, c = pair
+            v = [K.mul(K.inv(c), a) for a in remaining[i]]
+            u = done.pop()
+            u2 = [K.add(a, b) for a, b in zip(u, v)]
+            done.append(u2)
+            projected = _orth_complement(A, remaining + [u], u2)
+            # the projections carry one dependency; rebuild an independent basis
+            remaining = list(Subspace.from_rows(K, m, projected).basis.rows)
+            continue
+        u = remaining.pop(idx)
+        done.append(u)
+        remaining = _orth_complement(A, remaining, u)
+    S = Mat(K, done).transpose()
+    D = S.transpose() @ A @ S
+    if D != Mat.diag(K, D.diagonal()):
+        raise AssertionError("diagonalization failed to reach diagonal form")
+    if K.is_zero(S.det()):
+        raise AssertionError("diagonalizing transform is singular")
+    return CongruenceResult(S, D)
+
+
+def _nonzero_pair(A: Mat, vectors):
+    K = A.field
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            c = _form_value(A, vectors[i], vectors[j])
+            if not K.is_zero(c):
+                return i, j, c
+    return None
+
+
+def _orth_complement(A: Mat, vectors, u):
+    """Replace each vector by its f-projection away from u (q(u) != 0)."""
+    K = A.field
+    q = _form_value(A, u, u)
+    qinv = K.inv(q)
+    out = []
+    for w in vectors:
+        c = K.mul(qinv, _form_value(A, u, w))
+        w2 = [K.sub(a, K.mul(c, b)) for a, b in zip(w, u)]
+        if any(not K.is_zero(a) for a in w2):
+            out.append(w2)
+    return out
+
+
+def star_by_scalars(s: Mat) -> Mat:
+    """`repmod.star_map` on one 4x4 alternating matrix, entry by entry: the
+    upper entries a, b, c, d, e, f of s in row-major order go to f, -e, d, c,
+    -b, a, and the lower entries are their negatives."""
+    K = s.field
+    if s.nrows != 4 or s.ncols != 4:
+        raise ValueError("star map needs a 4x4 matrix")
+    if K.char == 2:
+        raise ValueError("star map needs characteristic != 2")
+    rows = s.rows
+    a, b, c = rows[0][1], rows[0][2], rows[0][3]
+    d, e, f = rows[1][2], rows[1][3], rows[2][3]
+    n = K.neg
+    out = [[K.zero()] * 4 for _ in range(4)]
+    upper = {(0, 1): f, (0, 2): n(e), (0, 3): d, (1, 2): c, (1, 3): n(b), (2, 3): a}
+    for (i, j), val in upper.items():
+        out[i][j] = val
+        out[j][i] = n(val)
+    return Mat(K, out)
 
 
 def table_bracket(S, x: Mat, y: Mat) -> Mat:

@@ -17,7 +17,6 @@ from lieclassical import verify
 from lieclassical.fields import GF, QQ
 from lieclassical.forms import classify, standard_symplectic_gram
 from lieclassical.liealg import (
-    basis_mats,
     bracket,
     self_adjoint_module,
     skew_adjoint_algebra,
@@ -271,7 +270,7 @@ def test_criterion_09_property_suites(capsys):
         J = standard_symplectic_gram(K, 4)
         L = skew_adjoint_algebra(J)
         ts = tensor_square(classify(J))
-        mats = basis_mats(L)
+        mats = L.matrices(4, 4)
         acts = [tensor_action_by_kron(x) for x in mats]
         for _ in range(TRIALS):
             idx = rng.randrange(len(acts))

@@ -18,7 +18,7 @@ import pytest
 
 from lieclassical.fields import GF, QQ
 from lieclassical.forms import classify, standard_symplectic_gram
-from lieclassical.liealg import ad_gl, ad_stack, basis_mats, gl_subspace, skew_adjoint_algebra
+from lieclassical.liealg import ad_gl, ad_stack, gl_subspace, skew_adjoint_algebra
 from lieclassical.linalg import Mat, kron
 from lieclassical.repmod import (
     adjoint_module,
@@ -169,7 +169,7 @@ def test_ad_stack_against_kron(K_m):
     for A in _forms(K, m, rng):
         L = skew_adjoint_algebra(A)
         module = adjoint_module(L, gl_subspace(K, m))
-        assert module.action_mats() == [ad_by_kron(x) for x in basis_mats(L)]
+        assert module.action_mats() == [ad_by_kron(x) for x in L.matrices(m, m)]
 
 
 @pytest.mark.parametrize("K_m", GRID, ids=map(_ids, GRID))

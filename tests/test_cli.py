@@ -516,7 +516,10 @@ def test_verify_all_json_is_byte_identical():
 # discriminant, Thm 1.4 at good primes that skip 3, and sl(5); recorded
 # before every irreducibility verdict went through `repmod.irreducible`.
 # The direct commands `algebra`, `weights`, `hom` and `series` over GF(p)
-# and Q: recorded before they shared one emitter for their output
+# and Q: recorded before they shared one emitter for their output.  The
+# sp-so and sl4-so6 lines follow `_square_upgrade` over Q and GF(7), which
+# reads the congruence normal form, and the star map of Thm 5.3; recorded
+# before families of matrices became `Mat` rows
 PINNED_JSON_SHA256 = {
     "verify:thm1.3 --field 3^2 --m 6":
         "9b583b974379202e2529a04031cfd06ea8d54f08eebeecff1a414c90ebe9dad0",
@@ -538,6 +541,16 @@ PINNED_JSON_SHA256 = {
         "8e554aad3a2e96adde7d2b044c7d6b04b5fb7eb0fb8d5f6406a44822ecd25a48",
     "series --field 5 --m 6":
         "b78a4e13aee65bd8a21bc87c91ee5930504f8fc3d1795cdf38641bb6e47b47cf",
+    "verify:sp-so --field Q --m 4":
+        "537d3563978b8c05d37a803d1a612f81d4bd6697e0356b50586e5c855d238687",
+    "verify:sp-so --field 7 --m 4":
+        "cd37456fff6f871ed32af8548822acd7b01ebe86793234ecacd0b2a1bc72aa23",
+    "verify:sp-so --field Q --m 6":
+        "677e2643877804bdad5b871a5d477dcec2efd6947af73f79c2acb171369b4ded",
+    "verify:sl4-so6 --field Q":
+        "bf60a79c61d102bb54938b612bffb30467059e74c974f19a8a69ce88ffe65735",
+    "verify:sl4-so6 --field 5^2":
+        "d1d2a0b1783f47a1ba254ed280d2aa5782eeb8ed79e723ebcd40e2e6fbe40b95",
 }
 
 

@@ -15,7 +15,7 @@ from lieclassical.forms import (
     standard_symplectic_gram,
 )
 from lieclassical.linalg import Mat
-from scalar_reference import from_int_rows, symplectic_basis
+from scalar_reference import diagonalize_by_scalars, from_int_rows, symplectic_basis
 
 
 def test_classify_standard_j():
@@ -129,6 +129,50 @@ def test_char2_alternating_complement_case():
     K = GF(2)
     assert all(K.is_zero(D.rows[i][j]) for i in range(3) for j in range(3) if i != j)
     assert all(D.rows[i][i] == 1 for i in range(3))
+
+
+def _outcome(diagonalize, A):
+    """(transform, normal form), or the error a diagonalization raises."""
+    try:
+        res = diagonalize(A)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return res.transform, res.normal_form
+
+
+def _symmetric_cases(K, m, rng):
+    """A random symmetric matrix, one with a zero diagonal (alternating in
+    characteristic 2, a pair step elsewhere), and P' (diag(1, d) + H + 0) P
+    for hyperbolic planes H and a random P: in characteristic 2 the
+    complement of the first vector turns alternating."""
+    yield rand_symmetric(K, m, rng)
+    A = rand_symmetric(K, m, rng)
+    yield A - Mat.diag(K, A.diagonal())
+    B = [[K.zero()] * m for _ in range(m)]
+    B[0][0] = K.one()
+    at = 1
+    if m > 3:
+        B[1][1], at = K.random(rng), 2
+    while at + 2 <= m:
+        B[at][at + 1] = B[at + 1][at] = K.one()
+        at += 2
+    P = Mat(K, [[K.random(rng) for _ in range(m)] for _ in range(m)])
+    yield P.transpose() @ Mat(K, B) @ P
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(3), GF(5), GF(3, 2), GF(5, 2), QQ],
+                         ids=lambda K: K.token)
+def test_diagonalize_matches_the_scalar_reference(K):
+    # same transform and normal form, or the same error, as the one-vector-
+    # at-a-time diagonalization
+    rng = random.Random(15)
+    for m in range(1, 7):
+        for _ in range(8):
+            for A in _symmetric_cases(K, m, rng):
+                assert _outcome(diagonalize_symmetric, A) == _outcome(diagonalize_by_scalars, A)
+    not_symmetric = Mat.unit(K, 2, 2, 0, 1)
+    assert _outcome(diagonalize_symmetric, not_symmetric) == (
+        "ValueError", "diagonalization needs a symmetric form")
 
 
 def test_discriminant_examples():

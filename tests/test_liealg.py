@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ import pytest
 from lieclassical.fields import GF, QQ
 from lieclassical.forms import standard_symplectic_gram
 from lieclassical.liealg import (
-    basis_mats,
     bracket,
     bracket_rows,
     derived_series,
@@ -131,7 +131,7 @@ def test_l_m_bracket_rules():
     J = standard_symplectic_gram(K, 4)
     L = skew_adjoint_algebra(J)
     M = self_adjoint_module(J)
-    lmats = basis_mats(L)
+    lmats = L.matrices(4, 4)
     mmats = M.matrices(4, 4)
     for _ in range(30):
         x = rng.choice(lmats)
@@ -159,14 +159,22 @@ def _random_mat(K, m, rng):
     return Mat(K, [[K.random(rng) for _ in range(m)] for _ in range(m)])
 
 
+def _vec_rows(K, m, mats):
+    """The rows vec(x) of the m x m matrices mats, none for an empty list."""
+    if not mats:
+        return Mat.zeros(K, 0, m * m)
+    return Mat.from_blocks([[x.reshape(1, m * m)] for x in mats])
+
+
 @pytest.mark.parametrize("K", [GF(2), GF(5), GF(3, 2), QQ], ids=repr)
 def test_bracket_rows_match_pairwise_brackets(K):
     rng = random.Random(11)
-    for m, a, b in [(1, 1, 1), (2, 3, 2), (3, 2, 4), (4, 5, 3), (3, 0, 2), (3, 2, 0)]:
+    for m, a, b in [(1, 1, 1), (2, 3, 2), (3, 2, 4), (4, 5, 3), (3, 0, 2), (3, 2, 0),
+                    (2, 0, 0)]:
         xs = [_random_mat(K, m, rng) for _ in range(a)]
         ys = [_random_mat(K, m, rng) for _ in range(b)]
-        rows = bracket_rows(K, m, xs, ys)
-        assert (rows.nrows, rows.ncols) == (a * b, m * m)
+        rows = bracket_rows(_vec_rows(K, m, xs), _vec_rows(K, m, ys))
+        assert (rows.field, rows.nrows, rows.ncols) == (K, a * b, m * m)
         assert rows.rows == [bracket(x, y).vec() for x in xs for y in ys]
 
 
@@ -195,8 +203,10 @@ def test_quotient_gl2_by_scalars():
 
 
 def _assert_table_defines_brackets(ideal, Q, reps):
-    """[r_i, r_j] - sum_k T[i q + j, k] r_k lies in the ideal for all i, j."""
-    q, T = Q.dim, Q.table.rows
+    """[r_i, r_j] - sum_k T[i q + j, k] r_k lies in the ideal for all i, j,
+    the r_i read off the rows vec(r_i) of reps."""
+    q, T, m = Q.dim, Q.table.rows, math.isqrt(reps.ncols)
+    reps = [reps[[i], :].reshape(m, m) for i in range(reps.nrows)]
     for i in range(q):
         for j in range(q):
             rest = bracket(reps[i], reps[j])
@@ -215,7 +225,8 @@ def test_quotient_table_on_default_and_shifted_representatives(K):
     _assert_table_defines_brackets(s, Q, reps)
     rng = random.Random(23)
     eye = Mat.identity(K, 3)
-    shifted = [r + eye.scale(K.random(rng)) for r in reps]
+    shifted = reps + Mat.from_blocks([[eye.scale(K.random(rng)).reshape(1, 9)]
+                                      for _ in range(reps.nrows)])
     Q2, reps2 = quotient_algebra(L, s, reps=shifted)
     assert reps2 == shifted and reps2 != reps
     _assert_table_defines_brackets(s, Q2, reps2)
@@ -226,7 +237,7 @@ def test_quotient_table_on_default_and_shifted_representatives(K):
 def test_quotient_by_the_whole_algebra_is_zero(K):
     L = sl_subspace(K, 2)
     Q, reps = quotient_algebra(L, L)
-    assert Q.dim == 0 and reps == []
+    assert Q.dim == 0 and (reps.nrows, reps.ncols) == (0, 4)
     assert (Q.table.nrows, Q.table.ncols) == (0, 0)
     assert not is_simple(Q)
 
@@ -245,7 +256,8 @@ def test_quotient_rejects_dependent_representatives():
     e, f = Mat.unit(K, 2, 2, 0, 1), Mat.unit(K, 2, 2, 1, 0)
     # e + scalar and e are one coset modulo the scalars
     with pytest.raises(ValueError, match="representatives are dependent modulo the ideal"):
-        quotient_algebra(L, scalars_subspace(K, 2), reps=[e, e + Mat.identity(K, 2), f])
+        quotient_algebra(L, scalars_subspace(K, 2),
+                         reps=_vec_rows(K, 2, [e, e + Mat.identity(K, 2), f]))
 
 
 def test_quotient_rejects_an_ideal_outside_the_algebra():
@@ -297,7 +309,7 @@ def test_quotient_by_second_derived_is_heisenberg_table(m, expect):
     a = _lift_block(K, n, Mat.unit(K, n, n, 0, 0), "diag")
     bs = [_lift_block(K, n, Mat.unit(K, n, n, i, i), "upper") for i in range(n)]
     cs = [_lift_block(K, n, Mat.unit(K, n, n, i, i), "lower") for i in range(n)]
-    Q, _ = quotient_algebra(L, L2, reps=bs + cs + [a])
+    Q, _ = quotient_algebra(L, L2, reps=_vec_rows(K, m, bs + cs + [a]))
     assert Q.dim == m + 1
     assert _nonzero_constants(Q) == expect
 
@@ -311,7 +323,7 @@ def test_quotient_of_second_derived_by_scalars_is_unchanged():
     assert Q.dim == 26 and len(nonzero) == 288
     assert hashlib.sha256(repr(nonzero).encode()).hexdigest() == (
         "d4e5f70e9ee3c02f2e7f5ffed476ac7c2c42f1405699aedfeecc1e90463a593d")
-    assert hashlib.sha256(repr([r.vec() for r in reps]).encode()).hexdigest() == (
+    assert hashlib.sha256(repr([list(r) for r in reps.rows]).encode()).hexdigest() == (
         "ff64b507e4e94a21dc038d1d21a8da5605f277460889c0f71093777eae2a9180")
 
 

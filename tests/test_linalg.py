@@ -165,6 +165,17 @@ def test_subspaces_built_from_known_rref_match_span(K):
                 U.coords_subspace(Subspace.span(Mat.from_blocks([[U.basis], [outside]])))
 
 
+@pytest.mark.parametrize("K", [GF(5), GF(3, 2), QQ], ids=lambda K: K.token)
+def test_nonzero_rows_of_empty_and_mixed_matrices(K):
+    # a matrix with no rows has no nonzero row; one with no columns neither
+    for r, c in ((0, 3), (0, 0), (3, 0)):
+        assert Mat.zeros(K, r, c).nonzero_rows() == []
+    # a GF(p^2) row counts as nonzero when either half of an entry is
+    one = K.one() if K.degree == 1 else (0, 1)
+    X = Mat(K, [[K.zero()] * 3, [K.zero(), one, K.zero()], [K.zero()] * 3, [one] * 3])
+    assert X.nonzero_rows() == [1, 3]
+
+
 def test_kron_units():
     e11 = Mat.unit(QQ, 2, 2, 0, 0)
     assert kron(e11, Mat.identity(QQ, 2)) == Mat.diag(QQ, [Fraction(1)] * 2 + [Fraction(0)] * 2)

@@ -17,7 +17,6 @@ from lieclassical.fields import GF, QQ
 from lieclassical.forms import classify, standard_symplectic_gram
 from lieclassical.liealg import (
     StructureConstants,
-    basis_mats,
     bracket,
     gl_subspace,
     heisenberg,
@@ -37,6 +36,7 @@ from lieclassical.repmod import (
     composition_series,
     conjugation_modules,
     dual_module,
+    equivariant,
     factor_module,
     gamma_image,
     heisenberg_poly_module,
@@ -61,6 +61,7 @@ from scalar_reference import (
     coords_by_scalars,
     lift_by_scalars,
     op_matrix,
+    star_by_scalars,
     tensor_action_by_kron,
     unvec,
 )
@@ -343,7 +344,7 @@ def test_restrict_quotient_dims_and_brackets():
 def _sl2_structure(L):
     """The structure constants of L on its canonical basis, one bracket at a
     time."""
-    mats = basis_mats(L)
+    mats = L.matrices(2, 2)
     table = Mat(L.field, [coords_by_scalars(L, bracket(x, y).vec()) for x in mats for y in mats])
     return StructureConstants(L.field, table)
 
@@ -449,13 +450,13 @@ def test_weights_adjoint_sl2():
     M = adjoint_module(L, L)
     # find the coordinate matrix of ad(h) inside the module generators
     hmat = None
-    for a, x in zip(M.action_mats(), basis_mats(L)):
+    for a, x in zip(M.action_mats(), L.matrices(2, 2)):
         if x == Mat.diag(K, [Fraction(1), Fraction(-1)]):
             hmat = a
     # basis of sl(2) from RREF need not contain h exactly; build ad(h) directly
     if hmat is None:
         h = Mat.diag(K, [Fraction(1), Fraction(-1)])
-        cols = [coords_by_scalars(L, bracket(h, y).vec()) for y in basis_mats(L)]
+        cols = [coords_by_scalars(L, bracket(h, y).vec()) for y in L.matrices(2, 2)]
         hmat = Mat(K, [[cols[j][i] for j in range(3)] for i in range(3)])
     table = weights([hmat])
     assert sorted(table) == [
@@ -471,7 +472,7 @@ def test_tensor_square_equivariance():
         J = standard_symplectic_gram(K, 4)
         L = skew_adjoint_algebra(J)
         ts = tensor_square(classify(J))
-        for x in basis_mats(L):
+        for x in L.matrices(4, 4):
             act = tensor_action_by_kron(x)
             for _ in range(3):
                 t = [K.random(rng) for _ in range(16)]
@@ -509,10 +510,59 @@ def test_tensor_square_delta_char2():
 
 def test_star_map_example():
     K = GF(5)
-    s = Mat.unit(K, 4, 4, 0, 1) - Mat.unit(K, 4, 4, 1, 0)
+    s = (Mat.unit(K, 4, 4, 0, 1) - Mat.unit(K, 4, 4, 1, 0)).reshape(1, 16)
     out = star_map(s)
-    assert out == Mat.unit(K, 4, 4, 2, 3) - Mat.unit(K, 4, 4, 3, 2)
+    assert out == (Mat.unit(K, 4, 4, 2, 3) - Mat.unit(K, 4, 4, 3, 2)).reshape(1, 16)
     assert star_map(out) == s
+
+
+@pytest.mark.parametrize("K", [GF(3), GF(5), GF(3, 2), QQ], ids=lambda K: K.token)
+def test_star_map_on_rows_matches_each_matrix_and_is_an_involution(K):
+    rng = random.Random(50)
+    upper = [Mat(K, [[K.random(rng) if j > i else K.zero() for j in range(4)]
+                     for i in range(4)]) for _ in range(7)]
+    alternating = [u - u.transpose() for u in upper]
+    X = Mat.from_blocks([[s.reshape(1, 16)] for s in alternating])
+    stars = star_map(X)
+    assert stars == Mat.from_blocks([[star_by_scalars(s).reshape(1, 16)] for s in alternating])
+    assert star_map(stars) == X
+    assert star_map(Mat.zeros(K, 0, 16)) == Mat.zeros(K, 0, 16)
+
+
+def test_star_map_refuses_characteristic_2_and_other_sizes():
+    with pytest.raises(ValueError, match="characteristic != 2"):
+        star_map(Mat.zeros(GF(2), 1, 16))
+    with pytest.raises(ValueError, match="rows of 4x4 matrices"):
+        star_map(Mat.zeros(GF(5), 4, 4))
+
+
+def _equivariant_by_generators(T, M1, M2):
+    """Reference: T a = b T, one pair of generators at a time."""
+    return all(T @ a == b @ T for a, b in zip(M1.action_mats(), M2.action_mats()))
+
+
+@pytest.mark.parametrize("K", [GF(2), GF(5), GF(3, 2), QQ], ids=lambda K: K.token)
+def test_equivariant_matches_a_per_generator_loop(K):
+    # gl(2) acting on itself and on gl(2)/sl(2); the trace row vec(I)' maps
+    # gl(2) onto the trivial quotient, and X -> tr(X) I is singular
+    gl = gl_subspace(K, 2)
+    M = adjoint_module(gl, gl)
+    quo = quotient_module(M, sl_subspace(K, 2))
+    trace = Mat.identity(K, 2).reshape(1, 4)
+    rng = random.Random(51)
+    generic = Mat(K, [[K.random(rng) for _ in range(4)] for _ in range(4)])
+    cases = [(Mat.identity(K, 4), M, M, True), (Mat.zeros(K, 4, 4), M, M, True),
+             (trace.transpose() @ trace, M, M, True), (trace, M, quo, True),
+             (generic, M, M, False), (Mat.unit(K, 4, 4, 0, 1), M, M, False),
+             (Mat.unit(K, 1, 4, 0, 1), M, quo, False)]
+    for T, M1, M2, expected in cases:
+        assert _equivariant_by_generators(T, M1, M2) is expected
+        assert equivariant(T, M1, M2) is expected
+    # no generators: every map is equivariant; generators pair by position
+    empty = LieModule(K, 4, [])
+    assert equivariant(generic, empty, empty)
+    with pytest.raises(ValueError, match="generator counts must match"):
+        equivariant(generic, M, empty)
 
 
 def test_block_duality():
@@ -757,7 +807,7 @@ def _reference_adjoint(L, ambient):
     K, m = L.field, math.isqrt(L.ambient)
     ws = ambient.matrices(m, m)
     return [Mat(K, [coords_by_scalars(ambient, bracket(x, w).vec()) for w in ws]).transpose()
-            for x in basis_mats(L)]
+            for x in L.matrices(m, m)]
 
 
 @pytest.mark.parametrize("K", [GF(2), GF(3), GF(3, 2), QQ], ids=["gf2", "gf3", "gf9", "q"])
