@@ -341,7 +341,7 @@ def _run_weights(K, args):
 def _run_hom(K, args):
     """Hom from the natural module to its dual; f makes V self-dual."""
     m, _, L = _algebra_of(K, args)
-    V = LieModule.of_stack(K, L.dim, L.basis.reshape(L.dim * m, m))
+    V = LieModule(K, L.dim, L.basis.reshape(L.dim * m, m))
     Vd = dual_module(V)
     H = hom_space(V, Vd)
     data = {"dim Hom(V, V*)": H.dim}

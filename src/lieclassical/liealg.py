@@ -220,4 +220,4 @@ def is_simple(alg, primes=None) -> bool:
     # transpose, reshaped, is row r of ad(e_i); one gather orders them by i
     q = alg.dim
     stack = alg.table.transpose().reshape(q * q, q)[transposed_positions(q), :]
-    return irreducible(LieModule.of_stack(alg.field, q, stack), primes)[0]
+    return irreducible(LieModule(alg.field, q, stack), primes)[0]

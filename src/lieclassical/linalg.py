@@ -213,9 +213,12 @@ class Mat:
         return self.reshape(1, self.nrows * self.ncols)._scalar_rows()[0]
 
     def cleared_mod(self, p):
-        """Over Q: the integer matrix d M, d the least common denominator of
-        the entries, reduced mod p, over GF(p)."""
-        return Mat._of(GF(p), (self.a % p).astype(np.int64))
+        """Over Q: each row times the least common denominator of its own
+        entries, an integer row, reduced mod p, over GF(p).  Row r is a_r / d,
+        and that denominator is d / gcd(d, a_r)."""
+        a = self.a.astype(object) if self.d >= 2**63 else self.a
+        g = np.gcd(np.gcd.reduce(a, axis=-1, keepdims=True), self.d)
+        return Mat._of(GF(p), (a // g % p).astype(np.int64))
 
     def det(self):
         if self.nrows != self.ncols:
@@ -386,18 +389,18 @@ def kron(A: Mat, B: Mat) -> Mat:
 
 
 def kron_sum_stack(X: Mat, Y: Mat, sign) -> Mat:
-    """The stack of kron(x, I) + sign kron(I, y), one m^2 x m^2 block per
-    pair of rows vec(x), vec(y) of X and Y, built in one array: block entry
-    [(i,k),(j,l)] is x_ij d_kl + sign d_ij y_kl."""
-    K, g, m = X.field, X.nrows, math.isqrt(X.ncols)
+    """The stack of kron(x, I) + sign kron(I, y), one ab x ab block per pair
+    of rows vec(x), vec(y) of X and Y (x a x a, y b x b), built in one
+    array: block entry [(i,k),(j,l)] is x_ij d_kl + sign d_ij y_kl."""
+    K, g, a, b = X.field, X.nrows, math.isqrt(X.ncols), math.isqrt(Y.ncols)
     (x, y), d = _aligned([X, Y], terms=2)
-    x, y = (t.reshape(*t.shape[:-1], m, m) for t in (x, y))
-    out = np.zeros(x.shape[:-2] + (m,) * 4, dtype=x.dtype)
-    for k in range(m):
+    x, y = x.reshape(*x.shape[:-1], a, a), y.reshape(*y.shape[:-1], b, b)
+    out = np.zeros(x.shape[:-2] + (a, b, a, b), dtype=x.dtype)
+    for k in range(b):
         out[..., :, k, :, k] = x
-    for i in range(m):
+    for i in range(a):
         out[..., i, :, i, :] = _mod(K, out[..., i, :, i, :] + sign * y)
-    return Mat._of(K, out.reshape(*out.shape[:-5], g * m * m, m * m), d)
+    return Mat._of(K, out.reshape(*out.shape[:-5], g * a * b, a * b), d)
 
 
 # ---------------------------------------------------------------------------
@@ -679,10 +682,6 @@ class Subspace:
         ech = echelon(X.field, X.ncols)
         ech.add_rows(X)
         return ech.subspace()
-
-    @classmethod
-    def from_rows(cls, field, ambient, rows):
-        return cls.span(Mat(field, rows)) if rows else cls.zero(field, ambient)
 
     @classmethod
     def zero(cls, field, ambient):

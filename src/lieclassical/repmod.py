@@ -37,7 +37,6 @@ from .linalg import (
     echelon,
     irreducible_factor,
     kernel,
-    kron,
     kron_sum_stack,
     null_spaces,
     poly_at,
@@ -46,22 +45,15 @@ from .linalg import (
 
 class LieModule:
     """A module over the Lie algebra spanned by `count` generators, built
-    from their dim x dim actions in order: generator i is known by its
-    position.  The actions are held stacked into one (count * dim) x dim
-    matrix, block i the action of generator i, which the surgery and spins
-    multiply with."""
+    from their dim x dim actions stacked in order into one (count * dim) x
+    dim matrix: block i is the action of generator i, which is known by its
+    position, and the surgery and spins multiply with the stack."""
 
-    def __init__(self, field: Field, dim: int, mats):
-        self.field, self.dim, self.count = field, dim, len(mats)
-        self.stack = Mat.from_blocks([[a] for a in mats]) if mats else Mat.zeros(field, 0, dim)
-
-    @classmethod
-    def of_stack(cls, field, count, stack: Mat):
-        """The module of `count` generators whose actions are the row blocks
-        of stack, in order."""
-        M = cls.__new__(cls)
-        M.field, M.dim, M.count, M.stack = field, stack.ncols, count, stack
-        return M
+    def __init__(self, field: Field, count: int, stack: Mat):
+        if stack.nrows != count * stack.ncols:
+            raise ValueError(f"{count} generators of dim {stack.ncols} need"
+                             f" {count * stack.ncols} stack rows, not {stack.nrows}")
+        self.field, self.dim, self.count, self.stack = field, stack.ncols, count, stack
 
     def action_mats(self):
         n = self.dim
@@ -71,7 +63,7 @@ class LieModule:
         """The module with as many generators whose i-th is X[i::count]'
         (X's rows interleave the generators, as `_images` makes them)."""
         g, r = self.count, X.ncols
-        return LieModule.of_stack(self.field, g, X.reshape(r, g * r).transpose())
+        return LieModule(self.field, g, X.reshape(r, g * r).transpose())
 
     def __repr__(self):
         return f"LieModule({self.field!r}, dim={self.dim}, {self.count} generators)"
@@ -81,7 +73,7 @@ def dual_module(M: LieModule) -> LieModule:
     """The actions -A': the rows vec(A) of the stack read at the transposed positions."""
     g, n = M.count, M.dim
     vecs = M.stack.reshape(g, n * n)[:, transposed_positions(n)]
-    return LieModule.of_stack(M.field, g, -vecs.reshape(g * n, n))
+    return LieModule(M.field, g, -vecs.reshape(g * n, n))
 
 
 def trivial_actions(M: LieModule) -> bool:
@@ -221,10 +213,8 @@ def irreducible(M: LieModule, primes=None) -> tuple[bool, str]:
 
 
 def _random_element(M: LieModule, rng) -> Mat:
-    """x y + z for random linear combinations x, y, z of the generators."""
+    """x y + z for random linear combinations x, y, z of the generators (0 if none)."""
     K, n, g = M.field, M.dim, M.count
-    if not g:
-        return Mat.zeros(K, n, n)
     coeffs = Mat(K, [[K.random(rng) for _ in range(g)] for _ in range(3)])
     combos = coeffs @ M.stack.reshape(g, n * n)
     x, y, z = (combos[i : i + 1, :].reshape(n, n) for i in range(3))
@@ -362,12 +352,13 @@ def first_primes_coprime_to(n, count=2):
 
 
 def reduce_module_mod_p(M: LieModule, p: int) -> LieModule:
-    """Clear denominators per generator and reduce mod p.
+    """Clear denominators per generator (a row vec(A) each) and reduce mod p.
 
     Scaling a generator by a nonzero rational does not change its invariant
     subspaces, so the reduced module's lattice refines the rational one.
     """
-    return LieModule(GF(p), M.dim, [A.cleared_mod(p) for A in M.action_mats()])
+    vecs = M.stack.reshape(M.count, M.dim * M.dim).cleared_mod(p)
+    return LieModule(GF(p), M.count, vecs.reshape(M.count * M.dim, M.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +367,14 @@ def reduce_module_mod_p(M: LieModule, p: int) -> LieModule:
 
 def hom_space(M1: LieModule, M2: LieModule) -> Subspace:
     """All T (dim2 x dim1) with T a1(x) = a2(x) T for every generator x,
-    the generators of M1 and M2 paired by position."""
-    if M1.count != M2.count:
+    the generators of M1 and M2 paired by position: the kernel of the stack
+    of kron(a2, I) - kron(I, a1') over the generators, since row-major
+    vec(a2 T) = kron(a2, I) vec T and vec(T a1) = kron(I, a1') vec T."""
+    g, n1, n2 = M1.count, M1.dim, M2.dim
+    if M2.count != g:
         raise ValueError("generator counts must match")
-    K = M1.field
-    n1, n2 = M1.dim, M2.dim
-    blocks = []
-    eye1 = Mat.identity(K, n1)
-    eye2 = Mat.identity(K, n2)
-    for a1, a2 in zip(M1.action_mats(), M2.action_mats()):
-        blocks.append(kron(eye2, a1.transpose()) - kron(a2, eye1))
-    if not blocks:
-        return Subspace.full(K, n1 * n2)
-    return kernel(Mat.from_blocks([[b] for b in blocks]))
+    vecs1 = dual_module(M1).stack.reshape(g, n1 * n1)  # the rows vec(-a1')
+    return kernel(kron_sum_stack(M2.stack.reshape(g, n2 * n2), vecs1, 1))
 
 
 def equivariant(T: Mat, M1: LieModule, M2: LieModule) -> bool:
@@ -420,7 +406,7 @@ def weights(H) -> list:
 
 def adjoint_module(L: Subspace, ambient: Subspace) -> LieModule:
     """ad action of L's basis restricted to an invariant subspace of gl(m)."""
-    gl = LieModule.of_stack(L.field, L.dim, ad_stack(L.basis))
+    gl = LieModule(L.field, L.dim, ad_stack(L.basis))
     try:
         return restrict_module(gl, ambient)
     except ValueError:
@@ -491,8 +477,8 @@ def conjugation_modules(n, K):
     matrices, generated by the units a = e_ij (generator i n + j)."""
     E = Mat.identity(K, n * n)  # rows vec(e_ij)
     Et = E[:, transposed_positions(n)]  # rows vec(e_ij')
-    return (LieModule.of_stack(K, n * n, kron_sum_stack(E, E, 1)),
-            LieModule.of_stack(K, n * n, -kron_sum_stack(Et, Et, 1)))
+    return (LieModule(K, n * n, kron_sum_stack(E, E, 1)),
+            LieModule(K, n * n, -kron_sum_stack(Et, Et, 1)))
 
 
 def sym_alt_subspaces(n, K):
@@ -517,7 +503,7 @@ def restrict_to_sl(module: LieModule, n, K) -> LieModule:
     vecs = module.stack.reshape(n * n, d * d)
     off = vecs[[k for k in range(g) if k // n != k % n], :]
     h = vecs[[i * (n + 1) for i in range(n - 1)], :] - vecs[[g] * (n - 1), :]
-    return LieModule.of_stack(K, g, Mat.from_blocks([[off], [h]]).reshape(g * d, d))
+    return LieModule(K, g, Mat.from_blocks([[off], [h]]).reshape(g * d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -542,25 +528,18 @@ def heisenberg_poly_module_on_basis(K, n: int, alpha, monomials) -> LieModule:
     p = K.char
     index = {mo: i for i, mo in enumerate(monomials)}
     d = len(monomials)
-    gens = []
-    for i in range(n):
-        du = [[K.zero()] * d for _ in range(d)]
-        for mo, col in index.items():
-            if mo[i] > 0:
-                lower = list(mo)
-                lower[i] -= 1
-                du[index[tuple(lower)]][col] = K.of(mo[i])
-        gens.append(Mat(K, du))
-    for i in range(n):
-        mv = [[K.zero()] * d for _ in range(d)]
-        for mo, col in index.items():
-            if mo[i] < p - 1:
-                upper = list(mo)
-                upper[i] += 1
-                mv[index[tuple(upper)]][col] = alpha
-        gens.append(Mat(K, mv))
-    gens.append(Mat.identity(K, d).scale(alpha))
-    return LieModule(K, d, gens)
+    # du[i] = d/dx_i; mv[i] = x_i (0 on x_i^(p-1)) and mv[n] = 1, each times alpha
+    du, mv = np.zeros((n, d, d), dtype=np.int64), np.zeros((n + 1, d, d), dtype=np.int64)
+    mv[n] = np.eye(d, dtype=np.int64)
+    for mo, col in index.items():
+        for i, e in enumerate(mo):
+            if e > 0:
+                du[i, index[mo[:i] + (e - 1,) + mo[i + 1 :]], col] = e
+            if e < p - 1:
+                mv[i, index[mo[:i] + (e + 1,) + mo[i + 1 :]], col] = 1
+    stack = Mat.from_blocks([[Mat.from_ints(K, du.reshape(n * d, d))],
+                             [Mat.from_ints(K, mv.reshape((n + 1) * d, d)).scale(alpha)]])
+    return LieModule(K, 2 * n + 1, stack)
 
 
 def representation_kernel(module: LieModule, alg) -> Subspace:

@@ -9,8 +9,6 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-import numpy as np
-
 from .fields import GF, QQ, Field
 from .forms import (
     BilForm,
@@ -131,28 +129,19 @@ def _ser(x):
 # Shared constructions
 
 
-def _block_span(K, m, blocks):
-    """Span of m x m matrices assembled from disjoint (i, j, mat) block
-    placements: one gather from the row of every piece's entries and a zero."""
-    pieces = [p for placements in blocks for _, _, p in placements] + [Mat.zeros(K, 1, 1)]
-    flat = Mat.from_blocks([[p.reshape(1, p.nrows * p.ncols) for p in pieces]])
-    at, s = np.full((len(blocks), m, m), flat.ncols - 1), 0
-    for k, placements in enumerate(blocks):
-        for i, j, p in placements:
-            r, c = p.nrows, p.ncols
-            at[k, i : i + r, j : j + c] = np.arange(s, s + r * c).reshape(r, c)
-            s += r * c
-    return Subspace.span(flat[:, at.ravel()].reshape(len(blocks), m * m))
-
-
 def _block_form(K, n, bc, traceless):
     """The span of [[A, B], [C, A']] with B and C in the n x n subspace bc and
-    A any n x n matrix, or any traceless one (e_ij, i != j, and e_ii - e_nn)."""
-    pieces = bc.matrices(n, n)
-    a_space = sl_subspace(K, n) if traceless else gl_subspace(K, n)
-    blocks = [[(0, 0, a), (n, n, a.transpose())] for a in a_space.matrices(n, n)]
-    blocks += [[(0, n, b)] for b in pieces] + [[(n, 0, c)] for c in pieces]
-    return _block_span(K, 2 * n, blocks)
+    A any n x n matrix, or any traceless one: each family of rows vec(piece)
+    placed in the 2n x 2n matrices by one product with identity rows."""
+    eye = Mat.identity(K, 4 * n * n)
+
+    def at(r, c):  # the rows of I that place an n x n piece with its corner at (r, c)
+        return eye[[(r + i) * 2 * n + c + j for i in range(n) for j in range(n)], :]
+
+    a = (sl_subspace(K, n) if traceless else gl_subspace(K, n)).basis
+    diagonal = a @ at(0, 0) + a[:, transposed_positions(n)] @ at(n, n)
+    return Subspace.span(Mat.from_blocks([[diagonal], [bc.basis @ at(0, n)],
+                                          [bc.basis @ at(n, 0)]]))
 
 
 def _sp_block(K, n, a=None, b=None, c=None):
@@ -283,7 +272,8 @@ def _run_m2_alternating(rep: Report) -> Report:
     e = Mat.unit(K, 2, 2, 0, 1)
     f = Mat.unit(K, 2, 2, 1, 0)
     eye = Mat.identity(K, 2)
-    S, _ = quotient_algebra(L, Subspace.zero(K, 4), reps=Mat(K, [x.vec() for x in (e, f, eye)]))
+    reps = Mat.from_blocks([[x.reshape(1, 4)] for x in (e, f, eye)])
+    S, _ = quotient_algebra(L, Subspace.zero(K, 4), reps=reps)
     rep.check("L = h(1)", "Note 12.5", True,
               lie_isomorphic_by_structure(heisenberg(K, 1), S, Mat.identity(K, 3)))
     poly = heisenberg_poly_module(K, 1, K.one())
@@ -910,7 +900,7 @@ def _check_prop_12_2(rep: Report):
         # of [z_i, u_j] on e, x, f, y modulo s is column j of R(z_i)
         coords = (u_in_l2.coords_of(bracket_rows(Z, U)) @ to_ubasis)[:, :4]
         vecs = coords.reshape(Z.nrows, 16)[:, transposed_positions(4)]
-        return LieModule.of_stack(K, Z.nrows, vecs.reshape(Z.nrows * 4, 4))
+        return LieModule(K, Z.nrows, vecs.reshape(Z.nrows * 4, 4))
 
     poly = heisenberg_poly_module_on_basis(
         K, n, K.one(), [(0, 1), (0, 0), (1, 0), (1, 1)]

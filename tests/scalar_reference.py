@@ -3,20 +3,25 @@
 The first part is the entry-by-entry construction of the structured
 matrices that `linalg`, `liealg` and `repmod` build on arrays: identity,
 unit and diagonal matrices, the text format, the sym/alt split, the
-tensor-square maps Gamma, Omega and Delta, and ad x as a difference of two
-Kronecker products.  The second part holds helpers that only the tests
-call: operator matrices of vector functions, integer matrices, vecs read
-back as matrices, symplectic bases, the congruence diagonalization of a
-symmetric form one vector at a time, the star map of 4 x 4 alternating
-matrices one entry at a time, brackets read off a
-structure-constant table, the Jacobi identity, the f-adjoint, and the
-block modules of gl(r) + gl(n) with their duality check.
+tensor-square maps Gamma, Omega and Delta, ad x as a difference of two
+Kronecker products, Hom spaces one generator at a time, the Heisenberg
+polynomial modules and the clearing of one generator's denominators.  The
+second part holds helpers that only the tests call: operator matrices of
+vector functions, integer matrices, vecs read back as matrices, spans of
+scalar rows, module stacks of matrix lists, symplectic bases, the
+congruence diagonalization of a symmetric form one vector at a time, the
+star map of 4 x 4 alternating matrices one entry at a time, brackets read
+off a structure-constant table, the Jacobi identity, the f-adjoint, and
+the block modules of gl(r) + gl(n) with their duality check.
 """
 
 from __future__ import annotations
 
+import math
+
+from lieclassical.fields import GF
 from lieclassical.forms import CongruenceResult, classify, standard_symplectic_gram
-from lieclassical.linalg import Mat, Subspace, kron
+from lieclassical.linalg import Mat, Subspace, kernel, kron
 from lieclassical.repmod import LieModule, dual_module
 
 
@@ -49,6 +54,16 @@ def from_int_rows(field, rows) -> Mat:
 def unvec(field, v, r, c) -> Mat:
     """The r x c matrix whose row-major entries are the vector v."""
     return Mat(field, [v]).reshape(r, c)
+
+
+def span_rows(field, ambient, rows) -> Subspace:
+    """The span of scalar rows in F^ambient (the zero subspace for none)."""
+    return Subspace.span(Mat(field, rows)) if rows else Subspace.zero(field, ambient)
+
+
+def stacked(field, n, mats) -> Mat:
+    """The n x n matrices stacked in order, a module's stack (0 x n for none)."""
+    return Mat.from_blocks([[a] for a in mats]) if mats else Mat.zeros(field, 0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +102,7 @@ def sym_alt_by_scalars(n, K):
         for j in range(i + 1, n):
             sym_rows.append((unit_by_scalars(K, n, n, i, j) + unit_by_scalars(K, n, n, j, i)).vec())
             alt_rows.append((unit_by_scalars(K, n, n, i, j) - unit_by_scalars(K, n, n, j, i)).vec())
-    return Subspace.from_rows(K, n * n, sym_rows), Subspace.from_rows(K, n * n, alt_rows)
+    return span_rows(K, n * n, sym_rows), span_rows(K, n * n, alt_rows)
 
 
 def gamma_by_scalars(A: Mat) -> Mat:
@@ -115,6 +130,53 @@ def tensor_action_by_kron(x: Mat) -> Mat:
     """x on V (x) V: kron(x, I) + kron(I, x)."""
     eye = identity_by_scalars(x.field, x.nrows)
     return kron(x, eye) + kron(eye, x)
+
+
+def hom_space_by_kron(M1: LieModule, M2: LieModule) -> Subspace:
+    """Hom(M1, M2) one generator at a time: the kernel of the blocks
+    kron(I, a1') - kron(a2, I), all of F^(n2 n1) without generators."""
+    K, n1, n2 = M1.field, M1.dim, M2.dim
+    eye1, eye2 = identity_by_scalars(K, n1), identity_by_scalars(K, n2)
+    blocks = [kron(eye2, a1.transpose()) - kron(a2, eye1)
+              for a1, a2 in zip(M1.action_mats(), M2.action_mats())]
+    if not blocks:
+        return Subspace.full(K, n1 * n2)
+    return kernel(Mat.from_blocks([[b] for b in blocks]))
+
+
+def heisenberg_mats_by_scalars(K, n, alpha, monomials):
+    """The actions of u_1..u_n, v_1..v_n, z on the truncated polynomial
+    module with the given monomial basis, entry by entry: u_i = d/dx_i,
+    v_i = alpha x_i (0 on x_i^(p-1)), z = alpha I."""
+    p = K.char
+    index = {mo: i for i, mo in enumerate(monomials)}
+    d = len(monomials)
+    gens = []
+    for i in range(n):
+        du = [[K.zero()] * d for _ in range(d)]
+        for mo, col in index.items():
+            if mo[i] > 0:
+                lower = list(mo)
+                lower[i] -= 1
+                du[index[tuple(lower)]][col] = K.of(mo[i])
+        gens.append(Mat(K, du))
+    for i in range(n):
+        mv = [[K.zero()] * d for _ in range(d)]
+        for mo, col in index.items():
+            if mo[i] < p - 1:
+                upper = list(mo)
+                upper[i] += 1
+                mv[index[tuple(upper)]][col] = alpha
+        gens.append(Mat(K, mv))
+    gens.append(identity_by_scalars(K, d).scale(alpha))
+    return gens
+
+
+def cleared_by_scalars(A: Mat, p) -> Mat:
+    """The rational matrix A times the least common denominator of its
+    entries, reduced mod p."""
+    d = math.lcm(*(x.denominator for r in A.rows for x in r))
+    return Mat(GF(p), [[int(x * d) % p for x in r] for r in A.rows])
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +274,7 @@ def diagonalize_by_scalars(A: Mat) -> CongruenceResult:
             done.append(u2)
             projected = _orth_complement(A, remaining + [u], u2)
             # the projections carry one dependency; rebuild an independent basis
-            remaining = list(Subspace.from_rows(K, m, projected).basis.rows)
+            remaining = list(span_rows(K, m, projected).basis.rows)
             continue
         u = remaining.pop(idx)
         done.append(u)
@@ -316,7 +378,8 @@ def block_modules(r, n, K):
             b = Mat.unit(K, n, n, i, j)
             gens_z.append(-kron(eye_r, b.transpose()))
             gens_a.append(kron(b, eye_r))
-    return LieModule(K, r * n, gens_z), LieModule(K, n * r, gens_a)
+    return (LieModule(K, len(gens_z), stacked(K, r * n, gens_z)),
+            LieModule(K, len(gens_a), stacked(K, n * r, gens_a)))
 
 
 def block_duality_check(r, n, K) -> bool:

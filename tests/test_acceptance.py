@@ -33,7 +33,7 @@ from lieclassical.repmod import (
     tensor_square,
 )
 from line_enumeration import certify_by_enumeration
-from scalar_reference import tensor_action_by_kron, unvec
+from scalar_reference import span_rows, stacked, tensor_action_by_kron, unvec
 
 
 def report_line(capsys, num, ok, detail=""):
@@ -290,15 +290,16 @@ def test_criterion_09_property_suites(capsys):
                 M = _rand_mat(K, rng, 3, 3)
                 if not K.is_zero(M.det()):
                     break
-            S1 = Subspace.from_rows(K, 4, [list(r) for r in A.rows])
-            S2 = Subspace.from_rows(K, 4, [list(r) for r in (M @ A).rows])
-            S3 = Subspace.from_rows(K, 4, S1.basis.rows)
+            S1 = span_rows(K, 4, [list(r) for r in A.rows])
+            S2 = span_rows(K, 4, [list(r) for r in (M @ A).rows])
+            S3 = span_rows(K, 4, S1.basis.rows)
             if not (S1 == S2 == S3):
                 failures.append(f"rref canonicity over {K.token}")
                 break
         # spin idempotence
         for _ in range(TRIALS):
-            mod = LieModule(K, 3, [_rand_mat(K, rng, 3, 3), _rand_mat(K, rng, 3, 3)])
+            mod = LieModule(K, 2, stacked(K, 3, [_rand_mat(K, rng, 3, 3),
+                                                 _rand_mat(K, rng, 3, 3)]))
             S = spin(mod, Mat(K, [[K.random(rng) for _ in range(3)]]))
             if spin(mod, S.basis) != S:
                 failures.append(f"spin idempotence over {K.token}")
@@ -307,7 +308,7 @@ def test_criterion_09_property_suites(capsys):
         for _ in range(TRIALS):
             g1 = [_rand_mat(K, rng, 2, 2), _rand_mat(K, rng, 2, 2)]
             g2 = [_rand_mat(K, rng, 2, 2), _rand_mat(K, rng, 2, 2)]
-            V1, V2 = LieModule(K, 2, g1), LieModule(K, 2, g2)
+            V1, V2 = LieModule(K, 2, stacked(K, 2, g1)), LieModule(K, 2, stacked(K, 2, g2))
             H = hom_space(V1, V2)
             for T in H.matrices(V2.dim, V1.dim):
                 for a1, a2 in zip(g1, g2):
@@ -325,7 +326,7 @@ def _all_subspaces(K, n):
     seen[zero] = zero
     for size in range(1, n + 1):
         for combo in itertools.combinations(vecs, size):
-            S = Subspace.from_rows(K, n, list(combo))
+            S = span_rows(K, n, list(combo))
             seen.setdefault(S, S)
     return list(seen.values())
 
@@ -339,7 +340,8 @@ def test_criterion_10_oracle_equivalence(capsys):
         for n in dims:
             for _ in range(count):
                 ngens = rng.randrange(1, 4)
-                mod = LieModule(K, n, [_rand_mat(K, rng, n, n) for _ in range(ngens)])
+                mod = LieModule(K, ngens, stacked(K, n, [_rand_mat(K, rng, n, n)
+                                                         for _ in range(ngens)]))
                 acts = mod.action_mats()
                 oracle_reducible = any(
                     0 < U.dim < n and all(invariant_under(U, a) for a in acts)

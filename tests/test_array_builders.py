@@ -5,11 +5,15 @@ matrix straight from arrays is compared, over GF(2), GF(3), GF(9), GF(25)
 and Q for m = 2..5, with the entry-by-entry construction it replaced
 (`scalar_reference.py`): identity, unit and diagonal matrices, the text
 format, the sym/alt split, Gamma, Omega and Delta of the tensor square, the
-tensor action, the ad stack and the conjugation modules.
+tensor action, the ad stack and the conjugation modules.  The module
+operations that work on a module's whole stack are compared with their
+per-generator construction: Hom spaces from one Kronecker-sum stack, the
+reduction of a rational module mod p and the Heisenberg polynomial modules.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,21 +22,31 @@ import pytest
 
 from lieclassical.fields import GF, QQ
 from lieclassical.forms import classify, standard_symplectic_gram
-from lieclassical.liealg import ad_gl, ad_stack, gl_subspace, skew_adjoint_algebra
-from lieclassical.linalg import Mat, kron
+from lieclassical.liealg import ad_gl, ad_stack, gl_subspace, skew_adjoint_algebra, sl_subspace
+from lieclassical.linalg import Mat, kron, kron_sum_stack
 from lieclassical.repmod import (
+    LieModule,
     adjoint_module,
     conjugation_modules,
+    dual_module,
+    heisenberg_poly_module,
+    heisenberg_poly_module_on_basis,
+    hom_space,
+    reduce_module_mod_p,
     sym_alt_subspaces,
     tensor_square,
 )
 from scalar_reference import (
     ad_by_kron,
+    cleared_by_scalars,
     delta_by_scalars,
     diag_by_scalars,
     gamma_by_scalars,
+    heisenberg_mats_by_scalars,
+    hom_space_by_kron,
     identity_by_scalars,
     omega_by_scalars,
+    stacked,
     sym_alt_by_scalars,
     to_text_by_scalars,
     unit_by_scalars,
@@ -49,6 +63,8 @@ def _ids(K_m):
 
 
 def _random_mat(K, r, c, rng):
+    if not r:
+        return Mat.zeros(K, 0, c)
     return Mat(K, [[K.random(rng) for _ in range(c)] for _ in range(r)])
 
 
@@ -190,3 +206,90 @@ def test_ad_stack_over_q_with_large_numerators():
     assert x.a.dtype == np.int64
     assert ad_gl(x) == ad_by_kron(x)
     assert ad_gl(x).rows[1][1] == 2 * big
+
+
+@pytest.mark.parametrize("K", FIELDS, ids=[K.token for K in FIELDS])
+def test_kron_sum_stack_of_different_sizes_against_kron(K):
+    rng = random.Random(40)
+    for a, b in ((2, 3), (3, 1), (1, 2), (0, 2), (2, 0)):
+        for g in (0, 1, 3):
+            X, Y = _random_mat(K, g, a * a, rng), _random_mat(K, g, b * b, rng)
+            for sign in (1, -1):
+                blocks = [kron(x.reshape(a, a), identity_by_scalars(K, b))
+                          + kron(identity_by_scalars(K, a), y.reshape(b, b)).scale(K.of(sign))
+                          for x, y in ((X[[i], :], Y[[i], :]) for i in range(g))]
+                assert kron_sum_stack(X, Y, sign) == stacked(K, a * b, blocks)
+
+
+def _random_module(K, g, n, rng):
+    return LieModule(K, g, _random_mat(K, g * n, n, rng))
+
+
+def _direct_sum(M):
+    """M + M, block diagonal generator by generator."""
+    z = Mat.zeros(M.field, M.dim, M.dim)
+    return LieModule(M.field, M.count, stacked(M.field, 2 * M.dim, [
+        Mat.from_blocks([[a, z], [z, a]]) for a in M.action_mats()]))
+
+
+@pytest.mark.parametrize("K", FIELDS, ids=[K.token for K in FIELDS])
+def test_hom_space_against_per_generator_kron(K):
+    rng = random.Random(41)
+    for g in (0, 1, 2, 3):
+        for n1, n2 in ((2, 3), (3, 2), (0, 2), (2, 0), (0, 0), (1, 1), (3, 3)):
+            M1, M2 = _random_module(K, g, n1, rng), _random_module(K, g, n2, rng)
+            pairs = [(M1, M2), (M1, M1), (M1, _direct_sum(M1)), (_direct_sum(M1), M1),
+                     (M1, dual_module(M1)), (LieModule(K, g, Mat.zeros(K, g * n1, n1)), M2)]
+            for A, B in pairs:
+                H = hom_space(A, B)
+                assert H == hom_space_by_kron(A, B)
+                assert H.ambient == A.dim * B.dim
+    # the sl(2) and gl(2) modules of the ad action, whose Hom spaces are not 0
+    for L in (sl_subspace(K, 2), gl_subspace(K, 2)):
+        M = adjoint_module(L, gl_subspace(K, 2))
+        assert hom_space(M, M) == hom_space_by_kron(M, M)
+        assert hom_space(M, M).dim >= 1
+
+
+def test_reduce_module_mod_p_clears_each_generator():
+    big = 2**70 + 3
+    q = [[Fraction(1, 10), Fraction(2, 3)], [Fraction(0), Fraction(7, 5)]]  # 5 | 30
+    integral = [[Fraction(2), Fraction(4)], [Fraction(-6), Fraction(0)]]
+    huge = [[Fraction(big, 3), Fraction(1)], [Fraction(big), Fraction(-big, 9)]]
+    tiny = [[Fraction(1, 2**70), Fraction(0)], [Fraction(0), Fraction(1, 7)]]
+    zero = [[Fraction(0)] * 2] * 2
+    mats = [Mat(QQ, rows) for rows in (q, integral, huge, tiny, zero)]
+    M = LieModule(QQ, len(mats), stacked(QQ, 2, mats))
+    assert M.stack.a.dtype == object
+    for p in (2, 3, 5, 7, 11):
+        R = reduce_module_mod_p(M, p)
+        assert (R.field, R.count, R.dim) == (GF(p), M.count, M.dim)
+        assert R.action_mats() == [cleared_by_scalars(A, p) for A in mats]
+    # int64 numerators with their own denominators, and one generator alone
+    small = LieModule(QQ, 2, stacked(QQ, 2, mats[:2]))
+    assert small.stack.a.dtype == np.int64
+    assert reduce_module_mod_p(small, 5).action_mats() == [cleared_by_scalars(A, 5)
+                                                          for A in mats[:2]]
+
+
+HEISENBERG_FIELDS = [GF(2), GF(3), GF(5), GF(3, 2)]
+
+
+@pytest.mark.parametrize("K", HEISENBERG_FIELDS, ids=[K.token for K in HEISENBERG_FIELDS])
+def test_heisenberg_module_against_scalar_builder(K):
+    nonzero = [x for x in K.elements() if not K.is_zero(x)]
+    for n in (1, 2):
+        monomials = list(itertools.product(range(K.char), repeat=n))
+        for alpha in nonzero[:3]:  # 1 and, past GF(2), an alpha != 1
+            want = heisenberg_mats_by_scalars(K, n, alpha, monomials)
+            M = heisenberg_poly_module(K, n, alpha)
+            assert (M.count, M.dim) == (2 * n + 1, K.char**n)
+            assert M.action_mats() == want
+            shuffled = monomials[::-1]
+            assert (heisenberg_poly_module_on_basis(K, n, alpha, shuffled).action_mats()
+                    == heisenberg_mats_by_scalars(K, n, alpha, shuffled))
+    # Prop 12.2's order of the monomials of h(2) in characteristic 2
+    if K.char == 2:
+        order = [(0, 1), (0, 0), (1, 0), (1, 1)]
+        assert (heisenberg_poly_module_on_basis(K, 2, K.one(), order).action_mats()
+                == heisenberg_mats_by_scalars(K, 2, K.one(), order))

@@ -34,6 +34,7 @@ from scalar_reference import (
     check_jacobi,
     from_int_rows,
     op_matrix,
+    span_rows,
     table_bracket,
     unvec,
 )
@@ -245,7 +246,7 @@ def test_quotient_by_the_whole_algebra_is_zero(K):
 def test_quotient_rejects_non_ideal():
     K = QQ
     L = gl_subspace(K, 2)
-    not_ideal = Subspace.from_rows(K, 4, [Mat.unit(K, 2, 2, 0, 1).vec()])
+    not_ideal = span_rows(K, 4, [Mat.unit(K, 2, 2, 0, 1).vec()])
     with pytest.raises(ValueError):
         quotient_algebra(L, not_ideal)
 
@@ -271,7 +272,7 @@ def test_quotient_rejects_a_bracket_outside_the_algebra():
     # span(e, f) is no subalgebra: [e, f] = h leaves it
     K = QQ
     e, f = Mat.unit(K, 2, 2, 0, 1), Mat.unit(K, 2, 2, 1, 0)
-    L = Subspace.from_rows(K, 4, [e.vec(), f.vec()])
+    L = span_rows(K, 4, [e.vec(), f.vec()])
     with pytest.raises(ValueError, match="vector not in subspace"):
         quotient_algebra(L, Subspace.zero(K, 4))
 

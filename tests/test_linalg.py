@@ -40,7 +40,7 @@ from lieclassical.linalg import (
 )
 from charpoly_reference import charpoly_by_scalars
 from echelon_reference import ScalarEchelon
-from scalar_reference import from_int_rows, op_matrix, unvec
+from scalar_reference import from_int_rows, op_matrix, span_rows, stacked, unvec
 
 
 def rand_mat(K, r, c, rng):
@@ -113,7 +113,7 @@ def _old_kernel(M):
         for i, piv in enumerate(R.pivots):
             v[piv] = M.field.neg(R.basis.rows[i][f])
         rows.append(v)
-    return Subspace.from_rows(M.field, M.ncols, rows)
+    return span_rows(M.field, M.ncols, rows)
 
 
 def _sparse_mat(K, r, c, rng):
@@ -197,8 +197,8 @@ def test_subspace_lattice_basics():
     K = QQ
     e1 = [K.one(), K.zero(), K.zero()]
     e2 = [K.zero(), K.one(), K.zero()]
-    U = Subspace.from_rows(K, 3, [e1])
-    W = Subspace.from_rows(K, 3, [e2])
+    U = span_rows(K, 3, [e1])
+    W = span_rows(K, 3, [e2])
     assert (U + W).dim == 2
     assert U.intersect(W).dim == 0
     assert (U + W).contains(U)
@@ -208,8 +208,8 @@ def test_subspace_modular_dimension_law():
     rng = random.Random(4)
     K = GF(5)
     for _ in range(40):
-        U = Subspace.from_rows(K, 6, [[K.random(rng) for _ in range(6)] for _ in range(3)])
-        W = Subspace.from_rows(K, 6, [[K.random(rng) for _ in range(6)] for _ in range(3)])
+        U = span_rows(K, 6, [[K.random(rng) for _ in range(6)] for _ in range(3)])
+        W = span_rows(K, 6, [[K.random(rng) for _ in range(6)] for _ in range(3)])
         assert (U + W).dim + U.intersect(W).dim == U.dim + W.dim
         assert U.intersect(U) == U
 
@@ -217,7 +217,7 @@ def test_subspace_modular_dimension_law():
 def test_subspace_coords_lift_round_trip():
     rng = random.Random(5)
     K = GF(7)
-    U = Subspace.from_rows(K, 5, [[K.random(rng) for _ in range(5)] for _ in range(3)])
+    U = span_rows(K, 5, [[K.random(rng) for _ in range(5)] for _ in range(3)])
     for _ in range(20):
         v = Mat(K, [[K.random(rng) for _ in range(U.dim)]]) @ U.basis
         assert U.residuals(v).is_zero()
@@ -541,7 +541,7 @@ def row_sets(draw, K):
 
 def _assert_rref_is(K, ncols, rows, ref_rows, ref_pivots):
     """The field family's one echelon basis (EchelonGFp over finite fields,
-    Echelon over Q), the scalar reference echelon, Subspace.from_rows and
+    Echelon over Q), the scalar reference echelon, Subspace.span and
     rref all give the reference RREF of rows."""
     rank = len(ref_pivots)
     pivots = tuple(ref_pivots)
@@ -553,7 +553,7 @@ def _assert_rref_is(K, ncols, rows, ref_rows, ref_pivots):
     ref = ScalarEchelon(K, ncols)
     assert sum(ref.add(r) for r in rows) == ref.dim == rank
     assert ref.subspace() == want
-    S = Subspace.from_rows(K, ncols, rows)
+    S = span_rows(K, ncols, rows)
     assert S == want and isinstance(S.basis, Mat)
     assert _entries_are_scalars(K, S.basis.rows)
     if rows:
@@ -843,13 +843,13 @@ def test_gf9_echelon_makes_no_per_entry_field_calls(monkeypatch):
     K, n = GF(3, 2), 48
     rng = random.Random(49)
     A = rand_mat(K, n, n, rng)
-    S, calls = _count_field_calls(monkeypatch, K, lambda: Subspace.from_rows(K, n, A.rows))
+    S, calls = _count_field_calls(monkeypatch, K, lambda: span_rows(K, n, A.rows))
     assert calls["mul"] + calls["sub"] + calls["add"] <= 2 * n
     ref = ScalarEchelon(K, n)
     for r in A.rows:
         ref.add(r)
     assert S == ref.subspace()
-    M = LieModule(K, n, [rand_mat(K, n, n, rng), rand_mat(K, n, n, rng)])
+    M = LieModule(K, 2, stacked(K, n, [rand_mat(K, n, n, rng), rand_mat(K, n, n, rng)]))
     seed = [K.random(rng) for _ in range(n)]
     S, calls = _count_field_calls(monkeypatch, K, lambda: spin(M, Mat(K, [seed])))
     assert calls["mul"] + calls["sub"] + calls["add"] <= 2 * n
@@ -980,7 +980,7 @@ def test_spin_inserts_each_round_with_one_echelon_add(monkeypatch):
 
     K, n = GF(5), 10
     shift = Mat(K, [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)])
-    M = repmod.LieModule(K, n, [shift])
+    M = repmod.LieModule(K, 1, shift)
     adds, rounds = [], []
     add, images = EchelonGFp.add, repmod._images
     monkeypatch.setattr(EchelonGFp, "add", lambda self, X: adds.append(1) or add(self, X))
@@ -1143,7 +1143,7 @@ def _check_array_operations(A, B, C, c, v):
     assert _entries_are_scalars(K, [matvec(A.transpose(), v)])
     ker = kernel(A)
     assert isinstance(ker.basis, Mat) and _entries_are_scalars(K, ker.basis.rows)
-    assert _entries_are_scalars(K, Subspace.from_rows(K, k, A.rows).basis.rows)
+    assert _entries_are_scalars(K, span_rows(K, k, A.rows).basis.rows)
 
 
 def _edge_coord(p):

@@ -61,6 +61,8 @@ from scalar_reference import (
     coords_by_scalars,
     lift_by_scalars,
     op_matrix,
+    span_rows,
+    stacked,
     star_by_scalars,
     tensor_action_by_kron,
     unvec,
@@ -71,7 +73,7 @@ def sl2_natural(K):
     e = Mat.unit(K, 2, 2, 0, 1)
     f = Mat.unit(K, 2, 2, 1, 0)
     h = Mat.diag(K, [K.one(), K.neg(K.one())])
-    return LieModule(K, 2, [e, f, h])
+    return LieModule(K, 3, stacked(K, 2, [e, f, h]))
 
 
 def test_spin_full_from_any_seed():
@@ -90,7 +92,7 @@ def test_certify_irreducible_natural():
 def test_certify_reducible_with_witness():
     K = GF(3)
     e = Mat.unit(K, 2, 2, 0, 1)
-    M = LieModule(K, 2, [e])
+    M = LieModule(K, 1, e)
     res = certify_irreducible(M)
     assert res.status == "reducible"
     W = res.witness
@@ -106,7 +108,7 @@ def test_norton_agrees_with_enumeration():
     for _ in range(20):
         gens = [Mat(K, [[K.random(rng) for _ in range(3)] for _ in range(3)])
                 for _ in range(2)]
-        M = LieModule(K, 3, gens)
+        M = LieModule(K, 2, stacked(K, 3, gens))
         by_enum = certify_by_enumeration(M)
         by_norton = certify_irreducible(M, seed=1)
         assert by_enum.status == by_norton.status
@@ -123,14 +125,14 @@ def _random_modules(K, rng):
             gens = [Mat(K, [[K.random(rng) if rng.random() < density else z
                             for _ in range(n)] for _ in range(n)])
                     for _ in range(rng.randrange(1, 4))]
-            yield LieModule(K, n, gens)
+            yield LieModule(K, len(gens), stacked(K, n, gens))
         gens = [Mat(K, [[K.random(rng) if j >= r else z for j in range(n)] for r in range(n)])
                 for _ in range(2)]
-        yield LieModule(K, n, gens)
+        yield LieModule(K, 2, stacked(K, n, gens))
     for _ in range(4):
         S = [Mat(K, [[K.random(rng) for _ in range(2)] for _ in range(2)]) for _ in range(2)]
-        yield LieModule(K, 4, [Mat(K, [r + [z, z] for r in a.rows] + [[z, z] + r for r in a.rows])
-                               for a in S])
+        yield LieModule(K, 2, stacked(K, 4, [Mat(K, [r + [z, z] for r in a.rows]
+                                                 + [[z, z] + r for r in a.rows]) for a in S]))
 
 
 def _so4_nonsquare_mod(p):
@@ -156,7 +158,7 @@ def test_certify_matches_enumeration_on_random_modules(K):
     _so4_nonsquare_mod(3),
     _so4_nonsquare_mod(5),
     # x^2 + 1 is irreducible over GF(3): its companion matrix alone
-    LieModule(GF(3), 2, [Mat(GF(3), [[0, 2], [1, 0]])]),
+    LieModule(GF(3), 1, Mat(GF(3), [[0, 2], [1, 0]])),
 ], ids=["so4-mod3", "so4-mod5", "companion"])
 def test_certify_irreducible_not_absolutely_irreducible(M):
     assert certify_by_enumeration(M).status == "irreducible"
@@ -364,7 +366,7 @@ def test_respects_brackets_refuses_a_wrong_table_or_generator(K):
     assert not respects_brackets(V, wrong)
     # the first generator doubled: [2 e_0, e_1] has twice the table's value
     gens = [a.scale(K.of(2)) if i == 0 else a for i, a in enumerate(V.action_mats())]
-    assert not respects_brackets(LieModule(K, V.dim, gens), struct)
+    assert not respects_brackets(LieModule(K, V.count, stacked(K, V.dim, gens)), struct)
 
 
 def test_is_simple_examples():
@@ -388,11 +390,26 @@ def test_hom_space_schur_and_duality():
         assert T @ a == ad @ T
 
 
+def test_module_refuses_a_stack_of_the_wrong_shape():
+    # the second argument is the generator count: a stack of three 2 x 2
+    # generators read as two of them, or with a dim in its place, is refused
+    K = GF(5)
+    V = sl2_natural(K)
+    for count in (2, V.dim + 2, 0):
+        with pytest.raises(ValueError, match="stack rows"):
+            LieModule(K, count, V.stack)
+    with pytest.raises(ValueError, match="stack rows"):
+        LieModule(K, 1, Mat.zeros(K, 2, 3))
+    assert LieModule(K, 3, V.stack).stack is V.stack
+    assert LieModule(K, 2, Mat.zeros(K, 0, 0)).dim == 0
+    assert LieModule(K, 0, Mat.zeros(K, 0, 3)).dim == 3
+
+
 def test_hom_space_refuses_different_generator_counts():
     # generators are paired by position, so both modules need as many
     K = GF(5)
     V = sl2_natural(K)
-    fewer = LieModule(K, 2, V.action_mats()[:2])
+    fewer = LieModule(K, 2, V.stack[:4, :])
     with pytest.raises(ValueError, match="generator counts must match"):
         hom_space(V, fewer)
 
@@ -405,7 +422,7 @@ def test_weights_sl2_natural():
 
 def test_weights_read_any_rational_entry():
     # the weights are the diagonal entries, so no window of eigenvalues is tried
-    V = LieModule(QQ, 2, [Mat.diag(QQ, [Fraction(7), Fraction(0)])])
+    V = LieModule(QQ, 1, Mat.diag(QQ, [Fraction(7), Fraction(0)]))
     assert weights(V.action_mats()) == [((Fraction(0),), 1), ((Fraction(7),), 1)]
 
 
@@ -559,7 +576,7 @@ def test_equivariant_matches_a_per_generator_loop(K):
         assert _equivariant_by_generators(T, M1, M2) is expected
         assert equivariant(T, M1, M2) is expected
     # no generators: every map is equivariant; generators pair by position
-    empty = LieModule(K, 4, [])
+    empty = LieModule(K, 0, Mat.zeros(K, 0, 4))
     assert equivariant(generic, empty, empty)
     with pytest.raises(ValueError, match="generator counts must match"):
         equivariant(generic, M, empty)
@@ -588,7 +605,7 @@ def test_representation_kernel_refuses_a_partial_generator_set():
     K = GF(3)
     h = heisenberg(K, 1)
     V = heisenberg_poly_module(K, 1, K.one())
-    partial = LieModule(K, V.dim, V.action_mats()[: h.dim - 1])
+    partial = LieModule(K, h.dim - 1, V.stack[: (h.dim - 1) * V.dim, :])
     with pytest.raises(ValueError, match="one generator per basis element"):
         representation_kernel(partial, h)
 
@@ -654,7 +671,7 @@ def test_non_invariant_subspace_refused():
     for M, _ in _gl_modules():
         K = M.field
         while True:
-            S = Subspace.from_rows(K, M.dim, [[K.random(rng) for _ in range(M.dim)]])
+            S = span_rows(K, M.dim, [[K.random(rng) for _ in range(M.dim)]])
             if S.dim and not all(invariant_under(S, a) for a in M.action_mats()):
                 break
         with pytest.raises(ValueError, match="subspace is not invariant"):
@@ -670,7 +687,7 @@ def _old_factor(M, lo, hi):
     if hi.dim == M.dim:
         return quotient_module(M, lo)
     gens = [hi.coords_of(hi.basis @ A.transpose()).transpose() for A in M.action_mats()]
-    sub = LieModule(M.field, hi.dim, gens)
+    sub = LieModule(M.field, M.count, stacked(M.field, hi.dim, gens))
     return quotient_module(sub, Subspace.span(hi.coords_of(lo.basis))) if lo.dim else sub
 
 
@@ -702,7 +719,7 @@ def test_non_invariant_term_above_an_invariant_one_refused():
         K = M.field
         lo = scalars_subspace(K, math.isqrt(M.dim))
         while True:
-            hi = lo + Subspace.from_rows(K, M.dim, [[K.random(rng) for _ in range(M.dim)]])
+            hi = lo + span_rows(K, M.dim, [[K.random(rng) for _ in range(M.dim)]])
             if hi.dim == 2 and not invariant_under(hi, M.stack):
                 break
         with pytest.raises(ValueError, match="subspace is not invariant"):
@@ -761,7 +778,7 @@ def test_spin_exact_near_int64_limit():
                     for r in range(n)])
         G = op_matrix(K, n, n, lambda v, T=T: matvec(P, matvec(T, matvec(Pinv, v))))
         gens.append(G)
-    M = LieModule(K, n, gens)
+    M = LieModule(K, 2, stacked(K, n, gens))
     seed = matvec(P, [K.random(rng) for _ in range(4)] + [0] * 4)
     ref = ScalarEchelon(K, n)
     frontier = [seed] if ref.add(seed) else []
@@ -796,7 +813,7 @@ def test_adjoint_module_refuses_a_non_invariant_ambient():
     for K in (QQ, GF(3, 2), GF(5)):
         L = sl_subspace(K, 2)
         # the diagonal matrices: [e, h] is a multiple of e, which leaves them
-        diag = Subspace.from_rows(K, 4, [Mat.unit(K, 2, 2, i, i).vec() for i in range(2)])
+        diag = span_rows(K, 4, [Mat.unit(K, 2, 2, i, i).vec() for i in range(2)])
         with pytest.raises(ValueError, match="ambient subspace is not ad-invariant"):
             adjoint_module(L, diag)
 
@@ -824,7 +841,7 @@ def test_adjoint_module_matches_bracket_reference(K):
 
 @pytest.mark.parametrize("K", [GF(3), GF(3, 2)], ids=["gf3", "gf9"])
 def test_generator_free_module(K):
-    M = LieModule(K, 2, [])
+    M = LieModule(K, 0, Mat.zeros(K, 0, 2))
     assert _random_element(M, random.Random(0)) == Mat.zeros(K, 2, 2)
     assert hom_space(M, M) == Subspace.full(K, 4)
     assert certify_irreducible(M).status == "reducible"

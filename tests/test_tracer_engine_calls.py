@@ -34,11 +34,12 @@ out = {}
 for name, K in (("gf9 spin", GF(3, 2)), ("gf5 spin", GF(5))):
     gens = [Mat(K, [[K.random(rng) for _ in range(6)] for _ in range(6)]) for _ in "ab"]
     before = adds()
-    repmod.spin(LieModule(K, 6, gens), Mat(K, [[K.random(rng) for _ in range(6)]]))
+    repmod.spin(LieModule(K, 2, Mat.from_blocks([[a] for a in gens])),
+                Mat(K, [[K.random(rng) for _ in range(6)]]))
     out[name] = adds() - before
 before = adds()
-Subspace.from_rows(QQ, 4, [[QQ.of(i * j + 1) for j in range(4)] for i in range(3)])
-out["q from_rows"] = adds() - before
+Subspace.span(Mat(QQ, [[QQ.of(i * j + 1) for j in range(4)] for i in range(3)]))
+out["q span"] = adds() - before
 print(json.dumps(out))
 """
 
@@ -52,6 +53,6 @@ def test_traced_echelon_adds_are_called():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert set(counts) == {"gf9 spin", "gf5 spin", "q from_rows"}
+    assert set(counts) == {"gf9 spin", "gf5 spin", "q span"}
     for name, calls in counts.items():
         assert calls > 0, f"{name}: no traced echelon add"

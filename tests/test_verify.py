@@ -24,6 +24,7 @@ from lieclassical.liealg import (
 from lieclassical.linalg import Mat
 from lieclassical.repmod import adjoint_module, quotient_module, restrict_module
 from line_enumeration import all_submodules_by_enumeration
+from scalar_reference import stacked
 
 
 def failing(rep):
@@ -256,7 +257,7 @@ def small_modules(draw, K, max_dim):
             for i in range(d):
                 rows[d + i][d:] = rows[i][:d]
         gens.append(Mat(K, rows))
-    return repmod.LieModule(K, n, gens)
+    return repmod.LieModule(K, count, stacked(K, n, gens))
 
 
 @pytest.mark.parametrize("name", FIELDS)
